@@ -1,7 +1,7 @@
 """Exact-arithmetic calculus of cellular sheaves, Lagrangian cycles and
 trace kernels on finite cell complexes."""
 
-from .cellcx import (Cell, CellComplex, CellularMap, CellComplexError,
+from .cellcx import (CellComplex, CellularMap, CellComplexError,
                      CellularMapError, EMPTY, POINT, from_simplicial, product,
                      product_map, identity_map, collapse_to_point,
                      simplicial_map, factors_of)

@@ -14,12 +14,6 @@ class CellComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: object
-    dim: int
-
-
 class CellComplex:
     """Graded poset of cells with +-1 incidence numbers (immutable)."""
 
@@ -43,9 +37,6 @@ class CellComplex:
 
     def cell_ids(self):
         return list(self._cells)
-
-    def cells(self):
-        return [Cell(c, d) for c, d in self._cells.items()]
 
     def __contains__(self, cid):
         return cid in self._cells

@@ -9,10 +9,8 @@ deterministic and merging concurrent runs is trivial.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cellcx import POINT, product
@@ -228,30 +226,15 @@ def run_checks(seed=1, cases=100, suites=None, max_dim=3, max_cells=40) -> Check
             raise ValueError("unknown suite %r" % (n,))
     t0 = time.monotonic()
     report = CheckReport(seed=seed, cases=cases, suites=names)
-    workers = 1
-    try:
-        workers = max(1, min(16, int(os.environ.get("CONORMAL_THREADS", "1"))))
-    except ValueError:
-        pass
-
-    def run_case(args):
-        name, i = args
-        rng = _case_rng(seed, name, i)
-        try:
-            detail = SUITES[name](rng, max_dim=max_dim, max_cells=max_cells)
-        except Exception as e:  # a crash is a failure with the exception
-            detail = {"exception": "%s: %s" % (type(e).__name__, e)}
-        return (name, i, detail)
-
-    jobs = [(name, i) for name in names for i in range(cases)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_case, jobs))
-    else:
-        results = [run_case(j) for j in jobs]
-    for name, i, detail in results:
-        if detail is not None:
-            report.failures.append((name, i, json.dumps(detail, sort_keys=True)))
+    for name in names:
+        for i in range(cases):
+            try:
+                detail = SUITES[name](_case_rng(seed, name, i),
+                                      max_dim=max_dim, max_cells=max_cells)
+            except Exception as e:  # a crash is a failure with the exception
+                detail = {"exception": "%s: %s" % (type(e).__name__, e)}
+            if detail is not None:
+                report.failures.append((name, i, json.dumps(detail, sort_keys=True)))
     report.failures.sort(key=lambda f: (f[0], f[1]))
     report.wall_time = time.monotonic() - t0
     return report

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure, 2 property violation,
 3 parse error.  Output on stdout is deterministic; timing goes to
-stderr.  CONORMAL_THREADS caps the worker count of `check`.
+stderr.
 """
 
 from __future__ import annotations

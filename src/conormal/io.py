@@ -265,12 +265,6 @@ def parse_cycle(spec, cx) -> LagCycle:
     return LagCycle(cx, weights)
 
 
-def describe_cycle(cycle: LagCycle):
-    return {str(c): w for c, w in sorted(cycle.weights.items(),
-                                         key=lambda kv: (cycle.base.dim(kv[0]),
-                                                         str(kv[0])))}
-
-
 def parse_kernel(tree, sheaves):
     """A trace-kernel build tree over the file's named sheaves."""
     if not isinstance(tree, dict) or len(tree) > 2:

@@ -9,7 +9,8 @@ matrix with dim V^{n+1} rows and dim V^n columns.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heappop, heappush
+from math import gcd, lcm
 
 
 class LinAlgError(ValueError):
@@ -181,47 +182,116 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
+def _nonzeros(row):
+    """A dense row as a sparse one: column -> nonzero entry."""
+    return {j: x for j, x in enumerate(row) if x}
 
-    Rows are first scaled integral (rank-preserving); pivots are chosen
-    by a deterministic first-nonzero row-major scan.
+
+def _integer_row(row):
+    """Nonzero entries of a row of Fractions as a primitive integer row
+    (column -> int), scaled by the lcm of the denominators and divided by
+    the gcd of the numerators; empty for a zero row."""
+    nz = _nonzeros(row)
+    if not nz:
+        return nz
+    den = lcm(*[x.denominator for x in nz.values()])
+    out = {j: x.numerator * (den // x.denominator) for j, x in nz.items()}
+    g = gcd(*out.values())
+    if g != 1:
+        for j in out:
+            out[j] //= g
+    return out
+
+
+def _has_unit(row) -> bool:
+    return any(x == 1 or x == -1 for x in row.values())
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank by sparse fraction-free elimination.
+
+    Rows become primitive integer rows (scaling a row keeps the rank).
+    Pivots are unit entries first: the shortest row holding a unit, then
+    among its units the column with the fewest entries (Markowitz), ties
+    by index.  Only when no unit is left does the shortest row give a
+    non-unit pivot.  A row is updated as a*row - b*pivot_row with
+    a / b = pivot / entry in lowest terms, then divided by the gcd of its
+    entries.  Cellular coboundaries are sparse and mostly +-1, so nearly
+    the whole matrix is eliminated before any fill-in.
     """
-    a = []
-    for row in m.data:
-        denom = lcm(*[x.denominator for x in row]) if row else 1
-        a.append([int(x * denom) for x in row])
-    n_rows, n_cols = m.rows, m.cols
+    rows = {}
+    cols = {}
+    units, shortest = [], []
+
+    def queue(i, row):
+        heappush(shortest, (len(row), i))
+        if _has_unit(row):
+            heappush(units, (len(row), i))
+
+    for i, row in enumerate(m.data):
+        row = _integer_row(row)
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+            queue(i, row)
+
+    def pop(heap, unit):
+        # entries go stale when a row is updated or eliminated
+        while heap:
+            n, i = heappop(heap)
+            row = rows.get(i)
+            if row is not None and len(row) == n and (not unit or _has_unit(row)):
+                return i
+        return None
+
     r = 0
-    prev = 1
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, n_rows):
-            ric = a[i][c]
-            arow, rrow = a[i], a[r]
-            for j in range(c + 1, n_cols):
-                arow[j] = (arow[j] * p - ric * rrow[j]) // prev
-            arow[c] = 0
-        prev = p
+    while rows:
+        i = pop(units, True)
+        unit = i is not None
+        if not unit:
+            i = pop(shortest, False)
+        prow = rows.pop(i)
+        _, j = min((len(cols[k]), k) for k, x in prow.items()
+                   if not unit or x == 1 or x == -1)
+        for k in prow:
+            cols[k].discard(i)
+        p = prow.pop(j)
+        for t in cols.pop(j):
+            row = rows[t]
+            b = row.pop(j)
+            g = gcd(p, b)
+            a, b = p // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, x in prow.items():
+                y = row.get(k, 0) - b * x
+                if y:
+                    if k not in row:
+                        cols[k].add(t)
+                    row[k] = y
+                elif k in row:
+                    del row[k]
+                    cols[k].discard(t)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+                queue(t, row)
+            else:
+                del rows[t]
         r += 1
-        if r == n_rows:
-            break
     return r
 
 
 def rref(m: Matrix):
     """Reduced row echelon form by plain rational Gauss-Jordan.
 
-    Returns (R, pivot_columns).  Kept independent of the Bareiss rank
+    Returns (R, pivot_columns).  Kept independent of the sparse rank
     so the two can be tested against each other.
     """
     a = [row[:] for row in m.data]
@@ -326,10 +396,27 @@ class VectComplex:
         return not self.dims
 
     def check(self):
-        """Verify d^2 = 0; raises naming the offending degree."""
-        for n in self.diffs:
-            if self.dim(n + 2) and not (self.d(n + 1) * self.d(n)).is_zero():
-                raise LinAlgError("d^2 != 0 at degree %d" % n)
+        """Verify d^2 = 0 on sparse rows; raises naming the offending degree."""
+        for n, m in self.diffs.items():
+            upper = self.diffs.get(n + 1)
+            if upper is None or not self.dim(n + 2):
+                continue
+            # rows of d^{n+1} and columns of d^n scaled to integers: scaling
+            # keeps every entry of the product zero or nonzero
+            lower = [_nonzeros(row) for row in m.data]
+            den = {}
+            for row in lower:
+                for j, x in row.items():
+                    den[j] = lcm(den.get(j, 1), x.denominator)
+            lower = [{j: x.numerator * (den[j] // x.denominator) for j, x in row.items()}
+                     for row in lower]
+            for row in upper.data:
+                acc = {}
+                for k, a in _integer_row(row).items():
+                    for j, b in lower[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                if any(acc.values()):
+                    raise LinAlgError("d^2 != 0 at degree %d" % n)
         return self
 
     def __eq__(self, other):
@@ -443,10 +530,6 @@ def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
 # ---------------------------------------------------------------------------
 # chain maps (dicts degree -> Matrix)
 
-def chain_map_zero():
-    return {}
-
-
 def chain_component(phi, n, src: VectComplex, tgt: VectComplex) -> Matrix:
     m = phi.get(n)
     if m is None:
@@ -553,39 +636,26 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
         raise LinAlgError("endomorphism does not commute with the differential")
     v.check()
     total = Fraction(0)
-    for n in v.dims:
+    for n, dim in v.dims.items():
         ker = kernel_basis(v.d(n))
         if not ker:
             continue
-        dprev = v.d(n - 1)
-        # columns: image basis first, then kernel vectors extending it
-        cols = [[dprev.data[i][j] for i in range(dprev.rows)] for j in range(dprev.cols)]
-        base_rank = rank(Matrix(v.dim(n), len(cols), [list(r) for r in zip(*cols)])
-                         if cols else Matrix.zeros(v.dim(n), 0))
-        chosen = []
-        cur = cols[:]
-        cur_rank = base_rank
-        for z in ker:
-            trial = cur + [z]
-            tr_rank = rank(Matrix(v.dim(n), len(trial), [list(r) for r in zip(*trial)]))
-            if tr_rank > cur_rank:
-                chosen.append(z)
-                cur = trial
-                cur_rank = tr_rank
+        image = v.d(n - 1)
+        # columns: the image of d^{n-1} first, then the kernel vectors; the
+        # pivot columns of their rref are a basis of B^n followed by the
+        # kernel vectors that complete it to a basis of Z^n
+        span = Matrix(dim, image.cols + len(ker),
+                      [image.data[i] + [z[i] for z in ker] for i in range(dim)])
+        _, pivots = rref(span)
+        chosen = [c for c in pivots if c >= image.cols]
         if not chosen:
             continue
-        basis = Matrix(v.dim(n), len(cur), [list(r) for r in zip(*cur)])
-        # independent columns of basis: re-select via rref pivots
-        _, pivots = rref(basis)
-        ind = basis.submatrix(range(v.dim(n)), pivots)
-        img = chain_component(phi, n, v, v) * Matrix(
-            v.dim(n), len(chosen), [list(r) for r in zip(*chosen)])
-        coeff = solve_unique(ind, img)
-        # the chosen vectors sit at columns len(cols)..len(cur)-1 of `basis`;
-        # every one of them is a pivot column (each strictly grew the rank)
-        col_pos = {c: i for i, c in enumerate(pivots)}
-        h_positions = [col_pos[len(cols) + i] for i in range(len(chosen))]
-        tr = sum((coeff.data[h_positions[i]][i] for i in range(len(chosen))), Fraction(0))
+        coeff = solve_unique(span.submatrix(range(dim), pivots),
+                             chain_component(phi, n, v, v)
+                             * span.submatrix(range(dim), chosen))
+        # the coordinates along the chosen vectors are the last rows of coeff
+        first = len(pivots) - len(chosen)
+        tr = sum((coeff.data[first + i][i] for i in range(len(chosen))), Fraction(0))
         total += (-1 if n % 2 else 1) * tr
     return total
 

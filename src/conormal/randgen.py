@@ -113,11 +113,13 @@ def random_inclusion(rng: random.Random, cx: CellComplex):
     for c in picked:
         down.add(c)
         down |= {d for d in ids if cx.lt(d, c)}
-    cells = {c: cx.dim(c) for c in down}
+    # cells in the order of cx, so the result does not depend on set order
+    kept = [c for c in ids if c in down]
+    cells = {c: cx.dim(c) for c in kept}
     incidence = {(t, s): sg for (t, s), sg in cx.incidence_pairs().items()
                  if t in down and s in down}
     sub = CellComplex(cells, incidence)
-    return CellularMap(sub, cx, {c: c for c in down}, {c: 1 for c in down})
+    return CellularMap(sub, cx, {c: c for c in kept}, {c: 1 for c in kept})
 
 
 def random_cellular_map(rng: random.Random, cx: CellComplex) -> CellularMap:
@@ -196,7 +198,10 @@ class PieceSheaf:
         self.base = base
         self.pieces = pieces
         self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
-        self.sheaf = self._build()
+        try:
+            self.sheaf = self._build()
+        finally:
+            _INV_CACHE.clear()
 
     def _slots(self, cid):
         """Per degree, the list of (piece index, leg) basis labels."""
@@ -285,6 +290,8 @@ class PieceSheaf:
         return out
 
 
+# id(matrix) -> (matrix, inverse), for the conjugations of one sheaf or one
+# morphism: PieceSheaf.__init__ and random_morphism empty it when they return
 _INV_CACHE = {}
 
 
@@ -356,6 +363,13 @@ def random_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
 
 def random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
     """Random morphism between piece sheaves on the same base."""
+    try:
+        return _random_morphism(rng, src, tgt)
+    finally:
+        _INV_CACHE.clear()
+
+
+def _random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
     base = src.base
     scalars = {}
     for i, (ki, ui, di, wi) in enumerate(src.pieces):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               kernel_basis, solve_unique, euler,
@@ -10,7 +11,9 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               compose_chain_maps, identity_chain_map,
                               trace_endo, cohomology_trace)
 from conormal.randgen import (random_vect_complex, random_chain_endo,
-                              random_invertible, _rand_rational)
+                              random_invertible, _rand_rational,
+                              random_complex, random_sheaf)
+from conormal.sheaf import global_sections
 
 
 def M(rows):
@@ -39,6 +42,9 @@ def test_rank_exact():
     assert rank(M([[1, 2], [2, 4]])) == 1
     assert rank(M([[1, 2], [2, 5]])) == 2
     assert rank(Matrix.zeros(3, 2)) == 0
+    assert rank(Matrix.zeros(0, 4)) == rank(Matrix.zeros(4, 0)) == 0
+    # no unit entry: the elimination needs non-unit pivots
+    assert rank(M([[2, 4, 6], [3, 6, 9], [6, 10, 14]])) == 2
     # entries engineered to break floating point pivoting
     tiny = Fraction(1, 10 ** 40)
     assert rank(M([[tiny, 1], [1, 10 ** 40]])) == 1  # det is exactly zero
@@ -55,6 +61,41 @@ def test_rank_agrees_with_rref():
                      for _ in range(cols)] for _ in range(rows)])
         r, pivots = rref(m)
         assert rank(m) == len(pivots)
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.builds(lambda n, d: Fraction(n, d),
+              st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+@st.composite
+def _matrices(draw):
+    """Rational matrices up to 7x7, 0xn and nx0 included; low rank and
+    zero rows and columns are common."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if draw(st.booleans()) and rows and cols:
+        k = draw(st.integers(1, 3))
+        a = Matrix(rows, k, [[draw(_ENTRIES) for _ in range(k)] for _ in range(rows)])
+        b = Matrix(k, cols, [[draw(_ENTRIES) for _ in range(cols)] for _ in range(k)])
+        m = a * b
+    else:
+        m = Matrix(rows, cols, [[draw(_ENTRIES) for _ in range(cols)]
+                                for _ in range(rows)])
+    for i in draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        m.data[i] = [Fraction(0)] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1))) if cols else ():
+        for row in m.data:
+            row[j] = Fraction(0)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rank_agrees_with_rref_property(m):
+    assert rank(m) == len(rref(m)[1])
 
 
 def test_kernel_and_solve():
@@ -138,6 +179,17 @@ def test_homotopy_invariance_of_traces():
         t1 = trace_endo(phi, v)
         t2 = cohomology_trace(phi, v)
         assert t1 == t2 == c * euler(v)
+
+
+def test_cohomology_trace_is_hopf_trace_on_sections_complexes():
+    """Hopf trace formula on sections complexes of random sheaves, whose
+    differentials are dense rationals with kernels and images."""
+    rng = random.Random(29)
+    for _ in range(20):
+        cx = random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
+        v = global_sections(random_sheaf(rng, cx, max_pieces=2))
+        phi, c = random_chain_endo(rng, v)
+        assert cohomology_trace(phi, v) == trace_endo(phi, v) == c * euler(v)
 
 
 def test_compose_identity_chain_maps():

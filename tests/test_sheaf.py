@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conormal.cellcx import POINT, product, identity_map, collapse_to_point, CellularMap
-from conormal.qlinalg import Matrix, VectComplex, euler, homology_ranks, single
+from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
+                              homology_ranks, single)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             SheafMorphism, constant, zero_sheaf,
                             global_sections, euler_char, shift_sheaf,
@@ -22,6 +23,8 @@ def test_constant_sheaf_cohomology():
     assert homology_ranks(global_sections(constant(hollow_triangle()))) == {0: 1, 1: 1}
     assert homology_ranks(global_sections(constant(tetra_boundary()))) == {0: 1, 2: 1}
     assert homology_ranks(global_sections(constant(torus7()))) == {0: 1, 1: 2, 2: 1}
+    torus24, _, _ = product(circle(24), circle(24))
+    assert homology_ranks(global_sections(constant(torus24))) == {0: 1, 1: 2, 2: 1}
 
 
 def test_euler_char_fixtures():
@@ -38,6 +41,8 @@ def test_validate_accepts_constant_and_catches_breakage():
         f.base, dict(f.stalks),
         {**f.restrictions, ("0", "0.1"): {0: Matrix.identity(1).scale(2)}})
     assert broken.validate() != []
+    with pytest.raises(LinAlgError, match="d\\^2 != 0 at degree 0"):
+        homology_ranks(global_sections(broken, check=False))
 
 
 def test_validate_catches_non_chain_map():
