@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure, 2 property violation,
-3 parse error.  Output on stdout is deterministic; timing goes to
+3 parse error.  Every command that reads an instance file validates its
+complex first.  Output on stdout is deterministic; timing goes to
 stderr.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cellcx import POINT, product
+from .cellcx import POINT, CellComplexError, product
 from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
                     kernel_compose, SheafError)
@@ -51,8 +52,12 @@ def _named(table, name, what):
 # subcommands
 
 def cmd_validate(args):
-    inst = _load(args.file)
-    problems = inst.complex.validate()
+    try:
+        inst = _load(args.file)
+    except CellComplexError as e:
+        print(e)
+        return VALIDATION_FAILURE
+    problems = []
     for name, sheaf in inst.sheaves.items():
         problems += ["sheaf %s: %s" % (name, p) for p in sheaf.validate()]
     for name, lf in inst.lefschetz.items():
@@ -273,7 +278,7 @@ def main(argv=None):
     except io.ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return PARSE_ERROR
-    except (SheafError, TraceKernelError, LefschetzError) as e:
+    except (CellComplexError, SheafError, TraceKernelError, LefschetzError) as e:
         print("validation failure: %s" % e, file=sys.stderr)
         return VALIDATION_FAILURE
 

@@ -36,6 +36,31 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 # scalars and matrices
 
+def _object(node, what):
+    if not isinstance(node, dict):
+        raise ParseError("%s must be an object" % what)
+    return node
+
+
+def _list(node, what):
+    if not isinstance(node, list):
+        raise ParseError("%s must be a list" % what)
+    return node
+
+
+def _int(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError("%s must be an integer, got %r" % (what, value))
+
+
+def _name(value):
+    if not isinstance(value, str):
+        raise ParseError("a sheaf is referenced by its name, got %r" % (value,))
+    return value
+
+
 def parse_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise ParseError("booleans are not rationals")
@@ -62,7 +87,7 @@ def parse_matrix(rows) -> Matrix:
 
 
 def fmt_matrix(m: Matrix):
-    return [[fmt_fraction(x) for x in row] for row in m.data]
+    return [[fmt_fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +141,13 @@ def describe_complex(cx: CellComplex):
 # sheaves
 
 def parse_vect_complex(node) -> VectComplex:
-    try:
-        dims = {int(n): int(d) for n, d in node.get("dims", {}).items()}
-    except (ValueError, AttributeError) as e:
-        raise ParseError("bad stalk dims: %s" % e)
-    diffs = {}
-    for n, rows in node.get("d", {}).items():
-        try:
-            n = int(n)
-        except ValueError:
-            raise ParseError("differential degree %r is not an integer" % (n,))
-        diffs[n] = parse_matrix(rows)
+    node = _object(node, "a stalk")
+    dims = {_int(n, "a stalk degree"): _int(d, "a stalk dimension")
+            for n, d in _object(node.get("dims", {}), "'dims'").items()}
+    if any(d < 0 for d in dims.values()):
+        raise ParseError("stalk dimensions must be nonnegative")
+    diffs = {_int(n, "a differential degree"): parse_matrix(rows)
+             for n, rows in _object(node.get("d", {}), "'d'").items()}
     try:
         return VectComplex(dims, diffs)
     except LinAlgError as e:
@@ -140,14 +161,9 @@ def describe_vect_complex(v: VectComplex):
     return node
 
 
-def _parse_chain_map(node):
-    out = {}
-    for n, rows in node.items():
-        try:
-            out[int(n)] = parse_matrix(rows)
-        except ValueError:
-            raise ParseError("chain map degree %r is not an integer" % (n,))
-    return out
+def _parse_chain_map(node, what):
+    return {_int(n, "a chain map degree"): parse_matrix(rows)
+            for n, rows in _object(node, what).items()}
 
 
 def parse_sheaf(spec, cx, resolved):
@@ -157,23 +173,24 @@ def parse_sheaf(spec, cx, resolved):
     if not isinstance(spec, dict):
         raise ParseError("bad sheaf spec %r" % (spec,))
     if "dual_of" in spec:
-        other = resolved.get(spec["dual_of"])
+        other = resolved.get(_name(spec["dual_of"]))
         if other is None:
             return None  # not ready yet; caller retries
         return verdier_dual(other)
     if "shift_of" in spec:
-        other = resolved.get(spec["shift_of"])
+        other = resolved.get(_name(spec["shift_of"]))
         if other is None:
             return None
-        return shift_sheaf(other, int(spec.get("d", 0)))
+        return shift_sheaf(other, _int(spec.get("d", 0), "a shift"))
     if "extend_by_zero" in spec:
-        inner = spec["extend_by_zero"]
-        other = resolved.get(inner.get("of"))
-        if other is None and inner.get("of") is not None:
+        inner = _object(spec["extend_by_zero"], "'extend_by_zero'")
+        of = inner.get("of")
+        other = None if of is None else resolved.get(_name(of))
+        if other is None and of is not None:
             return None
         if other is None:
             other = constant(cx)
-        upset = {str(c) for c in inner.get("upset", [])}
+        upset = {str(c) for c in _list(inner.get("upset", []), "'upset'")}
         missing = upset - set(map(str, cx.cell_ids()))
         if missing:
             raise ParseError("extend_by_zero mentions unknown cells %s"
@@ -185,12 +202,12 @@ def parse_sheaf(spec, cx, resolved):
     if "stalks" in spec:
         known = set(map(str, cx.cell_ids()))
         stalks = {}
-        for c, node in spec["stalks"].items():
+        for c, node in _object(spec["stalks"], "'stalks'").items():
             if c not in known:
                 raise ParseError("stalk on unknown cell %r" % (c,))
             stalks[c] = parse_vect_complex(node)
         restrictions = {}
-        for entry in spec.get("restrictions", []):
+        for entry in _list(spec.get("restrictions", []), "'restrictions'"):
             try:
                 s, t = str(entry["from"]), str(entry["to"])
             except (KeyError, TypeError) as e:
@@ -198,7 +215,7 @@ def parse_sheaf(spec, cx, resolved):
             if s not in known or t not in known:
                 raise ParseError("restriction between unknown cells %r -> %r"
                                  % (s, t))
-            restrictions[(s, t)] = _parse_chain_map(entry.get("maps", {}))
+            restrictions[(s, t)] = _parse_chain_map(entry.get("maps", {}), "'maps'")
         return CellularSheaf(cx, stalks, restrictions)
     raise ParseError("sheaf spec needs 'stalks', 'dual_of', 'shift_of', "
                      "'extend_by_zero' or the string \"constant\"")
@@ -225,7 +242,7 @@ def parse_map(spec, cx, simplices):
     if "vertex_map" in spec:
         if simplices is None:
             raise ParseError("'vertex_map' needs a simplicial complex")
-        vm = {str(k): str(v) for k, v in spec["vertex_map"].items()}
+        vm = {str(k): str(v) for k, v in _object(spec["vertex_map"], "'vertex_map'").items()}
         if target == "point":
             return collapse_to_point(cx)
         if target != "self":
@@ -235,8 +252,9 @@ def parse_map(spec, cx, simplices):
         except (CellularMapError, CellComplexError, KeyError) as e:
             raise ParseError("bad vertex map: %s" % e)
     if "cells" in spec:
-        assignment = {str(k): str(v) for k, v in spec["cells"].items()}
-        signs = {str(k): int(v) for k, v in spec.get("signs", {}).items()}
+        assignment = {str(k): str(v) for k, v in _object(spec["cells"], "'cells'").items()}
+        signs = {str(k): _int(v, "a sign")
+                 for k, v in _object(spec.get("signs", {}), "'signs'").items()}
         tgt = POINT if target == "point" else cx
         if target == "point":
             assignment = {str(c): "pt" for c in cx.cell_ids()}
@@ -270,7 +288,7 @@ def parse_kernel(tree, sheaves):
     if not isinstance(tree, dict) or len(tree) > 2:
         raise ParseError("bad kernel tree %r" % (tree,))
     if "tk" in tree:
-        name = tree["tk"]
+        name = _name(tree["tk"])
         if name not in sheaves:
             raise ParseError("kernel references unknown sheaf %r" % (name,))
         return tk(sheaves[name])
@@ -287,9 +305,9 @@ def parse_kernel(tree, sheaves):
         return compose_tk(parse_kernel(parts[0], sheaves),
                           parse_kernel(parts[1], sheaves))
     if "twist" in tree:
-        inner = tree["twist"]
+        inner = _object(tree["twist"], "'twist'")
         return shift_twist(parse_kernel(inner.get("of", {}), sheaves),
-                           int(inner.get("d", 0)))
+                           _int(inner.get("d", 0), "a twist"))
     raise ParseError("kernel tree needs 'tk', 'external', 'compose' or 'twist'")
 
 
@@ -300,7 +318,8 @@ def parse_lefschetz(spec, maps, sheaves):
     except (KeyError, TypeError) as e:
         raise ParseError("lefschetz instance references unknown object: %s" % e)
     if "phi" in spec:
-        phi = {str(c): _parse_chain_map(node) for c, node in spec["phi"].items()}
+        phi = {str(c): _parse_chain_map(node, "a phi component")
+               for c, node in _object(spec["phi"], "'phi'").items()}
         return LefschetzInstance(f, sheaf, phi)
     scalar = parse_fraction(spec.get("scalar", 1))
     return constant_phi(f, sheaf, scalar)
@@ -331,6 +350,11 @@ def parse_instance(doc) -> Instance:
     if "complex" not in doc:
         raise ParseError("missing 'complex'")
     cx, simplices = parse_complex(doc["complex"])
+    # the named objects below are evaluated on the complex, so a complex
+    # that fails its validation is rejected first (a validation failure)
+    problems = cx.validate()
+    if problems:
+        raise CellComplexError("\n".join(problems))
 
     sheaf_specs = doc.get("sheaves", {})
     if not isinstance(sheaf_specs, dict):
@@ -352,14 +376,14 @@ def parse_instance(doc) -> Instance:
             raise ParseError("unresolvable sheaf references: %s"
                              % sorted(pending))
 
-    maps = {name: parse_map(spec, cx, simplices)
-            for name, spec in doc.get("maps", {}).items()}
-    cycles = {name: parse_cycle(spec, cx)
-              for name, spec in doc.get("cycles", {}).items()}
-    kernels = {name: parse_kernel(tree, sheaves)
-               for name, tree in doc.get("kernels", {}).items()}
+    def named(key):
+        return _object(doc.get(key, {}), "'%s'" % key).items()
+
+    maps = {name: parse_map(spec, cx, simplices) for name, spec in named("maps")}
+    cycles = {name: parse_cycle(spec, cx) for name, spec in named("cycles")}
+    kernels = {name: parse_kernel(tree, sheaves) for name, tree in named("kernels")}
     lefschetz = {name: parse_lefschetz(spec, maps, sheaves)
-                 for name, spec in doc.get("lefschetz", {}).items()}
+                 for name, spec in named("lefschetz")}
     return Instance(cx, simplices, sheaves, maps, cycles, kernels, lefschetz)
 
 

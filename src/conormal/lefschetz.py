@@ -56,7 +56,7 @@ def _induced_endo(inst: LefschetzInstance):
     """The chain endomorphism of the sections complex and that complex."""
     sh, f = inst.sheaf, inst.f
     vc, index = sections(sh, sh.base.cell_ids(), sh.base.dim)
-    phi = {}
+    blocks = {}
     for c in sh.base.cell_ids():
         img = f(c)
         if sh.base.dim(img) != sh.base.dim(c):
@@ -69,17 +69,9 @@ def _induced_endo(inst: LefschetzInstance):
             if (img, p) not in index or (c, p) not in index:
                 continue
             n, src_off = index[(img, p)]
-            n2, tgt_off = index[(c, p)]
-            cur = phi.get(n)
-            if cur is None:
-                cur = Matrix.zeros(vc.dim(n), vc.dim(n))
-                phi[n] = cur
-            for i in range(m.rows):
-                row = cur.data[tgt_off + i]
-                mrow = m.data[i]
-                for j in range(m.cols):
-                    if mrow[j]:
-                        row[src_off + j] += sgn * mrow[j]
+            _, tgt_off = index[(c, p)]
+            blocks.setdefault(n, []).append((tgt_off, src_off, m.scale(sgn)))
+    phi = {n: Matrix.assemble(vc.dim(n), vc.dim(n), bl) for n, bl in blocks.items()}
     if not is_chain_map(vc, vc, phi):
         raise LefschetzError("phi family does not induce a chain endomorphism")
     return vc, phi

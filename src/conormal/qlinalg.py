@@ -27,8 +27,33 @@ def _frac(x) -> Fraction:
     raise LinAlgError("matrix entries must be exact rationals, got %r" % (x,))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _add_row(row, other, offset=0):
+    """row += other with other's columns shifted by offset; entries that
+    cancel are removed, so no zero is stored."""
+    for j, x in other.items():
+        j += offset
+        y = row.get(j)
+        if y is None:
+            row[j] = x
+        else:
+            y += x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
 class Matrix:
-    """Dense matrix of Fractions."""
+    """Sparse matrix of Fractions.
+
+    data[i] is row i as a dict from column to entry.  No zero is ever
+    stored, so equal matrices have equal data and a zero row is empty.
+    Matrix(rows, cols, data) takes data as dense rows of rationals.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -38,12 +63,12 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            z = Fraction(0)
-            self.data = [[z] * cols for _ in range(rows)]
+            self.data = [{} for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise LinAlgError("matrix data does not match shape")
-            self.data = [[_frac(x) for x in row] for row in data]
+            self.data = [{j: x for j, x in enumerate(map(_frac, row)) if x}
+                         for row in data]
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -52,8 +77,8 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
+        for i, row in enumerate(m.data):
+            row[i] = _ONE
         return m
 
     @classmethod
@@ -66,38 +91,44 @@ class Matrix:
     def column(cls, entries):
         return cls(len(entries), 1, [[e] for e in entries])
 
+    def _col(self, j):
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d out of range" % j)
+        return j
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.data[i].get(self._col(j), _ZERO)
 
     def __setitem__(self, ij, v):
         i, j = ij
-        self.data[i][j] = _frac(v)
-
-    def copy(self):
-        m = Matrix(self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
-        return m
+        row = self.data[i]
+        v = _frac(v)
+        if v:
+            row[self._col(j)] = v
+        else:
+            row.pop(self._col(j), None)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
-        return "Matrix(%d, %d, %r)" % (self.rows, self.cols, [[str(x) for x in r] for r in self.data])
+        return "Matrix(%d, %d, %r)" % (self.rows, self.cols,
+                                       [[str(self[i, j]) for j in range(self.cols)]
+                                        for i in range(self.rows)])
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.data)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in addition")
         m = Matrix(self.rows, self.cols)
-        m.data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        for row, r1, r2 in zip(m.data, self.data, other.data):
+            row.update(r1)
+            _add_row(row, r2)
         return m
 
     def __sub__(self, other):
@@ -109,93 +140,83 @@ class Matrix:
     def scale(self, c):
         c = _frac(c)
         m = Matrix(self.rows, self.cols)
-        m.data = [[c * x for x in row] for row in self.data]
+        if c:
+            m.data = [{j: c * x for j, x in row.items()} for row in self.data]
         return m
 
     def __mul__(self, other):
-        """Matrix product; skips zero entries (our matrices are sparse)."""
+        """Matrix product over the stored entries."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in product: %dx%d * %dx%d"
                               % (self.rows, self.cols, other.rows, other.cols))
         out = Matrix(self.rows, other.cols)
-        odata = out.data
         bdata = other.data
         for i, row in enumerate(self.data):
-            orow = odata[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
+            acc = {}
+            for k, a in row.items():
+                for j, b in bdata[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.data[i] = {j: x for j, x in acc.items() if x}
         return out
 
     def transpose(self):
         m = Matrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                m.data[j][i] = self.data[i][j]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                m.data[j][i] = x
         return m
 
     def kron(self, other):
-        """Kronecker product, blocks of self scaled by entries... rows follow self-major order."""
+        """Kronecker product: block (i, j) is self[i, j] * other, so rows
+        follow self-major order."""
         m = Matrix(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a:
-                    for k in range(other.rows):
-                        orow = m.data[i * other.rows + k]
-                        brow = other.data[k]
-                        for l in range(other.cols):
-                            if brow[l]:
-                                orow[j * other.cols + l] = a * brow[l]
+        oc = other.cols
+        out = iter(m.data)
+        for row in self.data:
+            for brow in other.data:
+                orow = next(out)
+                for j, a in row.items():
+                    off = j * oc
+                    for l, b in brow.items():
+                        orow[off + l] = a * b
         return m
 
     @classmethod
     def assemble(cls, rows, cols, blocks):
-        """Build a matrix from (row_offset, col_offset, Matrix) blocks."""
+        """The rows x cols matrix that is the sum of (row_offset,
+        col_offset, Matrix) blocks, each placed at its offsets; blocks may
+        overlap and cancel."""
         m = cls(rows, cols)
         for r0, c0, blk in blocks:
-            if r0 + blk.rows > rows or c0 + blk.cols > cols:
+            if r0 < 0 or c0 < 0 or r0 + blk.rows > rows or c0 + blk.cols > cols:
                 raise LinAlgError("block out of range")
-            for i in range(blk.rows):
-                mrow = m.data[r0 + i]
-                brow = blk.data[i]
-                for j in range(blk.cols):
-                    if brow[j]:
-                        mrow[c0 + j] += brow[j]
+            for i, brow in enumerate(blk.data, r0):
+                _add_row(m.data[i], brow, c0)
         return m
 
     def submatrix(self, row_idx, col_idx):
+        pos = {c: k for k, c in enumerate(col_idx)}
         m = Matrix(len(row_idx), len(col_idx))
-        for i, ri in enumerate(row_idx):
-            src = self.data[ri]
-            m.data[i] = [src[cj] for cj in col_idx]
+        m.data = [{pos[j]: x for j, x in self.data[i].items() if j in pos}
+                  for i in row_idx]
         return m
 
     def trace(self):
         if self.rows != self.cols:
             raise LinAlgError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
-
-def _nonzeros(row):
-    """A dense row as a sparse one: column -> nonzero entry."""
-    return {j: x for j, x in enumerate(row) if x}
+        return sum((row.get(i, _ZERO) for i, row in enumerate(self.data)), Fraction(0))
 
 
 def _integer_row(row):
-    """Nonzero entries of a row of Fractions as a primitive integer row
-    (column -> int), scaled by the lcm of the denominators and divided by
-    the gcd of the numerators; empty for a zero row."""
-    nz = _nonzeros(row)
-    if not nz:
-        return nz
-    den = lcm(*[x.denominator for x in nz.values()])
-    out = {j: x.numerator * (den // x.denominator) for j, x in nz.items()}
+    """A sparse row of Fractions as a primitive integer row (column ->
+    int), scaled by the lcm of the denominators and divided by the gcd of
+    the numerators; empty for a zero row."""
+    if not row:
+        return {}
+    den = lcm(*[x.denominator for x in row.values()])
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     g = gcd(*out.values())
     if g != 1:
         for j in out:
@@ -294,30 +315,25 @@ def rref(m: Matrix):
     Returns (R, pivot_columns).  Kept independent of the sparse rank
     so the two can be tested against each other.
     """
-    a = [row[:] for row in m.data]
-    n_rows, n_cols = m.rows, m.cols
+    a = [dict(row) for row in m.data]
     pivots = []
     r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if a[i][c]:
-                piv = i
-                break
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if c in a[i]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        prow = a[r] = {j: x / p for j, x in a[r].items()}
+        for i, row in enumerate(a):
+            f = row.get(c)
+            if f is not None and i != r:
+                _add_row(row, {j: -f * x for j, x in prow.items()})
         pivots.append(c)
         r += 1
-        if r == n_rows:
+        if r == m.rows:
             break
-    out = Matrix(n_rows, n_cols)
+    out = Matrix(m.rows, m.cols)
     out.data = a
     return out, pivots
 
@@ -330,28 +346,26 @@ def kernel_basis(m: Matrix):
     for c in range(m.cols):
         if c in pivset:
             continue
-        v = [Fraction(0)] * m.cols
-        v[c] = Fraction(1)
+        v = [_ZERO] * m.cols
+        v[c] = _ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -r.data[i][c]
+            v[pc] = -r[i, c]
         basis.append(v)
     return basis
 
 
 def solve_unique(a: Matrix, b: Matrix) -> Matrix:
     """Solve a @ x = b where the columns of a are independent."""
-    aug = Matrix(a.rows, a.cols + b.cols)
-    for i in range(a.rows):
-        aug.data[i] = a.data[i] + b.data[i]
-    r, pivots = rref(aug)
+    if a.rows != b.rows:
+        raise LinAlgError("shape mismatch in solve_unique")
+    r, pivots = rref(Matrix.assemble(a.rows, a.cols + b.cols,
+                                     [(0, 0, a), (0, a.cols, b)]))
     if any(p >= a.cols for p in pivots):
         raise LinAlgError("inconsistent linear system")
     if len(pivots) != a.cols:
         raise LinAlgError("solve_unique requires independent columns")
-    x = Matrix(a.cols, b.cols)
-    for i, pc in enumerate(pivots):
-        x.data[pc] = r.data[i][a.cols:]
-    return x
+    # the pivots are exactly the columns of a, so row i of r is row i of x
+    return r.submatrix(range(a.cols), range(a.cols, a.cols + b.cols))
 
 
 class VectComplex:
@@ -403,13 +417,12 @@ class VectComplex:
                 continue
             # rows of d^{n+1} and columns of d^n scaled to integers: scaling
             # keeps every entry of the product zero or nonzero
-            lower = [_nonzeros(row) for row in m.data]
             den = {}
-            for row in lower:
+            for row in m.data:
                 for j, x in row.items():
                     den[j] = lcm(den.get(j, 1), x.denominator)
             lower = [{j: x.numerator * (den[j] // x.denominator) for j, x in row.items()}
-                     for row in lower]
+                     for row in m.data]
             for row in upper.data:
                 acc = {}
                 for k, a in _integer_row(row).items():
@@ -502,29 +515,18 @@ def tensor_index(a: VectComplex, b: VectComplex):
 def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
     """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d."""
     dims, index = tensor_index(a, b)
-    diffs = {}
+    blocks = {}
     for (p, q), off in index.items():
-        blocks = []
+        out = blocks.setdefault(p + q, [])
         if a.dim(p + 1):
-            blocks.append(((p + 1, q), a.d(p).kron(Matrix.identity(b.dim(q)))))
+            out.append((index[(p + 1, q)], off,
+                        a.d(p).kron(Matrix.identity(b.dim(q)))))
         if b.dim(q + 1):
             sgn = -1 if p % 2 else 1
-            blocks.append(((p, q + 1), Matrix.identity(a.dim(p)).kron(b.d(q)).scale(sgn)))
-        n = p + q
-        for tgt, blk in blocks:
-            if blk.is_zero():
-                continue
-            cur = diffs.get(n)
-            if cur is None:
-                cur = Matrix.zeros(dims.get(n + 1, 0), dims[n])
-                diffs[n] = cur
-            for i in range(blk.rows):
-                row = cur.data[index[tgt] + i]
-                brow = blk.data[i]
-                for j in range(blk.cols):
-                    if brow[j]:
-                        row[off + j] += brow[j]
-    return VectComplex(dims, diffs)
+            out.append((index[(p, q + 1)], off,
+                        Matrix.identity(a.dim(p)).kron(b.d(q)).scale(sgn)))
+    return VectComplex(dims, {n: Matrix.assemble(dims.get(n + 1, 0), dims[n], bl)
+                              for n, bl in blocks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +594,13 @@ def tensor_chain_maps(phi, psi, asrc, bsrc, atgt, btgt):
     """(phi (x) psi) between tensor complexes (both maps of degree 0)."""
     sdims, sindex = tensor_index(asrc, bsrc)
     tdims, tindex = tensor_index(atgt, btgt)
-    out = {}
+    blocks = {}
     for (p, q), soff in sindex.items():
         fp = chain_component(phi, p, asrc, atgt)
         gq = chain_component(psi, q, bsrc, btgt)
-        if fp.is_zero() or gq.is_zero():
-            continue
-        blk = fp.kron(gq)
-        n = p + q
-        cur = out.get(n)
-        if cur is None:
-            cur = Matrix.zeros(tdims.get(n, 0), sdims.get(n, 0))
-            out[n] = cur
-        toff = tindex[(p, q)]
-        for i in range(blk.rows):
-            row = cur.data[toff + i]
-            brow = blk.data[i]
-            for j in range(blk.cols):
-                if brow[j]:
-                    row[soff + j] += brow[j]
+        if not (fp.is_zero() or gq.is_zero()):
+            blocks.setdefault(p + q, []).append((tindex[(p, q)], soff, fp.kron(gq)))
+    out = {n: Matrix.assemble(tdims.get(n, 0), sdims[n], bl) for n, bl in blocks.items()}
     return {n: m for n, m in out.items() if not m.is_zero()}
 
 
@@ -644,8 +634,9 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
         # columns: the image of d^{n-1} first, then the kernel vectors; the
         # pivot columns of their rref are a basis of B^n followed by the
         # kernel vectors that complete it to a basis of Z^n
-        span = Matrix(dim, image.cols + len(ker),
-                      [image.data[i] + [z[i] for z in ker] for i in range(dim)])
+        span = Matrix.assemble(dim, image.cols + len(ker),
+                               [(0, 0, image),
+                                (0, image.cols, Matrix(len(ker), dim, ker).transpose())])
         _, pivots = rref(span)
         chosen = [c for c in pivots if c >= image.cols]
         if not chosen:
@@ -655,7 +646,7 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
                              * span.submatrix(range(dim), chosen))
         # the coordinates along the chosen vectors are the last rows of coeff
         first = len(pivots) - len(chosen)
-        tr = sum((coeff.data[first + i][i] for i in range(len(chosen))), Fraction(0))
+        tr = sum((coeff[first + i, i] for i in range(len(chosen))), Fraction(0))
         total += (-1 if n % 2 else 1) * tr
     return total
 
@@ -704,26 +695,14 @@ def total_complex(columns, horizontal) -> VectComplex:
             t = i + n
             index[(i, n)] = dims.get(t, 0)
             dims[t] = dims.get(t, 0) + cols[i].dim(n)
-    diffs = {}
+    blocks = {}
     for (i, n), off in index.items():
-        t = i + n
-        blocks = []
+        out = blocks.setdefault(i + n, [])
         h = horiz(i, n)
         if not h.is_zero():
-            blocks.append(((i + 1, n), h))
+            out.append((index[(i + 1, n)], off, h))
         dv = cols[i].d(n)
         if not dv.is_zero():
-            blocks.append(((i, n + 1), dv.scale(-1 if i % 2 else 1)))
-        for tgt, blk in blocks:
-            cur = diffs.get(t)
-            if cur is None:
-                cur = Matrix.zeros(dims.get(t + 1, 0), dims[t])
-                diffs[t] = cur
-            toff = index[tgt]
-            for r in range(blk.rows):
-                row = cur.data[toff + r]
-                brow = blk.data[r]
-                for c in range(blk.cols):
-                    if brow[c]:
-                        row[off + c] += brow[c]
-    return VectComplex(dims, diffs).check()
+            out.append((index[(i, n + 1)], off, dv.scale(-1 if i % 2 else 1)))
+    return VectComplex(dims, {t: Matrix.assemble(dims.get(t + 1, 0), dims[t], bl)
+                              for t, bl in blocks.items()}).check()

@@ -172,18 +172,16 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
     """Product of a few elementary operations on the identity."""
-    m = Matrix.identity(n)
+    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             f = _rand_nonzero(rng)
-            for c in range(n):
-                m.data[i][c] *= f
+            a[i] = [x * f for x in a[i]]
         else:
             f = _rand_rational(rng)
-            for c in range(n):
-                m.data[i][c] += f * m.data[j][c]
-    return m
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+    return Matrix(n, n, a)
 
 
 class PieceSheaf:
@@ -230,7 +228,7 @@ class PieceSheaf:
                 nxt = {lab: k for k, lab in enumerate(slots[n + 1])}
                 for k, (i, leg) in enumerate(labels):
                     if leg == 0 and self.pieces[i][0] == ACYC and (i, 1) in nxt:
-                        m.data[nxt[(i, 1)]][k] = Fraction(1)
+                        m[nxt[(i, 1)], k] = 1
                 if not m.is_zero():
                     diffs[n] = m
             stalks[c] = self._conjugate_complex(c, VectComplex(dims, diffs))
@@ -255,7 +253,7 @@ class PieceSheaf:
             for k, (i, leg) in enumerate(labels):
                 if (i, leg) in tpos:
                     w = self.pieces[i][3]
-                    m.data[tpos[(i, leg)]][k] = w[t] / w[s]
+                    m[tpos[(i, leg)], k] = w[t] / w[s]
             if not m.is_zero():
                 phi[n] = m
         return phi
@@ -392,8 +390,7 @@ def _random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> Sh
                     if (i, j) in scalars and (j, leg) in tpos:
                         wi = src.pieces[i][3]
                         wj = tgt.pieces[j][3]
-                        m.data[tpos[(j, leg)]][k] = (scalars[(i, j)]
-                                                     * wj[c] / wi[c])
+                        m[tpos[(j, leg)], k] = scalars[(i, j)] * wj[c] / wi[c]
                         hit = True
             if hit:
                 a_t = tgt.conj.get((c, n))
@@ -461,7 +458,7 @@ def random_lefschetz_instance(rng: random.Random, max_vertices=6):
         for n, labels in slots.items():
             m = Matrix.zeros(len(labels), len(labels))
             for k, (i, leg) in enumerate(labels):
-                m.data[k][k] = piece_scalars[i]
+                m[k, k] = piece_scalars[i]
             comp[n] = m
         if comp:
             phi[c] = comp

@@ -117,6 +117,65 @@ def test_cli_validate_flipped_incidence(tmp_path, capsys):
     assert "0.1" in out  # the offending pair is named
 
 
+def _with(**changes):
+    doc = json.loads(json.dumps(TRI))
+    for key, value in changes.items():
+        doc[key] = {**doc.get(key, {}), **value}
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with(sheaves={"s": {"shift_of": "k", "d": "x"}}), id="shift-d"),
+    pytest.param(_with(kernels={"T": {"twist": {"of": {"tk": "k"}, "d": "q"}}}),
+                 id="twist-d"),
+    pytest.param(_with(kernels={"T": {"twist": [1]}}), id="twist-list"),
+    pytest.param(_with(sheaves={"s": {"stalks": [1, 2]}}), id="stalks-list"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": 7}}}), id="stalk-int"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": [1]}}}}), id="dims-list"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": "one"}}}}}),
+                 id="dims-value"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": 1, "1": 1},
+                                                       "d": [[1]]}}}}), id="d-list"),
+    pytest.param(_with(sheaves={"s": {
+        "stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
+        "restrictions": [{"from": "0", "to": "0.1", "maps": [[1]]}]}}), id="maps-list"),
+    pytest.param(_with(sheaves={"s": {"extend_by_zero": "k"}}), id="extend-string"),
+    pytest.param(_with(maps={"m": {"cells": {"0": "0"}, "signs": {"0": "plus"}}}),
+                 id="map-sign"),
+    pytest.param(_with(lefschetz={"L": {"map": "ident", "sheaf": "k", "phi": [1]}}),
+                 id="phi-list"),
+    pytest.param({**TRI, "cycles": [1]}, id="cycles-list"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": -1}}}}}),
+                 id="dims-negative"),
+    pytest.param(_with(sheaves={"s": {"dual_of": ["k"]}}), id="dual-of-list"),
+    pytest.param(_with(kernels={"T": {"tk": {"k": 1}}}), id="tk-object"),
+    pytest.param(_with(sheaves={"s": {"stalks": {}, "restrictions": 5}}),
+                 id="restrictions-int"),
+    pytest.param(_with(sheaves={"s": {"extend_by_zero": {"upset": 5}}}), id="upset-int"),
+])
+def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
+    assert cli.main(["validate", write(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["chi", "k"], ["cc", "k"], ["dual", "k"],
+                                     ["expand", "T"], ["compose", "k", "k"]])
+def test_cli_evaluating_commands_validate_the_complex(tmp_path, capsys, command):
+    # the incidence jumps two dimensions, which sections() cannot represent
+    doc = {"complex": {"poset": {"cells": {"v": 0, "f": 2},
+                                 "incidence": [["f", "v", 1]]}},
+           "sheaves": {"k": "constant", "dk": {"dual_of": "k"}},
+           "kernels": {"T": {"tk": "k"}}}
+    path = write(tmp_path, doc)
+    assert cli.main([command[0], path, *command[1:]]) == 1
+    out = capsys.readouterr()
+    assert "not codimension 1" in out.err and "Traceback" not in out.err
+    assert out.out == ""
+    assert cli.main(["validate", path]) == 1
+    assert "not codimension 1" in capsys.readouterr().out
+
+
 def test_cli_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -72,30 +72,96 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, rows=None, cols=None):
     """Rational matrices up to 7x7, 0xn and nx0 included; low rank and
-    zero rows and columns are common."""
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    if draw(st.booleans()) and rows and cols:
+    zero rows and columns are common.  The shape is drawn unless given."""
+    if rows is None:
+        rows = draw(st.integers(0, 7))
+    if cols is None:
+        cols = draw(st.integers(0, 7))
+    low_rank = draw(st.booleans()) and rows and cols
+    if low_rank:
         k = draw(st.integers(1, 3))
-        a = Matrix(rows, k, [[draw(_ENTRIES) for _ in range(k)] for _ in range(rows)])
-        b = Matrix(k, cols, [[draw(_ENTRIES) for _ in range(cols)] for _ in range(k)])
-        m = a * b
+        a = [[draw(_ENTRIES) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(k)]
     else:
-        m = Matrix(rows, cols, [[draw(_ENTRIES) for _ in range(cols)]
-                                for _ in range(rows)])
+        a = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+        b = a
+    # a zero row of a * b is a zero row of a, a zero column one of b
     for i in draw(st.sets(st.integers(0, rows - 1))) if rows else ():
-        m.data[i] = [Fraction(0)] * cols
+        a[i] = [Fraction(0)] * len(a[i])
     for j in draw(st.sets(st.integers(0, cols - 1))) if cols else ():
-        for row in m.data:
+        for row in b:
             row[j] = Fraction(0)
-    return m
+    if low_rank:
+        return Matrix(rows, len(b), a) * Matrix(len(b), cols, b)
+    return Matrix(rows, cols, a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
 def test_rank_agrees_with_rref_property(m):
     assert rank(m) == len(rref(m)[1])
+
+
+def _dense(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _agrees(m, ref, rows, cols):
+    """m has the given shape and the entries of the dense reference, and
+    stores no zero: equality with a matrix built from the dense rows
+    compares the stored entries."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert _dense(m) == ref
+    assert m == Matrix(rows, cols, ref)
+    assert m.is_zero() == all(x == 0 for row in ref for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_operations_agree_with_dense_reference(data):
+    a = data.draw(_matrices())
+    b = data.draw(_matrices(a.rows, a.cols))
+    c = data.draw(_matrices(a.cols))
+    q = data.draw(_ENTRIES)
+    A, B, C = _dense(a), _dense(b), _dense(c)
+    r, n, k = a.rows, a.cols, c.cols
+    _agrees(a + b, [[x + y for x, y in zip(u, v)] for u, v in zip(A, B)], r, n)
+    _agrees(a - a, [[0] * n for _ in range(r)], r, n)
+    _agrees(a.scale(q), [[q * x for x in u] for u in A], r, n)
+    _agrees(a.transpose(), [[A[i][j] for i in range(r)] for j in range(n)], n, r)
+    _agrees(a * c, [[sum((A[i][t] * C[t][j] for t in range(n)), Fraction(0))
+                     for j in range(k)] for i in range(r)], r, k)
+    _agrees(a.kron(c), [[A[i // n][j // k] * C[i % n][j % k]
+                         for j in range(n * k)] for i in range(r * n)], r * n, n * k)
+    # overlapping blocks add up
+    rows = data.draw(st.integers(max(r, n), 9))
+    cols = data.draw(st.integers(max(n, k), 9))
+    blocks = [(data.draw(st.integers(0, rows - blk.rows)),
+               data.draw(st.integers(0, cols - blk.cols)), blk)
+              for blk in (a, b, c, a.scale(q))]
+    ref = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, blk in blocks:
+        for i, row in enumerate(_dense(blk)):
+            for j, x in enumerate(row):
+                ref[r0 + i][c0 + j] += x
+    _agrees(Matrix.assemble(rows, cols, blocks), ref, rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.integers(0, 3), st.integers(0, 3))
+def test_assemble_cancelling_blocks_is_zero(m, r0, c0):
+    rows, cols = m.rows + r0, m.cols + c0
+    blocks = [(r0, c0, m), (0, 0, Matrix.zeros(rows, cols)), (r0, c0, m.scale(-1))]
+    out = Matrix.assemble(rows, cols, blocks)
+    assert out.is_zero()
+    assert out == Matrix(rows, cols)
+
+
+def test_assemble_rejects_blocks_out_of_range():
+    with pytest.raises(LinAlgError, match="block out of range"):
+        Matrix.assemble(2, 2, [(1, 0, Matrix.identity(2))])
 
 
 def test_kernel_and_solve():

@@ -42,7 +42,9 @@ def test_validate_accepts_constant_and_catches_breakage():
         {**f.restrictions, ("0", "0.1"): {0: Matrix.identity(1).scale(2)}})
     assert broken.validate() != []
     with pytest.raises(LinAlgError, match="d\\^2 != 0 at degree 0"):
-        homology_ranks(global_sections(broken, check=False))
+        homology_ranks(global_sections(broken))
+    with pytest.raises(LinAlgError, match="d\\^2 != 0 at degree 0"):
+        euler_char(broken)
 
 
 def test_validate_catches_non_chain_map():
