@@ -322,13 +322,19 @@ def product(a: CellComplex, b: CellComplex):
             s = sign if a.dim(ca) % 2 == 0 else -sign
             incidence[((ca, tau), (ca, sigma))] = s
     p = CellComplex(cells, incidence, product_of=(a, b))
-    proj_a = CellularMap(p, a, {(ca, cb): ca for (ca, cb) in cells},
-                         {c: 1 for c, d in cells.items() if a.dim(c[0]) == d},
-                         projection_of=(p, "first"))
-    proj_b = CellularMap(p, b, {(ca, cb): cb for (ca, cb) in cells},
-                         {c: 1 for c, d in cells.items() if b.dim(c[1]) == d},
-                         projection_of=(p, "second"))
-    return p, proj_a, proj_b
+    return (p, *projections(p))
+
+
+def projections(p: CellComplex):
+    """The two projections of a registered product complex, tagged with
+    projection_of."""
+    ids = p.cell_ids()
+    maps = []
+    for k, (factor, which) in enumerate(zip(factors_of(p), ("first", "second"))):
+        maps.append(CellularMap(p, factor, {c: c[k] for c in ids},
+                                {c: 1 for c in ids if factor.dim(c[k]) == p.dim(c)},
+                                projection_of=(p, which)))
+    return tuple(maps)
 
 
 def product_map(f: CellularMap, g: CellularMap,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure, 2 property violation,
 3 parse error.  Every command that reads an instance file validates its
-complex first.  Output on stdout is deterministic; timing goes to
-stderr.
+complex and its explicit sheaves first.  Output on stdout is
+deterministic; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _named(table, name, what):
 def cmd_validate(args):
     try:
         inst = _load(args.file)
-    except CellComplexError as e:
+    except (CellComplexError, SheafError) as e:
         print(e)
         return VALIDATION_FAILURE
     problems = []

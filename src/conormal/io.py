@@ -18,7 +18,7 @@ from fractions import Fraction
 from .cellcx import (CellComplex, CellularMap, CellComplexError,
                      CellularMapError, from_simplicial, simplicial_map,
                      identity_map, collapse_to_point, POINT)
-from .qlinalg import Matrix, VectComplex, LinAlgError
+from .qlinalg import Matrix, VectComplex, LinAlgError, ZERO_COMPLEX
 from .sheaf import (CellularSheaf, SheafError, constant, verdier_dual,
                     shift_sheaf, extend_by_zero)
 from .mueu import LagCycle
@@ -215,7 +215,13 @@ def parse_sheaf(spec, cx, resolved):
             if s not in known or t not in known:
                 raise ParseError("restriction between unknown cells %r -> %r"
                                  % (s, t))
-            restrictions[(s, t)] = _parse_chain_map(entry.get("maps", {}), "'maps'")
+            phi = _parse_chain_map(entry.get("maps", {}), "'maps'")
+            for n, m in phi.items():
+                shape = tuple(stalks.get(c, ZERO_COMPLEX).dim(n) for c in (t, s))
+                if (m.rows, m.cols) != shape:
+                    raise ParseError("restriction %r -> %r in degree %d is %dx%d, "
+                                     "expected %dx%d" % (s, t, n, m.rows, m.cols, *shape))
+            restrictions[(s, t)] = phi
         return CellularSheaf(cx, stalks, restrictions)
     raise ParseError("sheaf spec needs 'stalks', 'dual_of', 'shift_of', "
                      "'extend_by_zero' or the string \"constant\"")
@@ -360,21 +366,29 @@ def parse_instance(doc) -> Instance:
     if not isinstance(sheaf_specs, dict):
         raise ParseError("'sheaves' must map names to specs")
     sheaves = {}
+    problems = []
     pending = dict(sheaf_specs)
     while pending:
         progressed = False
         for name in list(pending):
+            spec = pending[name]
             try:
-                built = parse_sheaf(pending[name], cx, sheaves)
+                built = parse_sheaf(spec, cx, sheaves)
             except SheafError as e:
                 raise ParseError("sheaf %r: %s" % (name, e))
             if built is not None:
+                if isinstance(spec, dict) and "stalks" in spec:
+                    problems += ["sheaf %s: %s" % (name, p) for p in built.validate()]
                 sheaves[name] = built
                 del pending[name]
                 progressed = True
         if not progressed:
             raise ParseError("unresolvable sheaf references: %s"
                              % sorted(pending))
+    # explicit sheaves are evaluated by everything below, so their stalk
+    # differentials, chain maps and functoriality are checked here too
+    if problems:
+        raise SheafError("\n".join(problems))
 
     def named(key):
         return _object(doc.get(key, {}), "'%s'" % key).items()

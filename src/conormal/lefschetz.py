@@ -13,9 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cellcx import CellularMap
-from .qlinalg import (Matrix, chain_component, compose_chain_maps,
-                      identity_chain_map, is_chain_map, trace_endo,
-                      cohomology_trace)
+from .qlinalg import (Matrix, compose_chain_maps, graded_map, is_chain_map,
+                      trace_endo, cohomology_trace)
 from .sheaf import CellularSheaf, SheafError, sections, _chain_maps_equal
 
 
@@ -56,22 +55,12 @@ def _induced_endo(inst: LefschetzInstance):
     """The chain endomorphism of the sections complex and that complex."""
     sh, f = inst.sheaf, inst.f
     vc, index = sections(sh, sh.base.cell_ids(), sh.base.dim)
-    blocks = {}
-    for c in sh.base.cell_ids():
-        img = f(c)
-        if sh.base.dim(img) != sh.base.dim(c):
-            continue
-        comp = inst.phi_at(c)
-        if not comp:
-            continue
-        sgn = f.sign(c)
-        for p, m in comp.items():
-            if (img, p) not in index or (c, p) not in index:
-                continue
-            n, src_off = index[(img, p)]
-            _, tgt_off = index[(c, p)]
-            blocks.setdefault(n, []).append((tgt_off, src_off, m.scale(sgn)))
-    phi = {n: Matrix.assemble(vc.dim(n), vc.dim(n), bl) for n, bl in blocks.items()}
+    # phi_c : F(f(c)) -> F(c) on the cells whose dimension f preserves
+    arrows = [((f(c), p), (c, p), m, f.sign(c))
+              for c, comp in inst.phi.items() if sh.base.dim(f(c)) == sh.base.dim(c)
+              for p, m in comp.items()]
+    lay = (vc.dims, index)
+    phi = graded_map(lay, lay, arrows)
     if not is_chain_map(vc, vc, phi):
         raise LefschetzError("phi family does not induce a chain endomorphism")
     return vc, phi

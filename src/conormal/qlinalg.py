@@ -31,16 +31,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _add_row(row, other, offset=0):
-    """row += other with other's columns shifted by offset; entries that
-    cancel are removed, so no zero is stored."""
+def _add_row(row, other, offset=0, sign=1):
+    """row += sign * other (sign is +-1) with other's columns shifted by
+    offset; entries that cancel are removed, so no zero is stored."""
+    neg = sign < 0
     for j, x in other.items():
         j += offset
         y = row.get(j)
         if y is None:
-            row[j] = x
+            row[j] = -x if neg else x
         else:
-            y += x
+            y = y - x if neg else y + x
             if y:
                 row[j] = y
             else:
@@ -186,14 +187,18 @@ class Matrix:
     @classmethod
     def assemble(cls, rows, cols, blocks):
         """The rows x cols matrix that is the sum of (row_offset,
-        col_offset, Matrix) blocks, each placed at its offsets; blocks may
-        overlap and cancel."""
+        col_offset, Matrix[, sign]) blocks, each placed at its offsets and
+        negated as it is added when sign is -1; blocks may overlap and
+        cancel."""
         m = cls(rows, cols)
-        for r0, c0, blk in blocks:
+        for r0, c0, blk, *sign in blocks:
+            sign = sign[0] if sign else 1
+            if sign not in (1, -1):
+                raise LinAlgError("block sign must be +-1, got %r" % (sign,))
             if r0 < 0 or c0 < 0 or r0 + blk.rows > rows or c0 + blk.cols > cols:
                 raise LinAlgError("block out of range")
             for i, brow in enumerate(blk.data, r0):
-                _add_row(m.data[i], brow, c0)
+                _add_row(m.data[i], brow, c0, sign)
         return m
 
     def submatrix(self, row_idx, col_idx):
@@ -471,9 +476,8 @@ def homology_ranks(v: VectComplex) -> dict:
 
 def shift(v: VectComplex, k: int) -> VectComplex:
     """v[k]: degree n component is v^{n+k}; differential scaled by (-1)^k."""
-    sign = -1 if k % 2 else 1
     return VectComplex({n - k: d for n, d in v.dims.items()},
-                       {n - k: m.scale(sign) for n, m in v.diffs.items()})
+                       {n - k: -m if k % 2 else m for n, m in v.diffs.items()})
 
 
 def dual(v: VectComplex) -> VectComplex:
@@ -486,47 +490,76 @@ def dual(v: VectComplex) -> VectComplex:
     return VectComplex(dims, diffs)
 
 
-def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
+# ---------------------------------------------------------------------------
+# graded direct sums: every totalization lists its pieces and its arrows
+
+def layout(pieces):
+    """Place ordered pieces (label, degree, dim) in a graded direct sum.
+
+    Returns (dims, index): dims[degree] is the total dimension and
+    index[label] = (degree, offset); the pieces of one degree are stacked
+    in the order given.
+    """
     dims = {}
-    for n in set(a.dims) | set(b.dims):
-        dims[n] = a.dim(n) + b.dim(n)
-    diffs = {}
-    for n in dims:
-        if dims.get(n + 1, 0) and (n in a.diffs or n in b.diffs):
-            diffs[n] = Matrix.assemble(
-                dims.get(n + 1, 0), dims[n],
-                [(0, 0, a.d(n)), (a.dim(n + 1), a.dim(n), b.d(n))])
-    return VectComplex(dims, diffs)
-
-
-def tensor_index(a: VectComplex, b: VectComplex):
-    """Offsets of the (p, q) blocks inside (a (x) b)^n, p ascending."""
     index = {}
-    dims = {}
-    for p in sorted(a.dims):
-        for q in sorted(b.dims):
-            n = p + q
-            off = dims.get(n, 0)
-            index[(p, q)] = off
-            dims[n] = off + a.dim(p) * b.dim(q)
+    for label, n, d in pieces:
+        off = dims.get(n, 0)
+        index[label] = (n, off)
+        dims[n] = off + d
     return dims, index
+
+
+def graded_map(src, tgt, arrows):
+    """Per-degree matrices of the map between two layouts (dims, index)
+    that sends piece s into piece t by sign * m, for arrows (s, t, m, sign)
+    with sign +-1.  Keyed by source degree; arrows into one place add, and
+    degrees whose matrix is zero are left out."""
+    sdims, sindex = src
+    tdims, tindex = tgt
+    blocks = {}  # source degree -> (target degree, blocks)
+    for s, t, m, sign in arrows:
+        n, c0 = sindex[s]
+        nt, r0 = tindex[t]
+        entry = blocks.setdefault(n, (nt, []))
+        if entry[0] != nt:
+            raise LinAlgError("arrows from degree %d land in degrees %d and %d"
+                              % (n, entry[0], nt))
+        entry[1].append((r0, c0, m, sign))
+    out = {n: Matrix.assemble(tdims[nt], sdims[n], bl) for n, (nt, bl) in blocks.items()}
+    return {n: m for n, m in out.items() if not m.is_zero()}
+
+
+def direct_sum_layout(*parts: VectComplex):
+    """Layout of parts[0] (+) parts[1] (+) ...: piece (k, n) is degree n of
+    parts[k], and the parts follow each other in every degree."""
+    return layout([((k, n), n, d) for k, v in enumerate(parts) for n, d in v.dims.items()])
+
+
+def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
+    lay = direct_sum_layout(a, b)
+    arrows = [((k, n), (k, n + 1), m, 1) for k, v in enumerate((a, b))
+              for n, m in v.diffs.items()]
+    return VectComplex(lay[0], graded_map(lay, lay, arrows))
+
+
+def _tensor_layout(a: VectComplex, b: VectComplex):
+    """Pieces (p, q) of (a (x) b)^{p+q}, p ascending within a degree."""
+    return layout([((p, q), p + q, a.dim(p) * b.dim(q))
+                   for p in sorted(a.dims) for q in sorted(b.dims)])
 
 
 def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
     """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d."""
-    dims, index = tensor_index(a, b)
-    blocks = {}
-    for (p, q), off in index.items():
-        out = blocks.setdefault(p + q, [])
-        if a.dim(p + 1):
-            out.append((index[(p + 1, q)], off,
-                        a.d(p).kron(Matrix.identity(b.dim(q)))))
-        if b.dim(q + 1):
-            sgn = -1 if p % 2 else 1
-            out.append((index[(p, q + 1)], off,
-                        Matrix.identity(a.dim(p)).kron(b.d(q)).scale(sgn)))
-    return VectComplex(dims, {n: Matrix.assemble(dims.get(n + 1, 0), dims[n], bl)
-                              for n, bl in blocks.items()})
+    lay = _tensor_layout(a, b)
+    arrows = []
+    for p, q in lay[1]:
+        if p in a.diffs:
+            arrows.append(((p, q), (p + 1, q),
+                           a.diffs[p].kron(Matrix.identity(b.dim(q))), 1))
+        if q in b.diffs:
+            arrows.append(((p, q), (p, q + 1),
+                           Matrix.identity(a.dim(p)).kron(b.diffs[q]), -1 if p % 2 else 1))
+    return VectComplex(lay[0], graded_map(lay, lay, arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +625,10 @@ def shift_chain_map(phi, k):
 
 def tensor_chain_maps(phi, psi, asrc, bsrc, atgt, btgt):
     """(phi (x) psi) between tensor complexes (both maps of degree 0)."""
-    sdims, sindex = tensor_index(asrc, bsrc)
-    tdims, tindex = tensor_index(atgt, btgt)
-    blocks = {}
-    for (p, q), soff in sindex.items():
-        fp = chain_component(phi, p, asrc, atgt)
-        gq = chain_component(psi, q, bsrc, btgt)
-        if not (fp.is_zero() or gq.is_zero()):
-            blocks.setdefault(p + q, []).append((tindex[(p, q)], soff, fp.kron(gq)))
-    out = {n: Matrix.assemble(tdims.get(n, 0), sdims[n], bl) for n, bl in blocks.items()}
-    return {n: m for n, m in out.items() if not m.is_zero()}
+    arrows = [((p, q), (p, q), fp.kron(gq), 1)
+              for p, fp in phi.items() if not fp.is_zero()
+              for q, gq in psi.items() if not gq.is_zero()]
+    return graded_map(_tensor_layout(asrc, bsrc), _tensor_layout(atgt, btgt), arrows)
 
 
 def trace_endo(phi, v: VectComplex) -> Fraction:
@@ -687,22 +714,11 @@ def total_complex(columns, horizontal) -> VectComplex:
                 if horiz(i, n + 1) * cols[i].d(n) != cols.get(i + 1, ZERO_COMPLEX).d(n) * horiz(i, n):
                     raise LinAlgError("grid does not commute at bidegree (%d, %d)" % (i, n))
 
-    # offsets of bidegree (i, n) inside total degree i + n, ordered by i
-    dims = {}
-    index = {}
-    for i in sorted(cols):
-        for n in sorted(cols[i].dims):
-            t = i + n
-            index[(i, n)] = dims.get(t, 0)
-            dims[t] = dims.get(t, 0) + cols[i].dim(n)
-    blocks = {}
-    for (i, n), off in index.items():
-        out = blocks.setdefault(i + n, [])
-        h = horiz(i, n)
-        if not h.is_zero():
-            out.append((index[(i + 1, n)], off, h))
-        dv = cols[i].d(n)
-        if not dv.is_zero():
-            out.append((index[(i, n + 1)], off, dv.scale(-1 if i % 2 else 1)))
-    return VectComplex(dims, {t: Matrix.assemble(dims.get(t + 1, 0), dims[t], bl)
-                              for t, bl in blocks.items()}).check()
+    # bidegree (i, n) sits in total degree i + n, ordered by i
+    lay = layout([((i, n), i + n, c.dim(n))
+                  for i, c in sorted(cols.items()) for n in sorted(c.dims)])
+    arrows = [((i, n), (i + 1, n), h, 1)
+              for (i, n), h in horizontal.items() if not h.is_zero()]
+    arrows += [((i, n), (i, n + 1), dv, -1 if i % 2 else 1)
+               for i, c in cols.items() for n, dv in c.diffs.items()]
+    return VectComplex(lay[0], graded_map(lay, lay, arrows)).check()

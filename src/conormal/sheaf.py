@@ -15,13 +15,13 @@ flavor.
 
 from __future__ import annotations
 
-from .cellcx import (CellComplex, CellularMap, CellComplexError, product,
-                     product_map, factors_of)
+from .cellcx import (CellComplex, CellularMap, product, product_map,
+                     projections, factors_of, identity_map)
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler, tensor,
                       chain_component, is_chain_map, compose_chain_maps,
                       tensor_chain_maps, identity_chain_map, dual_chain_map,
-                      shift_chain_map)
+                      shift_chain_map, layout, graded_map)
 
 
 class SheafError(ValueError):
@@ -55,32 +55,19 @@ class CellularSheaf:
         return self.restrictions.get((s, t), {})
 
     def res_long(self, a, b):
-        """Canonical restriction along any chain of codim-1 steps a <= b."""
+        """Chain map stalk(a) -> stalk(b) for a <= b: the composite of the
+        codim-1 restrictions along a chain that steps from a to any coface
+        below b (on a valid sheaf every such chain gives the same map)."""
         if a == b:
             return identity_chain_map(self.stalk(a))
-        # BFS for one chain of covers from a up to b
-        prev = {a: None}
-        frontier = [a]
-        while frontier and b not in prev:
-            nxt = []
-            for c in frontier:
-                for cf in self.base.cofaces(c):
-                    if cf not in prev and self.base.leq(cf, b):
-                        prev[cf] = c
-                        nxt.append(cf)
-            frontier = nxt
-        if b not in prev:
-            raise SheafError("cells %r and %r are not comparable" % (a, b))
-        chain = []
-        c = b
-        while c != a:
-            chain.append(c)
-            c = prev[c]
-        chain.append(a)
-        chain.reverse()
-        phi = identity_chain_map(self.stalk(a))
-        for lo, hi in zip(chain, chain[1:]):
-            phi = compose_chain_maps(self.res(lo, hi), phi)
+        phi = None
+        while a != b:
+            c = next((c for c in self.base.cofaces(a) if self.base.leq(c, b)), None)
+            if c is None:
+                raise SheafError("cells %r and %r are not comparable" % (a, b))
+            step = self.res(a, c)
+            phi = step if phi is None else compose_chain_maps(step, phi)
+            a = c
         return phi
 
     def support(self):
@@ -161,32 +148,21 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
     (-1)^{weight(s)} * internal differentials.  Returns (VectComplex,
     index) with index[(cell, p)] = (total degree, offset).
     """
-    cells = [c for c in cells if c in f.stalks]
-    dims = {}
-    index = {}
-    for c in sorted(cells, key=lambda c: (f.base.dim(c), str(c))):
-        for p in f.stalk(c).degrees():
-            n = p + weight(c)
-            index[(c, p)] = (n, dims.get(n, 0))
-            dims[n] = dims.get(n, 0) + f.stalk(c).dim(p)
-    cellset = set(cells)
-    blocks = {}  # degree -> [(target offset, source offset, Matrix)]
-    for (c, p), (n, off) in index.items():
-        stalk = f.stalk(c)
-        d = stalk.d(p)
-        if not d.is_zero():
-            sgn = -1 if weight(c) % 2 else 1
-            blocks.setdefault(n, []).append((index[(c, p + 1)][1], off, d.scale(sgn)))
+    cells = sorted((c for c in cells if c in f.stalks),
+                   key=lambda c: (f.base.dim(c), str(c)))
+    weights = {c: weight(c) for c in cells}
+    lay = layout([((c, p), p + weights[c], d)
+                  for c in cells for p, d in sorted(f.stalks[c].dims.items())])
+    arrows = []
+    for c, w in weights.items():
+        sgn = -1 if w % 2 else 1
+        arrows += [((c, p), (c, p + 1), d, sgn) for p, d in f.stalks[c].diffs.items()]
         for cf in f.base.cofaces(c):
-            if cf not in cellset or (c, cf) not in f.restrictions:
-                continue
-            m = chain_component(f.res(c, cf), p, stalk, f.stalk(cf))
-            if m.is_zero() or (cf, p) not in index:
-                continue
-            sgn = f.base.incidence(cf, c) * delta_sign
-            blocks.setdefault(n, []).append((index[(cf, p)][1], off, m.scale(sgn)))
-    return VectComplex(dims, {n: Matrix.assemble(dims.get(n + 1, 0), dims[n], bl)
-                              for n, bl in blocks.items()}), index
+            phi = f.restrictions.get((c, cf))
+            if phi is not None and cf in weights:
+                sgn = f.base.incidence(cf, c) * delta_sign
+                arrows += [((c, p), (cf, p), m, sgn) for p, m in phi.items()]
+    return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
 
 
 def global_sections(f: CellularSheaf) -> VectComplex:
@@ -197,13 +173,12 @@ def global_sections(f: CellularSheaf) -> VectComplex:
 
 
 def euler_char(f: CellularSheaf) -> int:
-    """Index of f, computed two ways and cross-checked."""
-    by_stalks = sum((-1) ** f.base.dim(c) * euler(v) for c, v in f.stalks.items())
-    by_sections = euler(global_sections(f).check())
-    if by_stalks != by_sections:
-        raise SheafError("internal inconsistency: stalk sum %d vs sections %d"
-                         % (by_stalks, by_sections))
-    return by_stalks
+    """Index of f: the alternating sum over cells of the stalk Euler
+    characteristics, which is the Euler characteristic of the sections
+    complex (its degree n holds stalk degree n - dim c).  Raises
+    LinAlgError when that complex has d^2 != 0."""
+    global_sections(f).check()
+    return sum((-1) ** f.base.dim(c) * euler(v) for c, v in f.stalks.items())
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +204,13 @@ def shift_sheaf(f: CellularSheaf, k: int) -> CellularSheaf:
 def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     if not f.base.same_as(g.base):
         raise SheafError("direct sum over different bases")
-    stalks = {}
-    for c in set(f.stalks) | set(g.stalks):
-        stalks[c] = ql.direct_sum(f.stalk(c), g.stalk(c))
+    cells = set(f.stalks) | set(g.stalks)
+    lays = {c: ql.direct_sum_layout(f.stalk(c), g.stalk(c)) for c in cells}
+    stalks = {c: ql.direct_sum(f.stalk(c), g.stalk(c)) for c in cells}
     restrictions = {}
-    for pair in set(f.restrictions) | set(g.restrictions):
-        s, t = pair
-        phi = {}
-        for n in set(f.res(s, t)) | set(g.res(s, t)):
-            blocks = []
-            if n in f.res(s, t):
-                blocks.append((0, 0, f.res(s, t)[n]))
-            if n in g.res(s, t):
-                blocks.append((f.stalk(t).dim(n), f.stalk(s).dim(n), g.res(s, t)[n]))
-            phi[n] = Matrix.assemble(stalks[t].dim(n), stalks[s].dim(n), blocks)
-        restrictions[pair] = phi
+    for (s, t) in set(f.restrictions) | set(g.restrictions):
+        restrictions[(s, t)] = graded_map(lays[s], lays[t], [
+            ((k, n), (k, n), m, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
     return CellularSheaf(f.base, stalks, restrictions)
 
 
@@ -319,15 +286,15 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
     for c in src.cell_ids():
         fibers.setdefault(f(c), []).append(c)
     stalks = {}
-    indices = {}
+    lays = {}
     for t, cells in fibers.items():
         dt = tgt.dim(t)
         vc, idx = sections(sheaf, cells, lambda c, dt=dt: src.dim(c) - dt,
                            delta_sign=-1 if dt % 2 else 1)
         if not vc.is_zero():
             stalks[t] = vc
-            indices[t] = idx
-    blocks = {}  # (t_lo, t_hi) -> degree -> [(target offset, source offset, Matrix)]
+            lays[t] = (vc.dims, idx)
+    arrows = {}  # (t_lo, t_hi) -> arrows between the fiber sections
     for (s_hi, s_lo) in src.incidence_pairs():
         t_lo, t_hi = f(s_lo), f(s_hi)
         if t_lo == t_hi:
@@ -342,20 +309,12 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
             continue
         if not phi or t_lo not in stalks or t_hi not in stalks:
             continue
+        # the gap is 1, so both cells sit in the same degree
         sgn = tgt.incidence(t_hi, t_lo) * src.incidence(s_hi, s_lo)
-        cur = blocks.setdefault((t_lo, t_hi), {})
-        lo_idx, hi_idx = indices[t_lo], indices[t_hi]
-        for p, m in phi.items():
-            if (s_lo, p) not in lo_idx or (s_hi, p) not in hi_idx:
-                continue
-            # the gap is 1, so both cells sit in the same degree n
-            n, off_lo = lo_idx[(s_lo, p)]
-            _, off_hi = hi_idx[(s_hi, p)]
-            cur.setdefault(n, []).append((off_hi, off_lo, m.scale(sgn)))
-    restrictions = {
-        (t_lo, t_hi): {n: Matrix.assemble(stalks[t_hi].dim(n), stalks[t_lo].dim(n), bl)
-                       for n, bl in degrees.items()}
-        for (t_lo, t_hi), degrees in blocks.items()}
+        arrows.setdefault((t_lo, t_hi), []).extend(
+            ((s_lo, p), (s_hi, p), m, sgn) for p, m in phi.items())
+    restrictions = {(t_lo, t_hi): graded_map(lays[t_lo], lays[t_hi], arr)
+                    for (t_lo, t_hi), arr in arrows.items()}
     return CellularSheaf(tgt, stalks, restrictions)
 
 
@@ -391,11 +350,9 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
             continue
         vc_s, idx_s = star_sections[s]
         vc_t, idx_t = star_sections[t]
-        blocks = {}
-        for (c, p), (n, off) in idx_t.items():
-            blocks.setdefault(n, []).append(
-                (idx_s[(c, p)][1], off, Matrix.identity(f.stalk(c).dim(p))))
-        incl = {n: Matrix.assemble(vc_s.dim(n), vc_t.dim(n), bl) for n, bl in blocks.items()}
+        incl = graded_map((vc_t.dims, idx_t), (vc_s.dims, idx_s),
+                          [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1)
+                           for c, p in idx_t])
         restrictions[(s, t)] = dual_chain_map(incl, vc_t, vc_s)
     return CellularSheaf(base, stalks, restrictions)
 
@@ -403,61 +360,21 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
 def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
     """Stalkwise cone F[1] (+) G of a sheaf morphism F -> G."""
     f, g = alpha.source, alpha.target
-    base = f.base
+    # degree n of the cone holds f^{n+1} (the piece (0, n + 1)), then g^n
+    lays = {c: layout([((0, p), p - 1, d) for p, d in f.stalk(c).dims.items()]
+                      + [((1, n), n, d) for n, d in g.stalk(c).dims.items()])
+            for c in set(f.stalks) | set(g.stalks)}
     stalks = {}
-    for c in set(f.stalks) | set(g.stalks):
-        fs, gs = f.stalk(c), g.stalk(c)
-        dims = {}
-        for n in set(d - 1 for d in fs.dims) | set(gs.dims):
-            d = fs.dim(n + 1) + gs.dim(n)
-            if d:
-                dims[n] = d
-        diffs = {}
-        for n in dims:
-            if not dims.get(n + 1, 0):
-                continue
-            blocks = []
-            if fs.dim(n + 1) and fs.dim(n + 2):
-                blocks.append((0, 0, fs.d(n + 1).scale(-1)))
-            a = chain_component(alpha.at(c), n + 1, fs, gs)
-            if fs.dim(n + 1) and gs.dim(n + 1) and not a.is_zero():
-                blocks.append((fs.dim(n + 2), 0, a))
-            if gs.dim(n) and gs.dim(n + 1):
-                blocks.append((fs.dim(n + 2), fs.dim(n + 1), gs.d(n)))
-            diffs[n] = Matrix.assemble(dims.get(n + 1, 0), dims[n], blocks)
-        stalks[c] = VectComplex(dims, diffs)
+    for c, lay in lays.items():
+        arrows = [((0, p), (0, p + 1), m, -1) for p, m in f.stalk(c).diffs.items()]
+        arrows += [((0, p), (1, p), m, 1) for p, m in alpha.at(c).items()]
+        arrows += [((1, n), (1, n + 1), m, 1) for n, m in g.stalk(c).diffs.items()]
+        stalks[c] = VectComplex(lay[0], graded_map(lay, lay, arrows))
     restrictions = {}
     for (s, t) in set(f.restrictions) | set(g.restrictions):
-        if stalks.get(s) is None or stalks.get(t) is None:
-            continue
-        phi = {}
-        for n in stalks[s].dims:
-            if not stalks[t].dim(n):
-                continue
-            blocks = []
-            fm = chain_component(f.res(s, t), n + 1, f.stalk(s), f.stalk(t))
-            if fm.rows and fm.cols and not fm.is_zero():
-                blocks.append((0, 0, fm))
-            gm = chain_component(g.res(s, t), n, g.stalk(s), g.stalk(t))
-            if gm.rows and gm.cols and not gm.is_zero():
-                blocks.append((f.stalk(t).dim(n + 1), f.stalk(s).dim(n + 1), gm))
-            if blocks:
-                phi[n] = Matrix.assemble(stalks[t].dim(n), stalks[s].dim(n), blocks)
-        restrictions[(s, t)] = phi
-    return CellularSheaf(base, {c: v for c, v in stalks.items() if not v.is_zero()},
-                         restrictions)
-
-
-def _projections(p: CellComplex):
-    a, b = factors_of(p)
-    ids = p.cell_ids()
-    proj_a = CellularMap(p, a, {c: c[0] for c in ids},
-                         {c: 1 for c in ids if a.dim(c[0]) == p.dim(c)},
-                         projection_of=(p, "first"))
-    proj_b = CellularMap(p, b, {c: c[1] for c in ids},
-                         {c: 1 for c in ids if b.dim(c[1]) == p.dim(c)},
-                         projection_of=(p, "second"))
-    return proj_a, proj_b
+        restrictions[(s, t)] = graded_map(lays[s], lays[t], [
+            ((k, n), (k, n), m, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
+    return CellularSheaf(f.base, stalks, restrictions)
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
@@ -468,16 +385,11 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     if not m2.same_as(m2b):
         raise SheafError("middle factors of the kernels disagree")
     t, q12, _ = product(k12.base, m3)
-    p1, p2 = _projections(k12.base)
-    q23 = product_map(p2, _identity(m3), source=t, target=k23.base)
+    p1, p2 = projections(k12.base)
+    q23 = product_map(p2, identity_map(m3), source=t, target=k23.base)
     m13, _, _ = product(m1, m3)
-    q13 = product_map(p1, _identity(m3), source=t, target=m13)
+    q13 = product_map(p1, identity_map(m3), source=t, target=m13)
     return pushforward(q13, tensor_sheaf(pullback(q12, k12), pullback(q23, k23)))
-
-
-def _identity(x: CellComplex) -> CellularMap:
-    from .cellcx import identity_map
-    return identity_map(x)
 
 
 def euler_rhom(f: CellularSheaf, g: CellularSheaf) -> int:

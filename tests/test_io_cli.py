@@ -152,6 +152,10 @@ def _with(**changes):
     pytest.param(_with(sheaves={"s": {"stalks": {}, "restrictions": 5}}),
                  id="restrictions-int"),
     pytest.param(_with(sheaves={"s": {"extend_by_zero": {"upset": 5}}}), id="upset-int"),
+    pytest.param(_with(sheaves={"s": {
+        "stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
+        "restrictions": [{"from": "0", "to": "0.1", "maps": {"0": [[1, 1]]}}]}}),
+        id="restriction-shape"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3
@@ -159,21 +163,37 @@ def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["chi", "k"], ["cc", "k"], ["dual", "k"],
-                                     ["expand", "T"], ["compose", "k", "k"]])
-def test_cli_evaluating_commands_validate_the_complex(tmp_path, capsys, command):
-    # the incidence jumps two dimensions, which sections() cannot represent
-    doc = {"complex": {"poset": {"cells": {"v": 0, "f": 2},
-                                 "incidence": [["f", "v", 1]]}},
-           "sheaves": {"k": "constant", "dk": {"dual_of": "k"}},
-           "kernels": {"T": {"tk": "k"}}}
+# the incidence jumps two dimensions, which sections() cannot represent
+_JUMP = {"complex": {"poset": {"cells": {"v": 0, "f": 2},
+                               "incidence": [["f", "v", 1]]}},
+         "sheaves": {"k": "constant", "dk": {"dual_of": "k"}},
+         "kernels": {"T": {"tk": "k"}}}
+# an explicit sheaf whose restriction has the right shape but does not
+# commute with the stalk differentials
+_NOT_A_CHAIN_MAP = {
+    "complex": {"simplices": [[0, 1]]},
+    "sheaves": {"k": {"stalks": {"0": {"dims": {"0": 1, "1": 1}, "d": {"0": [[1]]}},
+                                 "0.1": {"dims": {"0": 1, "1": 1}}},
+                      "restrictions": [{"from": "0", "to": "0.1", "maps": {"1": [[1]]}}]},
+                "dk": {"dual_of": "k"}},
+    "kernels": {"T": {"tk": "k"}}}
+_COMMANDS = [["chi", "k"], ["cc", "k"], ["dual", "k"], ["expand", "T"], ["compose", "k", "k"]]
+
+
+@pytest.mark.parametrize("command, doc, problem", [
+    *[pytest.param(c, _JUMP, "not codimension 1", id="command%d" % i)
+      for i, c in enumerate(_COMMANDS)],
+    *[pytest.param(c, _NOT_A_CHAIN_MAP, "sheaf k: restriction ('0', '0.1') is not a chain map",
+                   id="not-a-chain-map-%s" % c[0]) for c in _COMMANDS]])
+def test_cli_evaluating_commands_validate_the_complex(tmp_path, capsys, command, doc, problem):
     path = write(tmp_path, doc)
     assert cli.main([command[0], path, *command[1:]]) == 1
     out = capsys.readouterr()
-    assert "not codimension 1" in out.err and "Traceback" not in out.err
+    assert out.err.startswith("validation failure:")
+    assert problem in out.err and "Traceback" not in out.err
     assert out.out == ""
     assert cli.main(["validate", path]) == 1
-    assert "not codimension 1" in capsys.readouterr().out
+    assert problem in capsys.readouterr().out
 
 
 def test_cli_malformed_json(tmp_path):

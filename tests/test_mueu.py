@@ -10,7 +10,6 @@ from conormal.mueu import (LagCycle, zero_cycle, mueu, degree, external_cycle,
                            star, compose_cycle, pushforward_cycle,
                            pullback_cycle_projection, support_compose,
                            set_negative_control)
-from conormal.sheaf import _projections
 from conormal.randgen import (interval, hollow_triangle, tetra_boundary,
                               circle, random_complex, random_sheaf,
                               random_cellular_map)

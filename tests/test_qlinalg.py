@@ -9,7 +9,8 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               homology_ranks, shift, dual, direct_sum, tensor,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
-                              trace_endo, cohomology_trace)
+                              trace_endo, cohomology_trace, layout,
+                              graded_map)
 from conormal.randgen import (random_vect_complex, random_chain_endo,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf)
@@ -135,17 +136,18 @@ def test_sparse_operations_agree_with_dense_reference(data):
                      for j in range(k)] for i in range(r)], r, k)
     _agrees(a.kron(c), [[A[i // n][j // k] * C[i % n][j % k]
                          for j in range(n * k)] for i in range(r * n)], r * n, n * k)
-    # overlapping blocks add up
+    # overlapping blocks add up; a block with a -1 sign is subtracted
     rows = data.draw(st.integers(max(r, n), 9))
     cols = data.draw(st.integers(max(n, k), 9))
     blocks = [(data.draw(st.integers(0, rows - blk.rows)),
-               data.draw(st.integers(0, cols - blk.cols)), blk)
+               data.draw(st.integers(0, cols - blk.cols)), blk,
+               *data.draw(st.sampled_from([(), (1,), (-1,)])))
               for blk in (a, b, c, a.scale(q))]
     ref = [[Fraction(0)] * cols for _ in range(rows)]
-    for r0, c0, blk in blocks:
+    for r0, c0, blk, *sign in blocks:
         for i, row in enumerate(_dense(blk)):
             for j, x in enumerate(row):
-                ref[r0 + i][c0 + j] += x
+                ref[r0 + i][c0 + j] += -x if sign == [-1] else x
     _agrees(Matrix.assemble(rows, cols, blocks), ref, rows, cols)
 
 
@@ -153,15 +155,31 @@ def test_sparse_operations_agree_with_dense_reference(data):
 @given(_matrices(), st.integers(0, 3), st.integers(0, 3))
 def test_assemble_cancelling_blocks_is_zero(m, r0, c0):
     rows, cols = m.rows + r0, m.cols + c0
-    blocks = [(r0, c0, m), (0, 0, Matrix.zeros(rows, cols)), (r0, c0, m.scale(-1))]
-    out = Matrix.assemble(rows, cols, blocks)
-    assert out.is_zero()
-    assert out == Matrix(rows, cols)
+    zero = Matrix.zeros(rows, cols)
+    for blocks in ([(r0, c0, m), (0, 0, zero), (r0, c0, m.scale(-1))],
+                   [(r0, c0, m, -1), (0, 0, zero, 1), (r0, c0, m)]):
+        out = Matrix.assemble(rows, cols, blocks)
+        assert out.is_zero()
+        assert out == Matrix(rows, cols)
 
 
 def test_assemble_rejects_blocks_out_of_range():
     with pytest.raises(LinAlgError, match="block out of range"):
         Matrix.assemble(2, 2, [(1, 0, Matrix.identity(2))])
+    with pytest.raises(LinAlgError, match="sign"):
+        Matrix.assemble(2, 2, [(0, 0, Matrix.identity(2), 2)])
+
+
+def test_layout_and_graded_map_by_hand():
+    # degree 0 holds a (dim 1) and then b (dim 2); degree 1 holds c (dim 1)
+    lay = layout([("a", 0, 1), ("b", 0, 2), ("c", 1, 1)])
+    assert lay == ({0: 3, 1: 1}, {"a": (0, 0), "b": (0, 1), "c": (1, 0)})
+    d = graded_map(lay, lay, [("a", "c", M([[2]]), 1), ("b", "c", M([[1, 3]]), -1)])
+    assert d == {0: M([[2, -1, -3]])}
+    # arrows into one place add; a degree whose matrix cancels is left out
+    assert graded_map(lay, lay, [("a", "c", M([[2]]), 1), ("a", "c", M([[2]]), -1)]) == {}
+    with pytest.raises(LinAlgError, match="land in degrees"):
+        graded_map(lay, lay, [("a", "c", M([[1]]), 1), ("b", "a", M([[1, 1]]), 1)])
 
 
 def test_kernel_and_solve():

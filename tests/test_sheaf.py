@@ -5,13 +5,14 @@ import pytest
 
 from conormal.cellcx import POINT, product, identity_map, collapse_to_point, CellularMap
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
-                              homology_ranks, single)
+                              homology_ranks, single, compose_chain_maps)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             SheafMorphism, constant, zero_sheaf,
                             global_sections, euler_char, shift_sheaf,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
                             pushforward, extend_by_zero, verdier_dual,
-                            mapping_cone, kernel_compose, euler_rhom)
+                            mapping_cone, kernel_compose, euler_rhom,
+                            _chain_maps_equal)
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
@@ -53,6 +54,19 @@ def test_validate_catches_non_chain_map():
               "0.1": VectComplex({0: 1, 1: 1}, {0: Matrix.zeros(1, 1)})}
     res = {("0", "0.1"): {0: Matrix.identity(1), 1: Matrix.identity(1)}}
     assert CellularSheaf(cx, stalks, res).validate() != []
+
+
+def test_res_long_two_dimensions_apart():
+    # vertex 0 below the triangle: two chains of codim-1 steps, via 0.1 and 0.2
+    f = random_sheaf(random.Random(17), full_simplex(3), max_pieces=2)
+    assert f.validate() == []
+    long = f.res_long("0", "0.1.2")
+    assert long
+    for mid in ("0.1", "0.2"):
+        step = compose_chain_maps(f.res(mid, "0.1.2"), f.res("0", mid))
+        assert _chain_maps_equal(long, step, f.stalk("0"), f.stalk("0.1.2"))
+    with pytest.raises(SheafError, match="not comparable"):
+        f.res_long("1", "0.2")
 
 
 def test_extend_by_zero():
