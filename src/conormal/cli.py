@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure, 2 property violation,
-3 parse error.  Every command that reads an instance file validates its
-complex and its explicit sheaves first.  Output on stdout is
-deterministic; timing goes to stderr.
+3 parse error, 4 internal error (an unexpected exception, reported on
+stderr without a traceback).  Every command that reads an instance file
+validates its complex and its explicit sheaves first.  Output on stdout
+is deterministic; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .lefschetz import global_trace, local_trace_sum, LefschetzError
 from . import io, checks
 from .tracekernel import _relabel_sheaf
 
-OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR = 0, 1, 2, 3
+OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 def _load(path):
@@ -281,6 +282,9 @@ def main(argv=None):
     except (CellComplexError, SheafError, TraceKernelError, LefschetzError) as e:
         print("validation failure: %s" % e, file=sys.stderr)
         return VALIDATION_FAILURE
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

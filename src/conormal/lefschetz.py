@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cellcx import CellularMap
 from .qlinalg import (Matrix, compose_chain_maps, graded_map, is_chain_map,
-                      trace_endo, cohomology_trace)
+                      _trace_endo, _cohomology_trace)
 from .sheaf import CellularSheaf, SheafError, sections, _chain_maps_equal
 
 
@@ -70,11 +70,12 @@ def global_trace(inst: LefschetzInstance) -> Fraction:
     """Alternating trace of the induced map on hypercohomology.
 
     Computed on cohomology and cross-checked against the cochain-level
-    matrix trace (the two must agree by the Hopf argument).
+    matrix trace (the two must agree by the Hopf argument).  The induced
+    map is checked to be a chain map once, in _induced_endo.
     """
     vc, phi = _induced_endo(inst)
-    on_cochains = trace_endo(phi, vc)
-    on_cohomology = cohomology_trace(phi, vc)
+    on_cochains = _trace_endo(phi, vc)
+    on_cohomology = _cohomology_trace(phi, vc)
     if on_cochains != on_cohomology:
         raise LefschetzError("cochain and cohomology traces disagree "
                              "(%s vs %s)" % (on_cochains, on_cohomology))

@@ -171,17 +171,10 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product: block (i, j) is self[i, j] * other, so rows
-        follow self-major order."""
+        follow self-major order.  An identity factor is copied, not
+        multiplied."""
         m = Matrix(self.rows * other.rows, self.cols * other.cols)
-        oc = other.cols
-        out = iter(m.data)
-        for row in self.data:
-            for brow in other.data:
-                orow = next(out)
-                for j, a in row.items():
-                    off = j * oc
-                    for l, b in brow.items():
-                        orow[off + l] = a * b
+        m.data = _kron_rows(_factor(self), _factor(other))
         return m
 
     @classmethod
@@ -212,6 +205,34 @@ class Matrix:
         if self.rows != self.cols:
             raise LinAlgError("trace of non-square matrix")
         return sum((row.get(i, _ZERO) for i, row in enumerate(self.data)), Fraction(0))
+
+
+def _factor(m):
+    """A Kronecker factor: the int n when the Matrix m is the identity I_n
+    (found in one pass that stops at the first other row), else m."""
+    if m.rows != m.cols:
+        return m
+    for i, row in enumerate(m.data):
+        if len(row) != 1 or row.get(i) != 1:
+            return m
+    return m.rows
+
+
+def _kron_rows(a, b, c0=0):
+    """The rows of a (x) b with columns shifted by c0.  A factor given as
+    an int n is the identity I_n: the other factor's entries are copied,
+    never multiplied."""
+    if isinstance(a, int):
+        if isinstance(b, int):
+            return [{j: _ONE} for j in range(c0, c0 + a * b)]
+        return [{off + l: y for l, y in brow.items()}
+                for off in [c0 + i * b.cols for i in range(a)] for brow in b.data]
+    if isinstance(b, int):
+        return [{k + j * b: x for j, x in arow.items()}
+                for arow in a.data for k in range(c0, c0 + b)]
+    bc = b.cols
+    return [{c0 + j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()}
+            for arow in a.data for brow in b.data]
 
 
 def _integer_row(row):
@@ -542,24 +563,63 @@ def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
     return VectComplex(lay[0], graded_map(lay, lay, arrows))
 
 
-def _tensor_layout(a: VectComplex, b: VectComplex):
+def tensor_layout(a: VectComplex, b: VectComplex):
     """Pieces (p, q) of (a (x) b)^{p+q}, p ascending within a degree."""
     return layout([((p, q), p + q, a.dim(p) * b.dim(q))
                    for p in sorted(a.dims) for q in sorted(b.dims)])
 
 
-def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
-    """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d."""
-    lay = _tensor_layout(a, b)
+def _kron_map(src, tgt, arrows):
+    """Per-degree matrices of the map between two layouts (dims, index)
+    that sends piece s into piece t by sign * (a (x) b), for arrows
+    (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
+    identity I_n.  No two arrows join the same two pieces, so the blocks
+    are disjoint: a block's rows are put in place, or merged into rows
+    another block already wrote.  Keyed by source degree, and degrees
+    whose matrix is zero are left out, like graded_map."""
+    sdims, sindex = src
+    tdims, tindex = tgt
+    out = {}  # source degree -> (target degree, matrix)
+    for s, t, a, b, sign in arrows:
+        n, c0 = sindex[s]
+        nt, r0 = tindex[t]
+        entry = out.get(n)
+        if entry is None:
+            entry = out[n] = (nt, Matrix(tdims[nt], sdims[n]))
+        elif entry[0] != nt:
+            raise LinAlgError("arrows from degree %d land in degrees %d and %d"
+                              % (n, entry[0], nt))
+        m = entry[1]
+        ar, ac = (a, a) if isinstance(a, int) else (a.rows, a.cols)
+        br, bc = (b, b) if isinstance(b, int) else (b.rows, b.cols)
+        r1 = r0 + ar * br
+        if r1 > m.rows or c0 + ac * bc > m.cols:
+            raise LinAlgError("block out of range")
+        rows = _kron_rows(a, b, c0)
+        if sign < 0:
+            rows = [{j: -x for j, x in row.items()} for row in rows]
+        data = m.data
+        if any(data[r0:r1]):
+            for r, row in enumerate(rows, r0):
+                data[r].update(row)
+        else:
+            data[r0:r1] = rows
+    return {n: m for n, (_, m) in out.items() if any(m.data)}
+
+
+def tensor(a: VectComplex, b: VectComplex, lay=None) -> VectComplex:
+    """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d.
+    lay, when given, is tensor_layout(a, b), computed once by a caller
+    that also places maps on it."""
+    if lay is None:
+        lay = tensor_layout(a, b)
     arrows = []
     for p, q in lay[1]:
         if p in a.diffs:
-            arrows.append(((p, q), (p + 1, q),
-                           a.diffs[p].kron(Matrix.identity(b.dim(q))), 1))
+            arrows.append(((p, q), (p + 1, q), a.diffs[p], b.dims[q], 1))
         if q in b.diffs:
-            arrows.append(((p, q), (p, q + 1),
-                           Matrix.identity(a.dim(p)).kron(b.diffs[q]), -1 if p % 2 else 1))
-    return VectComplex(lay[0], graded_map(lay, lay, arrows))
+            arrows.append(((p, q), (p, q + 1), a.dims[p], b.diffs[q], -1 if p % 2 else 1))
+    return VectComplex(lay[0], _kron_map(lay, lay, arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -623,18 +683,46 @@ def shift_chain_map(phi, k):
     return {n - k: m for n, m in phi.items()}
 
 
-def tensor_chain_maps(phi, psi, asrc, bsrc, atgt, btgt):
-    """(phi (x) psi) between tensor complexes (both maps of degree 0)."""
-    arrows = [((p, q), (p, q), fp.kron(gq), 1)
-              for p, fp in phi.items() if not fp.is_zero()
-              for q, gq in psi.items() if not gq.is_zero()]
-    return graded_map(_tensor_layout(asrc, bsrc), _tensor_layout(atgt, btgt), arrows)
+def tensor_chain_maps(phi, psi, src, tgt):
+    """phi (x) psi : a (x) b -> a' (x) b' for degree-0 chain maps
+    phi : a -> a' and psi : b -> b'.
+
+    src is tensor_layout(a, b) and tgt is tensor_layout(a', b'), so a
+    caller that places many maps on the same complexes builds each layout
+    once.  A component may be an int n standing for the identity I_n: the
+    dims of a complex stand for its identity chain map.  A Matrix
+    component that is an identity is used as one.
+    """
+    gs = _factors(psi)
+    return _kron_map(src, tgt, [((p, q), (p, q), fp, gq, 1)
+                                for p, fp in _factors(phi) for q, gq in gs])
+
+
+def _factors(chi):
+    """The components of a chain map as Kronecker factors (see _factor)."""
+    return [(n, m if isinstance(m, int) else _factor(m)) for n, m in chi.items()]
 
 
 def trace_endo(phi, v: VectComplex) -> Fraction:
     """Alternating trace of a chain endomorphism; rejects non-commuting phi."""
     if not is_chain_map(v, v, phi):
         raise LinAlgError("endomorphism does not commute with the differential")
+    return _trace_endo(phi, v)
+
+
+def cohomology_trace(phi, v: VectComplex) -> Fraction:
+    """Alternating trace of the induced endomorphism of H^*(v).
+
+    Independent of trace_endo: builds explicit bases of cohomology and
+    solves for the induced matrices.  Rejects non-commuting phi.
+    """
+    if not is_chain_map(v, v, phi):
+        raise LinAlgError("endomorphism does not commute with the differential")
+    return _cohomology_trace(phi, v)
+
+
+def _trace_endo(phi, v: VectComplex) -> Fraction:
+    """trace_endo of a phi already known to be a chain map."""
     total = Fraction(0)
     for n, d in v.dims.items():
         m = phi.get(n)
@@ -643,14 +731,9 @@ def trace_endo(phi, v: VectComplex) -> Fraction:
     return total
 
 
-def cohomology_trace(phi, v: VectComplex) -> Fraction:
-    """Alternating trace of the induced endomorphism of H^*(v).
-
-    Independent of trace_endo: builds explicit bases of cohomology and
-    solves for the induced matrices.
-    """
-    if not is_chain_map(v, v, phi):
-        raise LinAlgError("endomorphism does not commute with the differential")
+def _cohomology_trace(phi, v: VectComplex) -> Fraction:
+    """cohomology_trace of a phi already known to be a chain map; d^2 = 0
+    is still checked."""
     v.check()
     total = Fraction(0)
     for n, dim in v.dims.items():

@@ -19,9 +19,9 @@ from .cellcx import (CellComplex, CellularMap, product, product_map,
                      projections, factors_of, identity_map)
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler, tensor,
-                      chain_component, is_chain_map, compose_chain_maps,
-                      tensor_chain_maps, identity_chain_map, dual_chain_map,
-                      shift_chain_map, layout, graded_map)
+                      tensor_layout, chain_component, is_chain_map,
+                      compose_chain_maps, tensor_chain_maps, identity_chain_map,
+                      dual_chain_map, shift_chain_map, layout, graded_map)
 
 
 class SheafError(ValueError):
@@ -218,14 +218,12 @@ def tensor_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     """Stalkwise tensor product over the common base."""
     if not f.base.same_as(g.base):
         raise SheafError("tensor over different bases")
-    stalks = {c: tensor(f.stalk(c), g.stalk(c))
-              for c in set(f.stalks) & set(g.stalks)}
+    lays = {c: tensor_layout(f.stalk(c), g.stalk(c)) for c in set(f.stalks) & set(g.stalks)}
+    stalks = {c: tensor(f.stalk(c), g.stalk(c), lay) for c, lay in lays.items()}
     restrictions = {}
     for (s, t) in set(f.restrictions) | set(g.restrictions):
-        if s in stalks and t in stalks:
-            restrictions[(s, t)] = tensor_chain_maps(
-                f.res(s, t), g.res(s, t), f.stalk(s), g.stalk(s),
-                f.stalk(t), g.stalk(t))
+        if s in lays and t in lays:
+            restrictions[(s, t)] = tensor_chain_maps(f.res(s, t), g.res(s, t), lays[s], lays[t])
     return CellularSheaf(f.base, stalks, restrictions)
 
 
@@ -233,21 +231,25 @@ def external(f: CellularSheaf, g: CellularSheaf, prod: CellComplex = None) -> Ce
     """External tensor product on the product complex."""
     if prod is None:
         prod, _, _ = product(f.base, g.base)
-    stalks = {}
-    for a in f.stalks:
-        for b in g.stalks:
-            stalks[(a, b)] = tensor(f.stalk(a), g.stalk(b))
+    lays = {(a, b): tensor_layout(u, v) for a, u in f.stalks.items() for b, v in g.stalks.items()}
+    stalks = {(a, b): tensor(f.stalks[a], g.stalks[b], lay) for (a, b), lay in lays.items()}
+    # phi (x) 1 passes the identity chain map of a stalk as its dims, and
+    # depends on that stalk only through them, so it is built once per dims
     restrictions = {}
     for (s, t), phi in f.restrictions.items():
-        for b in g.stalks:
-            restrictions[((s, b), (t, b))] = tensor_chain_maps(
-                phi, identity_chain_map(g.stalk(b)),
-                f.stalk(s), g.stalk(b), f.stalk(t), g.stalk(b))
+        built = {}
+        for b, v in g.stalks.items():
+            key = tuple(sorted(v.dims.items()))
+            if key not in built:
+                built[key] = tensor_chain_maps(phi, v.dims, lays[(s, b)], lays[(t, b)])
+            restrictions[((s, b), (t, b))] = built[key]
     for (s, t), psi in g.restrictions.items():
-        for a in f.stalks:
-            restrictions[((a, s), (a, t))] = tensor_chain_maps(
-                identity_chain_map(f.stalk(a)), psi,
-                f.stalk(a), g.stalk(s), f.stalk(a), g.stalk(t))
+        built = {}
+        for a, u in f.stalks.items():
+            key = tuple(sorted(u.dims.items()))
+            if key not in built:
+                built[key] = tensor_chain_maps(u.dims, psi, lays[(a, s)], lays[(a, t)])
+            restrictions[((a, s), (a, t))] = built[key]
     return CellularSheaf(prod, stalks, restrictions)
 
 

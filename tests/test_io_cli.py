@@ -275,6 +275,25 @@ def test_check_report_matches_golden():
     assert "\n".join(r.lines()) + "\n" == golden.read_text()
 
 
+def test_cli_check_seed2_matches_golden(capsys):
+    # stdout of `conormal check --seed 2 --cases 50`, byte for byte
+    import pathlib
+    golden = pathlib.Path(__file__).parent / "fixtures" / "check_seed2_cases50.txt"
+    assert cli.main(["check", "--seed", "2", "--cases", "50"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_chi", broken)
+    assert cli.main(["chi", write(tmp_path, TRI), "k"]) == cli.INTERNAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_cli_check_negative_control(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = cli.main(["check", "--seed", "1", "--cases", "4",

@@ -73,3 +73,29 @@ def test_random_instances():
         inst = random_lefschetz_instance(rng)
         assert inst.validate() == []
         assert global_trace(inst) == local_trace_sum(inst)
+
+
+def test_global_trace_checks_the_chain_map_once(monkeypatch):
+    import conormal.lefschetz as lf
+    import conormal.qlinalg as ql
+    calls = []
+    real = ql.is_chain_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ql, "is_chain_map", counting)
+    monkeypatch.setattr(lf, "is_chain_map", counting)
+    cx = tetra_boundary()
+    inst = constant_phi(identity_map(cx), constant(cx), 3)
+    assert global_trace(inst) == 6
+    assert len(calls) == 1
+    # a phi family that is not a chain map is still rejected, by that check
+    bad_phi = dict(inst.phi)
+    bad_phi["0"] = {0: Matrix.identity(1).scale(2)}
+    bad = LefschetzInstance(inst.f, inst.sheaf, bad_phi)
+    with pytest.raises(LefschetzError,
+                       match="^phi family does not induce a chain endomorphism$"):
+        global_trace(bad)
+    assert len(calls) == 2

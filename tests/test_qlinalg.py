@@ -10,7 +10,7 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
                               trace_endo, cohomology_trace, layout,
-                              graded_map)
+                              graded_map, tensor_layout, tensor_chain_maps)
 from conormal.randgen import (random_vect_complex, random_chain_endo,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf)
@@ -136,6 +136,12 @@ def test_sparse_operations_agree_with_dense_reference(data):
                      for j in range(k)] for i in range(r)], r, k)
     _agrees(a.kron(c), [[A[i // n][j // k] * C[i % n][j % k]
                          for j in range(n * k)] for i in range(r * n)], r * n, n * k)
+    # identity factors are copied; near-identities must not be taken for one
+    e = data.draw(_kron_factors())
+    for x, y in ((a, e), (e, a), (e, e)):
+        X, Y = _dense(x), _dense(y)
+        _agrees(x.kron(y), _kron_ref(X, Y, y.rows, y.cols),
+                x.rows * y.rows, x.cols * y.cols)
     # overlapping blocks add up; a block with a -1 sign is subtracted
     rows = data.draw(st.integers(max(r, n), 9))
     cols = data.draw(st.integers(max(n, k), 9))
@@ -149,6 +155,139 @@ def test_sparse_operations_agree_with_dense_reference(data):
             for j, x in enumerate(row):
                 ref[r0 + i][c0 + j] += -x if sign == [-1] else x
     _agrees(Matrix.assemble(rows, cols, blocks), ref, rows, cols)
+
+
+def _kron_ref(X, Y, yr, yc):
+    """Dense Kronecker product of dense X and a dense yr x yc Y."""
+    return [[X[i // yr][j // yc] * Y[i % yr][j % yc]
+             for j in range(len(X[0]) * yc if X else 0)] for i in range(len(X) * yr)]
+
+
+@st.composite
+def _kron_factors(draw):
+    """Matrices, identities (I_0 included) and near-identities: a scaled
+    identity, or one with an entry added or removed."""
+    kind = draw(st.sampled_from(["matrix", "identity", "near"]))
+    if kind == "matrix":
+        return draw(_matrices())
+    n = draw(st.integers(0 if kind == "identity" else 1, 4))
+    m = Matrix.identity(n)
+    if kind == "near":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i, j] = draw(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 3)]))
+    return m
+
+
+@st.composite
+def _complexes(draw, differentials=True):
+    """VectComplexes in degrees -1..2 with pieces of dimension 0 to 3; the
+    differentials sit on degrees no two of which are consecutive, so
+    d^2 = 0, and have non-unit and zero entries."""
+    dims = {n: draw(st.integers(0, 3)) for n in range(-1, 3)}
+    diffs = {}
+    for n in range(-1, 2):
+        if differentials and n - 1 not in diffs and draw(st.booleans()):
+            diffs[n] = draw(_matrices(dims[n + 1], dims[n]))
+    return VectComplex(dims, diffs)
+
+
+@st.composite
+def _chain_maps(draw):
+    """(a, a', phi) with phi : a -> a' a degree-0 chain map whose
+    components are identities (as Matrices or as ints), or not.  Either
+    a' = a and phi is an identity or c * id + dh + hd, or a and a' have
+    no differential and phi is any graded map, identities where the
+    dimensions agree."""
+    if draw(st.booleans()):
+        a = draw(_complexes())
+        kind = draw(st.sampled_from(["identity", "dims", "homotopy"]))
+        if kind == "identity":
+            return a, a, identity_chain_map(a)
+        if kind == "dims":
+            return a, a, dict(a.dims)
+        c = draw(_ENTRIES)
+        h = {n: draw(_matrices(a.dim(n - 1), a.dim(n))) for n in a.dims}
+        phi = {}
+        for n, d in a.dims.items():
+            m = Matrix.identity(d).scale(c) + a.d(n - 1) * h[n]
+            if n + 1 in h:
+                m = m + h[n + 1] * a.d(n)
+            phi[n] = m
+        return a, a, phi
+    a, a2 = draw(_complexes(False)), draw(_complexes(False))
+    phi = {}
+    for n in set(a.dims) & set(a2.dims):
+        same = a.dim(n) == a2.dim(n)
+        kind = draw(st.sampled_from(["identity", "dims", "matrix"] if same else ["matrix"]))
+        phi[n] = (Matrix.identity(a.dim(n)) if kind == "identity" else
+                  a.dim(n) if kind == "dims" else draw(_matrices(a2.dim(n), a.dim(n))))
+    return a, a2, phi
+
+
+def _tensor_offsets(a, b):
+    """(dims, offsets) of a (x) b: piece (p, q) sits in degree p + q at
+    offsets[(p, q)], the pieces of a degree ordered by p."""
+    dims, offsets = {}, {}
+    for p in sorted(a.dims):
+        for q in sorted(b.dims):
+            offsets[(p, q)] = dims.get(p + q, 0)
+            dims[p + q] = offsets[(p, q)] + a.dims[p] * b.dims[q]
+    return dims, offsets
+
+
+def _dense_component(chi, n, rows, cols):
+    m = chi.get(n, 0)
+    if isinstance(m, int):
+        return [[Fraction(int(i == j and m > 0)) for j in range(cols)] for i in range(rows)]
+    return _dense(m)
+
+
+def _place(ref, r0, c0, X, Y, yr, yc, sign=1):
+    for i, row in enumerate(_kron_ref(X, Y, yr, yc)):
+        for j, x in enumerate(row):
+            ref[r0 + i][c0 + j] += sign * x
+
+
+def _agrees_graded(out, ref):
+    """A per-degree map equals the dense reference, with its zero degrees
+    left out and no zero stored."""
+    nonzero = {n for n, m in ref.items() if any(x for row in m for x in row)}
+    assert set(out) == nonzero
+    for n in nonzero:
+        _agrees(out[n], ref[n], len(ref[n]), len(ref[n][0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_maps(), _chain_maps())
+def test_tensor_placement_agrees_with_dense_reference(first, second):
+    (a, a2, phi), (b, b2, psi) = first, second
+    sdims, soff = _tensor_offsets(a, b)
+    tdims, toff = _tensor_offsets(a2, b2)
+    ref = {n: [[Fraction(0)] * d for _ in range(tdims.get(n, 0))] for n, d in sdims.items()}
+    for (p, q), c0 in soff.items():
+        if (p, q) in toff:
+            _place(ref[p + q], toff[(p, q)], c0,
+                   _dense_component(phi, p, a2.dim(p), a.dim(p)),
+                   _dense_component(psi, q, b2.dim(q), b.dim(q)), b2.dim(q), b.dim(q))
+    out = tensor_chain_maps(phi, psi, tensor_layout(a, b), tensor_layout(a2, b2))
+    _agrees_graded(out, ref)
+    if a is a2 and b is b2:
+        assert is_chain_map(tensor(a, b), tensor(a, b), out)
+    # the Koszul differential d (x) 1 + (-1)^p 1 (x) d of tensor(a, b)
+    ref = {n: [[Fraction(0)] * d for _ in range(sdims.get(n + 1, 0))] for n, d in sdims.items()}
+    for (p, q), c0 in soff.items():
+        da, db, n = a.d(p), b.d(q), p + q
+        if not da.is_zero():
+            _place(ref[n], soff[(p + 1, q)], c0, _dense(da),
+                   _dense(Matrix.identity(b.dim(q))), b.dim(q), b.dim(q))
+        if not db.is_zero():
+            _place(ref[n], soff[(p, q + 1)], c0, _dense(Matrix.identity(a.dim(p))),
+                   _dense(db), db.rows, db.cols, -1 if p % 2 else 1)
+    t = tensor(a, b)
+    assert t.dims == sdims
+    _agrees_graded(t.diffs, ref)
+    assert tensor(a, b, tensor_layout(a, b)) == t
+    t.check()
 
 
 @settings(max_examples=100, deadline=None)
