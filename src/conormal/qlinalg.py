@@ -607,12 +607,14 @@ def _kron_map(src, tgt, arrows):
     return {n: m for n, (_, m) in out.items() if any(m.data)}
 
 
-def tensor(a: VectComplex, b: VectComplex, lay=None) -> VectComplex:
-    """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d.
-    lay, when given, is tensor_layout(a, b), computed once by a caller
-    that also places maps on it."""
-    if lay is None:
-        lay = tensor_layout(a, b)
+def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
+    """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d."""
+    return _tensor(a, b, tensor_layout(a, b))
+
+
+def _tensor(a: VectComplex, b: VectComplex, lay) -> VectComplex:
+    """tensor(a, b) on lay = tensor_layout(a, b), which a caller that also
+    places maps on it builds once."""
     arrows = []
     for p, q in lay[1]:
         if p in a.diffs:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .cellcx import (CellComplex, CellularMap, product, product_map,
                      projections, factors_of, identity_map)
 from . import qlinalg as ql
-from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler, tensor,
+from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, chain_component, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
                       dual_chain_map, shift_chain_map, layout, graded_map)
@@ -219,7 +219,7 @@ def tensor_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     if not f.base.same_as(g.base):
         raise SheafError("tensor over different bases")
     lays = {c: tensor_layout(f.stalk(c), g.stalk(c)) for c in set(f.stalks) & set(g.stalks)}
-    stalks = {c: tensor(f.stalk(c), g.stalk(c), lay) for c, lay in lays.items()}
+    stalks = {c: ql._tensor(f.stalk(c), g.stalk(c), lay) for c, lay in lays.items()}
     restrictions = {}
     for (s, t) in set(f.restrictions) | set(g.restrictions):
         if s in lays and t in lays:
@@ -232,24 +232,23 @@ def external(f: CellularSheaf, g: CellularSheaf, prod: CellComplex = None) -> Ce
     if prod is None:
         prod, _, _ = product(f.base, g.base)
     lays = {(a, b): tensor_layout(u, v) for a, u in f.stalks.items() for b, v in g.stalks.items()}
-    stalks = {(a, b): tensor(f.stalks[a], g.stalks[b], lay) for (a, b), lay in lays.items()}
-    # phi (x) 1 passes the identity chain map of a stalk as its dims, and
-    # depends on that stalk only through them, so it is built once per dims
+    stalks = {(a, b): ql._tensor(f.stalks[a], g.stalks[b], lay) for (a, b), lay in lays.items()}
+    # The restrictions are phi (x) 1 over every stalk of g and 1 (x) psi
+    # over every stalk of f.  The identity chain map of a stalk is passed as
+    # its dims, and the map depends on that stalk only through them, so it
+    # is built once per dims and shared by the restrictions of that shape.
     restrictions = {}
-    for (s, t), phi in f.restrictions.items():
-        built = {}
-        for b, v in g.stalks.items():
-            key = tuple(sorted(v.dims.items()))
-            if key not in built:
-                built[key] = tensor_chain_maps(phi, v.dims, lays[(s, b)], lays[(t, b)])
-            restrictions[((s, b), (t, b))] = built[key]
-    for (s, t), psi in g.restrictions.items():
-        built = {}
-        for a, u in f.stalks.items():
-            key = tuple(sorted(u.dims.items()))
-            if key not in built:
-                built[key] = tensor_chain_maps(u.dims, psi, lays[(a, s)], lays[(a, t)])
-            restrictions[((a, s), (a, t))] = built[key]
+    for left, maps, others in ((True, f.restrictions, g.stalks),
+                               (False, g.restrictions, f.stalks)):
+        for (s, t), m in maps.items():
+            built = {}
+            for c, v in others.items():
+                src, tgt = ((s, c), (t, c)) if left else ((c, s), (c, t))
+                key = tuple(sorted(v.dims.items()))
+                if key not in built:
+                    factors = (m, v.dims) if left else (v.dims, m)
+                    built[key] = tensor_chain_maps(*factors, lays[src], lays[tgt])
+                restrictions[(src, tgt)] = built[key]
     return CellularSheaf(prod, stalks, restrictions)
 
 

@@ -286,7 +286,6 @@ def test_tensor_placement_agrees_with_dense_reference(first, second):
     t = tensor(a, b)
     assert t.dims == sdims
     _agrees_graded(t.diffs, ref)
-    assert tensor(a, b, tensor_layout(a, b)) == t
     t.check()
 
 
