@@ -309,6 +309,12 @@ def product(a: CellComplex, b: CellComplex):
     Cells are (id_a, id_b); [(s,t):(s',t)] = [s:s'] and
     [(s,t):(s,t')] = (-1)^{dim s} [t:t'].
     """
+    p = _product_complex(a, b)
+    return (p, *projections(p))
+
+
+def _product_complex(a: CellComplex, b: CellComplex) -> CellComplex:
+    """The complex of product(a, b), without its projections."""
     cells = {}
     for ca in a.cell_ids():
         for cb in b.cell_ids():
@@ -321,8 +327,7 @@ def product(a: CellComplex, b: CellComplex):
         for ca in a.cell_ids():
             s = sign if a.dim(ca) % 2 == 0 else -sign
             incidence[((ca, tau), (ca, sigma))] = s
-    p = CellComplex(cells, incidence, product_of=(a, b))
-    return (p, *projections(p))
+    return CellComplex(cells, incidence, product_of=(a, b))
 
 
 def projections(p: CellComplex):

@@ -15,8 +15,8 @@ flavor.
 
 from __future__ import annotations
 
-from .cellcx import (CellComplex, CellularMap, product, product_map,
-                     projections, factors_of, identity_map)
+from .cellcx import (CellComplex, CellularMap, product, _product_complex,
+                     factors_of)
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, chain_component, is_chain_map,
@@ -233,23 +233,31 @@ def external(f: CellularSheaf, g: CellularSheaf, prod: CellComplex = None) -> Ce
         prod, _, _ = product(f.base, g.base)
     lays = {(a, b): tensor_layout(u, v) for a, u in f.stalks.items() for b, v in g.stalks.items()}
     stalks = {(a, b): ql._tensor(f.stalks[a], g.stalks[b], lay) for (a, b), lay in lays.items()}
-    # The restrictions are phi (x) 1 over every stalk of g and 1 (x) psi
-    # over every stalk of f.  The identity chain map of a stalk is passed as
-    # its dims, and the map depends on that stalk only through them, so it
-    # is built once per dims and shared by the restrictions of that shape.
+    # the restrictions are phi (x) 1 over every stalk of g and 1 (x) psi
+    # over every stalk of f
     restrictions = {}
-    for left, maps, others in ((True, f.restrictions, g.stalks),
-                               (False, g.restrictions, f.stalks)):
-        for (s, t), m in maps.items():
-            built = {}
-            for c, v in others.items():
-                src, tgt = ((s, c), (t, c)) if left else ((c, s), (c, t))
-                key = tuple(sorted(v.dims.items()))
-                if key not in built:
-                    factors = (m, v.dims) if left else (v.dims, m)
-                    built[key] = tensor_chain_maps(*factors, lays[src], lays[tgt])
-                restrictions[(src, tgt)] = built[key]
+    for (s, t), m in f.restrictions.items():
+        _with_identity(m, True, [((s, c), (t, c), v) for c, v in g.stalks.items()],
+                       lays, restrictions)
+    for (s, t), m in g.restrictions.items():
+        _with_identity(m, False, [((c, s), (c, t), v) for c, v in f.stalks.items()],
+                       lays, restrictions)
     return CellularSheaf(prod, stalks, restrictions)
+
+
+def _with_identity(m, left, pairs, lays, out):
+    """Put m (x) 1 (left) or 1 (x) m into out[(src, tgt)] for every
+    (src, tgt, v) of pairs, where v is the stalk the identity runs over.
+    The identity chain map of v is passed as its dims, and the map depends
+    on v only through them, so it is built once per dims and shared by the
+    pairs of that shape."""
+    built = {}
+    for src, tgt, v in pairs:
+        key = tuple(sorted(v.dims.items()))
+        if key not in built:
+            factors = (m, v.dims) if left else (v.dims, m)
+            built[key] = tensor_chain_maps(*factors, lays[src], lays[tgt])
+        out[(src, tgt)] = built[key]
 
 
 def pullback(f: CellularMap, g: CellularSheaf) -> CellularSheaf:
@@ -379,18 +387,51 @@ def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
-    """Convolution of kernels: pull back to the triple product, tensor,
-    push forward to the outer product."""
+    """Convolution of kernels: q13_*(q12^*K12 (x) q23^*K23) on M1 x M3.
+
+    The tensor product on T = (M1 x M2) x M3 is built in one pass, with no
+    pulled-back sheaves.  Its stalk at ((a, b), c) is K12(a, b) (x) K23(b, c).
+    A codim-1 pair of T moves one coordinate, so its restriction is
+    K12.res (x) 1 for a step in a, 1 (x) K23.res for a step in c and
+    K12.res (x) K23.res for a step in b; the identity factors are the other
+    stalk's dims, as in external.  The sheaf is then pushed forward along
+    q13 : ((a, b), c) -> (a, c).
+    """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
     if not m2.same_as(m2b):
         raise SheafError("middle factors of the kernels disagree")
-    t, q12, _ = product(k12.base, m3)
-    p1, p2 = projections(k12.base)
-    q23 = product_map(p2, identity_map(m3), source=t, target=k23.base)
-    m13, _, _ = product(m1, m3)
-    q13 = product_map(p1, identity_map(m3), source=t, target=m13)
-    return pushforward(q13, tensor_sheaf(pullback(q12, k12), pullback(q23, k23)))
+    t = _product_complex(k12.base, m3)
+    ids = t.cell_ids()
+    # q13 keeps the dimension of ((a, b), c) exactly when b is a vertex
+    q13 = CellularMap(t, _product_complex(m1, m3), {x: (x[0][0], x[1]) for x in ids},
+                      {x: 1 for x in ids if m2.dim(x[0][1]) == 0})
+    lefts, rights = {}, {}  # b -> [(a, K12(a, b))] and b -> [(c, K23(b, c))]
+    for (a, b), u in k12.stalks.items():
+        lefts.setdefault(b, []).append((a, u))
+    for (b, c), v in k23.stalks.items():
+        rights.setdefault(b, []).append((c, v))
+    lays = {((a, b), c): tensor_layout(u, v)
+            for b, us in lefts.items() for a, u in us for c, v in rights.get(b, ())}
+    stalks = {x: ql._tensor(k12.stalks[x[0]], k23.stalks[(x[0][1], x[1])], lay)
+              for x, lay in lays.items()}
+    restrictions = {}
+    steps_b = {}  # (b, b') -> [(c, K23.res((b, c), (b', c)))]
+    for ((b, c), (b2, c2)), psi in k23.restrictions.items():
+        if c == c2:
+            steps_b.setdefault((b, b2), []).append((c, psi))
+        else:
+            _with_identity(psi, False, [(((a, b), c), ((a, b), c2), u)
+                                        for a, u in lefts.get(b, ())], lays, restrictions)
+    for ((a, b), (a2, b2)), phi in k12.restrictions.items():
+        if b == b2:
+            _with_identity(phi, True, [(((a, b), c), ((a2, b), c), v)
+                                       for c, v in rights.get(b, ())], lays, restrictions)
+        else:
+            for c, psi in steps_b.get((b, b2), ()):
+                src, tgt = ((a, b), c), ((a, b2), c)
+                restrictions[(src, tgt)] = tensor_chain_maps(phi, psi, lays[src], lays[tgt])
+    return pushforward(q13, CellularSheaf(t, stalks, restrictions))
 
 
 def euler_rhom(f: CellularSheaf, g: CellularSheaf) -> int:

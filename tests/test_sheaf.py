@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conormal.cellcx import POINT, product, identity_map, collapse_to_point, CellularMap
+from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, CellularMap,
+                             factors_of, projections, product_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
@@ -221,6 +222,76 @@ def test_kernel_compose_skyscraper_column():
     k23 = external(sky, constant(POINT), right)
     k = kernel_compose(k12, k23)
     assert euler(k.stalk(("pt", "pt"))) == 1
+
+
+def _pulled_back_tensor(k12, k23):
+    """The composition route through public operations: q13 and
+    q12^*K12 (x) q23^*K23 on the triple product (M1 x M2) x M3."""
+    m1, _ = factors_of(k12.base)
+    _, m3 = factors_of(k23.base)
+    t, q12, _ = product(k12.base, m3)
+    p1, p2 = projections(k12.base)
+    q23 = product_map(p2, identity_map(m3), source=t, target=k23.base)
+    m13, _, _ = product(m1, m3)
+    q13 = product_map(p1, identity_map(m3), source=t, target=m13)
+    return q13, tensor_sheaf(pullback(q12, k12), pullback(q23, k23))
+
+
+def _random_kernel_pairs():
+    """Seeded kernels on products none of whose factors is a point."""
+    rng = random.Random(20)
+    factors = [interval(), hollow_triangle(), circle(4)]
+    for i in range(12):
+        m1, m2, m3 = (rng.choice(factors) for _ in range(3))
+        p12, _, _ = product(m1, m2)
+        p23, _, _ = product(m2, m3)
+        if i % 2:
+            k12 = random_sheaf(rng, p12, max_pieces=2, degree_range=(-1, 1))
+            k23 = random_sheaf(rng, p23, max_pieces=2, degree_range=(-1, 1))
+        else:
+            k12 = random_piece_sheaf(rng, p12, max_pieces=3).sheaf
+            k23 = random_piece_sheaf(rng, p23, max_pieces=2, degree_range=(0, 1)).sheaf
+        yield k12, k23
+
+
+def _flanked_kernel_pairs():
+    """The point-flanked, zero and skyscraper-column kernels of the tests above."""
+    s1 = hollow_triangle()
+    left, _, _ = product(POINT, s1)
+    right, _, _ = product(s1, POINT)
+    k12 = external(constant(POINT), constant(s1), left)
+    yield k12, external(constant(s1), constant(POINT), right)
+    yield k12, zero_sheaf(right)
+    sky = CellularSheaf(s1, {"0": single(0, 1)}, {})
+    yield k12, external(sky, constant(POINT), right)
+
+
+def test_kernel_compose_equals_pullback_tensor_pushforward():
+    """The one-pass composition is the same sheaf, restriction for
+    restriction, as pushing forward the tensor of the pullbacks."""
+    nonzero_res = 0
+    for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs()]:
+        got = kernel_compose(k12, k23)
+        q13, on_t = _pulled_back_tensor(k12, k23)
+        want = pushforward(q13, on_t)
+        assert got.base.same_as(want.base)
+        assert all(a.same_as(b) for a, b in zip(factors_of(got.base), factors_of(want.base)))
+        assert got.stalks == want.stalks
+        assert got.restrictions == want.restrictions
+        nonzero_res += len(got.restrictions)
+    assert nonzero_res > 100
+
+
+def test_kernel_compose_keeps_cohomology_ranks():
+    """dim H^k(M1 x M3; K12 o K23) = dim H^k(T; q12^*K12 (x) q23^*K23): a
+    direct image keeps global cohomology.  Unlike the mueu identities this
+    sees the restrictions of the composition."""
+    nonzero = 0
+    for k12, k23 in _random_kernel_pairs():
+        got = homology_ranks(global_sections(kernel_compose(k12, k23)))
+        assert got == homology_ranks(global_sections(_pulled_back_tensor(k12, k23)[1]))
+        nonzero += bool(got)
+    assert nonzero >= 6
 
 
 def test_euler_rhom():
