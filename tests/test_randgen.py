@@ -1,11 +1,13 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from conormal import randgen
+from conormal import checks, randgen
 from conormal.checks import run_checks
+from conormal.io import describe_complex, describe_sheaf, fmt_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,3 +42,53 @@ def test_suite_instances_do_not_depend_on_hash_seed():
 def test_inverse_cache_is_emptied():
     assert run_checks(seed=1, cases=20).ok
     assert len(randgen._INV_CACHE) == 0
+
+
+# sha256 of _instance_stream(): the random piece sheaves, morphisms and
+# Lefschetz instances that seeded suites draw.  A change to the order of the
+# random draws or to any entry of a generated matrix changes it.
+INSTANCE_DIGEST = "af86dec04c956404e3cbc464d5cab16368ae23902570fcc9cb2993b979a97d45"
+
+_DIGEST_SUITES = ("index", "compose", "external", "pushforward", "tensor", "duality")
+
+
+def _components(phi):
+    return {str(c): {str(n): fmt_matrix(m) for n, m in comp.items()}
+            for c, comp in phi.items()}
+
+
+def _instance_stream():
+    """JSON lines describing seeded instances: per case of each suite, two
+    random piece sheaves, a random morphism between them and an
+    endomorphism of the first, a sheaf conjugated by random_invertible
+    matrices from outside randgen (as bench/workloads.py builds them) and a
+    random_sheaf; then forty random Lefschetz instances."""
+    for suite in _DIGEST_SUITES:
+        for i in range(40):
+            rng = checks._case_rng(1, suite, i)
+            cx = randgen.random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
+            src = randgen.random_piece_sheaf(rng, cx)
+            tgt = randgen.random_piece_sheaf(rng, cx, max_pieces=2)
+            conj = {(c, n): randgen.random_invertible(rng, d)
+                    for c, v in src.sheaf.stalks.items() for n, d in v.dims.items()}
+            other = randgen.PieceSheaf(cx, src.pieces, conj)
+            yield {"complex": describe_complex(cx),
+                   "src": describe_sheaf(src.sheaf),
+                   "tgt": describe_sheaf(tgt.sheaf),
+                   "morphism": _components(randgen.random_morphism(rng, src, tgt).components),
+                   "endo": _components(randgen.random_morphism(rng, src, src).components),
+                   "reconjugated": describe_sheaf(other.sheaf),
+                   "to_other": _components(randgen.random_morphism(rng, src, other).components),
+                   "sheaf": describe_sheaf(randgen.random_sheaf(
+                       rng, cx, max_pieces=2, degree_range=(-1, 1)))}
+    for i in range(40):
+        inst = randgen.random_lefschetz_instance(checks._case_rng(1, "lefschetz", i))
+        yield {"sheaf": describe_sheaf(inst.sheaf), "phi": _components(inst.phi)}
+
+
+def test_instance_digest_is_pinned():
+    h = hashlib.sha256()
+    for item in _instance_stream():
+        h.update(json.dumps(item, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == INSTANCE_DIGEST
