@@ -6,6 +6,14 @@ two-term acyclic pieces), then conjugated by random invertible matrices
 on every (cell, degree) slot.  Conjugation preserves validity and
 produces dense rational stalk data, so the suites exercise generic
 matrices without a repair pass.
+
+A sheaf is built in one pass.  The basis labels of every cell's slots,
+and their positions, are computed once per cell, and the conjugations are
+drawn over those slots.  random_invertible undoes its own elementary row
+operations in reverse order to get the exact inverse from the same draws,
+so no linear system is solved.  An unconjugated block has at most one
+entry in each row, so A_t M A_s^-1 is written as scaled rows of A_s^-1 and
+multiplied by A_t once.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map, POINT)
 from .qlinalg import (Matrix, VectComplex, single, direct_sum, shift,
                       identity_chain_map, add_chain_maps, scale_chain_map,
-                      compose_chain_maps, chain_component)
+                      compose_chain_maps, chain_component, solve_unique,
+                      _ONE, _ZERO)
 from .sheaf import CellularSheaf, SheafMorphism
 from .lefschetz import LefschetzInstance
 
@@ -170,18 +179,72 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
 
 
+def _add_multiple(row, f, other):
+    """row += f * other on sparse rows; entries that cancel are removed."""
+    for k, x in other.items():
+        y = row.get(k, _ZERO) + f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
 def random_invertible(rng: random.Random, n: int) -> Matrix:
-    """Product of a few elementary operations on the identity."""
-    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    """Product of 2n elementary row operations on the identity.
+
+    The operations are undone in reverse order on a second identity, which
+    gives the exact inverse from the same draws; (A, A^-1) is left in
+    _INV_CACHE for the PieceSheaf that takes A as a conjugation."""
+    a = [{i: _ONE} for i in range(n)]
+    ops = []
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             f = _rand_nonzero(rng)
-            a[i] = [x * f for x in a[i]]
+            a[i] = {k: x * f for k, x in a[i].items()}
         else:
             f = _rand_rational(rng)
-            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-    return Matrix(n, n, a)
+            _add_multiple(a[i], f, a[j])
+        ops.append((i, j, f))
+    inv = Matrix.identity(n)
+    rows = inv.data
+    for i, j, f in reversed(ops):
+        if i == j:
+            rows[i] = {k: x / f for k, x in rows[i].items()}
+        else:
+            _add_multiple(rows[i], -f, rows[j])
+    m = Matrix(n, n)
+    # columns in increasing order in every row, as a dense matrix stores them
+    m.data = [dict(sorted(row.items())) for row in a]
+    _INV_CACHE[id(m)] = (m, inv)
+    return m
+
+
+# id(A) -> (A, A^-1) for the matrices random_invertible returned since the
+# last PieceSheaf or random_morphism: both empty it when they return
+_INV_CACHE = {}
+
+
+def _piece_slots(base: CellComplex, pieces):
+    """Per cell, per degree, the list of (piece index, leg) basis labels;
+    cells that no piece reaches are left out.  Cells that lie in the same
+    pieces share one (read-only) dict."""
+    shared = {}
+    out = {}
+    for c in base.cell_ids():
+        key = tuple(i for i, piece in enumerate(pieces) if c in piece[1])
+        if not key:
+            continue
+        slots = shared.get(key)
+        if slots is None:
+            slots = shared[key] = {}
+            for i in key:
+                kind, _, deg, _ = pieces[i]
+                slots.setdefault(deg, []).append((i, 0))
+                if kind == ACYC:
+                    slots.setdefault(deg + 1, []).append((i, 1))
+        out[c] = slots
+    return out
 
 
 class PieceSheaf:
@@ -189,119 +252,99 @@ class PieceSheaf:
 
     pieces: list of (kind, up-set frozenset, degree, weights dict).
     SKY pieces contribute k in one degree; ACYC pieces contribute an
-    acyclic k -> k in two consecutive degrees.
+    acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
+    to the invertible matrix A conjugating that slot; a missing slot is
+    not conjugated.  Every block is built as A_t M A_s^-1 in one product,
+    where M is the unconjugated block.  slots, when given, is what
+    _piece_slots(base, pieces) returns.
     """
 
-    def __init__(self, base: CellComplex, pieces, conj):
+    def __init__(self, base: CellComplex, pieces, conj, slots=None):
         self.base = base
         self.pieces = pieces
         self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
+        self.slots = _piece_slots(base, pieces) if slots is None else slots
+        # per cell: basis label -> position within its degree (a label
+        # (i, leg) lies in degree deg_i + leg on every cell)
+        self.pos = {}
+        by_slots = {}
+        for c, slots in self.slots.items():
+            pos = by_slots.get(id(slots))
+            if pos is None:
+                pos = by_slots[id(slots)] = {lab: k for labels in slots.values()
+                                             for k, lab in enumerate(labels)}
+            self.pos[c] = pos
+        # (cell, degree) -> A^-1, kept for random_morphism
+        self.inverses = {}
         try:
+            for key, a in conj.items():
+                got = _INV_CACHE.get(id(a))
+                if got is not None and got[0] is a:
+                    self.inverses[key] = got[1]
             self.sheaf = self._build()
         finally:
             _INV_CACHE.clear()
 
-    def _slots(self, cid):
-        """Per degree, the list of (piece index, leg) basis labels."""
-        slots = {}
-        for i, (kind, upset, deg, _) in enumerate(self.pieces):
-            if cid not in upset:
-                continue
-            slots.setdefault(deg, []).append((i, 0))
-            if kind == ACYC:
-                slots.setdefault(deg + 1, []).append((i, 1))
-        return slots
+    def inverse(self, key):
+        """A^-1 for the conjugation at (cell, degree) key, or None."""
+        inv = self.inverses.get(key)
+        if inv is None:
+            a = self.conj.get(key)
+            if a is None:
+                return None
+            # a conjugation that did not come from random_invertible
+            inv = self.inverses[key] = solve_unique(a, Matrix.identity(a.rows))
+        return inv
+
+    def _conjugated(self, t_key, s_key, rows, cols, entries):
+        """A_t M A_s^-1 for the rows x cols matrix M whose entries are the
+        (row, column, value) triples, at most one in each row."""
+        m = Matrix(rows, cols)
+        inv = self.inverse(s_key)
+        if inv is None:
+            for p, k, w in entries:
+                m.data[p] = {k: w}
+        else:
+            for p, k, w in entries:
+                m.data[p] = {j: w * x for j, x in inv.data[k].items()}
+        a = self.conj.get(t_key)
+        return m if a is None else a * m
 
     def _build(self) -> CellularSheaf:
-        base = self.base
+        pieces, pos = self.pieces, self.pos
         stalks = {}
-        for c in base.cell_ids():
-            slots = self._slots(c)
-            if not slots:
-                continue
-            dims = {n: len(v) for n, v in slots.items()}
+        for c, slots in self.slots.items():
+            dims = {n: len(labels) for n, labels in slots.items()}
             diffs = {}
+            cpos = pos[c]
             for n, labels in slots.items():
                 if n + 1 not in slots:
                     continue
-                m = Matrix.zeros(dims[n + 1], dims[n])
-                nxt = {lab: k for k, lab in enumerate(slots[n + 1])}
-                for k, (i, leg) in enumerate(labels):
-                    if leg == 0 and self.pieces[i][0] == ACYC and (i, 1) in nxt:
-                        m[nxt[(i, 1)], k] = 1
-                if not m.is_zero():
-                    diffs[n] = m
-            stalks[c] = self._conjugate_complex(c, VectComplex(dims, diffs))
+                # d^n sends leg 0 of each acyclic piece to its leg 1
+                entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
+                           if leg == 0 and pieces[i][0] == ACYC]
+                if entries:
+                    diffs[n] = self._conjugated((c, n + 1), (c, n), dims[n + 1],
+                                                dims[n], entries)
+            stalks[c] = VectComplex(dims, diffs)
         restrictions = {}
-        for (t, s) in base.incidence_pairs():
+        for (t, s) in self.base.incidence_pairs():
             if s not in stalks or t not in stalks:
                 continue
-            phi = self._raw_res(s, t)
-            phi = self._conjugate_map(s, t, phi)
+            phi = {}
+            slots_t, tpos = self.slots[t], pos[t]
+            for n, labels in self.slots[s].items():
+                if n not in slots_t:
+                    continue
+                # each piece on both cells maps by its weight ratio
+                entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])
+                           for k, lab in enumerate(labels) if lab in tpos]
+                if entries:
+                    phi[n] = self._conjugated((t, n), (s, n), len(slots_t[n]),
+                                              len(labels), entries)
             if phi:
                 restrictions[(s, t)] = phi
-        return CellularSheaf(base, stalks, restrictions)
-
-    def _raw_res(self, s, t):
-        slots_s, slots_t = self._slots(s), self._slots(t)
-        phi = {}
-        for n, labels in slots_s.items():
-            if n not in slots_t:
-                continue
-            m = Matrix.zeros(len(slots_t[n]), len(labels))
-            tpos = {lab: k for k, lab in enumerate(slots_t[n])}
-            for k, (i, leg) in enumerate(labels):
-                if (i, leg) in tpos:
-                    w = self.pieces[i][3]
-                    m[tpos[(i, leg)], k] = w[t] / w[s]
-            if not m.is_zero():
-                phi[n] = m
-        return phi
-
-    def _conjugate_complex(self, c, vc: VectComplex) -> VectComplex:
-        diffs = {}
-        for n in vc.dims:
-            if not vc.dim(n + 1):
-                continue
-            a_next = self.conj.get((c, n + 1))
-            a_prev = self.conj.get((c, n))
-            m = vc.d(n)
-            if a_next is not None:
-                m = a_next * m
-            if a_prev is not None:
-                m = m * _inverse(a_prev)
-            if not m.is_zero():
-                diffs[n] = m
-        return VectComplex(vc.dims, diffs)
-
-    def _conjugate_map(self, s, t, phi):
-        out = {}
-        for n, m in phi.items():
-            a_t = self.conj.get((t, n))
-            a_s = self.conj.get((s, n))
-            if a_t is not None:
-                m = a_t * m
-            if a_s is not None:
-                m = m * _inverse(a_s)
-            if not m.is_zero():
-                out[n] = m
-        return out
-
-
-# id(matrix) -> (matrix, inverse), for the conjugations of one sheaf or one
-# morphism: PieceSheaf.__init__ and random_morphism empty it when they return
-_INV_CACHE = {}
-
-
-def _inverse(m: Matrix) -> Matrix:
-    key = id(m)
-    got = _INV_CACHE.get(key)
-    if got is None or got[0] is not m:
-        from .qlinalg import solve_unique
-        inv = solve_unique(m, Matrix.identity(m.rows))
-        _INV_CACHE[key] = (m, inv)
-        got = (m, inv)
-    return got[1]
+        return CellularSheaf(self.base, stalks, restrictions)
 
 
 def random_upset(rng: random.Random, cx: CellComplex):
@@ -327,14 +370,14 @@ def random_piece_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
         else:
             weights = {c: _rand_nonzero(rng) for c in cx.cell_ids()}
         pieces.append((kind, upset, deg, weights))
+    slots = _piece_slots(cx, pieces)
     conj = {}
     if conjugate:
-        probe = PieceSheaf(cx, pieces, {})
-        for c, v in probe.sheaf.stalks.items():
-            for n, d in v.dims.items():
+        for c, per_degree in slots.items():
+            for n, labels in per_degree.items():
                 if rng.random() < 0.7:
-                    conj[(c, n)] = random_invertible(rng, d)
-    return PieceSheaf(cx, pieces, conj)
+                    conj[(c, n)] = random_invertible(rng, len(labels))
+    return PieceSheaf(cx, pieces, conj, slots)
 
 
 def _orbit_close(cx: CellComplex, f: CellularMap, cells):
@@ -368,22 +411,19 @@ def random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> She
 
 
 def _random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
-    base = src.base
     scalars = {}
     for i, (ki, ui, di, wi) in enumerate(src.pieces):
         for j, (kj, uj, dj, wj) in enumerate(tgt.pieces):
             if ki == kj and di == dj and ui <= uj and rng.random() < 0.6:
                 scalars[(i, j)] = _rand_rational(rng)
     components = {}
-    for c in base.cell_ids():
-        slots_s = src._slots(c)
-        slots_t = tgt._slots(c)
+    for c, slots_s in src.slots.items():
+        slots_t, tpos = tgt.slots.get(c, {}), tgt.pos.get(c)
         phi = {}
         for n, labels in slots_s.items():
             if n not in slots_t:
                 continue
             m = Matrix.zeros(len(slots_t[n]), len(labels))
-            tpos = {lab: k for k, lab in enumerate(slots_t[n])}
             hit = False
             for k, (i, leg) in enumerate(labels):
                 for j in range(len(tgt.pieces)):
@@ -394,11 +434,11 @@ def _random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> Sh
                         hit = True
             if hit:
                 a_t = tgt.conj.get((c, n))
-                a_s = src.conj.get((c, n))
+                inv_s = src.inverse((c, n))
                 if a_t is not None:
                     m = a_t * m
-                if a_s is not None:
-                    m = m * _inverse(a_s)
+                if inv_s is not None:
+                    m = m * inv_s
                 phi[n] = m
         if phi:
             components[c] = phi
@@ -452,8 +492,7 @@ def random_lefschetz_instance(rng: random.Random, max_vertices=6):
                             invariant_under=f, conjugate=False)
     phi = {}
     piece_scalars = [_rand_rational(rng) for _ in ps.pieces]
-    for c in cx.cell_ids():
-        slots = ps._slots(c)
+    for c, slots in ps.slots.items():
         comp = {}
         for n, labels in slots.items():
             m = Matrix.zeros(len(labels), len(labels))

@@ -283,6 +283,20 @@ def test_cli_check_seed2_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_python_m_conormal_runs_check():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "conormal", "check", "--seed", "1",
+                           "--cases", "2"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    golden = (root / "tests" / "fixtures" / "check_seed1_cases5.txt").read_text()
+    assert proc.stdout == golden.replace("cases 5\n", "cases 2\n")
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from conormal import checks, randgen
 from conormal.checks import run_checks
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
+from conormal.qlinalg import Matrix, solve_unique
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,6 +45,68 @@ def test_suite_instances_do_not_depend_on_hash_seed():
 def test_inverse_cache_is_emptied():
     assert run_checks(seed=1, cases=20).ok
     assert len(randgen._INV_CACHE) == 0
+    rng = random.Random(3)
+    src = randgen.random_piece_sheaf(rng, randgen.hollow_triangle())
+    assert len(randgen._INV_CACHE) == 0
+    randgen.random_invertible(rng, 3)
+    assert len(randgen._INV_CACHE) == 1
+    randgen.random_morphism(rng, src, src)
+    assert len(randgen._INV_CACHE) == 0
+
+
+def test_random_invertible_leaves_its_exact_inverse():
+    rng = random.Random(8)
+    try:
+        for n in range(1, 9):
+            for _ in range(5):
+                a = randgen.random_invertible(rng, n)
+                got, inv = randgen._INV_CACHE[id(a)]
+                assert got is a
+                assert inv == solve_unique(a, Matrix.identity(n))
+                assert a * inv == Matrix.identity(n)
+    finally:
+        randgen._INV_CACHE.clear()
+
+
+def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
+    """One PieceSheaf per random_piece_sheaf, and no solve_unique call for
+    conjugations that random_invertible drew; counted by wrappers installed
+    on every conormal module that binds the two names."""
+    counts = {"PieceSheaf": 0, "solve_unique": 0}
+    init = randgen.PieceSheaf.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["PieceSheaf"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        counts["solve_unique"] += 1
+        return solve_unique(*args, **kwargs)
+
+    monkeypatch.setattr(randgen.PieceSheaf, "__init__", counting_init)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("conormal") and getattr(mod, "solve_unique", None) is solve_unique:
+            monkeypatch.setattr(mod, "solve_unique", counting_solve)
+    rng = random.Random(12)
+    conjugated = 0
+    for _ in range(30):
+        cx = randgen.random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
+        before = counts["PieceSheaf"]
+        src = randgen.random_piece_sheaf(rng, cx)
+        tgt = randgen.random_piece_sheaf(rng, cx, max_pieces=2)
+        assert counts["PieceSheaf"] == before + 2
+        randgen.random_morphism(rng, src, tgt)
+        randgen.random_morphism(rng, src, src)
+        assert len(randgen._INV_CACHE) == 0
+        conjugated += len(src.conj) + len(tgt.conj)
+    assert conjugated and counts["solve_unique"] == 0
+    # a conjugation from elsewhere is inverted by solve_unique, which the
+    # wrapper sees
+    cx = randgen.hollow_triangle()
+    whole = [(randgen.SKY, frozenset(cx.cell_ids()), 0, {c: Fraction(1) for c in cx.cell_ids()})]
+    foreign = {(c, 0): Matrix(1, 1, [[2]]) for c in cx.cell_ids()}
+    assert randgen.PieceSheaf(cx, whole, foreign).sheaf.validate() == []
+    assert counts["solve_unique"] > 0
 
 
 # sha256 of _instance_stream(): the random piece sheaves, morphisms and
