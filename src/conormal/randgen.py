@@ -8,8 +8,9 @@ produces dense rational stalk data, so the suites exercise generic
 matrices without a repair pass.
 
 A sheaf is built in one pass.  The basis labels of every cell's slots,
-and their positions, are computed once per cell, and the conjugations are
-drawn over those slots.  random_invertible undoes its own elementary row
+and their positions, are computed once per cell rather than once per
+incidence pair, and random_piece_sheaf draws its conjugations over those
+slots rather than over a probe sheaf.  random_invertible undoes its own elementary row
 operations in reverse order to get the exact inverse from the same draws,
 so no linear system is solved.  An unconjugated block has at most one
 entry in each row, so A_t M A_s^-1 is written as scaled rows of A_s^-1 and
@@ -194,7 +195,10 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
 
     The operations are undone in reverse order on a second identity, which
     gives the exact inverse from the same draws; (A, A^-1) is left in
-    _INV_CACHE for the PieceSheaf that takes A as a conjugation."""
+    _INV_CACHE for the PieceSheaf that takes A as a conjugation.  The cache
+    holds both matrices until the next PieceSheaf or random_morphism
+    returns, so a caller that draws matrices and never builds either keeps
+    every pair it drew alive in the cache."""
     a = [{i: _ONE} for i in range(n)]
     ops = []
     for _ in range(2 * n):
@@ -226,25 +230,29 @@ _INV_CACHE = {}
 
 
 def _piece_slots(base: CellComplex, pieces):
-    """Per cell, per degree, the list of (piece index, leg) basis labels;
-    cells that no piece reaches are left out.  Cells that lie in the same
-    pieces share one (read-only) dict."""
+    """Per cell, per degree, the list of (piece index, leg) basis labels,
+    and per cell the map label -> position within its degree (a label
+    (i, leg) lies in degree deg_i + leg on every cell).  Cells that no
+    piece reaches are left out; cells that lie in the same pieces share
+    one (read-only) pair of dicts."""
     shared = {}
-    out = {}
+    slots, pos = {}, {}
     for c in base.cell_ids():
         key = tuple(i for i, piece in enumerate(pieces) if c in piece[1])
         if not key:
             continue
-        slots = shared.get(key)
-        if slots is None:
-            slots = shared[key] = {}
+        got = shared.get(key)
+        if got is None:
+            per_degree = {}
             for i in key:
                 kind, _, deg, _ = pieces[i]
-                slots.setdefault(deg, []).append((i, 0))
+                per_degree.setdefault(deg, []).append((i, 0))
                 if kind == ACYC:
-                    slots.setdefault(deg + 1, []).append((i, 1))
-        out[c] = slots
-    return out
+                    per_degree.setdefault(deg + 1, []).append((i, 1))
+            got = shared[key] = (per_degree, {lab: k for labels in per_degree.values()
+                                              for k, lab in enumerate(labels)})
+        slots[c], pos[c] = got
+    return slots, pos
 
 
 class PieceSheaf:
@@ -255,25 +263,14 @@ class PieceSheaf:
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
     to the invertible matrix A conjugating that slot; a missing slot is
     not conjugated.  Every block is built as A_t M A_s^-1 in one product,
-    where M is the unconjugated block.  slots, when given, is what
-    _piece_slots(base, pieces) returns.
+    where M is the unconjugated block.
     """
 
-    def __init__(self, base: CellComplex, pieces, conj, slots=None):
+    def __init__(self, base: CellComplex, pieces, conj):
         self.base = base
         self.pieces = pieces
         self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
-        self.slots = _piece_slots(base, pieces) if slots is None else slots
-        # per cell: basis label -> position within its degree (a label
-        # (i, leg) lies in degree deg_i + leg on every cell)
-        self.pos = {}
-        by_slots = {}
-        for c, slots in self.slots.items():
-            pos = by_slots.get(id(slots))
-            if pos is None:
-                pos = by_slots[id(slots)] = {lab: k for labels in slots.values()
-                                             for k, lab in enumerate(labels)}
-            self.pos[c] = pos
+        self.slots, self.pos = _piece_slots(base, pieces)
         # (cell, degree) -> A^-1, kept for random_morphism
         self.inverses = {}
         try:
@@ -370,14 +367,14 @@ def random_piece_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
         else:
             weights = {c: _rand_nonzero(rng) for c in cx.cell_ids()}
         pieces.append((kind, upset, deg, weights))
-    slots = _piece_slots(cx, pieces)
     conj = {}
     if conjugate:
+        slots, _ = _piece_slots(cx, pieces)
         for c, per_degree in slots.items():
             for n, labels in per_degree.items():
                 if rng.random() < 0.7:
                     conj[(c, n)] = random_invertible(rng, len(labels))
-    return PieceSheaf(cx, pieces, conj, slots)
+    return PieceSheaf(cx, pieces, conj)
 
 
 def _orbit_close(cx: CellComplex, f: CellularMap, cells):
