@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
                               random_morphism, random_cellular_map)
+from conormal.tracekernel import tk, external_tk, shift_twist
+from conormal.io import describe_sheaf
 
 
 def test_constant_sheaf_cohomology():
@@ -299,3 +303,63 @@ def test_euler_rhom():
     assert euler_rhom(constant(hollow_triangle()), constant(hollow_triangle())) == 0
     t = constant(tetra_boundary())
     assert euler_rhom(t, t) == 2
+
+
+def _external_pairs():
+    """Seeded sheaves on two different random complexes."""
+    rng = random.Random(30)
+    for _ in range(20):
+        a = random_complex(rng, max_dim=2, max_vertices=5, max_cells=14)
+        b = random_complex(rng, max_dim=1, max_vertices=4, max_cells=9)
+        yield (random_piece_sheaf(rng, a, max_pieces=2).sheaf,
+               random_sheaf(rng, b, max_pieces=2, degree_range=(-1, 1)))
+
+
+def test_external_equals_tensor_of_pullbacks():
+    """external(F, G) is p1^*F (x) p2^*G, restriction for restriction."""
+    nonzero_res = 0
+    for f, g in _external_pairs():
+        got = external(f, g)
+        prod, p1, p2 = product(f.base, g.base)
+        want = tensor_sheaf(pullback(p1, f), pullback(p2, g))
+        assert got.base.same_as(prod)
+        assert got.stalks == want.stalks
+        assert got.restrictions == want.restrictions
+        nonzero_res += len(got.restrictions)
+    assert nonzero_res > 100
+
+
+def _with_constant(rng, cx):
+    """A random sheaf plus the constant sheaf, so that most pairs restrict."""
+    return direct_sum_sheaf(constant(cx), random_sheaf(rng, cx, max_pieces=2,
+                                                       degree_range=(-1, 1)))
+
+
+def _tensor_outputs():
+    """Seeded outputs of tensor_sheaf, external, kernel_compose,
+    external_tk and the shift twist of external_tk."""
+    rng = random.Random(31)
+    for cx in [full_simplex(2), circle(5), torus7(), tetra_boundary()] * 5:
+        yield tensor_sheaf(_with_constant(rng, cx), _with_constant(rng, cx))
+    for f, g in _external_pairs():
+        yield external(f, g)
+    for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs()]:
+        yield kernel_compose(k12, k23)
+    rng = random.Random(32)
+    for cx in [POINT, interval(), hollow_triangle()] * 5:
+        k1, k2 = (tk(random_sheaf(rng, m, max_pieces=2, degree_range=(-1, 1)))
+                  for m in (cx, interval()))
+        k = external_tk(k1, k2)
+        yield k.underlying
+        yield shift_twist(k, 1).underlying
+
+
+TENSOR_DIGEST = "91466170edd2916426187e11eaa7a8738471724c6f7ba3fa1f43117f0f504611"
+
+
+def test_tensor_outputs_digest_is_pinned():
+    h = hashlib.sha256()
+    for sheaf in _tensor_outputs():
+        h.update(json.dumps(describe_sheaf(sheaf), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == TENSOR_DIGEST

@@ -5,11 +5,12 @@ import pytest
 
 from conormal.cellcx import POINT, product
 from conormal.qlinalg import (Matrix, VectComplex, euler, single, dual, tensor)
-from conormal.sheaf import CellularSheaf, constant, euler_char
+from conormal.sheaf import CellularSheaf, constant, euler_char, external
 from conormal.mueu import mueu, degree
 from conormal.tracekernel import (TraceKernel, TraceKernelError, tk, eu_point,
                                   external_tk, compose_tk, shift_twist,
-                                  TkOf, ExternalTK, ComposeTK, TwistTK)
+                                  TkOf, ExternalTK, ComposeTK, TwistTK,
+                                  _relabel_sheaf)
 from conormal.randgen import (interval, hollow_triangle, random_complex,
                               random_sheaf, random_vect_complex)
 
@@ -122,3 +123,25 @@ def test_twist_of_twist_accumulates():
     assert st.stalks.keys() == k.underlying.stalks.keys()
     for c in st.stalks:
         assert st.stalk(c).dims == k.underlying.stalk(c).dims
+
+
+def test_external_tk_equals_reordered_external():
+    """external_tk's sheaf is external(K1, K2) on (M1 x M2) x (M1 x M2)
+    relabelled onto product(M12, M12) by ((a, b), (c, d)) -> ((a, c), (b, d))."""
+    rng = random.Random(71)
+    nonzero_res = 0
+    for _ in range(8):
+        k1, k2 = (tk(random_sheaf(rng, random_complex(rng, max_dim=1, max_vertices=3,
+                                                      max_cells=5),
+                                  max_pieces=2, degree_range=(-1, 1)))
+                  for _ in range(2))
+        got = external_tk(k1, k2).underlying
+        m12, _, _ = product(k1.base, k2.base)
+        doubled, _, _ = product(m12, m12)
+        want = _relabel_sheaf(external(k1.underlying, k2.underlying), doubled,
+                              lambda c: ((c[0][0], c[1][0]), (c[0][1], c[1][1])))
+        assert got.base.same_as(doubled)
+        assert got.stalks == want.stalks
+        assert got.restrictions == want.restrictions
+        nonzero_res += len(got.restrictions)
+    assert nonzero_res > 100
