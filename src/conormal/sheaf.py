@@ -15,8 +15,9 @@ flavor.
 
 from __future__ import annotations
 
-from .cellcx import (CellComplex, CellularMap, product, _product_complex,
-                     factors_of)
+from operator import itemgetter
+
+from .cellcx import CellComplex, CellularMap, _product_complex, factors_of
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, chain_component, is_chain_map,
@@ -218,46 +219,49 @@ def tensor_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     """Stalkwise tensor product over the common base."""
     if not f.base.same_as(g.base):
         raise SheafError("tensor over different bases")
-    lays = {c: tensor_layout(f.stalk(c), g.stalk(c)) for c in set(f.stalks) & set(g.stalks)}
-    stalks = {c: ql._tensor(f.stalk(c), g.stalk(c), lay) for c, lay in lays.items()}
-    restrictions = {}
-    for (s, t) in set(f.restrictions) | set(g.restrictions):
-        if s in lays and t in lays:
-            restrictions[(s, t)] = tensor_chain_maps(f.res(s, t), g.res(s, t), lays[s], lays[t])
-    return CellularSheaf(f.base, stalks, restrictions)
+    return _pulled_tensor(f.base, f, g, lambda x: x, lambda x: x)
 
 
 def external(f: CellularSheaf, g: CellularSheaf, prod: CellComplex = None) -> CellularSheaf:
     """External tensor product on the product complex."""
     if prod is None:
-        prod, _, _ = product(f.base, g.base)
-    lays = {(a, b): tensor_layout(u, v) for a, u in f.stalks.items() for b, v in g.stalks.items()}
-    stalks = {(a, b): ql._tensor(f.stalks[a], g.stalks[b], lay) for (a, b), lay in lays.items()}
-    # the restrictions are phi (x) 1 over every stalk of g and 1 (x) psi
-    # over every stalk of f
-    restrictions = {}
-    for (s, t), m in f.restrictions.items():
-        _with_identity(m, True, [((s, c), (t, c), v) for c, v in g.stalks.items()],
-                       lays, restrictions)
-    for (s, t), m in g.restrictions.items():
-        _with_identity(m, False, [((c, s), (c, t), v) for c, v in f.stalks.items()],
-                       lays, restrictions)
-    return CellularSheaf(prod, stalks, restrictions)
+        prod = _product_complex(f.base, g.base)
+    return _pulled_tensor(prod, f, g, itemgetter(0), itemgetter(1))
 
 
-def _with_identity(m, left, pairs, lays, out):
-    """Put m (x) 1 (left) or 1 (x) m into out[(src, tgt)] for every
-    (src, tgt, v) of pairs, where v is the stalk the identity runs over.
-    The identity chain map of v is passed as its dims, and the map depends
-    on v only through them, so it is built once per dims and shared by the
-    pairs of that shape."""
-    built = {}
-    for src, tgt, v in pairs:
-        key = tuple(sorted(v.dims.items()))
-        if key not in built:
-            factors = (m, v.dims) if left else (v.dims, m)
-            built[key] = tensor_chain_maps(*factors, lays[src], lays[tgt])
-        out[(src, tgt)] = built[key]
+def _pulled_tensor(base, f, g, left, right):
+    """left^-1 f (x) right^-1 g on base, where left and right send each cell
+    of base to a cell of f.base and of g.base, and each codim-1 pair of base
+    to one cell or to a codim-1 pair.
+
+    The stalk at x is f(left x) (x) g(right x), and a restriction is
+    f.res (x) g.res.  A factor whose cell stays put contributes the
+    identity, passed as its stalk's dims; the map depends on that stalk
+    only through them, so it is built once per (restriction, dims) and
+    shared."""
+    lays, stalks = {}, {}
+    for x in base.cell_ids():
+        u, v = f.stalks.get(left(x)), g.stalks.get(right(x))
+        if u is not None and v is not None:
+            lays[x] = tensor_layout(u, v)
+            stalks[x] = ql._tensor(u, v, lays[x])
+    restrictions, built = {}, {}
+    for (t, s) in base.incidence_pairs():
+        if s in lays and t in lays:
+            (phi, kf), (psi, kg) = _step(f, left(s), left(t)), _step(g, right(s), right(t))
+            if phi and psi:
+                if (kf, kg) not in built:
+                    built[(kf, kg)] = tensor_chain_maps(phi, psi, lays[s], lays[t])
+                restrictions[(s, t)] = built[(kf, kg)]
+    return CellularSheaf(base, stalks, restrictions)
+
+
+def _step(h, a, b):
+    """The factor over h of a restriction that moves a to b, with the key it
+    is shared under: h.res(a, b), or the dims of h(a) when a == b."""
+    if a == b:
+        return h.stalks[a].dims, (tuple(sorted(h.stalks[a].dims.items())),)
+    return h.res(a, b), (a, b)
 
 
 def pullback(f: CellularMap, g: CellularSheaf) -> CellularSheaf:
@@ -389,13 +393,9 @@ def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     """Convolution of kernels: q13_*(q12^*K12 (x) q23^*K23) on M1 x M3.
 
-    The tensor product on T = (M1 x M2) x M3 is built in one pass, with no
-    pulled-back sheaves.  Its stalk at ((a, b), c) is K12(a, b) (x) K23(b, c).
-    A codim-1 pair of T moves one coordinate, so its restriction is
-    K12.res (x) 1 for a step in a, 1 (x) K23.res for a step in c and
-    K12.res (x) K23.res for a step in b; the identity factors are the other
-    stalk's dims, as in external.  The sheaf is then pushed forward along
-    q13 : ((a, b), c) -> (a, c).
+    The tensor product is built on T = (M1 x M2) x M3 with no pulled-back
+    sheaves: its stalk at ((a, b), c) is K12(a, b) (x) K23(b, c).  It is
+    then pushed forward along q13 : ((a, b), c) -> (a, c).
     """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
@@ -406,32 +406,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     # q13 keeps the dimension of ((a, b), c) exactly when b is a vertex
     q13 = CellularMap(t, _product_complex(m1, m3), {x: (x[0][0], x[1]) for x in ids},
                       {x: 1 for x in ids if m2.dim(x[0][1]) == 0})
-    lefts, rights = {}, {}  # b -> [(a, K12(a, b))] and b -> [(c, K23(b, c))]
-    for (a, b), u in k12.stalks.items():
-        lefts.setdefault(b, []).append((a, u))
-    for (b, c), v in k23.stalks.items():
-        rights.setdefault(b, []).append((c, v))
-    lays = {((a, b), c): tensor_layout(u, v)
-            for b, us in lefts.items() for a, u in us for c, v in rights.get(b, ())}
-    stalks = {x: ql._tensor(k12.stalks[x[0]], k23.stalks[(x[0][1], x[1])], lay)
-              for x, lay in lays.items()}
-    restrictions = {}
-    steps_b = {}  # (b, b') -> [(c, K23.res((b, c), (b', c)))]
-    for ((b, c), (b2, c2)), psi in k23.restrictions.items():
-        if c == c2:
-            steps_b.setdefault((b, b2), []).append((c, psi))
-        else:
-            _with_identity(psi, False, [(((a, b), c), ((a, b), c2), u)
-                                        for a, u in lefts.get(b, ())], lays, restrictions)
-    for ((a, b), (a2, b2)), phi in k12.restrictions.items():
-        if b == b2:
-            _with_identity(phi, True, [(((a, b), c), ((a2, b), c), v)
-                                       for c, v in rights.get(b, ())], lays, restrictions)
-        else:
-            for c, psi in steps_b.get((b, b2), ()):
-                src, tgt = ((a, b), c), ((a, b2), c)
-                restrictions[(src, tgt)] = tensor_chain_maps(phi, psi, lays[src], lays[tgt])
-    return pushforward(q13, CellularSheaf(t, stalks, restrictions))
+    return pushforward(q13, _pulled_tensor(t, k12, k23, itemgetter(0),
+                                           lambda x: (x[0][1], x[1])))
 
 
 def euler_rhom(f: CellularSheaf, g: CellularSheaf) -> int:

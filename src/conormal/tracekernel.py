@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellcx import CellComplex, product, factors_of
-from .qlinalg import VectComplex, euler
+from .cellcx import CellComplex, product, _product_complex, factors_of
 from .sheaf import (CellularSheaf, SheafError, external, verdier_dual,
-                    shift_sheaf, kernel_compose)
-from .mueu import (LagCycle, mueu, degree, external_cycle, compose_cycle,
-                   support_compose)
+                    shift_sheaf, kernel_compose, _pulled_tensor)
+from .mueu import LagCycle, mueu, degree, external_cycle, compose_cycle
 
 
 class TraceKernelError(SheafError):
@@ -93,20 +91,12 @@ def _relabel_sheaf(f: CellularSheaf, new_base: CellComplex, fn) -> CellularSheaf
 
 
 def external_tk(k1: TraceKernel, k2: TraceKernel) -> TraceKernel:
-    """External product of trace kernels, with the product factors
-    reordered onto product(M12, M12)."""
-    m12, _, _ = product(k1.base, k2.base)
-    doubled, _, _ = product(m12, m12)
-    raw = external(k1.underlying, k2.underlying)
-
-    def reorder(cell):
-        ((a, b), (c, d)) = cell
-        return ((a, c), (b, d))
-
-    underlying = _relabel_sheaf(raw, doubled, reorder)
+    """External product of trace kernels, built on product(M12, M12): the
+    stalk at ((a, c), (b, d)) is K1(a, b) (x) K2(c, d)."""
+    m12 = _product_complex(k1.base, k2.base)
+    underlying = _pulled_tensor(_product_complex(m12, m12), k1.underlying, k2.underlying,
+                                lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
     cls = external_cycle(k1.euler_class, k2.euler_class, m12)
-    if degree(cls) != degree(k1.euler_class) * degree(k2.euler_class):
-        raise TraceKernelError("external class degree mismatch")
     return TraceKernel(m12, underlying, ExternalTK(k1, k2), cls)
 
 
@@ -128,9 +118,6 @@ def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
     doubled, _, _ = product(m13, m13)
     underlying = _relabel_sheaf(composed, doubled, _interleave)
     cls = compose_cycle(k12.euler_class, k23.euler_class, m13)
-    if not cls.support <= support_compose(k12.euler_class.support,
-                                          k23.euler_class.support):
-        raise TraceKernelError("composed class escapes the support estimate")
     return TraceKernel(m13, underlying, ComposeTK(k12, k23), cls)
 
 
