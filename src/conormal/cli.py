@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure, 2 property violation,
-3 parse error, 4 internal error (an unexpected exception, reported on
-stderr without a traceback).  Every command that reads an instance file
+3 parse error (also a usage error on the command line; --help exits 0),
+4 internal error (an unexpected exception, reported on stderr without a
+traceback).  Every command that reads an instance file
 validates its complex and its explicit sheaves first.  Output on stdout
 is deterministic; timing goes to stderr.
 """
@@ -208,8 +209,17 @@ def cmd_expand(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with PARSE_ERROR on a usage error: argparse's own code 2 would
+    read as a property violation.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="conormal",
         description="Exact calculus of cellular sheaves, cycles and "
                     "trace kernels on finite cell complexes.")

@@ -324,8 +324,12 @@ def parse_lefschetz(spec, maps, sheaves):
     except (KeyError, TypeError) as e:
         raise ParseError("lefschetz instance references unknown object: %s" % e)
     if "phi" in spec:
-        phi = {str(c): _parse_chain_map(node, "a phi component")
-               for c, node in _object(spec["phi"], "'phi'").items()}
+        known = set(map(str, sheaf.base.cell_ids()))
+        phi = {}
+        for c, node in _object(spec["phi"], "'phi'").items():
+            if c not in known:
+                raise ParseError("phi on unknown cell %r" % (c,))
+            phi[c] = _parse_chain_map(node, "a phi component")
         return LefschetzInstance(f, sheaf, phi)
     scalar = parse_fraction(spec.get("scalar", 1))
     return constant_phi(f, sheaf, scalar)

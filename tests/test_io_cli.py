@@ -144,6 +144,9 @@ def _with(**changes):
                  id="map-sign"),
     pytest.param(_with(lefschetz={"L": {"map": "ident", "sheaf": "k", "phi": [1]}}),
                  id="phi-list"),
+    pytest.param(_with(lefschetz={"L": {"map": "ident", "sheaf": "k",
+                                        "phi": {"nope": {"0": [[1]]}}}}),
+                 id="phi-unknown-cell"),
     pytest.param({**TRI, "cycles": [1]}, id="cycles-list"),
     pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": -1}}}}}),
                  id="dims-negative"),
@@ -194,6 +197,22 @@ def test_cli_evaluating_commands_validate_the_complex(tmp_path, capsys, command,
     assert out.out == ""
     assert cli.main(["validate", path]) == 1
     assert problem in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["chi"], ["bogus"], ["check", "--cases", "x"]],
+                         ids=["missing-argument", "unknown-command", "bad-option-value"])
+def test_cli_usage_error_is_a_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--help"])
+    assert e.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_malformed_json(tmp_path):
