@@ -403,19 +403,17 @@ class VectComplex:
 
     __slots__ = ("dims", "diffs")
 
-    def __init__(self, dims, diffs=None, check_shapes=True):
+    def __init__(self, dims, diffs=None):
         self.dims = {n: d for n, d in dims.items() if d}
         self.diffs = {}
         for n, m in (diffs or {}).items():
             if m.is_zero():
                 continue
+            if m.cols != self.dims.get(n, 0) or m.rows != self.dims.get(n + 1, 0):
+                raise LinAlgError(
+                    "differential at degree %d has shape %dx%d, expected %dx%d"
+                    % (n, m.rows, m.cols, self.dims.get(n + 1, 0), self.dims.get(n, 0)))
             self.diffs[n] = m
-        if check_shapes:
-            for n, m in self.diffs.items():
-                if m.cols != self.dims.get(n, 0) or m.rows != self.dims.get(n + 1, 0):
-                    raise LinAlgError(
-                        "differential at degree %d has shape %dx%d, expected %dx%d"
-                        % (n, m.rows, m.cols, self.dims.get(n + 1, 0), self.dims.get(n, 0)))
 
     def dim(self, n) -> int:
         return self.dims.get(n, 0)
