@@ -239,29 +239,27 @@ def _pulled_tensor(base, f, g, left, right):
     identity, passed as its stalk's dims; the map depends on that stalk
     only through them, so it is built once per (restriction, dims) and
     shared."""
-    lays, stalks = {}, {}
+    cells = {}  # x -> (left x, right x, tensor layout of the stalk at x)
     for x in base.cell_ids():
-        u, v = f.stalks.get(left(x)), g.stalks.get(right(x))
-        if u is not None and v is not None:
-            lays[x] = tensor_layout(u, v)
-            stalks[x] = ql._tensor(u, v, lays[x])
+        a, b = left(x), right(x)
+        if a in f.stalks and b in g.stalks:
+            cells[x] = (a, b, tensor_layout(f.stalks[a], g.stalks[b]))
+    stalks = {x: ql._tensor(f.stalks[a], g.stalks[b], lay) for x, (a, b, lay) in cells.items()}
+    # the identity of each stalk, as its dims, with the key it is shared under
+    fid, gid = ({a: (v.dims, (tuple(sorted(v.dims.items())),)) for a, v in h.stalks.items()}
+                for h in (f, g))
     restrictions, built = {}, {}
-    for (t, s) in base.incidence_pairs():
-        if s in lays and t in lays:
-            (phi, kf), (psi, kg) = _step(f, left(s), left(t)), _step(g, right(s), right(t))
-            if phi and psi:
-                if (kf, kg) not in built:
-                    built[(kf, kg)] = tensor_chain_maps(phi, psi, lays[s], lays[t])
-                restrictions[(s, t)] = built[(kf, kg)]
+    for s, (a, b, lay) in cells.items():
+        for t in base.cofaces(s):
+            if t in cells:
+                a2, b2, lay2 = cells[t]
+                phi, kf = fid[a] if a == a2 else (f.res(a, a2), (a, a2))
+                psi, kg = gid[b] if b == b2 else (g.res(b, b2), (b, b2))
+                if phi and psi:
+                    if (kf, kg) not in built:
+                        built[(kf, kg)] = tensor_chain_maps(phi, psi, lay, lay2)
+                    restrictions[(s, t)] = built[(kf, kg)]
     return CellularSheaf(base, stalks, restrictions)
-
-
-def _step(h, a, b):
-    """The factor over h of a restriction that moves a to b, with the key it
-    is shared under: h.res(a, b), or the dims of h(a) when a == b."""
-    if a == b:
-        return h.stalks[a].dims, (tuple(sorted(h.stalks[a].dims.items())),)
-    return h.res(a, b), (a, b)
 
 
 def pullback(f: CellularMap, g: CellularSheaf) -> CellularSheaf:
