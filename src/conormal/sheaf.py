@@ -245,7 +245,8 @@ def _pulled_tensor(base, f, g, left, right):
         if a in f.stalks and b in g.stalks:
             cells[x] = (a, b, tensor_layout(f.stalks[a], g.stalks[b]))
     stalks = {x: ql._tensor(f.stalks[a], g.stalks[b], lay) for x, (a, b, lay) in cells.items()}
-    # the identity of each stalk, as its dims, with the key it is shared under
+    # the identity of each stalk, as its dims, with the key it is shared
+    # under (a 1-tuple, so it never equals the key (a, a2) of a restriction)
     fid, gid = ({a: (v.dims, (tuple(sorted(v.dims.items())),)) for a, v in h.stalks.items()}
                 for h in (f, g))
     restrictions, built = {}, {}
