@@ -87,7 +87,12 @@ def parse_matrix(rows) -> Matrix:
 
 
 def fmt_matrix(m: Matrix):
-    return [[fmt_fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """Row-major strings of m, written only at its stored (nonzero) entries."""
+    out = [["0"] * m.cols for _ in range(m.rows)]
+    for row, entries in zip(out, m.data):
+        for j, x in entries.items():
+            row[j] = str(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

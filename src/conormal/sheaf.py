@@ -390,23 +390,65 @@ def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
-    """Convolution of kernels: q13_*(q12^*K12 (x) q23^*K23) on M1 x M3.
+    """Convolution of kernels: q13_*(q12^*K12 (x) q23^*K23), built on
+    M1 x M3 with no sheaf on T = (M1 x M2) x M3.
 
-    The tensor product is built on T = (M1 x M2) x M3 with no pulled-back
-    sheaves: its stalk at ((a, b), c) is K12(a, b) (x) K23(b, c).  It is
-    then pushed forward along q13 : ((a, b), c) -> (a, c).
+    The stalk at (a, c) is the sections complex of the fiber of q13, with
+    the piece (b, p, q) = K12(a, b)^p (x) K23(b, c)^q in degree
+    p + q + dim b.  Its differential is (-1)^dim b d (x) 1 plus
+    (-1)^(dim b + p) 1 (x) d plus, for each coface b' of b,
+    (-1)^dim c [b':b] K12.res (x) K23.res.  A step in a restricts by
+    K12.res (x) 1 and a step in c by (-1)^dim b 1 (x) K23.res, on every b.
     """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
     if not m2.same_as(m2b):
         raise SheafError("middle factors of the kernels disagree")
-    t = _product_complex(k12.base, m3)
-    ids = t.cell_ids()
-    # q13 keeps the dimension of ((a, b), c) exactly when b is a vertex
-    q13 = CellularMap(t, _product_complex(m1, m3), {x: (x[0][0], x[1]) for x in ids},
-                      {x: 1 for x in ids if m2.dim(x[0][1]) == 0})
-    return pushforward(q13, _pulled_tensor(t, k12, k23, itemgetter(0),
-                                           lambda x: (x[0][1], x[1])))
+    base = _product_complex(m1, m3)
+    # sections() stacks a fiber by (dim, str(((a, b), c))), which within one
+    # fiber is (dim b, repr(b))
+    mids = sorted(m2.cell_ids(), key=lambda b: (m2.dim(b), repr(b)))
+    sign = {b: -1 if m2.dim(b) % 2 else 1 for b in mids}
+    res12, res23 = ({pair: ql._factors(phi) for pair, phi in k.restrictions.items()}
+                    for k in (k12, k23))
+    fibers, stalks = {}, {}  # fibers: (a, c) -> ([(b, K12(a, b), K23(b, c))], layout)
+    for a, c in base.cell_ids():
+        fib = [(b, k12.stalks[(a, b)], k23.stalks[(b, c)]) for b in mids
+               if (a, b) in k12.stalks and (b, c) in k23.stalks]
+        if not fib:
+            continue
+        lay = layout([((b, p, q), p + q + m2.dim(b), u.dims[p] * v.dims[q])
+                      for b, u, v in fib for p in sorted(u.dims) for q in sorted(v.dims)])
+        sc = -1 if m3.dim(c) % 2 else 1
+        arrows = []
+        for b, u, v in fib:
+            sb = sign[b]
+            arrows += [((b, p, q), (b, p + 1, q), d, v.dims[q], sb)
+                       for p, d in u.diffs.items() for q in v.dims]
+            arrows += [((b, p, q), (b, p, q + 1), u.dims[p], d, -sb if p % 2 else sb)
+                       for q, d in v.diffs.items() for p in u.dims]
+            for b2 in m2.cofaces(b):
+                phi, psi = res12.get(((a, b), (a, b2))), res23.get(((b, c), (b2, c)))
+                if phi and psi:
+                    sgn = sc * m2.incidence(b2, b)
+                    arrows += [((b, p, q), (b2, p, q), fp, gq, sgn)
+                               for p, fp in phi for q, gq in psi]
+        fibers[(a, c)] = fib, lay
+        stalks[(a, c)] = VectComplex(lay[0], ql._kron_map(lay, lay, arrows))
+    restrictions = {}
+    for (a, c), (fib, lay) in fibers.items():
+        # a restriction of K12 or K23 joins nonzero stalks, so an arrow
+        # lands in a piece of the fiber over (a2, c2)
+        for a2, c2 in base.cofaces((a, c)):
+            if c2 == c:
+                arrows = [((b, p, q), (b, p, q), fp, v.dims[q], 1) for b, u, v in fib
+                          for p, fp in res12.get(((a, b), (a2, b)), ()) for q in v.dims]
+            else:
+                arrows = [((b, p, q), (b, p, q), u.dims[p], gq, sign[b]) for b, u, v in fib
+                          for q, gq in res23.get(((b, c), (b, c2)), ()) for p in u.dims]
+            if arrows:
+                restrictions[((a, c), (a2, c2))] = ql._kron_map(lay, fibers[(a2, c2)][1], arrows)
+    return CellularSheaf(base, stalks, restrictions)
 
 
 def euler_rhom(f: CellularSheaf, g: CellularSheaf) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellcx import CellComplex, product, _product_complex, factors_of
+from .cellcx import CellComplex, _product_complex, factors_of
 from .sheaf import (CellularSheaf, SheafError, external, verdier_dual,
                     shift_sheaf, kernel_compose, _pulled_tensor)
 from .mueu import LagCycle, mueu, degree, external_cycle, compose_cycle
@@ -106,16 +106,16 @@ def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
     m2b, m3 = factors_of(k23.base)
     if not m2.same_as(m2b):
         raise TraceKernelError("middle factors of the trace kernels disagree")
-    m11, _, _ = product(m1, m1)
-    m22, _, _ = product(m2, m2)
-    m33, _, _ = product(m3, m3)
-    left_base, _, _ = product(m11, m22)
-    right_base, _, _ = product(m22, m33)
+    m11 = _product_complex(m1, m1)
+    m22 = _product_complex(m2, m2)
+    m33 = _product_complex(m3, m3)
+    left_base = _product_complex(m11, m22)
+    right_base = _product_complex(m22, m33)
     left = _relabel_sheaf(k12.underlying, left_base, _interleave)
     right = _relabel_sheaf(k23.underlying, right_base, _interleave)
     composed = kernel_compose(left, right)  # on product(m11, m33)
-    m13, _, _ = product(m1, m3)
-    doubled, _, _ = product(m13, m13)
+    m13 = _product_complex(m1, m3)
+    doubled = _product_complex(m13, m13)
     underlying = _relabel_sheaf(composed, doubled, _interleave)
     cls = compose_cycle(k12.euler_class, k23.euler_class, m13)
     return TraceKernel(m13, underlying, ComposeTK(k12, k23), cls)

@@ -270,11 +270,29 @@ def _flanked_kernel_pairs():
     yield k12, external(sky, constant(POINT), right)
 
 
+def _fiber_order_kernel_pairs():
+    """Seeded kernels whose fibers stack in an order the small factors do not
+    show: factors that are products themselves, as compose_tk passes them,
+    and the middle factor circle(12), whose cell ids sort as strings ("10"
+    before "2")."""
+    rng = random.Random(22)
+    square, _, _ = product(interval(), interval())
+    for m1, m2, m3 in [(square, interval(), interval()),
+                       (interval(), square, hollow_triangle()),
+                       (interval(), circle(12), interval()),
+                       (square, circle(12), POINT)]:
+        p12, _, _ = product(m1, m2)
+        p23, _, _ = product(m2, m3)
+        yield (_with_constant(rng, p12),
+               random_sheaf(rng, p23, max_pieces=2, degree_range=(0, 1)))
+
+
 def test_kernel_compose_equals_pullback_tensor_pushforward():
     """The one-pass composition is the same sheaf, restriction for
     restriction, as pushing forward the tensor of the pullbacks."""
     nonzero_res = 0
-    for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs()]:
+    for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs(),
+                     *_fiber_order_kernel_pairs()]:
         got = kernel_compose(k12, k23)
         q13, on_t = _pulled_back_tensor(k12, k23)
         want = pushforward(q13, on_t)
