@@ -346,9 +346,9 @@ def product_map(f: CellularMap, g: CellularMap,
                 source: CellComplex = None, target: CellComplex = None) -> CellularMap:
     """f x g between product complexes (built if not supplied)."""
     if source is None:
-        source, _, _ = product(f.source, g.source)
+        source = _product_complex(f.source, g.source)
     if target is None:
-        target, _, _ = product(f.target, g.target)
+        target = _product_complex(f.target, g.target)
     assignment = {}
     signs = {}
     for (ca, cb) in source.cell_ids():

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cellcx import POINT, product
+from .cellcx import POINT, _product_complex
 from .qlinalg import euler
 from .sheaf import (CellularSheaf, euler_char, external, tensor_sheaf,
                     pushforward, verdier_dual, kernel_compose)
@@ -92,8 +92,8 @@ def case_compose(rng, **_):
     m1 = _factor(rng, _SMALL_FACTORS)
     m2 = _factor(rng, _MIDDLE_FACTORS)
     m3 = _factor(rng, _SMALL_FACTORS)
-    p12, _, _ = product(m1, m2)
-    p23, _, _ = product(m2, m3)
+    p12 = _product_complex(m1, m2)
+    p23 = _product_complex(m2, m3)
     k12 = randgen.random_sheaf(rng, p12, max_pieces=2, degree_range=(-1, 1))
     k23 = randgen.random_sheaf(rng, p23, max_pieces=2, degree_range=(-1, 1))
     lhs = mueu(kernel_compose(k12, k23))
@@ -175,6 +175,14 @@ def case_twist(rng, **_):
     twisted = shift_twist(k, d)
     if twisted.euler_class != k.euler_class:
         return {"identity": "class(shift_twist(K, d)) == class(K)", "d": d}
+    # F[d] (x) DF[-d] has the stalk dims of F (x) DF: the shifts cancel
+    got, want = twisted.underlying.stalks, k.underlying.stalks
+    if got.keys() != want.keys():
+        return {"identity": "cells of shift_twist(K, d) == cells of K", "d": d}
+    for c, v in want.items():
+        if got[c].dims != v.dims:
+            return {"identity": "stalk dims of shift_twist(K, d) == stalk dims of K",
+                    "d": d, "cell": str(c)}
     return None
 
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .cellcx import POINT, CellComplexError, product
+from .cellcx import POINT, CellComplexError, _product_complex
 from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
                     kernel_compose, SheafError)
@@ -114,12 +114,12 @@ def cmd_check(args):
 
 def _lift_left(sheaf):
     """View a sheaf on M as a kernel on product(point, M)."""
-    p, _, _ = product(POINT, sheaf.base)
+    p = _product_complex(POINT, sheaf.base)
     return _relabel_sheaf(sheaf, p, lambda c: ("pt", c))
 
 
 def _lift_right(sheaf):
-    p, _, _ = product(sheaf.base, POINT)
+    p = _product_complex(sheaf.base, POINT)
     return _relabel_sheaf(sheaf, p, lambda c: (c, "pt"))
 
 

@@ -8,7 +8,7 @@ which the degree of the class is the index of the sheaf.
 
 from __future__ import annotations
 
-from .cellcx import CellComplex, CellularMap, product
+from .cellcx import CellComplex, CellularMap, _product_complex
 from .qlinalg import euler
 from .sheaf import CellularSheaf, SheafError, constant
 
@@ -93,7 +93,7 @@ def degree(cycle: LagCycle) -> int:
 
 def external_cycle(lam: LagCycle, mu: LagCycle, prod: CellComplex = None) -> LagCycle:
     if prod is None:
-        prod, _, _ = product(lam.base, mu.base)
+        prod = _product_complex(lam.base, mu.base)
     w = {}
     for a, wa in lam.weights.items():
         for b, wb in mu.weights.items():
@@ -123,7 +123,7 @@ def compose_cycle(lam: LagCycle, mu: LagCycle, prod13: CellComplex = None) -> La
     if not m2.same_as(m2b):
         raise SheafError("middle factors of the cycles disagree")
     if prod13 is None:
-        prod13, _, _ = product(m1, m3)
+        prod13 = _product_complex(m1, m3)
     w = {}
     for (s1, s2), wl in lam.weights.items():
         p = _parity(m2.dim(s2))

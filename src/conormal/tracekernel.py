@@ -1,19 +1,22 @@
 """Trace kernels generated by F (x) DF and closed under the supported
 operations (external product, composition, shift twist).
 
-The defining morphisms from the constant sheaf on the diagonal and into
-the dualizing object of the diagonal are carried abstractly by the
-provenance tag: each constructor corresponds to a closure statement
-guaranteeing their existence, and the microlocal Euler class field is
-the shadow those morphisms determine.
+A kernel is its Euler class on M and a builder: build(d) returns the
+sheaf on product(M, M) of the kernel twisted by d, assembled from its
+factors' d-twisted sheaves.  The sheaf itself (build(0)) is made only
+when `underlying` is first read.  The defining morphisms from the
+constant sheaf on the diagonal and into the dualizing object of the
+diagonal are carried abstractly: each constructor corresponds to a
+closure statement guaranteeing their existence, and the microlocal Euler
+class is the shadow those morphisms determine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .cellcx import CellComplex, _product_complex, factors_of
-from .sheaf import (CellularSheaf, SheafError, external, verdier_dual,
+from .sheaf import (CellularSheaf, SheafError, euler_char, external, verdier_dual,
                     shift_sheaf, kernel_compose, _pulled_tensor)
 from .mueu import LagCycle, mueu, degree, external_cycle, compose_cycle
 
@@ -22,53 +25,37 @@ class TraceKernelError(SheafError):
     pass
 
 
-@dataclass(frozen=True)
-class TkOf:
-    sheaf: CellularSheaf
-
-
-@dataclass(frozen=True)
-class ExternalTK:
-    left: "TraceKernel"
-    right: "TraceKernel"
-
-
-@dataclass(frozen=True)
-class ComposeTK:
-    left: "TraceKernel"
-    right: "TraceKernel"
-
-
-@dataclass(frozen=True)
-class TwistTK:
-    kernel: "TraceKernel"
-    shift: int
-
-
 class TraceKernel:
-    """A sheaf on product(M, M) with provenance and its Euler class on M."""
+    """A sheaf on product(M, M), built on first read, and its Euler class
+    on M."""
 
-    def __init__(self, base: CellComplex, underlying: CellularSheaf,
-                 provenance, euler_class: LagCycle):
+    def __init__(self, base: CellComplex, build, euler_class: LagCycle):
         if not euler_class.base.same_as(base):
             raise TraceKernelError("class must live on the diagonal factor")
         self.base = base
-        self.underlying = underlying
-        self.provenance = provenance
+        self._build = build
         self.euler_class = euler_class
 
+    @cached_property
+    def underlying(self) -> CellularSheaf:
+        return self._build(0)
+
+    def sheaf(self, d: int) -> CellularSheaf:
+        """The sheaf of this kernel twisted by d."""
+        return self.underlying if d == 0 else self._build(d)
+
     def __repr__(self):
-        return "TraceKernel(%s on %r)" % (type(self.provenance).__name__, self.base)
+        return "TraceKernel(on %r)" % (self.base,)
 
 
 def tk(f: CellularSheaf) -> TraceKernel:
     """The trace kernel of a constructible sheaf: F (x) DF."""
-    underlying = external(f, verdier_dual(f))
     cls = mueu(f)
-    from .sheaf import euler_char
     if degree(cls) != euler_char(f):
         raise TraceKernelError("class degree disagrees with the index of F")
-    return TraceKernel(f.base, underlying, TkOf(f), cls)
+    return TraceKernel(f.base, lambda d: external(shift_sheaf(f, d),
+                                                  shift_sheaf(verdier_dual(f), -d)),
+                       cls)
 
 
 def eu_point(k: TraceKernel) -> int:
@@ -94,10 +81,11 @@ def external_tk(k1: TraceKernel, k2: TraceKernel) -> TraceKernel:
     """External product of trace kernels, built on product(M12, M12): the
     stalk at ((a, c), (b, d)) is K1(a, b) (x) K2(c, d)."""
     m12 = _product_complex(k1.base, k2.base)
-    underlying = _pulled_tensor(_product_complex(m12, m12), k1.underlying, k2.underlying,
-                                lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
-    cls = external_cycle(k1.euler_class, k2.euler_class, m12)
-    return TraceKernel(m12, underlying, ExternalTK(k1, k2), cls)
+
+    def build(d):
+        return _pulled_tensor(_product_complex(m12, m12), k1.sheaf(d), k2.sheaf(d),
+                              lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
+    return TraceKernel(m12, build, external_cycle(k1.euler_class, k2.euler_class, m12))
 
 
 def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
@@ -106,55 +94,22 @@ def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
     m2b, m3 = factors_of(k23.base)
     if not m2.same_as(m2b):
         raise TraceKernelError("middle factors of the trace kernels disagree")
-    m11 = _product_complex(m1, m1)
-    m22 = _product_complex(m2, m2)
-    m33 = _product_complex(m3, m3)
-    left_base = _product_complex(m11, m22)
-    right_base = _product_complex(m22, m33)
-    left = _relabel_sheaf(k12.underlying, left_base, _interleave)
-    right = _relabel_sheaf(k23.underlying, right_base, _interleave)
-    composed = kernel_compose(left, right)  # on product(m11, m33)
     m13 = _product_complex(m1, m3)
-    doubled = _product_complex(m13, m13)
-    underlying = _relabel_sheaf(composed, doubled, _interleave)
-    cls = compose_cycle(k12.euler_class, k23.euler_class, m13)
-    return TraceKernel(m13, underlying, ComposeTK(k12, k23), cls)
+
+    def build(d):
+        m11 = _product_complex(m1, m1)
+        m22 = _product_complex(m2, m2)
+        m33 = _product_complex(m3, m3)
+        left = _relabel_sheaf(k12.sheaf(d), _product_complex(m11, m22), _interleave)
+        right = _relabel_sheaf(k23.sheaf(d), _product_complex(m22, m33), _interleave)
+        composed = kernel_compose(left, right)  # on product(m11, m33)
+        return _relabel_sheaf(composed, _product_complex(m13, m13), _interleave)
+    return TraceKernel(m13, build, compose_cycle(k12.euler_class, k23.euler_class, m13))
 
 
 def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
     """Twist by an invertible shift: first factor moves by d, second by
-    -d; the Euler class is unchanged (checked weightwise where the
-    provenance allows recomputation)."""
+    -d; the Euler class is unchanged."""
     if d == 0:
         return k
-    underlying = _twisted_underlying(k, d)
-    rebuilt = _twisted_class(k, d)
-    if rebuilt is not None and rebuilt != k.euler_class:
-        raise TraceKernelError("twist changed the Euler class")
-    return TraceKernel(k.base, underlying, TwistTK(k, d), k.euler_class)
-
-
-def _twisted_underlying(k: TraceKernel, d: int) -> CellularSheaf:
-    prov = k.provenance
-    if isinstance(prov, TkOf):
-        f = prov.sheaf
-        return external(shift_sheaf(f, d), shift_sheaf(verdier_dual(f), -d))
-    if isinstance(prov, ExternalTK):
-        return external_tk(shift_twist(prov.left, d),
-                           shift_twist(prov.right, d)).underlying
-    if isinstance(prov, ComposeTK):
-        return compose_tk(shift_twist(prov.left, d),
-                          shift_twist(prov.right, d)).underlying
-    if isinstance(prov, TwistTK):
-        return _twisted_underlying(prov.kernel, prov.shift + d)
-    raise TraceKernelError("unknown provenance %r" % (prov,))
-
-
-def _twisted_class(k: TraceKernel, d: int):
-    """Recompute the class after a twist where provenance permits."""
-    prov = k.provenance
-    if isinstance(prov, TkOf):
-        return mueu(prov.sheaf)
-    if isinstance(prov, TwistTK):
-        return _twisted_class(prov.kernel, prov.shift + d)
-    return None
+    return TraceKernel(k.base, lambda e: k.sheaf(d + e), k.euler_class)

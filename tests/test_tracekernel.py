@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conormal.cellcx import POINT, product
+from conormal import checks, tracekernel
+from conormal.checks import run_checks
+from conormal.cellcx import POINT, product, _product_complex, factors_of
 from conormal.qlinalg import (Matrix, VectComplex, euler, single, dual, tensor)
-from conormal.sheaf import CellularSheaf, constant, euler_char, external
+from conormal.sheaf import (CellularSheaf, constant, direct_sum_sheaf, euler_char,
+                            external, kernel_compose, shift_sheaf, verdier_dual)
 from conormal.mueu import mueu, degree
 from conormal.tracekernel import (TraceKernel, TraceKernelError, tk, eu_point,
                                   external_tk, compose_tk, shift_twist,
-                                  TkOf, ExternalTK, ComposeTK, TwistTK,
                                   _relabel_sheaf)
-from conormal.randgen import (interval, hollow_triangle, random_complex,
-                              random_sheaf, random_vect_complex)
+from conormal.randgen import (interval, circle, hollow_triangle, random_complex,
+                              random_piece_sheaf, random_sheaf, random_vect_complex)
 
 
 def point_sheaf(v):
@@ -22,7 +24,6 @@ def point_sheaf(v):
 def test_tk_of_point_complex():
     v = VectComplex({0: 2, 1: 1})
     k = tk(point_sheaf(v))
-    assert isinstance(k.provenance, TkOf)
     assert eu_point(k) == 1
     assert euler(k.underlying.stalk(("pt", "pt"))) == euler(v) * euler(dual(v))
 
@@ -56,7 +57,6 @@ def test_external_tk():
     k1 = tk(constant(interval()))
     k2 = tk(point_sheaf(single(0, 2)))
     k = external_tk(k1, k2)
-    assert isinstance(k.provenance, ExternalTK)
     assert degree(k.euler_class) == degree(k1.euler_class) * degree(k2.euler_class)
     assert k.underlying.validate() == []
 
@@ -67,7 +67,6 @@ def test_compose_tk_point_flanked_circle():
     p12, _, _ = product(POINT, m2)
     p23, _, _ = product(m2, POINT)
     k = compose_tk(tk(constant(p12)), tk(constant(p23)))
-    assert isinstance(k.provenance, ComposeTK)
     assert k.base.same_as(product(POINT, POINT)[0])
     assert degree(k.euler_class) == 0  # chi(S1)
 
@@ -96,8 +95,6 @@ def test_shift_twist_invariance():
         for d in range(-3, 4):
             kd = shift_twist(k, d)
             assert kd.euler_class == k.euler_class
-            if d != 0:
-                assert isinstance(kd.provenance, TwistTK)
 
 
 def test_shift_twist_zero_is_identity():
@@ -145,3 +142,124 @@ def test_external_tk_equals_reordered_external():
         assert got.restrictions == want.restrictions
         nonzero_res += len(got.restrictions)
     assert nonzero_res > 100
+
+
+# The route shift_twist took when each kernel carried a tree of how it was
+# built: a twist of tk(F) is F[d] (x) DF[-d], and a twist of an external
+# product or a composition twists both factors and redoes the operation,
+# here with external and kernel_compose on interleaved bases.  Build trees
+# are ("tk", F), ("external", t1, t2), ("compose", t12, t23), ("twist", t, s).
+
+def _swap_middle(cell):
+    ((a, b), (c, d)) = cell
+    return ((a, c), (b, d))
+
+
+def _old_route(tree, d):
+    kind, *args = tree
+    if kind == "tk":
+        (f,) = args
+        return external(shift_sheaf(f, d), shift_sheaf(verdier_dual(f), -d))
+    if kind == "twist":
+        sub, s = args
+        return _old_route(sub, s + d)
+    a, b = (_old_route(t, d) for t in args)
+    ma, mb = factors_of(a.base)[0], factors_of(b.base)[0]
+    if kind == "external":
+        m12 = _product_complex(ma, mb)
+        return _relabel_sheaf(external(a, b), _product_complex(m12, m12), _swap_middle)
+    (m1, m2), (_, m3) = factors_of(ma), factors_of(mb)
+    m11, m22, m33, m13 = (_product_complex(x, y) for x, y in
+                          ((m1, m1), (m2, m2), (m3, m3), (m1, m3)))
+    left = _relabel_sheaf(a, _product_complex(m11, m22), _swap_middle)
+    right = _relabel_sheaf(b, _product_complex(m22, m33), _swap_middle)
+    return _relabel_sheaf(kernel_compose(left, right), _product_complex(m13, m13),
+                          _swap_middle)
+
+
+def _kernel_of(tree):
+    kind, *args = tree
+    if kind == "tk":
+        return tk(args[0])
+    if kind == "twist":
+        return shift_twist(_kernel_of(args[0]), args[1])
+    return (external_tk if kind == "external" else compose_tk)(*map(_kernel_of, args))
+
+
+def _reference_trees(rng):
+    def small(cx):  # the constant sheaf in each, so that most pairs restrict
+        return ("tk", direct_sum_sheaf(constant(cx), random_sheaf(
+            rng, cx, max_pieces=2, degree_range=(-1, 1))))
+    a, b = small(interval()), small(interval())
+    c12 = ("tk", random_sheaf(rng, product(interval(), interval())[0], max_pieces=2,
+                              degree_range=(-1, 1)))
+    yield a
+    yield ("external", a, b)
+    yield ("compose", c12, small(product(interval(), POINT)[0]))
+    yield ("twist", ("twist", a, 1), -2)
+    yield ("twist", ("external", ("twist", a, 2), b), -1)
+
+
+def test_shift_twist_matches_old_route():
+    """shift_twist(K, d).underlying equals, stalk for stalk and restriction
+    for restriction, the sheaf the old route rebuilt from K's build tree."""
+    rng = random.Random(73)
+    nonzero_res = 0
+    for tree in _reference_trees(rng):
+        k = _kernel_of(tree)
+        for d in (-2, -1, 0, 1, 2):
+            got = shift_twist(k, d).underlying
+            want = _old_route(tree, d)
+            assert got.base.same_as(want.base)
+            assert got.stalks == want.stalks
+            assert got.restrictions == want.restrictions
+            nonzero_res += len(got.restrictions)
+    assert nonzero_res > 500
+
+
+def test_constructors_build_no_sheaf(monkeypatch):
+    """tk, external_tk, compose_tk and shift_twist build no sheaf; the first
+    read of underlying builds it and later reads reuse it.  The composition
+    is the one over interval x circle(5) x interval that ran out of memory
+    when every constructor built its sheaf."""
+    calls, reading = [], []
+    for name in ("external", "_pulled_tensor", "kernel_compose", "verdier_dual"):
+        def counting(*args, _name=name, _real=getattr(tracekernel, name)):
+            calls.append(_name)
+            assert reading, "%s called before underlying was read" % _name
+            return _real(*args)
+        monkeypatch.setattr(tracekernel, name, counting)
+    rng = random.Random(5)
+    m1, m2, m3 = interval(), circle(5), interval()
+    f = random_piece_sheaf(rng, product(m1, m2)[0], max_pieces=2, degree_range=(-1, 1)).sheaf
+    g = random_piece_sheaf(rng, product(m2, m3)[0], max_pieces=2, degree_range=(-1, 1)).sheaf
+    tf, tg = tk(f), tk(g)
+    k = compose_tk(tf, tg)
+    shift_twist(external_tk(shift_twist(k, 2), tf), -1)
+    assert calls == []
+    assert k.euler_class == mueu(kernel_compose(f, g))
+
+    small = shift_twist(external_tk(tk(constant(interval())), tk(point_sheaf(single(0, 2)))), 1)
+    assert calls == []
+    reading.append(True)
+    first = small.underlying
+    assert "_pulled_tensor" in calls and "verdier_dual" in calls
+    del calls[:]
+    assert small.underlying is first
+    assert calls == []
+
+
+def test_twist_suite_catches_a_one_sided_twist(monkeypatch):
+    """Under F[d] (x) DF in place of F[d] (x) DF[-d], the twisted kernel's
+    stalks move by d, and the twist suite reports it."""
+    assert run_checks(seed=1, cases=25, suites=["twist"]).ok
+
+    def one_sided_tk(f):
+        k = tk(f)
+        return TraceKernel(k.base, lambda d: external(shift_sheaf(f, d), verdier_dual(f)),
+                           k.euler_class)
+    monkeypatch.setattr(checks, "tk", one_sided_tk)
+    for seed in (1, 2):
+        report = run_checks(seed=seed, cases=25, suites=["twist"])
+        assert len(report.failures) >= 15
+        assert all("stalk dims" in detail for _, _, detail in report.failures)
