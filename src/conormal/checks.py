@@ -97,12 +97,13 @@ def case_compose(rng, **_):
     k12 = randgen.random_sheaf(rng, p12, max_pieces=2, degree_range=(-1, 1))
     k23 = randgen.random_sheaf(rng, p23, max_pieces=2, degree_range=(-1, 1))
     lhs = mueu(kernel_compose(k12, k23))
-    rhs = compose_cycle(mueu(k12), mueu(k23))
+    mu12, mu23 = mueu(k12), mueu(k23)
+    rhs = compose_cycle(mu12, mu23)
     if lhs != rhs:
         return {"identity": "mueu(K12 o K23) == mueu(K12) o mueu(K23)",
                 "lhs": {str(c): w for c, w in lhs.weights.items()},
                 "rhs": {str(c): w for c, w in rhs.weights.items()}}
-    if not lhs.support <= support_compose(mueu(k12).support, mueu(k23).support):
+    if not lhs.support <= support_compose(mu12.support, mu23.support):
         return {"identity": "support estimate for composed cycles"}
     return None
 
@@ -140,10 +141,11 @@ def case_tensor(rng, **_):
     f = randgen.random_sheaf(rng, cx, max_pieces=2)
     g = randgen.random_sheaf(rng, cx, max_pieces=2)
     fg = tensor_sheaf(f, g)
-    if mueu(fg) != star(mueu(f), mueu(g)):
+    product = star(mueu(f), mueu(g))
+    if mueu(fg) != product:
         return {"identity": "mueu(F (x) G) == mueu(F) * mueu(G)",
                 **_sheaf_blob(cx, f)}
-    if degree(star(mueu(f), mueu(g))) != euler_char(fg):
+    if degree(product) != euler_char(fg):
         return {"identity": "degree(mueu F * mueu G) == euler_char(F (x) G)",
                 **_sheaf_blob(cx, f)}
     return None

@@ -92,6 +92,11 @@ class Matrix:
     def column(cls, entries):
         return cls(len(entries), 1, [[e] for e in entries])
 
+    def _row(self, i):
+        if not 0 <= i < self.rows:
+            raise IndexError("row %d out of range" % i)
+        return self.data[i]
+
     def _col(self, j):
         if not 0 <= j < self.cols:
             raise IndexError("column %d out of range" % j)
@@ -99,11 +104,11 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i].get(self._col(j), _ZERO)
+        return self._row(i).get(self._col(j), _ZERO)
 
     def __setitem__(self, ij, v):
         i, j = ij
-        row = self.data[i]
+        row = self._row(i)
         v = _frac(v)
         if v:
             row[self._col(j)] = v
@@ -158,7 +163,10 @@ class Matrix:
             acc = {}
             for k, a in row.items():
                 for j, b in bdata[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
             out.data[i] = {j: x for j, x in acc.items() if x}
         return out
 
@@ -354,7 +362,8 @@ def rref(m: Matrix):
         for i, row in enumerate(a):
             f = row.get(c)
             if f is not None and i != r:
-                _add_row(row, {j: -f * x for j, x in prow.items()})
+                f = -f
+                _add_row(row, {j: f * x for j, x in prow.items()})
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -573,8 +582,11 @@ def _kron_map(src, tgt, arrows):
     (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
     identity I_n.  No two arrows join the same two pieces, so the blocks
     are disjoint: a block's rows are put in place, or merged into rows
-    another block already wrote.  Keyed by source degree, and degrees
-    whose matrix is zero are left out, like graded_map."""
+    another block already wrote.  A scalar block, whose factors are both
+    1x1 (a 1x1 Matrix or the int 1), is the one entry sign * x * y written
+    into its target row, with no product by a factor 1, and nothing when x
+    or y is zero.  Keyed by source degree, and degrees whose matrix is zero
+    are left out, like graded_map."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
@@ -593,6 +605,16 @@ def _kron_map(src, tgt, arrows):
         r1 = r0 + ar * br
         if r1 > m.rows or c0 + ac * bc > m.cols:
             raise LinAlgError("block out of range")
+        if ar == ac == br == bc == 1:
+            x = _ONE if isinstance(a, int) else a.data[0].get(0)
+            y = _ONE if isinstance(b, int) else b.data[0].get(0)
+            if x is not None and y is not None:
+                if x is _ONE:
+                    x = y
+                elif y is not _ONE:
+                    x *= y
+                m.data[r0][c0] = -x if sign < 0 else x
+            continue
         rows = _kron_rows(a, b, c0)
         if sign < 0:
             rows = [{j: -x for j, x in row.items()} for row in rows]
@@ -669,14 +691,6 @@ def scale_chain_map(phi, c):
 
 def identity_chain_map(v: VectComplex):
     return {n: Matrix.identity(d) for n, d in v.dims.items()}
-
-
-def dual_chain_map(phi, src: VectComplex, tgt: VectComplex):
-    """Dual of phi: src -> tgt, as a chain map dual(tgt) -> dual(src)."""
-    out = {}
-    for n, m in phi.items():
-        out[-n] = m.transpose()
-    return out
 
 
 def shift_chain_map(phi, k):

@@ -28,7 +28,7 @@ from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
 from .qlinalg import (Matrix, VectComplex, single, direct_sum, shift,
                       identity_chain_map, add_chain_maps, scale_chain_map,
                       compose_chain_maps, chain_component, solve_unique,
-                      _ONE, _ZERO)
+                      _ONE)
 from .sheaf import CellularSheaf, SheafMorphism
 from .lefschetz import LefschetzInstance
 
@@ -183,11 +183,15 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
 def _add_multiple(row, f, other):
     """row += f * other on sparse rows; entries that cancel are removed."""
     for k, x in other.items():
-        y = row.get(k, _ZERO) + f * x
-        if y:
-            row[k] = y
+        y = row.get(k)
+        if y is None:
+            row[k] = f * x
         else:
-            del row[k]
+            y += f * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
 
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:

@@ -22,7 +22,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, chain_component, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      dual_chain_map, shift_chain_map, layout, graded_map)
+                      shift_chain_map, layout, graded_map)
 
 
 class SheafError(ValueError):
@@ -357,15 +357,26 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
             stalks[c] = dv
     restrictions = {}
     for (t, s) in base.incidence_pairs():
-        # star(t) is contained in star(s); dualize the inclusion
+        # star(t) is contained in star(s); the restriction is the transpose
+        # of the inclusion of star(t)'s pieces: in degree -n, row off_t + i
+        # of piece (c, p) holds one 1, at column off_s + i
         if s not in stalks or t not in stalks:
             continue
         vc_s, idx_s = star_sections[s]
         vc_t, idx_t = star_sections[t]
-        incl = graded_map((vc_t.dims, idx_t), (vc_s.dims, idx_s),
-                          [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1)
-                           for c, p in idx_t])
-        restrictions[(s, t)] = dual_chain_map(incl, vc_t, vc_s)
+        phi = {}
+        for (c, p), (n, off_t) in idx_t.items():
+            ns, off_s = idx_s[(c, p)]
+            if ns != n:
+                raise ql.LinAlgError("piece %r sits in degree %d of star(%r) and %d of star(%r)"
+                                     % ((c, p), n, t, ns, s))
+            m = phi.get(-n)
+            if m is None:
+                m = phi[-n] = Matrix(vc_t.dims[n], vc_s.dims[n])
+            rows = m.data
+            for i in range(f.stalks[c].dims[p]):
+                rows[off_t + i][off_s + i] = ql._ONE
+        restrictions[(s, t)] = phi
     return CellularSheaf(base, stalks, restrictions)
 
 

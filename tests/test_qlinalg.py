@@ -10,7 +10,8 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
                               trace_endo, cohomology_trace, layout,
-                              graded_map, tensor_layout, tensor_chain_maps)
+                              graded_map, tensor_layout, tensor_chain_maps,
+                              _kron_map)
 from conormal.randgen import (random_vect_complex, random_chain_endo,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf)
@@ -37,6 +38,19 @@ def test_kron_mixed_shapes():
     k = a.kron(b)
     assert (k.rows, k.cols) == (2, 2)
     assert k == M([[1, 2], [3, 6]])
+
+
+def test_matrix_indexing_rejects_rows_and_columns_out_of_range():
+    m = M([[1, 2], [3, 4]])
+    for ij in [(-1, 0), (2, 0), (0, -1), (0, 2)]:
+        with pytest.raises(IndexError):
+            m[ij]
+        with pytest.raises(IndexError):
+            m[ij] = 5
+    assert m == M([[1, 2], [3, 4]])
+    m[1, 0] = 0
+    m[0, 1] = 7
+    assert m == M([[1, 7], [0, 4]])
 
 
 def test_rank_exact():
@@ -318,6 +332,70 @@ def test_layout_and_graded_map_by_hand():
     assert graded_map(lay, lay, [("a", "c", M([[2]]), 1), ("a", "c", M([[2]]), -1)]) == {}
     with pytest.raises(LinAlgError, match="land in degrees"):
         graded_map(lay, lay, [("a", "c", M([[1]]), 1), ("b", "a", M([[1, 1]]), 1)])
+
+
+def _kron_factor(rng, rows, cols):
+    """A random Kronecker factor of the given shape: the int n for I_n
+    when square (sometimes), else a Matrix whose entries may be zero."""
+    if rows == cols and rng.random() < 0.3:
+        return rows
+    return Matrix(rows, cols, [[rng.choice([0, 0, 1, -1, 2, Fraction(-1, 3)])
+                                for _ in range(cols)] for _ in range(rows)])
+
+
+def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
+    """_kron_map, with its one-entry scalar blocks, against Matrix.kron
+    blocks placed by Matrix.assemble, entry for entry."""
+    rng = random.Random(41)
+
+    def dims():
+        # most pieces have dim 1, so most blocks are 1x1
+        return [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 4))]
+
+    scalar = zero = wide = 0
+    for _ in range(300):
+        # source pieces in degrees 0 and 1, target pieces one degree up
+        spieces = [(("s", n, k), n, d) for n in (0, 1) for k, d in enumerate(dims())]
+        tpieces = [(("t", n + 1, k), n + 1, d) for n in (0, 1) for k, d in enumerate(dims())]
+        src, tgt = layout(spieces), layout(tpieces)
+        arrows = []
+        for s, n, ds in spieces:
+            for t, nt, dt in tpieces:
+                if nt != n + 1 or rng.random() < 0.3:
+                    continue
+                ar = rng.choice([r for r in range(1, dt + 1) if dt % r == 0])
+                ac = rng.choice([c for c in range(1, ds + 1) if ds % c == 0])
+                a = _kron_factor(rng, ar, ac)
+                b = _kron_factor(rng, dt // ar, ds // ac)
+                sign = rng.choice([1, -1])
+                arrows.append((s, t, a, b, sign))
+                if dt == ds == 1:
+                    scalar += 1
+                    zero += any(isinstance(x, Matrix) and x.is_zero() for x in (a, b))
+                elif dt == 1:
+                    wide += 1  # shares its target row with the scalar blocks
+        blocks = {}
+        for s, t, a, b, sign in arrows:
+            n, c0 = src[1][s]
+            nt, r0 = tgt[1][t]
+            a, b = (Matrix.identity(x) if isinstance(x, int) else x for x in (a, b))
+            blocks.setdefault(n, (nt, []))[1].append((r0, c0, a.kron(b), sign))
+        want = {n: Matrix.assemble(tgt[0][nt], src[0][n], bl) for n, (nt, bl) in blocks.items()}
+        assert _kron_map(src, tgt, arrows) == {n: m for n, m in want.items() if not m.is_zero()}
+    assert scalar > 500 and zero > 100 and wide > 100
+
+
+def test_kron_map_checks_scalar_blocks_and_degrees():
+    lay = layout([("a", 0, 1), ("b", 1, 1), ("c", 2, 1)])
+    one = M([[3]])
+    assert _kron_map(lay, lay, [("a", "b", one, 1, -1), ("b", "c", 1, 1, 1)]) == {
+        0: M([[-3]]), 1: M([[1]])}
+    assert _kron_map(lay, lay, [("a", "b", one, M([[0]]), 1)]) == {}
+    short = layout([("a", 0, 1), ("b", 1, 0)])
+    with pytest.raises(LinAlgError, match="block out of range"):
+        _kron_map(short, short, [("a", "b", 1, 1, 1)])
+    with pytest.raises(LinAlgError, match="land in degrees"):
+        _kron_map(lay, lay, [("a", "b", 1, 1, 1), ("a", "c", 1, 1, 1)])
 
 
 def test_kernel_and_solve():

@@ -8,18 +8,20 @@ import pytest
 from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, CellularMap,
                              factors_of, projections, product_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
-                              homology_ranks, single, compose_chain_maps)
+                              homology_ranks, single, compose_chain_maps,
+                              dual, graded_map)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             SheafMorphism, constant, zero_sheaf,
                             global_sections, euler_char, shift_sheaf,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
                             pushforward, extend_by_zero, verdier_dual,
                             mapping_cone, kernel_compose, euler_rhom,
-                            _chain_maps_equal)
+                            sections, _chain_maps_equal)
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
-                              random_morphism, random_cellular_map)
+                              random_morphism, random_cellular_map,
+                              PieceSheaf, SKY, ACYC)
 from conormal.tracekernel import tk, external_tk, shift_twist
 from conormal.io import describe_sheaf
 
@@ -164,6 +166,62 @@ def test_biduality_chi_level():
         dd = verdier_dual(verdier_dual(f))
         for c in cx.cell_ids():
             assert euler(dd.stalk(c)) == euler(f.stalk(c))
+
+
+def _dual_inputs():
+    """Seeded sheaves for verdier_dual: random piece sheaves, a random sheaf
+    plus the constant sheaf (stalks of dim 2 and more), and piece sheaves
+    supported on open stars, with both kinds of piece."""
+    rng = random.Random(43)
+    for cx in [full_simplex(2), circle(5), torus7(), tetra_boundary(), hollow_triangle()] * 2:
+        yield random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))
+        yield _with_constant(rng, cx)
+        cells = sorted(cx.cell_ids(), key=str)
+        pieces = [(kind, frozenset(cx.star(rng.choice(cells))), rng.randint(-1, 1),
+                   {c: Fraction(rng.choice([-2, -1, 1, 3])) for c in cells})
+                  for kind in (SKY, ACYC, SKY)]
+        yield PieceSheaf(cx, pieces, {}).sheaf
+    for _ in range(10):
+        cx = random_complex(rng, max_dim=2, max_vertices=5, max_cells=12)
+        yield random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))
+
+
+def test_verdier_dual_restrictions_are_transposed_inclusions():
+    """verdier_dual, stalk for stalk and restriction for restriction, against
+    dualizing the compactly supported star sections and transposing the
+    inclusion of star(t)'s pieces into star(s)'s, placed as identity blocks
+    by graded_map."""
+    nonzero_res = 0
+    for f in _dual_inputs():
+        base = f.base
+        got = verdier_dual(f)
+        star = {c: sections(f, base.star(c), base.dim) for c in base.cell_ids()}
+        assert got.stalks == {c: dual(vc) for c, (vc, _) in star.items() if not vc.is_zero()}
+        want = {}
+        for t, s in base.incidence_pairs():
+            if s in got.stalks and t in got.stalks:
+                (vc_s, idx_s), (vc_t, idx_t) = star[s], star[t]
+                incl = graded_map((vc_t.dims, idx_t), (vc_s.dims, idx_s),
+                                  [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1)
+                                   for c, p in idx_t])
+                want[(s, t)] = {-n: m.transpose() for n, m in incl.items()}
+        assert got.restrictions == want
+        assert got.validate() == []
+        nonzero_res += len(want)
+    assert nonzero_res > 300
+
+
+# sha256 of describe_sheaf over verdier_dual of _dual_inputs(); a change to
+# any entry of a stalk differential or a restriction changes it
+DUAL_DIGEST = "e7b0563d13473be3170f832c5b242b7280ced72650d296892b566c8bf7114400"
+
+
+def test_verdier_dual_outputs_digest_is_pinned():
+    h = hashlib.sha256()
+    for f in _dual_inputs():
+        h.update(json.dumps(describe_sheaf(verdier_dual(f)), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == DUAL_DIGEST
 
 
 def test_random_sheaves_are_valid():
