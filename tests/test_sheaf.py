@@ -9,7 +9,7 @@ from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, Ce
                              factors_of, projections, product_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps,
-                              dual, graded_map)
+                              dual, graded_map, total_complex)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             SheafMorphism, constant, zero_sheaf,
                             global_sections, euler_char, shift_sheaf,
@@ -21,9 +21,11 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
                               random_morphism, random_cellular_map,
-                              PieceSheaf, SKY, ACYC)
+                              random_vect_complex, random_chain_endo,
+                              random_lefschetz_instance, PieceSheaf, SKY, ACYC)
 from conormal.tracekernel import tk, external_tk, shift_twist
-from conormal.io import describe_sheaf
+from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
+from conormal.lefschetz import _induced_endo
 
 
 def test_constant_sheaf_cohomology():
@@ -439,3 +441,39 @@ def test_tensor_outputs_digest_is_pinned():
         h.update(json.dumps(describe_sheaf(sheaf), sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == TENSOR_DIGEST
+
+
+def _placement_outputs():
+    """Seeded outputs of the builders that place blocks between layouts:
+    pushforward along random_cellular_map, mapping_cone of random_morphism,
+    direct_sum_sheaf, total_complex of a chain endomorphism's two-column
+    grid, and the induced endomorphism of a Lefschetz instance."""
+    rng = random.Random(33)
+    for _ in range(40):
+        cx = random_complex(rng, max_dim=2, max_vertices=6, max_cells=16)
+        f = random_cellular_map(rng, cx)
+        yield describe_sheaf(pushforward(f, random_sheaf(rng, f.source, max_pieces=2)))
+        src = random_piece_sheaf(rng, cx, max_pieces=2)
+        tgt = random_piece_sheaf(rng, cx, max_pieces=2)
+        yield describe_sheaf(mapping_cone(random_morphism(rng, src, tgt)))
+        yield describe_sheaf(direct_sum_sheaf(src.sheaf, tgt.sheaf))
+    for _ in range(30):
+        v = random_vect_complex(rng)
+        phi, _ = random_chain_endo(rng, v)
+        yield describe_vect_complex(total_complex({0: v, 1: v},
+                                                  {(0, n): m for n, m in phi.items()}))
+    for _ in range(20):
+        vc, phi = _induced_endo(random_lefschetz_instance(rng))
+        yield [describe_vect_complex(vc), {str(n): fmt_matrix(m) for n, m in sorted(phi.items())}]
+
+
+# sha256 of _placement_outputs(); a change to any placed entry changes it
+PLACEMENT_DIGEST = "1e98f59bf4ec0d75c14ed63b357b4257c86311df43e278c9785cefaf27ef029e"
+
+
+def test_placement_outputs_digest_is_pinned():
+    h = hashlib.sha256()
+    for item in _placement_outputs():
+        h.update(json.dumps(item, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == PLACEMENT_DIGEST
