@@ -47,9 +47,6 @@ class CellComplex:
     def dim(self, cid) -> int:
         return self._cells[cid]
 
-    def top_dim(self) -> int:
-        return max(self._cells.values(), default=-1)
-
     def cells_of_dim(self, d):
         return [c for c, cd in self._cells.items() if cd == d]
 

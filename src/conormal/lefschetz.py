@@ -56,7 +56,7 @@ def _induced_endo(inst: LefschetzInstance):
     sh, f = inst.sheaf, inst.f
     vc, index = sections(sh, sh.base.cell_ids(), sh.base.dim)
     # phi_c : F(f(c)) -> F(c) on the cells whose dimension f preserves
-    arrows = [((f(c), p), (c, p), m, f.sign(c))
+    arrows = [((f(c), p), (c, p), m, 1, f.sign(c))
               for c, comp in inst.phi.items() if sh.base.dim(f(c)) == sh.base.dim(c)
               for p, m in comp.items()]
     lay = (vc.dims, index)

@@ -8,7 +8,7 @@ which the degree of the class is the index of the sheaf.
 
 from __future__ import annotations
 
-from .cellcx import CellComplex, CellularMap, _product_complex
+from .cellcx import CellComplex, CellularMap, _product_complex, factors_of
 from .qlinalg import euler
 from .sheaf import CellularSheaf, SheafError, constant
 
@@ -111,15 +111,10 @@ def star(lam: LagCycle, mu: LagCycle) -> LagCycle:
     return LagCycle(lam.base, w)
 
 
-def _factor_pair(cycle: LagCycle):
-    from .cellcx import factors_of
-    return factors_of(cycle.base)
-
-
 def compose_cycle(lam: LagCycle, mu: LagCycle, prod13: CellComplex = None) -> LagCycle:
     """Convolution over the middle factor with the (-1)^{dim} twist."""
-    m1, m2 = _factor_pair(lam)
-    m2b, m3 = _factor_pair(mu)
+    m1, m2 = factors_of(lam.base)
+    m2b, m3 = factors_of(mu.base)
     if not m2.same_as(m2b):
         raise SheafError("middle factors of the cycles disagree")
     if prod13 is None:
@@ -151,7 +146,6 @@ def pullback_cycle_projection(q: CellularMap, lam: LagCycle) -> LagCycle:
         raise SheafError("pullback of cycles is supported along registered "
                          "product projections only")
     prod, which = q.projection_of
-    from .cellcx import factors_of
     a, b = factors_of(prod)
     if which == "first":
         if not a.same_as(lam.base):

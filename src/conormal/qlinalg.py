@@ -436,9 +436,6 @@ class VectComplex:
             m = Matrix.zeros(self.dim(n + 1), self.dim(n))
         return m
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def is_zero(self) -> bool:
         return not self.dims
 
@@ -539,54 +536,16 @@ def layout(pieces):
 
 def graded_map(src, tgt, arrows):
     """Per-degree matrices of the map between two layouts (dims, index)
-    that sends piece s into piece t by sign * m, for arrows (s, t, m, sign)
-    with sign +-1.  Keyed by source degree; arrows into one place add, and
-    degrees whose matrix is zero are left out."""
-    sdims, sindex = src
-    tdims, tindex = tgt
-    blocks = {}  # source degree -> (target degree, blocks)
-    for s, t, m, sign in arrows:
-        n, c0 = sindex[s]
-        nt, r0 = tindex[t]
-        entry = blocks.setdefault(n, (nt, []))
-        if entry[0] != nt:
-            raise LinAlgError("arrows from degree %d land in degrees %d and %d"
-                              % (n, entry[0], nt))
-        entry[1].append((r0, c0, m, sign))
-    out = {n: Matrix.assemble(tdims[nt], sdims[n], bl) for n, (nt, bl) in blocks.items()}
-    return {n: m for n, m in out.items() if not m.is_zero()}
-
-
-def direct_sum_layout(*parts: VectComplex):
-    """Layout of parts[0] (+) parts[1] (+) ...: piece (k, n) is degree n of
-    parts[k], and the parts follow each other in every degree."""
-    return layout([((k, n), n, d) for k, v in enumerate(parts) for n, d in v.dims.items()])
-
-
-def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
-    lay = direct_sum_layout(a, b)
-    arrows = [((k, n), (k, n + 1), m, 1) for k, v in enumerate((a, b))
-              for n, m in v.diffs.items()]
-    return VectComplex(lay[0], graded_map(lay, lay, arrows))
-
-
-def tensor_layout(a: VectComplex, b: VectComplex):
-    """Pieces (p, q) of (a (x) b)^{p+q}, p ascending within a degree."""
-    return layout([((p, q), p + q, a.dim(p) * b.dim(q))
-                   for p in sorted(a.dims) for q in sorted(b.dims)])
-
-
-def _kron_map(src, tgt, arrows):
-    """Per-degree matrices of the map between two layouts (dims, index)
     that sends piece s into piece t by sign * (a (x) b), for arrows
     (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
-    identity I_n.  No two arrows join the same two pieces, so the blocks
-    are disjoint: a block's rows are put in place, or merged into rows
-    another block already wrote.  A scalar block, whose factors are both
-    1x1 (a 1x1 Matrix or the int 1), is the one entry sign * x * y written
-    into its target row, with no product by a factor 1, and nothing when x
-    or y is zero.  Keyed by source degree, and degrees whose matrix is zero
-    are left out, like graded_map."""
+    identity I_n, so a plain matrix m is the arrow (s, t, m, 1, sign).
+    Arrows into one place add, and entries that cancel are dropped.  A
+    scalar block, whose factors are both 1x1 (a 1x1 Matrix or the int 1),
+    is the one entry sign * x * y added into its target row, with no
+    product by a factor 1, and nothing when x or y is zero.  Any other
+    block's rows are put in place, or merged into rows another block
+    already wrote.  Keyed by source degree, and degrees whose matrix is
+    zero are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
@@ -613,18 +572,48 @@ def _kron_map(src, tgt, arrows):
                     x = y
                 elif y is not _ONE:
                     x *= y
-                m.data[r0][c0] = -x if sign < 0 else x
+                if sign < 0:
+                    x = -x
+                row = m.data[r0]
+                z = row.get(c0)
+                if z is None:
+                    row[c0] = x
+                else:
+                    x += z
+                    if x:
+                        row[c0] = x
+                    else:
+                        del row[c0]
             continue
         rows = _kron_rows(a, b, c0)
-        if sign < 0:
-            rows = [{j: -x for j, x in row.items()} for row in rows]
         data = m.data
         if any(data[r0:r1]):
             for r, row in enumerate(rows, r0):
-                data[r].update(row)
+                _add_row(data[r], row, 0, sign)
         else:
+            if sign < 0:
+                rows = [{j: -x for j, x in row.items()} for row in rows]
             data[r0:r1] = rows
     return {n: m for n, (_, m) in out.items() if any(m.data)}
+
+
+def direct_sum_layout(*parts: VectComplex):
+    """Layout of parts[0] (+) parts[1] (+) ...: piece (k, n) is degree n of
+    parts[k], and the parts follow each other in every degree."""
+    return layout([((k, n), n, d) for k, v in enumerate(parts) for n, d in v.dims.items()])
+
+
+def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
+    lay = direct_sum_layout(a, b)
+    arrows = [((k, n), (k, n + 1), m, 1, 1) for k, v in enumerate((a, b))
+              for n, m in v.diffs.items()]
+    return VectComplex(lay[0], graded_map(lay, lay, arrows))
+
+
+def tensor_layout(a: VectComplex, b: VectComplex):
+    """Pieces (p, q) of (a (x) b)^{p+q}, p ascending within a degree."""
+    return layout([((p, q), p + q, a.dim(p) * b.dim(q))
+                   for p in sorted(a.dims) for q in sorted(b.dims)])
 
 
 def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
@@ -641,7 +630,7 @@ def _tensor(a: VectComplex, b: VectComplex, lay) -> VectComplex:
             arrows.append(((p, q), (p + 1, q), a.diffs[p], b.dims[q], 1))
         if q in b.diffs:
             arrows.append(((p, q), (p, q + 1), a.dims[p], b.diffs[q], -1 if p % 2 else 1))
-    return VectComplex(lay[0], _kron_map(lay, lay, arrows))
+    return VectComplex(lay[0], graded_map(lay, lay, arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +692,15 @@ def tensor_chain_maps(phi, psi, src, tgt):
 
     src is tensor_layout(a, b) and tgt is tensor_layout(a', b'), so a
     caller that places many maps on the same complexes builds each layout
-    once.  A component may be an int n standing for the identity I_n: the
-    dims of a complex stand for its identity chain map.  A Matrix
-    component that is an identity is used as one.
+    once.  The map is one graded_map, with the Kronecker arrow
+    (p, q) -> (p, q) by phi^p (x) psi^q for every pair of components.  A
+    component may be an int n standing for the identity I_n: the dims of
+    a complex stand for its identity chain map.  A Matrix component that
+    is an identity is used as one.
     """
     gs = _factors(psi)
-    return _kron_map(src, tgt, [((p, q), (p, q), fp, gq, 1)
-                                for p, fp in _factors(phi) for q, gq in gs])
+    return graded_map(src, tgt, [((p, q), (p, q), fp, gq, 1)
+                                 for p, fp in _factors(phi) for q, gq in gs])
 
 
 def _factors(chi):
@@ -814,8 +805,8 @@ def total_complex(columns, horizontal) -> VectComplex:
     # bidegree (i, n) sits in total degree i + n, ordered by i
     lay = layout([((i, n), i + n, c.dim(n))
                   for i, c in sorted(cols.items()) for n in sorted(c.dims)])
-    arrows = [((i, n), (i + 1, n), h, 1)
+    arrows = [((i, n), (i + 1, n), h, 1, 1)
               for (i, n), h in horizontal.items() if not h.is_zero()]
-    arrows += [((i, n), (i, n + 1), dv, -1 if i % 2 else 1)
+    arrows += [((i, n), (i, n + 1), dv, 1, -1 if i % 2 else 1)
                for i, c in cols.items() for n, dv in c.diffs.items()]
     return VectComplex(lay[0], graded_map(lay, lay, arrows)).check()

@@ -24,11 +24,10 @@ import random
 from fractions import Fraction
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
-                     simplicial_map, identity_map, POINT)
-from .qlinalg import (Matrix, VectComplex, single, direct_sum, shift,
+                     simplicial_map, identity_map)
+from .qlinalg import (Matrix, VectComplex, single, direct_sum,
                       identity_chain_map, add_chain_maps, scale_chain_map,
-                      compose_chain_maps, chain_component, solve_unique,
-                      _ONE)
+                      solve_unique, _ONE)
 from .sheaf import CellularSheaf, SheafMorphism
 from .lefschetz import LefschetzInstance
 

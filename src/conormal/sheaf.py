@@ -157,12 +157,12 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
     arrows = []
     for c, w in weights.items():
         sgn = -1 if w % 2 else 1
-        arrows += [((c, p), (c, p + 1), d, sgn) for p, d in f.stalks[c].diffs.items()]
+        arrows += [((c, p), (c, p + 1), d, 1, sgn) for p, d in f.stalks[c].diffs.items()]
         for cf in f.base.cofaces(c):
             phi = f.restrictions.get((c, cf))
             if phi is not None and cf in weights:
                 sgn = f.base.incidence(cf, c) * delta_sign
-                arrows += [((c, p), (cf, p), m, sgn) for p, m in phi.items()]
+                arrows += [((c, p), (cf, p), m, 1, sgn) for p, m in phi.items()]
     return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
 
 
@@ -211,7 +211,7 @@ def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     restrictions = {}
     for (s, t) in set(f.restrictions) | set(g.restrictions):
         restrictions[(s, t)] = graded_map(lays[s], lays[t], [
-            ((k, n), (k, n), m, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
+            ((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
     return CellularSheaf(f.base, stalks, restrictions)
 
 
@@ -324,7 +324,7 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
         # the gap is 1, so both cells sit in the same degree
         sgn = tgt.incidence(t_hi, t_lo) * src.incidence(s_hi, s_lo)
         arrows.setdefault((t_lo, t_hi), []).extend(
-            ((s_lo, p), (s_hi, p), m, sgn) for p, m in phi.items())
+            ((s_lo, p), (s_hi, p), m, 1, sgn) for p, m in phi.items())
     restrictions = {(t_lo, t_hi): graded_map(lays[t_lo], lays[t_hi], arr)
                     for (t_lo, t_hi), arr in arrows.items()}
     return CellularSheaf(tgt, stalks, restrictions)
@@ -345,38 +345,23 @@ def extend_by_zero(sheaf: CellularSheaf, upset) -> CellularSheaf:
 
 
 def verdier_dual(f: CellularSheaf) -> CellularSheaf:
-    """Verdier dual: cellwise dual of compactly supported star sections."""
+    """Verdier dual: cellwise dual of compactly supported star sections.
+
+    star(t) is contained in star(s), and the restriction is the transpose
+    of the inclusion of star(t)'s pieces: on the dual layouts (degrees
+    negated) it sends each piece of star(t) identically onto itself."""
     base = f.base
-    star_sections = {}
+    stalks, lays = {}, {}
     for c in base.cell_ids():
-        star_sections[c] = sections(f, base.star(c), base.dim)
-    stalks = {}
-    for c, (vc, _) in star_sections.items():
-        dv = ql.dual(vc)
-        if not dv.is_zero():
-            stalks[c] = dv
+        vc, idx = sections(f, base.star(c), base.dim)
+        if not vc.is_zero():
+            stalks[c] = dv = ql.dual(vc)
+            lays[c] = (dv.dims, {piece: (-n, off) for piece, (n, off) in idx.items()})
     restrictions = {}
     for (t, s) in base.incidence_pairs():
-        # star(t) is contained in star(s); the restriction is the transpose
-        # of the inclusion of star(t)'s pieces: in degree -n, row off_t + i
-        # of piece (c, p) holds one 1, at column off_s + i
-        if s not in stalks or t not in stalks:
-            continue
-        vc_s, idx_s = star_sections[s]
-        vc_t, idx_t = star_sections[t]
-        phi = {}
-        for (c, p), (n, off_t) in idx_t.items():
-            ns, off_s = idx_s[(c, p)]
-            if ns != n:
-                raise ql.LinAlgError("piece %r sits in degree %d of star(%r) and %d of star(%r)"
-                                     % ((c, p), n, t, ns, s))
-            m = phi.get(-n)
-            if m is None:
-                m = phi[-n] = Matrix(vc_t.dims[n], vc_s.dims[n])
-            rows = m.data
-            for i in range(f.stalks[c].dims[p]):
-                rows[off_t + i][off_s + i] = ql._ONE
-        restrictions[(s, t)] = phi
+        if s in lays and t in lays:
+            restrictions[(s, t)] = graded_map(lays[s], lays[t], [
+                ((c, p), (c, p), f.stalks[c].dims[p], 1, 1) for c, p in lays[t][1]])
     return CellularSheaf(base, stalks, restrictions)
 
 
@@ -389,14 +374,14 @@ def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
             for c in set(f.stalks) | set(g.stalks)}
     stalks = {}
     for c, lay in lays.items():
-        arrows = [((0, p), (0, p + 1), m, -1) for p, m in f.stalk(c).diffs.items()]
-        arrows += [((0, p), (1, p), m, 1) for p, m in alpha.at(c).items()]
-        arrows += [((1, n), (1, n + 1), m, 1) for n, m in g.stalk(c).diffs.items()]
+        arrows = [((0, p), (0, p + 1), m, 1, -1) for p, m in f.stalk(c).diffs.items()]
+        arrows += [((0, p), (1, p), m, 1, 1) for p, m in alpha.at(c).items()]
+        arrows += [((1, n), (1, n + 1), m, 1, 1) for n, m in g.stalk(c).diffs.items()]
         stalks[c] = VectComplex(lay[0], graded_map(lay, lay, arrows))
     restrictions = {}
     for (s, t) in set(f.restrictions) | set(g.restrictions):
         restrictions[(s, t)] = graded_map(lays[s], lays[t], [
-            ((k, n), (k, n), m, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
+            ((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
     return CellularSheaf(f.base, stalks, restrictions)
 
 
@@ -445,7 +430,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     arrows += [((b, p, q), (b2, p, q), fp, gq, sgn)
                                for p, fp in phi for q, gq in psi]
         fibers[(a, c)] = fib, lay
-        stalks[(a, c)] = VectComplex(lay[0], ql._kron_map(lay, lay, arrows))
+        stalks[(a, c)] = VectComplex(lay[0], graded_map(lay, lay, arrows))
     restrictions = {}
     for (a, c), (fib, lay) in fibers.items():
         # a restriction of K12 or K23 joins nonzero stalks, so an arrow
@@ -458,7 +443,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                 arrows = [((b, p, q), (b, p, q), u.dims[p], gq, sign[b]) for b, u, v in fib
                           for q, gq in res23.get(((b, c), (b, c2)), ()) for p in u.dims]
             if arrows:
-                restrictions[((a, c), (a2, c2))] = ql._kron_map(lay, fibers[(a2, c2)][1], arrows)
+                restrictions[((a, c), (a2, c2))] = graded_map(lay, fibers[(a2, c2)][1], arrows)
     return CellularSheaf(base, stalks, restrictions)
 
 

@@ -10,8 +10,7 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
                               trace_endo, cohomology_trace, layout,
-                              graded_map, tensor_layout, tensor_chain_maps,
-                              _kron_map)
+                              graded_map, tensor_layout, tensor_chain_maps)
 from conormal.randgen import (random_vect_complex, random_chain_endo,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf)
@@ -326,12 +325,12 @@ def test_layout_and_graded_map_by_hand():
     # degree 0 holds a (dim 1) and then b (dim 2); degree 1 holds c (dim 1)
     lay = layout([("a", 0, 1), ("b", 0, 2), ("c", 1, 1)])
     assert lay == ({0: 3, 1: 1}, {"a": (0, 0), "b": (0, 1), "c": (1, 0)})
-    d = graded_map(lay, lay, [("a", "c", M([[2]]), 1), ("b", "c", M([[1, 3]]), -1)])
+    d = graded_map(lay, lay, [("a", "c", M([[2]]), 1, 1), ("b", "c", M([[1, 3]]), 1, -1)])
     assert d == {0: M([[2, -1, -3]])}
     # arrows into one place add; a degree whose matrix cancels is left out
-    assert graded_map(lay, lay, [("a", "c", M([[2]]), 1), ("a", "c", M([[2]]), -1)]) == {}
+    assert graded_map(lay, lay, [("a", "c", M([[2]]), 1, 1), ("a", "c", M([[2]]), 1, -1)]) == {}
     with pytest.raises(LinAlgError, match="land in degrees"):
-        graded_map(lay, lay, [("a", "c", M([[1]]), 1), ("b", "a", M([[1, 1]]), 1)])
+        graded_map(lay, lay, [("a", "c", M([[1]]), 1, 1), ("b", "a", M([[1, 1]]), 1, 1)])
 
 
 def _kron_factor(rng, rows, cols):
@@ -344,15 +343,20 @@ def _kron_factor(rng, rows, cols):
 
 
 def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
-    """_kron_map, with its one-entry scalar blocks, against Matrix.kron
-    blocks placed by Matrix.assemble, entry for entry."""
+    """graded_map, with its one-entry scalar blocks, against Matrix.kron
+    blocks placed by Matrix.assemble, entry for entry.  Some arrows join
+    the same two pieces twice, on the scalar path and on the row path:
+    with a second random block, whose entries add, or with the opposite
+    sign, so that the two blocks cancel."""
     rng = random.Random(41)
+    again = random.Random(42)  # the second arrows, drawn apart from the rest
 
     def dims():
         # most pieces have dim 1, so most blocks are 1x1
         return [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 4))]
 
     scalar = zero = wide = 0
+    added, cancelled = {"scalar": 0, "rows": 0}, {"scalar": 0, "rows": 0}
     for _ in range(300):
         # source pieces in degrees 0 and 1, target pieces one degree up
         spieces = [(("s", n, k), n, d) for n in (0, 1) for k, d in enumerate(dims())]
@@ -374,6 +378,17 @@ def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
                     zero += any(isinstance(x, Matrix) and x.is_zero() for x in (a, b))
                 elif dt == 1:
                     wide += 1  # shares its target row with the scalar blocks
+                path = "scalar" if dt == ds == 1 else "rows"
+                u = again.random()
+                if u < 0.2:
+                    arrows.append((s, t, a, b, -sign))
+                    cancelled[path] += 1
+                elif u < 0.4:
+                    ar = again.choice([r for r in range(1, dt + 1) if dt % r == 0])
+                    ac = again.choice([c for c in range(1, ds + 1) if ds % c == 0])
+                    arrows.append((s, t, _kron_factor(again, ar, ac),
+                                   _kron_factor(again, dt // ar, ds // ac), again.choice([1, -1])))
+                    added[path] += 1
         blocks = {}
         for s, t, a, b, sign in arrows:
             n, c0 = src[1][s]
@@ -381,21 +396,22 @@ def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
             a, b = (Matrix.identity(x) if isinstance(x, int) else x for x in (a, b))
             blocks.setdefault(n, (nt, []))[1].append((r0, c0, a.kron(b), sign))
         want = {n: Matrix.assemble(tgt[0][nt], src[0][n], bl) for n, (nt, bl) in blocks.items()}
-        assert _kron_map(src, tgt, arrows) == {n: m for n, m in want.items() if not m.is_zero()}
+        assert graded_map(src, tgt, arrows) == {n: m for n, m in want.items() if not m.is_zero()}
     assert scalar > 500 and zero > 100 and wide > 100
+    assert min(added.values()) > 100 and min(cancelled.values()) > 100, (added, cancelled)
 
 
 def test_kron_map_checks_scalar_blocks_and_degrees():
     lay = layout([("a", 0, 1), ("b", 1, 1), ("c", 2, 1)])
     one = M([[3]])
-    assert _kron_map(lay, lay, [("a", "b", one, 1, -1), ("b", "c", 1, 1, 1)]) == {
+    assert graded_map(lay, lay, [("a", "b", one, 1, -1), ("b", "c", 1, 1, 1)]) == {
         0: M([[-3]]), 1: M([[1]])}
-    assert _kron_map(lay, lay, [("a", "b", one, M([[0]]), 1)]) == {}
+    assert graded_map(lay, lay, [("a", "b", one, M([[0]]), 1)]) == {}
     short = layout([("a", 0, 1), ("b", 1, 0)])
     with pytest.raises(LinAlgError, match="block out of range"):
-        _kron_map(short, short, [("a", "b", 1, 1, 1)])
+        graded_map(short, short, [("a", "b", 1, 1, 1)])
     with pytest.raises(LinAlgError, match="land in degrees"):
-        _kron_map(lay, lay, [("a", "b", 1, 1, 1), ("a", "c", 1, 1, 1)])
+        graded_map(lay, lay, [("a", "b", 1, 1, 1), ("a", "c", 1, 1, 1)])
 
 
 def test_kernel_and_solve():

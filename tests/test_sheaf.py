@@ -204,7 +204,7 @@ def test_verdier_dual_restrictions_are_transposed_inclusions():
             if s in got.stalks and t in got.stalks:
                 (vc_s, idx_s), (vc_t, idx_t) = star[s], star[t]
                 incl = graded_map((vc_t.dims, idx_t), (vc_s.dims, idx_s),
-                                  [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1)
+                                  [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1, 1)
                                    for c, p in idx_t])
                 want[(s, t)] = {-n: m.transpose() for n, m in incl.items()}
         assert got.restrictions == want
