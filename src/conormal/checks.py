@@ -230,7 +230,7 @@ SUITES = {
 
 
 def run_checks(seed=1, cases=100, suites=None, max_dim=3, max_cells=40) -> CheckReport:
-    names = list(suites) if suites else list(SUITES)
+    names = list(dict.fromkeys(suites)) if suites else list(SUITES)  # first of repeats
     for n in names:
         if n not in SUITES:
             raise ValueError("unknown suite %r" % (n,))

@@ -14,16 +14,15 @@ import argparse
 import json
 import sys
 
-from .cellcx import POINT, CellComplexError, _product_complex
+from .cellcx import POINT, CellComplexError
 from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
-                    kernel_compose, SheafError)
+                    kernel_compose, constant, external, SheafError)
 from .mueu import (mueu, degree, compose_cycle, pushforward_cycle,
                    set_negative_control)
 from .tracekernel import TraceKernelError
 from .lefschetz import global_trace, local_trace_sum, LefschetzError
 from . import io, checks
-from .tracekernel import _relabel_sheaf
 
 OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -112,24 +111,13 @@ def cmd_check(args):
     return OK
 
 
-def _lift_left(sheaf):
-    """View a sheaf on M as a kernel on product(point, M)."""
-    p = _product_complex(POINT, sheaf.base)
-    return _relabel_sheaf(sheaf, p, lambda c: ("pt", c))
-
-
-def _lift_right(sheaf):
-    p = _product_complex(sheaf.base, POINT)
-    return _relabel_sheaf(sheaf, p, lambda c: (c, "pt"))
-
-
 def cmd_compose(args):
     """Compose two sheaves on the file's complex M viewed as kernels
     point -> M and M -> point, then compare the Euler class of the
     composite against the composition of the classes."""
     inst = _load(args.file)
-    k12 = _lift_left(_named(inst.sheaves, args.k12, "sheaf"))
-    k23 = _lift_right(_named(inst.sheaves, args.k23, "sheaf"))
+    k12 = external(constant(POINT), _named(inst.sheaves, args.k12, "sheaf"))
+    k23 = external(_named(inst.sheaves, args.k23, "sheaf"), constant(POINT))
     composed = kernel_compose(k12, k23)
     got = mueu(composed)
     expected = compose_cycle(mueu(k12), mueu(k23))
@@ -218,6 +206,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
 
 
+def _at_least(low):
+    """An argparse type: an int no smaller than low."""
+    def integer(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, n))
+        return n
+    return integer
+
+
 def build_parser():
     ap = _Parser(
         prog="conormal",
@@ -241,11 +239,11 @@ def build_parser():
 
     p = sub.add_parser("check", help="run seeded property suites")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_at_least(1), default=100)
     p.add_argument("--suite", action="append", choices=sorted(checks.SUITES),
                    help="restrict to a suite (repeatable)")
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--max-cells", type=int, default=40)
+    p.add_argument("--max-dim", type=_at_least(0), default=3)
+    p.add_argument("--max-cells", type=_at_least(1), default=40)
     p.add_argument("--counterexample", help="failure output path")
     p.add_argument("--negative-control", action="store_true",
                    help=argparse.SUPPRESS)

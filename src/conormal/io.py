@@ -49,10 +49,15 @@ def _list(node, what):
 
 
 def _int(value, what):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError("%s must be an integer, got %r" % (what, value))
+    """An int (not a bool) or a string of one; a float is not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError("%s must be an integer, got %r" % (what, value))
 
 
 def _name(value):

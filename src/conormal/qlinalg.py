@@ -48,6 +48,21 @@ def _add_row(row, other, offset=0, sign=1):
                 del row[j]
 
 
+def _add_multiple(row, f, other):
+    """row += f * other on sparse rows in one pass, for a nonzero f; no
+    scaled copy of other is built, and entries that cancel are removed."""
+    for j, x in other.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = f * x
+        else:
+            y += f * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
 class Matrix:
     """Sparse matrix of Fractions.
 
@@ -226,20 +241,20 @@ def _factor(m):
     return m.rows
 
 
-def _kron_rows(a, b, c0=0):
-    """The rows of a (x) b with columns shifted by c0.  A factor given as
-    an int n is the identity I_n: the other factor's entries are copied,
-    never multiplied."""
+def _kron_rows(a, b):
+    """The rows of a (x) b, new dicts.  A factor given as an int n is the
+    identity I_n: the other factor's entries are copied, never
+    multiplied."""
     if isinstance(a, int):
         if isinstance(b, int):
-            return [{j: _ONE} for j in range(c0, c0 + a * b)]
+            return [{j: _ONE} for j in range(a * b)]
         return [{off + l: y for l, y in brow.items()}
-                for off in [c0 + i * b.cols for i in range(a)] for brow in b.data]
+                for off in [i * b.cols for i in range(a)] for brow in b.data]
     if isinstance(b, int):
         return [{k + j * b: x for j, x in arow.items()}
-                for arow in a.data for k in range(c0, c0 + b)]
+                for arow in a.data for k in range(b)]
     bc = b.cols
-    return [{c0 + j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()}
+    return [{j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()}
             for arow in a.data for brow in b.data]
 
 
@@ -362,8 +377,7 @@ def rref(m: Matrix):
         for i, row in enumerate(a):
             f = row.get(c)
             if f is not None and i != r:
-                f = -f
-                _add_row(row, {j: f * x for j, x in prow.items()})
+                _add_multiple(row, -f, prow)
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -543,9 +557,11 @@ def graded_map(src, tgt, arrows):
     scalar block, whose factors are both 1x1 (a 1x1 Matrix or the int 1),
     is the one entry sign * x * y added into its target row, with no
     product by a factor 1, and nothing when x or y is zero.  Any other
-    block's rows are put in place, or merged into rows another block
-    already wrote.  Keyed by source degree, and degrees whose matrix is
-    zero are left out."""
+    block is added row by row into its target rows with _add_row, which
+    shifts the columns and applies the sign in the same pass; when b is
+    the int 1 and a is a Matrix the rows are a's own, read and never
+    stored.  Keyed by source degree, and degrees whose matrix is zero
+    are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
@@ -561,8 +577,7 @@ def graded_map(src, tgt, arrows):
         m = entry[1]
         ar, ac = (a, a) if isinstance(a, int) else (a.rows, a.cols)
         br, bc = (b, b) if isinstance(b, int) else (b.rows, b.cols)
-        r1 = r0 + ar * br
-        if r1 > m.rows or c0 + ac * bc > m.cols:
+        if r0 + ar * br > m.rows or c0 + ac * bc > m.cols:
             raise LinAlgError("block out of range")
         if ar == ac == br == bc == 1:
             x = _ONE if isinstance(a, int) else a.data[0].get(0)
@@ -585,15 +600,9 @@ def graded_map(src, tgt, arrows):
                     else:
                         del row[c0]
             continue
-        rows = _kron_rows(a, b, c0)
-        data = m.data
-        if any(data[r0:r1]):
-            for r, row in enumerate(rows, r0):
-                _add_row(data[r], row, 0, sign)
-        else:
-            if sign < 0:
-                rows = [{j: -x for j, x in row.items()} for row in rows]
-            data[r0:r1] = rows
+        rows = a.data if b == 1 and isinstance(a, Matrix) else _kron_rows(a, b)
+        for r, row in enumerate(rows, r0):
+            _add_row(m.data[r], row, c0, sign)
     return {n: m for n, (_, m) in out.items() if any(m.data)}
 
 

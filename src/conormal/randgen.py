@@ -27,7 +27,7 @@ from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
 from .qlinalg import (Matrix, VectComplex, single, direct_sum,
                       identity_chain_map, add_chain_maps, scale_chain_map,
-                      solve_unique, _ONE)
+                      solve_unique, _ONE, _add_multiple)
 from .sheaf import CellularSheaf, SheafMorphism
 from .lefschetz import LefschetzInstance
 
@@ -177,20 +177,6 @@ def _rand_rational(rng: random.Random) -> Fraction:
 
 def _rand_nonzero(rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
-
-
-def _add_multiple(row, f, other):
-    """row += f * other on sparse rows; entries that cancel are removed."""
-    for k, x in other.items():
-        y = row.get(k)
-        if y is None:
-            row[k] = f * x
-        else:
-            y += f * x
-            if y:
-                row[k] = y
-            else:
-                del row[k]
 
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:

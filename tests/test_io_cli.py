@@ -7,7 +7,8 @@ from conormal import io, cli
 from conormal.cellcx import POINT
 from conormal.qlinalg import euler
 from conormal.sheaf import euler_char, constant
-from conormal.mueu import mueu, degree
+from conormal.mueu import mueu, degree, set_negative_control
+from conormal.checks import run_checks
 from conormal.randgen import random_complex, random_sheaf, hollow_triangle
 
 
@@ -117,6 +118,9 @@ def test_cli_validate_flipped_incidence(tmp_path, capsys):
     assert "0.1" in out  # the offending pair is named
 
 
+_TRI_CELLS = ["0", "1", "2", "0.1", "1.2", "0.2"]
+
+
 def _with(**changes):
     doc = json.loads(json.dumps(TRI))
     for key, value in changes.items():
@@ -159,6 +163,14 @@ def _with(**changes):
         "stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
         "restrictions": [{"from": "0", "to": "0.1", "maps": {"0": [[1, 1]]}}]}}),
         id="restriction-shape"),
+    pytest.param(_with(kernels={"T": {"twist": {"of": {"tk": "k"}, "d": 1.5}}}),
+                 id="twist-d-float"),
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": 1.7}}}}}),
+                 id="dims-float"),
+    # the identity map of TRI, valid with the sign 1 in place of true
+    pytest.param(_with(maps={"m": {"cells": {c: c for c in _TRI_CELLS},
+                                   "signs": {**{c: 1 for c in _TRI_CELLS}, "0.1": True}}}),
+                 id="map-sign-bool"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3
@@ -199,8 +211,15 @@ def test_cli_evaluating_commands_validate_the_complex(tmp_path, capsys, command,
     assert problem in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["chi"], ["bogus"], ["check", "--cases", "x"]],
-                         ids=["missing-argument", "unknown-command", "bad-option-value"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["chi"], id="missing-argument"),
+    pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["check", "--cases", "x"], id="bad-option-value"),
+    pytest.param(["check", "--cases", "0"], id="cases-zero"),
+    pytest.param(["check", "--cases", "-3"], id="cases-negative"),
+    pytest.param(["check", "--max-dim", "-1"], id="max-dim-negative"),
+    pytest.param(["check", "--max-cells", "0"], id="max-cells-zero"),
+    pytest.param(["check", "--max-cells", "2.5"], id="max-cells-float")])
 def test_cli_usage_error_is_a_parse_error(capsys, argv):
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
@@ -314,6 +333,17 @@ def test_python_m_conormal_runs_check():
     assert proc.returncode == 0, proc.stderr
     golden = (root / "tests" / "fixtures" / "check_seed1_cases5.txt").read_text()
     assert proc.stdout == golden.replace("cases 5\n", "cases 2\n")
+
+
+def test_run_checks_runs_a_repeated_suite_once():
+    set_negative_control(True)
+    try:
+        once = run_checks(seed=1, cases=4, suites=["point"])
+        twice = run_checks(seed=1, cases=4, suites=["point", "point"])
+    finally:
+        set_negative_control(False)
+    assert once.failures  # the negative control breaks the point suite
+    assert twice.lines() == once.lines()
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):

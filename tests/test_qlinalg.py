@@ -414,6 +414,33 @@ def test_kron_map_checks_scalar_blocks_and_degrees():
         graded_map(lay, lay, [("a", "b", 1, 1, 1), ("a", "c", 1, 1, 1)])
 
 
+def test_graded_map_never_stores_a_factor_row():
+    """A block whose b is the int 1 is added from a's own rows, so the
+    output must hold copies: into empty rows and into rows another block
+    already wrote, with either sign, no output row is a row of a factor,
+    and clearing every output row leaves each factor as it was."""
+    rng = random.Random(14)
+    lay = layout([("a", 0, 3), ("b", 0, 2), ("c", 1, 2), ("d", 1, 4)])
+    for _ in range(100):
+        def factor(rows, cols):
+            return Matrix(rows, cols, [[rng.choice([0, 1, -1, 2, Fraction(1, 3)])
+                                        for _ in range(cols)] for _ in range(rows)])
+        # a -> c and a -> d land in empty rows; b -> c adds into a -> c's rows
+        arrows = [("a", "c", factor(2, 3), 1, rng.choice([1, -1])),
+                  ("b", "c", factor(2, 2), 1, rng.choice([1, -1])),
+                  ("a", "d", factor(4, 3), 1, rng.choice([1, -1])),
+                  ("b", "d", factor(2, 1), 2, rng.choice([1, -1]))]
+        factors = [x for arrow in arrows for x in arrow[2:4] if isinstance(x, Matrix)]
+        before = [[dict(row) for row in f.data] for f in factors]
+        out = graded_map(lay, lay, arrows)
+        factor_rows = [row for f in factors for row in f.data]
+        for m in out.values():
+            for row in m.data:
+                assert not any(row is r for r in factor_rows)
+                row.clear()
+        assert [f.data for f in factors] == before
+
+
 def test_kernel_and_solve():
     m = M([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(m)
