@@ -32,6 +32,7 @@ class CheckReport:
     suites: list
     failures: list = field(default_factory=list)
     wall_time: float = 0.0
+    suite_seconds: dict = field(default_factory=dict)  # suite name -> seconds
 
     @property
     def ok(self):
@@ -230,13 +231,21 @@ SUITES = {
 
 
 def run_checks(seed=1, cases=100, suites=None, max_dim=3, max_cells=40) -> CheckReport:
+    """Run each suite on cases seeded instances.  Raises ValueError for an
+    unknown suite or a bound below the CLI's: cases >= 1, max_dim >= 0,
+    max_cells >= 1."""
     names = list(dict.fromkeys(suites)) if suites else list(SUITES)  # first of repeats
     for n in names:
         if n not in SUITES:
             raise ValueError("unknown suite %r" % (n,))
+    for what, value, low in (("cases", cases, 1), ("max_dim", max_dim, 0),
+                             ("max_cells", max_cells, 1)):
+        if value < low:
+            raise ValueError("%s must be at least %d, got %d" % (what, low, value))
     t0 = time.monotonic()
     report = CheckReport(seed=seed, cases=cases, suites=names)
     for name in names:
+        t_suite = time.monotonic()
         for i in range(cases):
             try:
                 detail = SUITES[name](_case_rng(seed, name, i),
@@ -245,6 +254,7 @@ def run_checks(seed=1, cases=100, suites=None, max_dim=3, max_cells=40) -> Check
                 detail = {"exception": "%s: %s" % (type(e).__name__, e)}
             if detail is not None:
                 report.failures.append((name, i, json.dumps(detail, sort_keys=True)))
+        report.suite_seconds[name] = time.monotonic() - t_suite
     report.failures.sort(key=lambda f: (f[0], f[1]))
     report.wall_time = time.monotonic() - t0
     return report

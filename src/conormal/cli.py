@@ -98,6 +98,8 @@ def cmd_check(args):
         set_negative_control(False)
     for line in report.lines():
         print(line)
+    for name, seconds in report.suite_seconds.items():
+        print("time %s %.2fs" % (name, seconds), file=sys.stderr)
     print("wall time %.2fs" % report.wall_time, file=sys.stderr)
     if not report.ok:
         name, case, detail = report.failures[0]

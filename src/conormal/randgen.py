@@ -10,11 +10,15 @@ matrices without a repair pass.
 A sheaf is built in one pass.  The basis labels of every cell's slots,
 and their positions, are computed once per cell rather than once per
 incidence pair, and random_piece_sheaf draws its conjugations over those
-slots rather than over a probe sheaf.  random_invertible undoes its own elementary row
-operations in reverse order to get the exact inverse from the same draws,
-so no linear system is solved.  An unconjugated block has at most one
-entry in each row, so A_t M A_s^-1 is written as scaled rows of A_s^-1 and
-multiplied by A_t once.
+slots rather than over a probe sheaf.  random_invertible undoes its own
+elementary row operations in reverse order to get the exact inverse from
+the same draws, so no linear system is solved; a 1x1 draw is written as
+the product of its two scaling factors.  Most slots hold one label, and a
+block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
+as g(t) h(s) from two scalars per slot.  A larger unconjugated block has
+at most one entry in each row, so A_t M A_s^-1 is written as scaled rows
+of A_s^-1 and multiplied by A_t once.  The random rationals are picked
+from tables of precomputed Fractions, with the same draws as building them.
 """
 
 from __future__ import annotations
@@ -169,14 +173,29 @@ def random_symmetry(rng: random.Random, max_vertices=7):
 # ---------------------------------------------------------------------------
 # random sheaves
 
+# the rationals _rand_rational and _rand_nonzero return, built once: row
+# k holds numerator k over every denominator, and rng.choice picks a row
+# and then an entry, the two draws that Fraction(rng.choice(numerators),
+# rng.choice(denominators)) makes
+_RATIONALS = tuple(tuple(Fraction(num, den) for den in (1, 1, 1, 2, 3))
+                   for num in (-2, -1, -1, 1, 1, 2, 3))
+_NONZEROS = tuple(tuple(Fraction(num, den) for den in (1, 2))
+                  for num in (-2, -1, 1, 2, 3))
+
+
 def _rand_rational(rng: random.Random) -> Fraction:
-    num = rng.choice([-2, -1, -1, 1, 1, 2, 3])
-    den = rng.choice([1, 1, 1, 2, 3])
-    return Fraction(num, den)
+    return rng.choice(rng.choice(_RATIONALS))
 
 
 def _rand_nonzero(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    return rng.choice(rng.choice(_NONZEROS))
+
+
+def _scalar(x) -> Matrix:
+    """The 1x1 matrix [[x]] for a nonzero x."""
+    m = Matrix(1, 1)
+    m.data[0][0] = x
+    return m
 
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
@@ -187,7 +206,19 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
     _INV_CACHE for the PieceSheaf that takes A as a conjugation.  The cache
     holds both matrices until the next PieceSheaf or random_morphism
     returns, so a caller that draws matrices and never builds either keeps
-    every pair it drew alive in the cache."""
+    every pair it drew alive in the cache.
+
+    For n = 1 both operations scale the one row, so A = [[f1 f2]] and
+    A^-1 = [[1 / (f1 f2)]] are written directly, after the same draws (two
+    row indices, then a factor, per operation) as the general loop."""
+    if n == 1:
+        rng.randrange(1), rng.randrange(1)  # i = j = 0: scale the row
+        f = _rand_nonzero(rng)
+        rng.randrange(1), rng.randrange(1)
+        f *= _rand_nonzero(rng)
+        m = _scalar(f)
+        _INV_CACHE[id(m)] = (m, _scalar(_ONE / f))
+        return m
     a = [{i: _ONE} for i in range(n)]
     ops = []
     for _ in range(2 * n):
@@ -251,8 +282,9 @@ class PieceSheaf:
     SKY pieces contribute k in one degree; ACYC pieces contribute an
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
     to the invertible matrix A conjugating that slot; a missing slot is
-    not conjugated.  Every block is built as A_t M A_s^-1 in one product,
-    where M is the unconjugated block.
+    not conjugated.  A block between two slots of one label each is the
+    scalar g(t) h(s) (see _build); every larger block is built as
+    A_t M A_s^-1 in one product, where M is the unconjugated block.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
@@ -298,6 +330,19 @@ class PieceSheaf:
 
     def _build(self) -> CellularSheaf:
         pieces, pos = self.pieces, self.pos
+        # (g, h) = (A w_i(c), A^-1 / w_i(c)) per slot (c, n) of one label
+        # (i, leg), A = 1 where unconjugated: a 1x1 restriction is
+        # A_t (w_i(t) / w_i(s)) A_s^-1 = g(t) h(s), and a 1x1 differential,
+        # whose two legs of piece i have the same weight w_i(c), is
+        # A_t 1 A_s^-1 = g(t) h(s) as well
+        gh = {}
+        for c, slots in self.slots.items():
+            for n, labels in slots.items():
+                if len(labels) == 1:
+                    w = pieces[labels[0][0]][3][c]
+                    a, inv = self.conj.get((c, n)), self.inverse((c, n))
+                    gh[(c, n)] = (w if a is None else a.data[0][0] * w,
+                                  _ONE / w if inv is None else inv.data[0][0] / w)
         stalks = {}
         for c, slots in self.slots.items():
             dims = {n: len(labels) for n, labels in slots.items()}
@@ -305,6 +350,11 @@ class PieceSheaf:
             cpos = pos[c]
             for n, labels in slots.items():
                 if n + 1 not in slots:
+                    continue
+                if dims[n] == 1 == dims[n + 1]:
+                    i, leg = labels[0]
+                    if leg == 0 and pieces[i][0] == ACYC:
+                        diffs[n] = _scalar(gh[(c, n + 1)][0] * gh[(c, n)][1])
                     continue
                 # d^n sends leg 0 of each acyclic piece to its leg 1
                 entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
@@ -320,13 +370,18 @@ class PieceSheaf:
             phi = {}
             slots_t, tpos = self.slots[t], pos[t]
             for n, labels in self.slots[s].items():
-                if n not in slots_t:
+                labels_t = slots_t.get(n)
+                if labels_t is None:
+                    continue
+                if len(labels) == 1 == len(labels_t):
+                    if labels == labels_t:
+                        phi[n] = _scalar(gh[(t, n)][0] * gh[(s, n)][1])
                     continue
                 # each piece on both cells maps by its weight ratio
                 entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])
                            for k, lab in enumerate(labels) if lab in tpos]
                 if entries:
-                    phi[n] = self._conjugated((t, n), (s, n), len(slots_t[n]),
+                    phi[n] = self._conjugated((t, n), (s, n), len(labels_t),
                                               len(labels), entries)
             if phi:
                 restrictions[(s, t)] = phi

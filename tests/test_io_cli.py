@@ -366,3 +366,28 @@ def test_cli_check_negative_control(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "ce.json").exists()
     payload = json.loads((tmp_path / "ce.json").read_text())
     assert "detail" in payload and "suite" in payload
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"cases": 0}, id="cases-zero"),
+    pytest.param({"max_dim": -1}, id="max-dim-negative"),
+    pytest.param({"max_cells": 0}, id="max-cells-zero"),
+    pytest.param({"suites": ["bogus"]}, id="unknown-suite"),
+])
+def test_run_checks_rejects_what_the_cli_rejects(kwargs):
+    # the CLI's --cases, --max-dim and --max-cells bounds, for Python callers
+    with pytest.raises(ValueError):
+        run_checks(seed=1, **{"cases": 2, "suites": ["index"], **kwargs})
+
+
+def test_check_reports_time_per_suite(capsys):
+    r = run_checks(seed=1, cases=2, suites=["point", "index"])
+    assert list(r.suite_seconds) == ["point", "index"]
+    assert all(s >= 0 for s in r.suite_seconds.values())
+    assert cli.main(["check", "--seed", "1", "--cases", "2",
+                     "--suite", "point", "--suite", "index"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join(r.lines()) + "\n"
+    err = captured.err.splitlines()
+    assert [line.split()[:2] for line in err] == [["time", "point"], ["time", "index"],
+                                                  ["wall", "time"]]

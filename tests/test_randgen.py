@@ -10,7 +10,8 @@ from pathlib import Path
 from conormal import checks, randgen
 from conormal.checks import run_checks
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
-from conormal.qlinalg import Matrix, solve_unique
+from conormal.qlinalg import Matrix, VectComplex, solve_unique, _add_multiple
+from conormal.sheaf import CellularSheaf
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,6 +67,127 @@ def test_random_invertible_leaves_its_exact_inverse():
                 assert a * inv == Matrix.identity(n)
     finally:
         randgen._INV_CACHE.clear()
+
+
+def _reference_invertible(rng, n):
+    """random_invertible as the general loop draws it for every n, with
+    the factors drawn as Fraction(rng.choice(numerators),
+    rng.choice(denominators)): (A, A^-1)."""
+    a = [{i: Fraction(1)} for i in range(n)]
+    ops = []
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            f = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            a[i] = {k: x * f for k, x in a[i].items()}
+        else:
+            f = Fraction(rng.choice([-2, -1, -1, 1, 1, 2, 3]),
+                         rng.choice([1, 1, 1, 2, 3]))
+            _add_multiple(a[i], f, a[j])
+        ops.append((i, j, f))
+    inv = Matrix.identity(n)
+    for i, j, f in reversed(ops):
+        if i == j:
+            inv.data[i] = {k: x / f for k, x in inv.data[i].items()}
+        else:
+            _add_multiple(inv.data[i], -f, inv.data[j])
+    m = Matrix(n, n)
+    m.data = [dict(sorted(row.items())) for row in a]
+    return m, inv
+
+
+def test_random_invertible_matches_the_general_loop_draw_for_draw():
+    try:
+        for n in range(1, 5):
+            rng, ref = random.Random(100 + n), random.Random(100 + n)
+            for _ in range(250):
+                a = randgen.random_invertible(rng, n)
+                want, want_inv = _reference_invertible(ref, n)
+                assert a == want
+                assert randgen._INV_CACHE.pop(id(a)) == (a, want_inv)
+                assert rng.getstate() == ref.getstate()
+        rng, ref = random.Random(7), random.Random(7)
+        for _ in range(200):
+            assert randgen._rand_rational(rng) == Fraction(
+                ref.choice([-2, -1, -1, 1, 1, 2, 3]), ref.choice([1, 1, 1, 2, 3]))
+            assert randgen._rand_nonzero(rng) == Fraction(
+                ref.choice([-2, -1, 1, 2, 3]), ref.choice([1, 2]))
+        assert rng.getstate() == ref.getstate()
+    finally:
+        randgen._INV_CACHE.clear()
+
+
+def _reference_sheaf(ps):
+    """ps.sheaf rebuilt block by block as A_t M A_s^-1 with Matrix
+    products, M the unconjugated block and A^-1 solved for."""
+    def conj(key, n):
+        a = ps.conj.get(key)
+        return (Matrix.identity(n), Matrix.identity(n)) if a is None else (
+            a, solve_unique(a, Matrix.identity(n)))
+
+    def block(t_key, s_key, m):
+        return conj(t_key, m.rows)[0] * m * conj(s_key, m.cols)[1]
+    stalks = {}
+    for c, slots in ps.slots.items():
+        dims = {n: len(labels) for n, labels in slots.items()}
+        diffs = {}
+        for n, labels in slots.items():
+            if n + 1 in slots:
+                m = Matrix.zeros(dims[n + 1], dims[n])
+                for k, (i, leg) in enumerate(labels):
+                    if leg == 0 and ps.pieces[i][0] == randgen.ACYC:
+                        m[slots[n + 1].index((i, 1)), k] = 1
+                if not m.is_zero():
+                    diffs[n] = block((c, n + 1), (c, n), m)
+        stalks[c] = VectComplex(dims, diffs)
+    restrictions = {}
+    for (t, s) in ps.base.incidence_pairs():
+        if s not in stalks or t not in stalks:
+            continue
+        phi = {}
+        for n, labels in ps.slots[s].items():
+            labels_t = ps.slots[t].get(n, [])
+            m = Matrix.zeros(len(labels_t), len(labels))
+            for k, lab in enumerate(labels):
+                if lab in labels_t:
+                    w = ps.pieces[lab[0]][3]
+                    m[labels_t.index(lab), k] = w[t] / w[s]
+            if labels_t and not m.is_zero():
+                phi[n] = block((t, n), (s, n), m)
+        if phi:
+            restrictions[(s, t)] = phi
+    return CellularSheaf(ps.base, stalks, restrictions)
+
+
+def test_piece_sheaf_blocks_match_the_conjugation_formula():
+    """Every block, 1x1 or larger, equals A_t M A_s^-1: on seeded sheaves
+    with sky and acyclic pieces, conjugated and unconjugated slots, and
+    again with every one-label slot conjugated by a matrix from outside
+    random_invertible."""
+    rng = random.Random(21)
+    seen = {"1x1 d": 0, "bare 1x1": 0, "1x1": 0, "2x2": 0}
+    for _ in range(25):
+        cx = randgen.random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
+        ps = randgen.random_piece_sheaf(rng, cx)
+        for c, slots in ps.slots.items():
+            for n, labels in slots.items():
+                if len(labels) == 1:
+                    seen["1x1" if (c, n) in ps.conj else "bare 1x1"] += 1
+                    i, leg = labels[0]
+                    if (leg == 0 and ps.pieces[i][0] == randgen.ACYC
+                            and len(slots.get(n + 1, ())) == 1):
+                        seen["1x1 d"] += 1
+                elif len(labels) == 2 and (c, n) in ps.conj:
+                    seen["2x2"] += 1
+        assert describe_sheaf(ps.sheaf) == describe_sheaf(_reference_sheaf(ps))
+        foreign = dict(ps.conj)
+        for c, slots in ps.slots.items():
+            for n, labels in slots.items():
+                if len(labels) == 1:
+                    foreign[(c, n)] = Matrix(1, 1, [[Fraction(-3, 2)]])
+        other = randgen.PieceSheaf(cx, ps.pieces, foreign)
+        assert describe_sheaf(other.sheaf) == describe_sheaf(_reference_sheaf(other))
+    assert min(seen.values()) > 0, seen
 
 
 def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
