@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cellcx import POINT, _product_complex
-from .qlinalg import euler
+from .qlinalg import euler, tensor_layout
 from .sheaf import (CellularSheaf, euler_char, external, tensor_sheaf,
                     pushforward, verdier_dual, kernel_compose)
 from .mueu import (mueu, degree, external_cycle, star, compose_cycle,
@@ -179,11 +179,11 @@ def case_twist(rng, **_):
     if twisted.euler_class != k.euler_class:
         return {"identity": "class(shift_twist(K, d)) == class(K)", "d": d}
     # F[d] (x) DF[-d] has the stalk dims of F (x) DF: the shifts cancel
-    got, want = twisted.underlying.stalks, k.underlying.stalks
+    got, want = twisted.stalk_pairs(), k.stalk_pairs()
     if got.keys() != want.keys():
         return {"identity": "cells of shift_twist(K, d) == cells of K", "d": d}
-    for c, v in want.items():
-        if got[c].dims != v.dims:
+    for c, (u, v) in want.items():
+        if tensor_layout(*got[c])[0] != tensor_layout(u, v)[0]:
             return {"identity": "stalk dims of shift_twist(K, d) == stalk dims of K",
                     "d": d, "cell": str(c)}
     return None

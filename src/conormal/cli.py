@@ -187,11 +187,9 @@ def cmd_lefschetz(args):
 def cmd_expand(args):
     inst = _load(args.file)
     k = _named(inst.kernels, args.kernel, "kernel")
-    under = k.underlying
-    for c in sorted(under.base.cell_ids(), key=_cell_sort_key(under.base)):
-        v = under.stalk(c)
-        if not v.is_zero():
-            print("chi %s = %d" % (c, euler(v)))
+    pairs = k.stalk_pairs()  # the stalk at (x, y) is A_x (x) B_y
+    for c in sorted(pairs, key=lambda c: (k.base.dim(c[0]) + k.base.dim(c[1]), str(c))):
+        print("chi %s = %d" % (c, euler(pairs[c][0]) * euler(pairs[c][1])))
     print("class:")
     _print_cycle(k.euler_class)
     return OK

@@ -300,8 +300,8 @@ def parse_cycle(spec, cx) -> LagCycle:
 
 
 def parse_kernel(tree, sheaves):
-    """A trace-kernel build tree over the file's named sheaves."""
-    if not isinstance(tree, dict) or len(tree) > 2:
+    """A trace-kernel build tree over the file's named sheaves, one key a node."""
+    if not isinstance(tree, dict) or len(tree) != 1:
         raise ParseError("bad kernel tree %r" % (tree,))
     if "tk" in tree:
         name = _name(tree["tk"])

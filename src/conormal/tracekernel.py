@@ -1,10 +1,11 @@
 """Trace kernels generated by F (x) DF and closed under the supported
 operations (external product, composition, shift twist).
 
-A kernel is its Euler class on M and a builder: build(d) returns the
-sheaf on product(M, M) of the kernel twisted by d, assembled from its
-factors' d-twisted sheaves.  The sheaf itself (build(0)) is made only
-when `underlying` is first read.  The defining morphisms from the
+Every kernel is A (x) B on product(M, M): it is kept as its Euler class on
+M and its factor pair, factors(d) = (A[d], B[-d]) on M, composed factor
+by factor over M2 (Kunneth for convolution).  Its stalk at (x, y) is
+A_x (x) B_y.  No constructor builds a sheaf; the one on product(M, M) is
+made when `underlying` is first read.  The defining morphisms from the
 constant sheaf on the diagonal and into the dualizing object of the
 diagonal are carried abstractly: each constructor corresponds to a
 closure statement guaranteeing their existence, and the microlocal Euler
@@ -26,14 +27,15 @@ class TraceKernelError(SheafError):
 
 
 class TraceKernel:
-    """A sheaf on product(M, M), built on first read, and its Euler class
-    on M."""
+    """A kernel A (x) B as its factor pair on M and its Euler class on M.  The
+    sheaf twisted by d is build(d), by default external(*factors(d))."""
 
-    def __init__(self, base: CellComplex, build, euler_class: LagCycle):
+    def __init__(self, base: CellComplex, factors, euler_class: LagCycle, build=None):
         if not euler_class.base.same_as(base):
             raise TraceKernelError("class must live on the diagonal factor")
         self.base = base
-        self._build = build
+        self.factors = factors
+        self._build = build or (lambda d: external(*factors(d)))
         self.euler_class = euler_class
 
     @cached_property
@@ -44,6 +46,14 @@ class TraceKernel:
         """The sheaf of this kernel twisted by d."""
         return self.underlying if d == 0 else self._build(d)
 
+    def stalk_pairs(self):
+        """(x, y) -> (A_x, B_y) where both are nonzero, for (A, B) = factors(0),
+        in the cell order of product(M, M)."""
+        a, b = self.factors(0)
+        ids = self.base.cell_ids()
+        return {(x, y): (a.stalks[x], b.stalks[y])
+                for x in ids if x in a.stalks for y in ids if y in b.stalks}
+
     def __repr__(self):
         return "TraceKernel(on %r)" % (self.base,)
 
@@ -53,9 +63,8 @@ def tk(f: CellularSheaf) -> TraceKernel:
     cls = mueu(f)
     if degree(cls) != euler_char(f):
         raise TraceKernelError("class degree disagrees with the index of F")
-    return TraceKernel(f.base, lambda d: external(shift_sheaf(f, d),
-                                                  shift_sheaf(verdier_dual(f), -d)),
-                       cls)
+    return TraceKernel(f.base, lambda d: (shift_sheaf(f, d),
+                                          shift_sheaf(verdier_dual(f), -d)), cls)
 
 
 def eu_point(k: TraceKernel) -> int:
@@ -66,45 +75,36 @@ def eu_point(k: TraceKernel) -> int:
     return degree(k.euler_class)
 
 
-def _interleave(pair_of_pairs):
-    ((a, b), (c, d)) = pair_of_pairs
-    return ((a, c), (b, d))
-
-
-def _relabel_sheaf(f: CellularSheaf, new_base: CellComplex, fn) -> CellularSheaf:
-    stalks = {fn(c): v for c, v in f.stalks.items()}
-    restrictions = {(fn(s), fn(t)): phi for (s, t), phi in f.restrictions.items()}
-    return CellularSheaf(new_base, stalks, restrictions)
-
-
 def external_tk(k1: TraceKernel, k2: TraceKernel) -> TraceKernel:
-    """External product of trace kernels, built on product(M12, M12): the
-    stalk at ((a, c), (b, d)) is K1(a, b) (x) K2(c, d)."""
+    """External product of trace kernels, (A1 (x) A2, B1 (x) B2) on M12.  Its
+    sheaf on product(M12, M12) keeps the basis order K1(a, b) (x) K2(c, d) of
+    the stalk at ((a, c), (b, d))."""
     m12 = _product_complex(k1.base, k2.base)
 
-    def build(d):
+    def factors(d):
+        (a1, b1), (a2, b2) = k1.factors(d), k2.factors(d)
+        return external(a1, a2, m12), external(b1, b2, m12)
+
+    def build(d):  # the basis order that TENSOR_DIGEST pins
         return _pulled_tensor(_product_complex(m12, m12), k1.sheaf(d), k2.sheaf(d),
                               lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
-    return TraceKernel(m12, build, external_cycle(k1.euler_class, k2.euler_class, m12))
+    return TraceKernel(m12, factors, external_cycle(k1.euler_class, k2.euler_class, m12),
+                       build)
 
 
 def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
-    """Composition of trace kernels over the doubled middle factor."""
+    """Composition of trace kernels, factor by factor over the middle
+    factor: (A12 o A23, B12 o B23) on M13."""
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
     if not m2.same_as(m2b):
         raise TraceKernelError("middle factors of the trace kernels disagree")
     m13 = _product_complex(m1, m3)
 
-    def build(d):
-        m11 = _product_complex(m1, m1)
-        m22 = _product_complex(m2, m2)
-        m33 = _product_complex(m3, m3)
-        left = _relabel_sheaf(k12.sheaf(d), _product_complex(m11, m22), _interleave)
-        right = _relabel_sheaf(k23.sheaf(d), _product_complex(m22, m33), _interleave)
-        composed = kernel_compose(left, right)  # on product(m11, m33)
-        return _relabel_sheaf(composed, _product_complex(m13, m13), _interleave)
-    return TraceKernel(m13, build, compose_cycle(k12.euler_class, k23.euler_class, m13))
+    def factors(d):
+        (a12, b12), (a23, b23) = k12.factors(d), k23.factors(d)
+        return kernel_compose(a12, a23), kernel_compose(b12, b23)
+    return TraceKernel(m13, factors, compose_cycle(k12.euler_class, k23.euler_class, m13))
 
 
 def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
@@ -112,4 +112,5 @@ def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
     -d; the Euler class is unchanged."""
     if d == 0:
         return k
-    return TraceKernel(k.base, lambda e: k.sheaf(d + e), k.euler_class)
+    return TraceKernel(k.base, lambda e: k.factors(d + e), k.euler_class,
+                       lambda e: k.sheaf(d + e))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -10,6 +11,7 @@ from conormal.sheaf import euler_char, constant
 from conormal.mueu import mueu, degree, set_negative_control
 from conormal.checks import run_checks
 from conormal.randgen import random_complex, random_sheaf, hollow_triangle
+from conormal.tracekernel import TraceKernel
 
 
 TRI = {
@@ -167,6 +169,8 @@ def _with(**changes):
                  id="twist-d-float"),
     pytest.param(_with(sheaves={"s": {"stalks": {"0": {"dims": {"0": 1.7}}}}}),
                  id="dims-float"),
+    # a kernel node names one operation
+    pytest.param(_with(kernels={"T": {"tk": "k", "compose": [1, 2]}}), id="kernel-two-keys"),
     # the identity map of TRI, valid with the sign 1 in place of true
     pytest.param(_with(maps={"m": {"cells": {c: c for c in _TRI_CELLS},
                                    "signs": {**{c: 1 for c in _TRI_CELLS}, "0.1": True}}}),
@@ -282,6 +286,40 @@ def test_cli_dual_compose_expand(tmp_path, capsys):
     assert "compose ok" in capsys.readouterr().out
     assert cli.main(["expand", path, "Tw"]) == 0
     assert "degree 0" in capsys.readouterr().out
+
+
+# TRI's kernels, an external product of trace kernels and a twist of it
+_EXPAND = _with(kernels={"E": {"external": [{"tk": "edge"}, {"tk": "k"}]},
+                         "Ew": {"twist": {"of": {"external": [{"tk": "edge"}, {"tk": "k"}]},
+                                          "d": -2}}})
+# sha256 of the stdout of `conormal expand` on _EXPAND, by kernel
+EXPAND_DIGESTS = {
+    "T": "6261f07b712376bd6dac417cbc6f27e11e7cf24a05074018a3f41a30a0a1db72",
+    "Tw": "6261f07b712376bd6dac417cbc6f27e11e7cf24a05074018a3f41a30a0a1db72",
+    "E": "809aa339395aa0c0a7c69e5ea40ddab1f3478ac5bf45482a7de9a1d15aeb55fe",
+    "Ew": "809aa339395aa0c0a7c69e5ea40ddab1f3478ac5bf45482a7de9a1d15aeb55fe",
+}
+
+
+def test_cli_expand_stdout_is_pinned(tmp_path, capsys):
+    path = write(tmp_path, _EXPAND)
+    for name, digest in EXPAND_DIGESTS.items():
+        assert cli.main(["expand", path, name]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_twist_suite_and_expand_read_only_the_factors(tmp_path, capsys, monkeypatch):
+    """The twist suite and `expand` read stalks from a kernel's factor pair
+    and never build its sheaf on product(M, M)."""
+    def no_sheaf(*_):
+        raise AssertionError("the sheaf on product(M, M) was read")
+    monkeypatch.setattr(TraceKernel, "underlying", property(no_sheaf))
+    monkeypatch.setattr(TraceKernel, "sheaf", no_sheaf)
+    assert run_checks(seed=1, cases=25, suites=["twist"]).ok
+    path = write(tmp_path, _EXPAND)
+    for name in EXPAND_DIGESTS:
+        assert cli.main(["expand", path, name]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_pushforward(tmp_path, capsys):
