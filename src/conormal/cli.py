@@ -27,10 +27,6 @@ from . import io, checks
 OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
-def _load(path):
-    return io.load_instance(path)
-
-
 def _cell_sort_key(base):
     return lambda c: (base.dim(c), str(c))
 
@@ -54,7 +50,7 @@ def _named(table, name, what):
 
 def cmd_validate(args):
     try:
-        inst = _load(args.file)
+        inst = io.load_instance(args.file)
     except (CellComplexError, SheafError) as e:
         print(e)
         return VALIDATION_FAILURE
@@ -73,14 +69,14 @@ def cmd_validate(args):
 
 
 def cmd_chi(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     sheaf = _named(inst.sheaves, args.sheaf, "sheaf")
     print(euler_char(sheaf))
     return OK
 
 
 def cmd_cc(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     sheaf = _named(inst.sheaves, args.sheaf, "sheaf")
     _print_cycle(mueu(sheaf))
     return OK
@@ -117,7 +113,7 @@ def cmd_compose(args):
     """Compose two sheaves on the file's complex M viewed as kernels
     point -> M and M -> point, then compare the Euler class of the
     composite against the composition of the classes."""
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     k12 = external(constant(POINT), _named(inst.sheaves, args.k12, "sheaf"))
     k23 = external(_named(inst.sheaves, args.k23, "sheaf"), constant(POINT))
     composed = kernel_compose(k12, k23)
@@ -132,7 +128,7 @@ def cmd_compose(args):
 
 
 def cmd_pushforward(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     sheaf = _named(inst.sheaves, args.sheaf, "sheaf")
     f = _named(inst.maps, args.map, "map")
     if not f.source.same_as(sheaf.base):
@@ -153,7 +149,7 @@ def cmd_pushforward(args):
 
 
 def cmd_dual(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     sheaf = _named(inst.sheaves, args.sheaf, "sheaf")
     df = verdier_dual(sheaf)
     for c in sorted(df.base.cell_ids(), key=_cell_sort_key(df.base)):
@@ -166,7 +162,7 @@ def cmd_dual(args):
 
 
 def cmd_lefschetz(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     lf = _named(inst.lefschetz, args.instance, "lefschetz instance")
     problems = lf.validate()
     if problems:
@@ -185,7 +181,7 @@ def cmd_lefschetz(args):
 
 
 def cmd_expand(args):
-    inst = _load(args.file)
+    inst = io.load_instance(args.file)
     k = _named(inst.kernels, args.kernel, "kernel")
     pairs = k.stalk_pairs()  # the stalk at (x, y) is A_x (x) B_y
     for c in sorted(pairs, key=lambda c: (k.base.dim(c[0]) + k.base.dim(c[1]), str(c))):

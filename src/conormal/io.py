@@ -103,29 +103,40 @@ def fmt_matrix(m: Matrix):
 # ---------------------------------------------------------------------------
 # complexes
 
+def _vertex(value):
+    """A simplex vertex: an int (not a bool) or a string with no ".", the
+    separator of simplex ids, so that no two simplices share an id."""
+    if isinstance(value, int) and not isinstance(value, bool) or \
+            isinstance(value, str) and "." not in value:
+        return value
+    raise ParseError("a simplex vertex is an integer or a string without '.', got %r"
+                     % (value,))
+
+
 def parse_complex(node):
     """Returns (CellComplex, simplices-or-None)."""
-    if not isinstance(node, dict):
-        raise ParseError("'complex' must be an object")
+    node = _object(node, "'complex'")
     if "simplices" in node:
-        simplices = node["simplices"]
-        if not isinstance(simplices, list):
-            raise ParseError("'simplices' must be a list of vertex lists")
+        simplices = [tuple(map(_vertex, _list(s, "a simplex")))
+                     for s in _list(node["simplices"], "'simplices'")]
         try:
-            cx = from_simplicial([tuple(s) for s in simplices])
+            cx = from_simplicial(simplices)
         except (CellComplexError, TypeError) as e:
             raise ParseError("bad simplicial complex: %s" % e)
-        return cx, [tuple(s) for s in simplices]
+        return cx, simplices
     if "poset" in node:
-        poset = node["poset"]
-        try:
-            cells = {str(c): int(d) for c, d in poset["cells"].items()}
-            incidence = {}
-            for entry in poset.get("incidence", []):
-                coface, face, sign = entry
-                incidence[(str(coface), str(face))] = int(sign)
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
-            raise ParseError("bad poset complex: %s" % e)
+        poset = _object(node["poset"], "'poset'")
+        cells = {str(c): _int(d, "a cell dimension")
+                 for c, d in _object(poset.get("cells"), "'cells'").items()}
+        if any(d < 0 for d in cells.values()):
+            raise ParseError("cell dimensions must be nonnegative")
+        incidence = {}
+        for entry in _list(poset.get("incidence", []), "'incidence'"):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError("an incidence entry is [coface, face, sign], got %r"
+                                 % (entry,))
+            coface, face, sign = entry
+            incidence[(str(coface), str(face))] = _int(sign, "an incidence sign")
         try:
             cx = CellComplex(cells, incidence)
         except CellComplexError as e:
@@ -364,7 +375,7 @@ class Instance:
 def parse_instance(doc) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("the top level must be an object")
-    version = doc.get("version", FORMAT_VERSION)
+    version = _int(doc.get("version", FORMAT_VERSION), "the format version")
     if version != FORMAT_VERSION:
         raise ParseError("unsupported format version %r" % (version,))
     if "complex" not in doc:

@@ -4,21 +4,19 @@ operations (external product, composition, shift twist).
 Every kernel is A (x) B on product(M, M): it is kept as its Euler class on
 M and its factor pair, factors(d) = (A[d], B[-d]) on M, composed factor
 by factor over M2 (Kunneth for convolution).  Its stalk at (x, y) is
-A_x (x) B_y.  No constructor builds a sheaf; the one on product(M, M) is
-made when `underlying` is first read.  The defining morphisms from the
-constant sheaf on the diagonal and into the dualizing object of the
-diagonal are carried abstractly: each constructor corresponds to a
-closure statement guaranteeing their existence, and the microlocal Euler
-class is the shadow those morphisms determine.
+A_x (x) B_y.  No constructor builds a sheaf; sheaf(d) builds the one on
+product(M, M) as external(*factors(d)) on each call.  The defining
+morphisms from the constant sheaf on the diagonal and into the dualizing
+object of the diagonal are carried abstractly: each constructor
+corresponds to a closure statement guaranteeing their existence, and the
+microlocal Euler class is the shadow those morphisms determine.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .cellcx import CellComplex, _product_complex, factors_of
 from .sheaf import (CellularSheaf, SheafError, euler_char, external, verdier_dual,
-                    shift_sheaf, kernel_compose, _pulled_tensor)
+                    shift_sheaf, kernel_compose)
 from .mueu import LagCycle, mueu, degree, external_cycle, compose_cycle
 
 
@@ -27,24 +25,18 @@ class TraceKernelError(SheafError):
 
 
 class TraceKernel:
-    """A kernel A (x) B as its factor pair on M and its Euler class on M.  The
-    sheaf twisted by d is build(d), by default external(*factors(d))."""
+    """A kernel A (x) B as its factor pair on M and its Euler class on M."""
 
-    def __init__(self, base: CellComplex, factors, euler_class: LagCycle, build=None):
+    def __init__(self, base: CellComplex, factors, euler_class: LagCycle):
         if not euler_class.base.same_as(base):
             raise TraceKernelError("class must live on the diagonal factor")
         self.base = base
         self.factors = factors
-        self._build = build or (lambda d: external(*factors(d)))
         self.euler_class = euler_class
 
-    @cached_property
-    def underlying(self) -> CellularSheaf:
-        return self._build(0)
-
-    def sheaf(self, d: int) -> CellularSheaf:
-        """The sheaf of this kernel twisted by d."""
-        return self.underlying if d == 0 else self._build(d)
+    def sheaf(self, d: int = 0) -> CellularSheaf:
+        """The sheaf of this kernel twisted by d, on product(M, M), built anew."""
+        return external(*self.factors(d))
 
     def stalk_pairs(self):
         """(x, y) -> (A_x, B_y) where both are nonzero, for (A, B) = factors(0),
@@ -76,20 +68,13 @@ def eu_point(k: TraceKernel) -> int:
 
 
 def external_tk(k1: TraceKernel, k2: TraceKernel) -> TraceKernel:
-    """External product of trace kernels, (A1 (x) A2, B1 (x) B2) on M12.  Its
-    sheaf on product(M12, M12) keeps the basis order K1(a, b) (x) K2(c, d) of
-    the stalk at ((a, c), (b, d))."""
+    """External product of trace kernels, (A1 (x) A2, B1 (x) B2) on M12."""
     m12 = _product_complex(k1.base, k2.base)
 
     def factors(d):
         (a1, b1), (a2, b2) = k1.factors(d), k2.factors(d)
         return external(a1, a2, m12), external(b1, b2, m12)
-
-    def build(d):  # the basis order that TENSOR_DIGEST pins
-        return _pulled_tensor(_product_complex(m12, m12), k1.sheaf(d), k2.sheaf(d),
-                              lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
-    return TraceKernel(m12, factors, external_cycle(k1.euler_class, k2.euler_class, m12),
-                       build)
+    return TraceKernel(m12, factors, external_cycle(k1.euler_class, k2.euler_class, m12))
 
 
 def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
@@ -112,5 +97,4 @@ def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
     -d; the Euler class is unchanged."""
     if d == 0:
         return k
-    return TraceKernel(k.base, lambda e: k.factors(d + e), k.euler_class,
-                       lambda e: k.sheaf(d + e))
+    return TraceKernel(k.base, lambda e: k.factors(d + e), k.euler_class)

@@ -175,6 +175,21 @@ def _with(**changes):
     pytest.param(_with(maps={"m": {"cells": {c: c for c in _TRI_CELLS},
                                    "signs": {**{c: 1 for c in _TRI_CELLS}, "0.1": True}}}),
                  id="map-sign-bool"),
+    # a poset's cell dims and incidence signs are integers, not floats or booleans
+    pytest.param({"complex": {"poset": {"cells": {"a": 0.7, "b": False, "e": "1"},
+                                        "incidence": [["e", "a", 1.9], ["e", "b", -1]]}},
+                  "sheaves": {"k": "constant"}}, id="poset-float-bool"),
+    pytest.param({"complex": {"poset": {"cells": {"a": 0, "b": 0, "e": 1},
+                                        "incidence": [["e", "a", 1], ["e", "b", True]]}}},
+                 id="poset-sign-bool"),
+    # collapsing a cell of dimension -1 to the point raised its dimension
+    pytest.param({"complex": {"poset": {"cells": {"a": 0, "E": -1}}},
+                  "maps": {"pt": {"target": "point"}}}, id="poset-dim-negative"),
+    # the vertex 0.5 and the edge 0.5 would share the id "0.5"
+    pytest.param({"complex": {"simplices": [[0], [0, 5], [0.5]]}}, id="simplex-float"),
+    pytest.param({"complex": {"simplices": [["a.b"]]}}, id="simplex-dotted"),
+    pytest.param({"complex": {"simplices": [[False, 1]]}}, id="simplex-bool"),
+    pytest.param({**TRI, "version": True}, id="version-bool"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3
@@ -313,7 +328,6 @@ def test_twist_suite_and_expand_read_only_the_factors(tmp_path, capsys, monkeypa
     and never build its sheaf on product(M, M)."""
     def no_sheaf(*_):
         raise AssertionError("the sheaf on product(M, M) was read")
-    monkeypatch.setattr(TraceKernel, "underlying", property(no_sheaf))
     monkeypatch.setattr(TraceKernel, "sheaf", no_sheaf)
     assert run_checks(seed=1, cases=25, suites=["twist"]).ok
     path = write(tmp_path, _EXPAND)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, CellularMap,
-                             factors_of, projections, product_map)
+                             factors_of, projections, product_map, _product_complex)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps,
                               dual, graded_map, total_complex)
@@ -16,14 +16,14 @@ from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
                             pushforward, extend_by_zero, verdier_dual,
                             mapping_cone, kernel_compose, euler_rhom,
-                            sections, _chain_maps_equal)
+                            sections, _chain_maps_equal, _pulled_tensor)
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
                               random_morphism, random_cellular_map,
                               random_vect_complex, random_chain_endo,
                               random_lefschetz_instance, PieceSheaf, SKY, ACYC)
-from conormal.tracekernel import tk, external_tk, shift_twist
+from conormal.tracekernel import tk
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
 
@@ -414,8 +414,10 @@ def _with_constant(rng, cx):
 
 
 def _tensor_outputs():
-    """Seeded outputs of tensor_sheaf, external, kernel_compose,
-    external_tk and the shift twist of external_tk."""
+    """Seeded outputs of tensor_sheaf, external, kernel_compose, and
+    _pulled_tensor of two trace kernels' sheaves on product(M12, M12) in the
+    basis order K1(a, b) (x) K2(c, d) of the stalk at ((a, c), (b, d)), at
+    twists 0 and 1."""
     rng = random.Random(31)
     for cx in [full_simplex(2), circle(5), torus7(), tetra_boundary()] * 5:
         yield tensor_sheaf(_with_constant(rng, cx), _with_constant(rng, cx))
@@ -427,9 +429,10 @@ def _tensor_outputs():
     for cx in [POINT, interval(), hollow_triangle()] * 5:
         k1, k2 = (tk(random_sheaf(rng, m, max_pieces=2, degree_range=(-1, 1)))
                   for m in (cx, interval()))
-        k = external_tk(k1, k2)
-        yield k.underlying
-        yield shift_twist(k, 1).underlying
+        m12 = _product_complex(k1.base, k2.base)
+        for d in (0, 1):
+            yield _pulled_tensor(_product_complex(m12, m12), k1.sheaf(d), k2.sheaf(d),
+                                 lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
 
 
 TENSOR_DIGEST = "91466170edd2916426187e11eaa7a8738471724c6f7ba3fa1f43117f0f504611"

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conormal import checks, tracekernel
+from conormal import checks, sheaf, tracekernel
 from conormal.checks import run_checks
 from conormal.cellcx import POINT, product, _product_complex, factors_of
 from conormal.qlinalg import (Matrix, VectComplex, euler, homology_ranks, single, dual,
                               tensor)
 from conormal.sheaf import (CellularSheaf, constant, direct_sum_sheaf, euler_char,
                             external, global_sections, kernel_compose, shift_sheaf,
-                            verdier_dual)
+                            verdier_dual, _pulled_tensor)
 from conormal.mueu import mueu, degree
 from conormal.tracekernel import (TraceKernel, TraceKernelError, tk, eu_point,
                                   external_tk, compose_tk, shift_twist)
@@ -26,7 +26,7 @@ def test_tk_of_point_complex():
     v = VectComplex({0: 2, 1: 1})
     k = tk(point_sheaf(v))
     assert eu_point(k) == 1
-    assert euler(k.underlying.stalk(("pt", "pt"))) == euler(v) * euler(dual(v))
+    assert euler(k.sheaf().stalk(("pt", "pt"))) == euler(v) * euler(dual(v))
 
 
 def test_eu_point_matches_endomorphism_index():
@@ -51,7 +51,7 @@ def test_tk_class_is_mueu():
     k = tk(f)
     assert k.euler_class == mueu(f)
     assert degree(k.euler_class) == euler_char(f)
-    assert k.underlying.base.same_as(product(f.base, f.base)[0])
+    assert k.sheaf().base.same_as(product(f.base, f.base)[0])
 
 
 def test_external_tk():
@@ -59,7 +59,7 @@ def test_external_tk():
     k2 = tk(point_sheaf(single(0, 2)))
     k = external_tk(k1, k2)
     assert degree(k.euler_class) == degree(k1.euler_class) * degree(k2.euler_class)
-    assert k.underlying.validate() == []
+    assert k.sheaf().validate() == []
 
 
 def test_compose_tk_point_flanked_circle():
@@ -103,13 +103,13 @@ def test_shift_twist_zero_is_identity():
     assert shift_twist(k, 0) is k
 
 
-def test_shift_twist_underlying_moves_degrees():
+def test_shift_twist_sheaf_moves_degrees():
     v = single(0, 1)
     k = tk(point_sheaf(v))
     kd = shift_twist(k, 1)
-    st = kd.underlying.stalk(("pt", "pt"))
+    st = kd.sheaf().stalk(("pt", "pt"))
     # F[1] (x) DF[-1]: degrees shift in opposite directions and cancel
-    assert euler(st) == euler(k.underlying.stalk(("pt", "pt")))
+    assert euler(st) == euler(k.sheaf().stalk(("pt", "pt")))
     assert kd.euler_class == k.euler_class
 
 
@@ -117,15 +117,25 @@ def test_twist_of_twist_accumulates():
     k = tk(constant(interval()))
     k2 = shift_twist(shift_twist(k, 1), -1)
     assert k2.euler_class == k.euler_class
-    st = k2.underlying
-    assert st.stalks.keys() == k.underlying.stalks.keys()
+    st = k2.sheaf()
+    assert st.stalks.keys() == k.sheaf().stalks.keys()
     for c in st.stalks:
-        assert st.stalk(c).dims == k.underlying.stalk(c).dims
+        assert st.stalk(c).dims == k.sheaf().stalk(c).dims
+
+
+def _interleaved(k1, k2):
+    """K1 (x) K2 on product(M12, M12) in the basis order K1(a, b) (x) K2(c, d)
+    of the stalk at ((a, c), (b, d))."""
+    m12 = _product_complex(k1.base, k2.base)
+    return _pulled_tensor(_product_complex(m12, m12), k1.sheaf(), k2.sheaf(),
+                          lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
 
 
 def test_external_tk_equals_reordered_external():
-    """external_tk's sheaf is external(K1, K2) on (M1 x M2) x (M1 x M2)
-    relabelled onto product(M12, M12) by ((a, b), (c, d)) -> ((a, c), (b, d))."""
+    """The interleaved sheaf of two kernels is external(K1, K2) on
+    (M1 x M2) x (M1 x M2) relabelled onto product(M12, M12) by
+    ((a, b), (c, d)) -> ((a, c), (b, d)); external_tk's sheaf has its stalk
+    dims."""
     rng = random.Random(71)
     nonzero_res = 0
     for _ in range(8):
@@ -133,14 +143,18 @@ def test_external_tk_equals_reordered_external():
                                                       max_cells=5),
                                   max_pieces=2, degree_range=(-1, 1)))
                   for _ in range(2))
-        got = external_tk(k1, k2).underlying
+        got = _interleaved(k1, k2)
         m12, _, _ = product(k1.base, k2.base)
         doubled, _, _ = product(m12, m12)
-        want = _relabel_sheaf(external(k1.underlying, k2.underlying), doubled,
+        want = _relabel_sheaf(external(k1.sheaf(), k2.sheaf()), doubled,
                               lambda c: ((c[0][0], c[1][0]), (c[0][1], c[1][1])))
         assert got.base.same_as(doubled)
         assert got.stalks == want.stalks
         assert got.restrictions == want.restrictions
+        ext = external_tk(k1, k2).sheaf()
+        assert ext.base.same_as(doubled)
+        assert {c: v.dims for c, v in ext.stalks.items()} == \
+            {c: v.dims for c, v in got.stalks.items()}
         nonzero_res += len(got.restrictions)
     assert nonzero_res > 100
 
@@ -199,11 +213,6 @@ def _factor_route(tree, d):
     return op(a1, a2), op(b1, b2)
 
 
-def _has_compose(tree):
-    return tree[0] == "compose" or any(isinstance(t, tuple) and _has_compose(t)
-                                       for t in tree[1:])
-
-
 def _ranks(f):
     return {c: homology_ranks(v) for c, v in f.stalks.items()}, \
         homology_ranks(global_sections(f))
@@ -219,61 +228,59 @@ def _kernel_of(tree):
 
 
 def _reference_trees(rng):
-    def small(cx):  # the constant sheaf in each, so that most pairs restrict
+    def small(cx, max_pieces=2):  # the constant sheaf in each, so that most pairs restrict
         return ("tk", direct_sum_sheaf(constant(cx), random_sheaf(
-            rng, cx, max_pieces=2, degree_range=(-1, 1))))
-    a, b = small(interval()), small(interval())
-    c12 = ("tk", random_sheaf(rng, product(interval(), interval())[0], max_pieces=2,
-                              degree_range=(-1, 1)))
+            rng, cx, max_pieces=max_pieces, degree_range=(-1, 1))))
+    a, b = small(interval(), max_pieces=1), ("tk", constant(interval()))
+    c12 = small(product(POINT, interval())[0], max_pieces=1)
+    c23 = ("tk", constant(product(interval(), interval())[0]))
     yield a
     yield ("external", a, b)
-    yield ("compose", c12, small(product(interval(), POINT)[0]))
+    yield ("compose", c12, c23)
     yield ("twist", ("twist", a, 1), -2)
     yield ("twist", ("external", ("twist", a, 2), b), -1)
 
 
 def test_shift_twist_matches_old_route():
-    """shift_twist(K, d).underlying equals, stalk for stalk and restriction
-    for restriction, the sheaf the old route rebuilt from K's build tree.  A
-    composition is taken factor by factor over M2, not over M2 x M2, so its
-    basis order differs from the old route's: it equals external(A12 o A23,
-    B12 o B23) exactly, and the old route up to the base, the cells, the
-    stalk dims and the per-stalk and global cohomology ranks."""
+    """shift_twist(K, d).sheaf() equals external(*factors) of K's build tree
+    taken factor by factor, stalk for stalk and restriction for restriction.
+    The old route interleaves external products and composes over M2 x M2,
+    not over M2, so its basis order differs: it agrees up to the base, the
+    cells, the stalk dims and the per-stalk and global cohomology ranks."""
     rng = random.Random(73)
-    nonzero_res = 0
+    nonzero_res = nonzero_ranks = 0
     for tree in _reference_trees(rng):
         k = _kernel_of(tree)
         for d in (-2, -1, 0, 1, 2):
-            got = shift_twist(k, d).underlying
+            got = shift_twist(k, d).sheaf()
+            exact = external(*_factor_route(tree, d))
+            assert got.base.same_as(exact.base)
+            assert got.stalks == exact.stalks
+            assert got.restrictions == exact.restrictions
             want = _old_route(tree, d)
             assert got.base.same_as(want.base)
-            if _has_compose(tree):
-                exact = external(*_factor_route(tree, d))
-                assert got.base.same_as(exact.base)
-                assert got.stalks == exact.stalks
-                assert got.restrictions == exact.restrictions
-                assert got.stalks.keys() == want.stalks.keys()
-                assert all(v.dims == want.stalks[c].dims for c, v in got.stalks.items())
-                assert _ranks(got) == _ranks(want)
-            else:
-                assert got.stalks == want.stalks
-                assert got.restrictions == want.restrictions
+            assert got.stalks.keys() == want.stalks.keys()
+            assert all(v.dims == want.stalks[c].dims for c, v in got.stalks.items())
+            stalk_ranks, global_ranks = _ranks(got)
+            assert (stalk_ranks, global_ranks) == _ranks(want)
+            nonzero_ranks += sum(map(len, stalk_ranks.values())) + len(global_ranks)
             nonzero_res += len(got.restrictions)
+    assert nonzero_ranks > 0
     assert nonzero_res > 500
 
 
 def test_constructors_build_no_sheaf(monkeypatch):
-    """tk, external_tk, compose_tk and shift_twist build no sheaf; the first
-    read of underlying builds it and later reads reuse it.  The composition
-    is the one over interval x circle(5) x interval that ran out of memory
-    when every constructor built its sheaf."""
+    """tk, external_tk, compose_tk and shift_twist build no sheaf; sheaf()
+    builds it.  The composition is the one over interval x circle(5) x
+    interval that ran out of memory when every constructor built its sheaf."""
     calls, reading = [], []
-    for name in ("external", "_pulled_tensor", "kernel_compose", "verdier_dual"):
-        def counting(*args, _name=name, _real=getattr(tracekernel, name)):
+    for module, name in ((tracekernel, "external"), (sheaf, "_pulled_tensor"),
+                         (tracekernel, "kernel_compose"), (tracekernel, "verdier_dual")):
+        def counting(*args, _name=name, _real=getattr(module, name)):
             calls.append(_name)
-            assert reading, "%s called before underlying was read" % _name
+            assert reading, "%s called before the sheaf was read" % _name
             return _real(*args)
-        monkeypatch.setattr(tracekernel, name, counting)
+        monkeypatch.setattr(module, name, counting)
     rng = random.Random(5)
     m1, m2, m3 = interval(), circle(5), interval()
     f = random_piece_sheaf(rng, product(m1, m2)[0], max_pieces=2, degree_range=(-1, 1)).sheaf
@@ -287,11 +294,8 @@ def test_constructors_build_no_sheaf(monkeypatch):
     small = shift_twist(external_tk(tk(constant(interval())), tk(point_sheaf(single(0, 2)))), 1)
     assert calls == []
     reading.append(True)
-    first = small.underlying
+    small.sheaf()
     assert "_pulled_tensor" in calls and "verdier_dual" in calls
-    del calls[:]
-    assert small.underlying is first
-    assert calls == []
 
 
 def test_twist_suite_catches_a_one_sided_twist(monkeypatch):
