@@ -187,6 +187,15 @@ def _parse_chain_map(node, what):
             for n, rows in _object(node, what).items()}
 
 
+def _check_shapes(phi, src: VectComplex, tgt: VectComplex, what):
+    """Reject a component of phi that does not map src^n to tgt^n."""
+    for n, m in phi.items():
+        shape = (tgt.dim(n), src.dim(n))
+        if (m.rows, m.cols) != shape:
+            raise ParseError("%s in degree %d is %dx%d, expected %dx%d"
+                             % (what, n, m.rows, m.cols, *shape))
+
+
 def parse_sheaf(spec, cx, resolved):
     """One named sheaf; `resolved` maps already-built names to sheaves."""
     if spec == "constant":
@@ -237,11 +246,8 @@ def parse_sheaf(spec, cx, resolved):
                 raise ParseError("restriction between unknown cells %r -> %r"
                                  % (s, t))
             phi = _parse_chain_map(entry.get("maps", {}), "'maps'")
-            for n, m in phi.items():
-                shape = tuple(stalks.get(c, ZERO_COMPLEX).dim(n) for c in (t, s))
-                if (m.rows, m.cols) != shape:
-                    raise ParseError("restriction %r -> %r in degree %d is %dx%d, "
-                                     "expected %dx%d" % (s, t, n, m.rows, m.cols, *shape))
+            _check_shapes(phi, stalks.get(s, ZERO_COMPLEX), stalks.get(t, ZERO_COMPLEX),
+                          "restriction %r -> %r" % (s, t))
             restrictions[(s, t)] = phi
         return CellularSheaf(cx, stalks, restrictions)
     raise ParseError("sheaf spec needs 'stalks', 'dual_of', 'shift_of', "
@@ -266,14 +272,14 @@ def parse_map(spec, cx, simplices):
     if not isinstance(spec, dict):
         raise ParseError("bad map spec %r" % (spec,))
     target = spec.get("target", "self")
+    if target not in ("self", "point"):
+        raise ParseError("map target must be 'self' or 'point', got %r" % (target,))
     if "vertex_map" in spec:
         if simplices is None:
             raise ParseError("'vertex_map' needs a simplicial complex")
         vm = {str(k): str(v) for k, v in _object(spec["vertex_map"], "'vertex_map'").items()}
         if target == "point":
             return collapse_to_point(cx)
-        if target != "self":
-            raise ParseError("map target must be 'self' or 'point'")
         try:
             return simplicial_map(cx, cx, vm)
         except (CellularMapError, CellComplexError, KeyError) as e:
@@ -351,7 +357,12 @@ def parse_lefschetz(spec, maps, sheaves):
             if c not in known:
                 raise ParseError("phi on unknown cell %r" % (c,))
             phi[c] = _parse_chain_map(node, "a phi component")
-        return LefschetzInstance(f, sheaf, phi)
+        # after the self-map check, so that a map to a point stays a
+        # validation failure
+        inst = LefschetzInstance(f, sheaf, phi)
+        for c, comp in phi.items():
+            _check_shapes(comp, sheaf.stalk(f(c)), sheaf.stalk(c), "phi at %r" % (c,))
+        return inst
     scalar = parse_fraction(spec.get("scalar", 1))
     return constant_phi(f, sheaf, scalar)
 
@@ -428,10 +439,12 @@ def parse_instance(doc) -> Instance:
 
 def load_instance(path) -> Instance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ParseError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8 or not JSON
         raise ParseError("invalid JSON in %s: %s" % (path, e))
+    except RecursionError:
+        raise ParseError("JSON in %s is nested too deeply" % (path,))
     return parse_instance(doc)

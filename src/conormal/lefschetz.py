@@ -1,11 +1,12 @@
 """Lefschetz fixed point formalism for cellular self-maps.
 
 An instance is a cellular endomorphism f of a complex, a sheaf F on it,
-and a family of chain maps phi_s : F(f(s)) -> F(s) compatible with the
-restrictions.  The global side is the alternating trace of the induced
-endomorphism of the sections complex (returned through the cohomology
-route and cross-checked against the matrix trace); the local side sums
-signed traces over setwise-fixed cells.
+and a morphism phi : f^-1 F -> F, that is a family of chain maps
+phi_s : F(f(s)) -> F(s) compatible with the restrictions.  The global
+side is the alternating trace of the induced endomorphism of the
+sections complex (returned through the cohomology route and
+cross-checked against the matrix trace); the local side sums signed
+traces over setwise-fixed cells.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cellcx import CellularMap
-from .qlinalg import (Matrix, compose_chain_maps, graded_map, is_chain_map,
-                      _trace_endo, _cohomology_trace)
-from .sheaf import CellularSheaf, SheafError, sections, _chain_maps_equal
+from .qlinalg import Matrix, graded_map, is_chain_map, _trace_endo, _cohomology_trace
+from .sheaf import CellularSheaf, SheafError, SheafMorphism, pullback, sections
 
 
 class LefschetzError(SheafError):
@@ -37,18 +37,10 @@ class LefschetzInstance:
         return self.phi.get(cid, {})
 
     def validate(self):
-        problems = []
-        f, sh = self.f, self.sheaf
-        for c, comp in self.phi.items():
-            if not is_chain_map(sh.stalk(f(c)), sh.stalk(c), comp):
-                problems.append("phi at %r is not a chain map" % (c,))
-        for (t, s) in f.source.incidence_pairs():
-            lhs = compose_chain_maps(sh.res(s, t), self.phi_at(s))
-            rhs = compose_chain_maps(self.phi_at(t), sh.res_long(f(s), f(t)))
-            if not _chain_maps_equal(lhs, rhs, sh.stalk(f(s)), sh.stalk(t)):
-                problems.append("phi does not commute with restriction (%r, %r)"
-                                % (s, t))
-        return problems
+        """The problems of phi as a morphism f^-1 F -> F: the stalk of
+        f^-1 F at s is F(f(s)) and its restriction s < t is
+        F.res_long(f(s), f(t))."""
+        return SheafMorphism(pullback(self.f, self.sheaf), self.sheaf, self.phi).validate()
 
 
 def _induced_endo(inst: LefschetzInstance):

@@ -194,10 +194,10 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product: block (i, j) is self[i, j] * other, so rows
-        follow self-major order.  An identity factor is copied, not
-        multiplied."""
+        follow self-major order.  An identity factor is multiplied out like
+        any other."""
         m = Matrix(self.rows * other.rows, self.cols * other.cols)
-        m.data = _kron_rows(_factor(self), _factor(other))
+        m.data = _kron_rows(self, other)
         return m
 
     @classmethod
@@ -228,17 +228,6 @@ class Matrix:
         if self.rows != self.cols:
             raise LinAlgError("trace of non-square matrix")
         return sum((row.get(i, _ZERO) for i, row in enumerate(self.data)), Fraction(0))
-
-
-def _factor(m):
-    """A Kronecker factor: the int n when the Matrix m is the identity I_n
-    (found in one pass that stops at the first other row), else m."""
-    if m.rows != m.cols:
-        return m
-    for i, row in enumerate(m.data):
-        if len(row) != 1 or row.get(i) != 1:
-            return m
-    return m.rows
 
 
 def _kron_rows(a, b):
@@ -703,18 +692,12 @@ def tensor_chain_maps(phi, psi, src, tgt):
     caller that places many maps on the same complexes builds each layout
     once.  The map is one graded_map, with the Kronecker arrow
     (p, q) -> (p, q) by phi^p (x) psi^q for every pair of components.  A
-    component may be an int n standing for the identity I_n: the dims of
-    a complex stand for its identity chain map.  A Matrix component that
-    is an identity is used as one.
+    component may be an int n standing for the identity I_n, so the dims
+    of a complex stand for its identity chain map; a Matrix component is
+    always multiplied out, identity or not.
     """
-    gs = _factors(psi)
     return graded_map(src, tgt, [((p, q), (p, q), fp, gq, 1)
-                                 for p, fp in _factors(phi) for q, gq in gs])
-
-
-def _factors(chi):
-    """The components of a chain map as Kronecker factors (see _factor)."""
-    return [(n, m if isinstance(m, int) else _factor(m)) for n, m in chi.items()]
+                                 for p, fp in phi.items() for q, gq in psi.items()])
 
 
 def trace_endo(phi, v: VectComplex) -> Fraction:

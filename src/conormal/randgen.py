@@ -395,8 +395,12 @@ def random_upset(rng: random.Random, cx: CellComplex):
 
 
 def random_piece_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
-                       degree_range=(-2, 1), conjugate=True,
+                       degree_range=(-2, 1),
                        invariant_under: CellularMap = None) -> PieceSheaf:
+    """Random pieces on random up-sets, their slots conjugated at random.
+    A sheaf invariant under a map has unit weights and f-closed up-sets
+    and is not conjugated, so that a diagonal phi is a morphism
+    f^-1 F -> F."""
     if len(cx) == 0:
         return PieceSheaf(cx, [], {})
     pieces = []
@@ -412,7 +416,7 @@ def random_piece_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
             weights = {c: _rand_nonzero(rng) for c in cx.cell_ids()}
         pieces.append((kind, upset, deg, weights))
     conj = {}
-    if conjugate:
+    if invariant_under is None:
         slots, _ = _piece_slots(cx, pieces)
         for c, per_degree in slots.items():
             for n, labels in per_degree.items():
@@ -530,7 +534,7 @@ def random_chain_endo(rng: random.Random, v: VectComplex):
 def random_lefschetz_instance(rng: random.Random, max_vertices=6):
     cx, f = random_symmetry(rng, max_vertices)
     ps = random_piece_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1),
-                            invariant_under=f, conjugate=False)
+                            invariant_under=f)
     phi = {}
     piece_scalars = [_rand_rational(rng) for _ in ps.pieces]
     for c, slots in ps.slots.items():

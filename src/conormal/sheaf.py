@@ -131,7 +131,9 @@ class SheafMorphism:
         for c, phi in self.components.items():
             if not is_chain_map(self.source.stalk(c), self.target.stalk(c), phi):
                 problems.append("component at %r is not a chain map" % (c,))
-        for (s, t) in set(self.source.restrictions) | set(self.target.restrictions):
+        # a dict, not a set, of pairs: problems come in the same order
+        # under every hash seed
+        for (s, t) in {**self.source.restrictions, **self.target.restrictions}:
             lhs = compose_chain_maps(self.target.res(s, t), self.at(s))
             rhs = compose_chain_maps(self.at(t), self.source.res(s, t))
             if not _chain_maps_equal(lhs, rhs, self.source.stalk(s), self.target.stalk(t)):
@@ -405,8 +407,6 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     # fiber is (dim b, repr(b))
     mids = sorted(m2.cell_ids(), key=lambda b: (m2.dim(b), repr(b)))
     sign = {b: -1 if m2.dim(b) % 2 else 1 for b in mids}
-    res12, res23 = ({pair: ql._factors(phi) for pair, phi in k.restrictions.items()}
-                    for k in (k12, k23))
     fibers, stalks = {}, {}  # fibers: (a, c) -> ([(b, K12(a, b), K23(b, c))], layout)
     for a, c in base.cell_ids():
         fib = [(b, k12.stalks[(a, b)], k23.stalks[(b, c)]) for b in mids
@@ -424,11 +424,11 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
             arrows += [((b, p, q), (b, p, q + 1), u.dims[p], d, -sb if p % 2 else sb)
                        for q, d in v.diffs.items() for p in u.dims]
             for b2 in m2.cofaces(b):
-                phi, psi = res12.get(((a, b), (a, b2))), res23.get(((b, c), (b2, c)))
+                phi, psi = k12.res((a, b), (a, b2)), k23.res((b, c), (b2, c))
                 if phi and psi:
                     sgn = sc * m2.incidence(b2, b)
                     arrows += [((b, p, q), (b2, p, q), fp, gq, sgn)
-                               for p, fp in phi for q, gq in psi]
+                               for p, fp in phi.items() for q, gq in psi.items()]
         fibers[(a, c)] = fib, lay
         stalks[(a, c)] = VectComplex(lay[0], graded_map(lay, lay, arrows))
     restrictions = {}
@@ -438,10 +438,10 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
         for a2, c2 in base.cofaces((a, c)):
             if c2 == c:
                 arrows = [((b, p, q), (b, p, q), fp, v.dims[q], 1) for b, u, v in fib
-                          for p, fp in res12.get(((a, b), (a2, b)), ()) for q in v.dims]
+                          for p, fp in k12.res((a, b), (a2, b)).items() for q in v.dims]
             else:
                 arrows = [((b, p, q), (b, p, q), u.dims[p], gq, sign[b]) for b, u, v in fib
-                          for q, gq in res23.get(((b, c), (b, c2)), ()) for p in u.dims]
+                          for q, gq in k23.res((b, c), (b, c2)).items() for p in u.dims]
             if arrows:
                 restrictions[((a, c), (a2, c2))] = graded_map(lay, fibers[(a2, c2)][1], arrows)
     return CellularSheaf(base, stalks, restrictions)

@@ -190,6 +190,14 @@ def _with(**changes):
     pytest.param({"complex": {"simplices": [["a.b"]]}}, id="simplex-dotted"),
     pytest.param({"complex": {"simplices": [[False, 1]]}}, id="simplex-bool"),
     pytest.param({**TRI, "version": True}, id="version-bool"),
+    # phi at a vertex maps the 1-dim stalk F(f(0)) into the 1-dim F(0)
+    pytest.param(_with(lefschetz={"L": {"map": "ident", "sheaf": "k",
+                                        "phi": {"0": {"0": [[1], [2]]}}}}), id="phi-shape"),
+    # a map's target is "self" or "point" in every form
+    pytest.param(_with(maps={"m": {"cells": {c: c for c in _TRI_CELLS},
+                                   "signs": {c: 1 for c in _TRI_CELLS}, "target": "bogus"}}),
+                 id="map-cells-target"),
+    pytest.param(_with(maps={"m": {"identity": True, "target": [1]}}), id="map-identity-target"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3
@@ -257,6 +265,23 @@ def test_cli_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert cli.main(["validate", str(p)]) == 3
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param('{"complex": {"simplices": [["\xe9"]]}}'.encode("latin-1"), id="not-utf8"),
+    pytest.param(b"[" * 200000, id="nested-too-deep")])
+def test_cli_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert cli.main(["validate", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_cli_phi_on_a_map_to_a_point_is_a_validation_failure(tmp_path, capsys):
+    """The self-map check comes before phi's shapes are checked."""
+    doc = _with(lefschetz={"L": {"map": "pt", "sheaf": "k", "phi": {"0": {"0": [[1], [2]]}}}})
+    assert cli.main(["validate", write(tmp_path, doc)]) == 1
+    assert "self-map" in capsys.readouterr().out
 
 
 def test_cli_chi_and_cc(tmp_path, capsys):
@@ -385,6 +410,22 @@ def test_python_m_conormal_runs_check():
     assert proc.returncode == 0, proc.stderr
     golden = (root / "tests" / "fixtures" / "check_seed1_cases5.txt").read_text()
     assert proc.stdout == golden.replace("cases 5\n", "cases 2\n")
+
+
+def test_check_stdout_does_not_depend_on_the_hash_seed():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "conormal", "check", "--seed", "4",
+                               "--cases", "20"], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_run_checks_runs_a_repeated_suite_once():

@@ -60,6 +60,21 @@ def test_validate_flags_incompatible_phi():
     assert bad.validate() != []
 
 
+def test_validate_flags_phi_that_breaks_naturality_under_a_reflection():
+    """phi scaled by 2 at the vertex 1 is still a chain map at every cell,
+    but no longer commutes with the restrictions of f^-1 F out of 1, where
+    f swaps the vertices 1 and 2."""
+    cx = hollow_triangle()
+    refl = simplicial_map(cx, cx, {"0": "0", "1": "2", "2": "1"})
+    inst = constant_phi(refl, constant(cx))
+    assert inst.validate() == []
+    bad_phi = dict(inst.phi)
+    bad_phi["1"] = {0: Matrix.identity(1).scale(2)}
+    problems = LefschetzInstance(refl, inst.sheaf, bad_phi).validate()
+    assert sorted(problems) == ["morphism does not commute with restriction ('1', '0.1')",
+                                "morphism does not commute with restriction ('1', '1.2')"]
+
+
 def test_non_endomorphism_rejected():
     from conormal.cellcx import collapse_to_point
     cx = hollow_triangle()

@@ -149,7 +149,7 @@ def test_sparse_operations_agree_with_dense_reference(data):
                      for j in range(k)] for i in range(r)], r, k)
     _agrees(a.kron(c), [[A[i // n][j // k] * C[i % n][j % k]
                          for j in range(n * k)] for i in range(r * n)], r * n, n * k)
-    # identity factors are copied; near-identities must not be taken for one
+    # identities (I_0 included) and near-identities as either factor
     e = data.draw(_kron_factors())
     for x, y in ((a, e), (e, a), (e, e)):
         X, Y = _dense(x), _dense(y)
