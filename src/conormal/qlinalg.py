@@ -69,6 +69,11 @@ class Matrix:
     data[i] is row i as a dict from column to entry.  No zero is ever
     stored, so equal matrices have equal data and a zero row is empty.
     Matrix(rows, cols, data) takes data as dense rows of rationals.
+
+    No operation writes to a Matrix it is given: results are new matrices
+    or the given ones unchanged.  One Matrix may therefore be shared by
+    several blocks, stalks or sheaves, and one that code did not build
+    itself is read-only to it.
     """
 
     __slots__ = ("rows", "cols", "data")

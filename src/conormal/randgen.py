@@ -12,10 +12,14 @@ and their positions, are computed once per cell rather than once per
 incidence pair, and random_piece_sheaf draws its conjugations over those
 slots rather than over a probe sheaf.  random_invertible undoes its own
 elementary row operations in reverse order to get the exact inverse from
-the same draws, so no linear system is solved; a 1x1 draw is written as
-the product of its two scaling factors.  Most slots hold one label, and a
-block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
-as g(t) h(s) from two scalars per slot.  A larger unconjugated block has
+the same draws, so no linear system is solved; a 1x1 draw reads the
+product of its two scaling factors, and its inverse, from a table built
+once, so it does no Fraction arithmetic.  Most slots hold one label, and
+a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
+as g(t) h(s) from two scalars per slot.  One build computes g and h once
+per distinct (A, w) and makes one 1x1 Matrix per distinct value
+g(t) h(s), which every equal restriction and differential shares (no
+operation writes to its inputs' matrices).  A larger unconjugated block has
 at most one entry in each row, so A_t M A_s^-1 is written as scaled rows
 of A_s^-1 and multiplied by A_t once.  The random rationals are picked
 from tables of precomputed Fractions, with the same draws as building them.
@@ -181,6 +185,16 @@ _RATIONALS = tuple(tuple(Fraction(num, den) for den in (1, 1, 1, 2, 3))
                    for num in (-2, -1, -1, 1, 1, 2, 3))
 _NONZEROS = tuple(tuple(Fraction(num, den) for den in (1, 2))
                   for num in (-2, -1, 1, 2, 3))
+# the positions of _NONZEROS in the flat list _NONZERO_LIST, in its shape,
+# so that rng.choice(rng.choice(_NONZERO_INDEX)) makes the draws of
+# _rand_nonzero and returns where its factor lies
+_NONZERO_LIST = tuple(x for row in _NONZEROS for x in row)
+_NONZERO_INDEX = tuple(tuple(range(k * len(row), (k + 1) * len(row)))
+                       for k, row in enumerate(_NONZEROS))
+# _UNIT_DRAWS[i][j] = (f1 f2, 1 / (f1 f2)) for the factors f1, f2 at
+# positions i, j: the one entry of a 1x1 random_invertible and of its inverse
+_UNIT_DRAWS = tuple(tuple((a * b, _ONE / (a * b)) for b in _NONZERO_LIST)
+                    for a in _NONZERO_LIST)
 
 
 def _rand_rational(rng: random.Random) -> Fraction:
@@ -209,15 +223,15 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
     every pair it drew alive in the cache.
 
     For n = 1 both operations scale the one row, so A = [[f1 f2]] and
-    A^-1 = [[1 / (f1 f2)]] are written directly, after the same draws (two
-    row indices, then a factor, per operation) as the general loop."""
+    A^-1 = [[1 / (f1 f2)]] are read from _UNIT_DRAWS, after the same draws
+    (two row indices, then a factor, per operation) as the general loop."""
     if n == 1:
         rng.randrange(1), rng.randrange(1)  # i = j = 0: scale the row
-        f = _rand_nonzero(rng)
+        i = rng.choice(rng.choice(_NONZERO_INDEX))
         rng.randrange(1), rng.randrange(1)
-        f *= _rand_nonzero(rng)
+        f, inv = _UNIT_DRAWS[i][rng.choice(rng.choice(_NONZERO_INDEX))]
         m = _scalar(f)
-        _INV_CACHE[id(m)] = (m, _scalar(_ONE / f))
+        _INV_CACHE[id(m)] = (m, _scalar(inv))
         return m
     a = [{i: _ONE} for i in range(n)]
     ops = []
@@ -283,8 +297,9 @@ class PieceSheaf:
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
     to the invertible matrix A conjugating that slot; a missing slot is
     not conjugated.  A block between two slots of one label each is the
-    scalar g(t) h(s) (see _build); every larger block is built as
-    A_t M A_s^-1 in one product, where M is the unconjugated block.
+    scalar g(t) h(s), one shared 1x1 Matrix per value (see _build); every
+    larger block is built as A_t M A_s^-1 in one product, where M is the
+    unconjugated block.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
@@ -334,15 +349,41 @@ class PieceSheaf:
         # (i, leg), A = 1 where unconjugated: a 1x1 restriction is
         # A_t (w_i(t) / w_i(s)) A_s^-1 = g(t) h(s), and a 1x1 differential,
         # whose two legs of piece i have the same weight w_i(c), is
-        # A_t 1 A_s^-1 = g(t) h(s) as well
+        # A_t 1 A_s^-1 = g(t) h(s) as well.  Each distinct (A, w) gives its
+        # (g, h, g's key, h's key) once, and each distinct value g(t) h(s)
+        # one 1x1 Matrix that every block equal to it shares; the keys are
+        # (numerator, denominator) ints, which hash faster than Fractions.
+        slot_gh, pair_blocks, value_blocks = {}, {}, {}
         gh = {}
         for c, slots in self.slots.items():
             for n, labels in slots.items():
                 if len(labels) == 1:
                     w = pieces[labels[0][0]][3][c]
-                    a, inv = self.conj.get((c, n)), self.inverse((c, n))
-                    gh[(c, n)] = (w if a is None else a.data[0][0] * w,
-                                  _ONE / w if inv is None else inv.data[0][0] / w)
+                    a = self.conj.get((c, n))
+                    x = _ONE if a is None else a.data[0][0]
+                    key = (x.numerator, x.denominator, w.numerator, w.denominator)
+                    got = slot_gh.get(key)
+                    if got is None:
+                        inv = self.inverse((c, n))
+                        g = w if a is None else x * w
+                        h = _ONE / w if inv is None else inv.data[0][0] / w
+                        got = slot_gh[key] = (g, h, (g.numerator, g.denominator),
+                                              (h.numerator, h.denominator))
+                    gh[(c, n)] = got
+
+        def scalar_block(t_gh, s_gh):
+            """The shared 1x1 Matrix [[g(t) h(s)]]."""
+            key = (t_gh[2], s_gh[3])
+            m = pair_blocks.get(key)
+            if m is None:
+                x = t_gh[0] * s_gh[1]
+                value = (x.numerator, x.denominator)
+                m = value_blocks.get(value)
+                if m is None:
+                    m = value_blocks[value] = _scalar(x)
+                pair_blocks[key] = m
+            return m
+
         stalks = {}
         for c, slots in self.slots.items():
             dims = {n: len(labels) for n, labels in slots.items()}
@@ -354,7 +395,7 @@ class PieceSheaf:
                 if dims[n] == 1 == dims[n + 1]:
                     i, leg = labels[0]
                     if leg == 0 and pieces[i][0] == ACYC:
-                        diffs[n] = _scalar(gh[(c, n + 1)][0] * gh[(c, n)][1])
+                        diffs[n] = scalar_block(gh[(c, n + 1)], gh[(c, n)])
                     continue
                 # d^n sends leg 0 of each acyclic piece to its leg 1
                 entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
@@ -375,7 +416,7 @@ class PieceSheaf:
                     continue
                 if len(labels) == 1 == len(labels_t):
                     if labels == labels_t:
-                        phi[n] = _scalar(gh[(t, n)][0] * gh[(s, n)][1])
+                        phi[n] = scalar_block(gh[(t, n)], gh[(s, n)])
                     continue
                 # each piece on both cells maps by its weight ratio
                 entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])

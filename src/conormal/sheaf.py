@@ -30,7 +30,12 @@ class SheafError(ValueError):
 
 
 class CellularSheaf:
-    """Cellular sheaf of rational cochain complexes (immutable)."""
+    """Cellular sheaf of rational cochain complexes (immutable).
+
+    One Matrix may serve as several of its blocks or be shared with other
+    sheaves (the constant sheaf has one [[1]] for every restriction, a
+    random piece sheaf one 1x1 Matrix per distinct value), so no operation
+    writes to the matrices of the sheaves it is given."""
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
@@ -89,7 +94,10 @@ class CellularSheaf:
             if not is_chain_map(self.stalk(s), self.stalk(t), phi):
                 problems.append("restriction (%r, %r) is not a chain map" % (s, t))
         for tau in self.base.cell_ids():
-            for rho in {r for s in self.base.faces(tau) for r in self.base.faces(s)}:
+            # a dict, not a set, of faces of faces: problems come in the
+            # same order under every hash seed
+            for rho in dict.fromkeys(r for s in self.base.faces(tau)
+                                     for r in self.base.faces(s)):
                 mids = [s for s in self.base.faces(tau) if self.base.incidence(s, rho)]
                 comps = [compose_chain_maps(self.res(s, tau), self.res(rho, s))
                          for s in mids]
@@ -192,8 +200,10 @@ def zero_sheaf(x: CellComplex) -> CellularSheaf:
 
 
 def constant(x: CellComplex) -> CellularSheaf:
+    """The constant sheaf k on x: every restriction is one shared [[1]]."""
     stalks = {c: ql.single(0, 1) for c in x.cell_ids()}
-    restrictions = {(s, t): {0: Matrix.identity(1)} for (t, s) in x.incidence_pairs()}
+    one = Matrix.identity(1)
+    restrictions = {(s, t): {0: one} for (t, s) in x.incidence_pairs()}
     return CellularSheaf(x, stalks, restrictions)
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conormal import checks, randgen
+from conormal.cellcx import product
 from conormal.checks import run_checks
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
 from conormal.qlinalg import Matrix, VectComplex, solve_unique, _add_multiple
@@ -115,6 +116,41 @@ def test_random_invertible_matches_the_general_loop_draw_for_draw():
         assert rng.getstate() == ref.getstate()
     finally:
         randgen._INV_CACHE.clear()
+
+
+def test_unit_draw_table_holds_each_product_and_its_inverse():
+    """_UNIT_DRAWS[i][j] is (a b, 1 / (a b)) for the nonzero factors a, b
+    at positions i, j, and _NONZERO_INDEX draws those positions in the
+    shape of _NONZEROS."""
+    flat = [x for row in randgen._NONZEROS for x in row]
+    assert len(randgen._UNIT_DRAWS) == len(flat)
+    for a, row in zip(flat, randgen._UNIT_DRAWS):
+        assert len(row) == len(flat)
+        for b, (p, q) in zip(flat, row):
+            assert p == a * b and p * q == 1
+    assert [[flat[k] for k in row] for row in randgen._NONZERO_INDEX] == \
+        [list(row) for row in randgen._NONZEROS]
+
+
+def test_unconjugated_piece_sheaf_shares_one_block_per_value():
+    """On circle(8)^2, with a sky piece on every cell and an acyclic piece
+    on an up-set in other degrees (so every slot holds one label), equal
+    1x1 restrictions and differentials are one Matrix object."""
+    rng = random.Random(5)
+    cx = product(randgen.circle(8), randgen.circle(8))[0]
+    cells = cx.cell_ids()
+    pieces = [(kind, upset, deg, {c: randgen._rand_nonzero(rng) for c in cells})
+              for kind, upset, deg in ((randgen.SKY, frozenset(cells), 0),
+                                       (randgen.ACYC, randgen.random_upset(rng, cx), 1))]
+    sheaf = randgen.PieceSheaf(cx, pieces, {}).sheaf
+    blocks = [m for phi in sheaf.restrictions.values() for m in phi.values()]
+    diffs = [m for v in sheaf.stalks.values() for m in v.diffs.values()]
+    assert diffs and all(m.rows == m.cols == 1 for m in blocks + diffs)
+    blocks += diffs
+    objects = {id(m) for m in blocks}
+    values = {m[0, 0] for m in blocks}
+    assert len(objects) <= len(values) < len(blocks)
+    assert sheaf.validate() == []
 
 
 def _reference_sheaf(ps):

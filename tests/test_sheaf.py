@@ -21,6 +21,7 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
                               random_morphism, random_cellular_map,
+                              random_vertex_collapse,
                               random_vect_complex, random_chain_endo,
                               random_lefschetz_instance, PieceSheaf, SKY, ACYC)
 from conormal.tracekernel import tk
@@ -245,6 +246,80 @@ def test_random_morphisms_and_cone():
         cone = mapping_cone(alpha)
         assert cone.validate() == []
         assert euler_char(cone) == euler_char(tgt.sheaf) - euler_char(src.sheaf)
+
+
+def test_operations_do_not_write_to_their_inputs():
+    """A piece sheaf shares one 1x1 Matrix among its equal blocks and the
+    constant sheaf one [[1]] among its restrictions, which is safe because
+    no operation writes to the matrices of its inputs: describe_sheaf of
+    every input is the same after each operation as before."""
+    rng = random.Random(36)
+    factors = [interval(), hollow_triangle(), circle(4)]
+    shared = 0
+    for _ in range(6):
+        cx = random_complex(rng, max_dim=2, max_vertices=5, max_cells=14)
+        ps = random_piece_sheaf(rng, cx, max_pieces=3)
+        bare = PieceSheaf(cx, ps.pieces, {})
+        tgt = random_piece_sheaf(rng, cx, max_pieces=2)
+        alpha = random_morphism(rng, ps, tgt)
+        m1, m2, m3 = (rng.choice(factors) for _ in range(3))
+        k12 = random_piece_sheaf(rng, product(m1, m2)[0], max_pieces=2).sheaf
+        p23 = product(m2, m3)[0]
+        k23 = PieceSheaf(p23, random_piece_sheaf(rng, p23, max_pieces=2).pieces, {}).sheaf
+        inputs = [ps.sheaf, bare.sheaf, tgt.sheaf, k12, k23, constant(cx)]
+        before = [describe_sheaf(f) for f in inputs]
+        components = {str(c): {n: fmt_matrix(m) for n, m in phi.items()}
+                      for c, phi in alpha.components.items()}
+        for run in [lambda: kernel_compose(k12, k23),
+                    lambda: verdier_dual(ps.sheaf),
+                    lambda: verdier_dual(bare.sheaf),
+                    lambda: pushforward(random_vertex_collapse(rng, cx), ps.sheaf),
+                    lambda: pushforward(collapse_to_point(cx), inputs[-1]),
+                    lambda: external(bare.sheaf, k23),
+                    lambda: tensor_sheaf(ps.sheaf, bare.sheaf),
+                    lambda: tensor_sheaf(inputs[-1], tgt.sheaf),
+                    lambda: mapping_cone(alpha),
+                    lambda: homology_ranks(global_sections(bare.sheaf)),
+                    lambda: homology_ranks(global_sections(ps.sheaf))]:
+            run()
+            assert [describe_sheaf(f) for f in inputs] == before
+            assert {str(c): {n: fmt_matrix(m) for n, m in phi.items()}
+                    for c, phi in alpha.components.items()} == components
+        blocks = [m for phi in k23.restrictions.values() for m in phi.values()]
+        shared += len(blocks) - len({id(m) for m in blocks})
+    assert shared > 0
+    assert len({id(phi[0]) for phi in constant(torus7()).restrictions.values()}) == 1
+
+
+# the problems of the constant sheaf on full_simplex(4) with every third
+# restriction, in str order, scaled by 2
+_VALIDATE_PROBLEMS = """
+from conormal.randgen import full_simplex
+from conormal.sheaf import CellularSheaf, constant
+f = constant(full_simplex(4))
+res = dict(f.restrictions)
+for k, pair in enumerate(sorted(res, key=str)):
+    if k % 3 == 0:
+        res[pair] = {0: res[pair][0].scale(2)}
+print("\\n".join(CellularSheaf(f.base, f.stalks, res).validate()))
+"""
+
+
+def test_validate_problems_do_not_depend_on_the_hash_seed():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _VALIDATE_PROBLEMS], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    (out,) = outs
+    assert out.count("composite restrictions") == 10
 
 
 def test_cone_of_identity_is_acyclic():
