@@ -141,10 +141,11 @@ def cmd_pushforward(args):
         return VALIDATION_FAILURE
     for c in sorted(pushed.base.cell_ids(), key=_cell_sort_key(pushed.base)):
         print("chi %s = %d" % (c, euler(pushed.stalk(c))))
-    if mueu(pushed) != pushforward_cycle(f, mueu(sheaf)):
+    pushed_class = mueu(pushed)
+    if pushed_class != pushforward_cycle(f, mueu(sheaf)):
         print("class of pushforward disagrees with pushed class")
         return PROPERTY_VIOLATION
-    print("pushforward ok, degree %d" % degree(mueu(pushed)))
+    print("pushforward ok, degree %d" % degree(pushed_class))
     return OK
 
 
@@ -154,10 +155,11 @@ def cmd_dual(args):
     df = verdier_dual(sheaf)
     for c in sorted(df.base.cell_ids(), key=_cell_sort_key(df.base)):
         print("chi %s = %d" % (c, euler(df.stalk(c))))
-    if euler_char(df) != euler_char(sheaf):
+    index = euler_char(df)
+    if index != euler_char(sheaf):
         print("duality changed the global index")
         return PROPERTY_VIOLATION
-    print("dual ok, degree %d" % euler_char(df))
+    print("dual ok, degree %d" % index)
     return OK
 
 

@@ -473,8 +473,8 @@ class VectComplex:
     def __eq__(self, other):
         if not isinstance(other, VectComplex):
             return NotImplemented
-        return self.dims == other.dims and all(
-            self.d(n) == other.d(n) for n in set(self.diffs) | set(other.diffs))
+        # the constructor drops zero differentials, so none is stored
+        return self.dims == other.dims and self.diffs == other.diffs
 
     def __repr__(self):
         return "VectComplex(dims=%r)" % (self.dims,)
@@ -497,7 +497,7 @@ def homology_ranks(v: VectComplex) -> dict:
     """dim H^n for every degree; rejects complexes with d^2 != 0."""
     v.check()
     out = {}
-    rk = {n: rank(v.d(n)) for n in v.dims}
+    rk = {n: rank(m) for n, m in v.diffs.items()}
     for n in v.dims:
         h = v.dim(n) - rk.get(n, 0) - rk.get(n - 1, 0)
         if h < 0:
@@ -639,23 +639,14 @@ def _tensor(a: VectComplex, b: VectComplex, lay) -> VectComplex:
 # ---------------------------------------------------------------------------
 # chain maps (dicts degree -> Matrix)
 
-def chain_component(phi, n, src: VectComplex, tgt: VectComplex) -> Matrix:
-    m = phi.get(n)
-    if m is None:
-        m = Matrix.zeros(tgt.dim(n), src.dim(n))
-    return m
-
-
 def is_chain_map(src: VectComplex, tgt: VectComplex, phi) -> bool:
+    """Whether phi has the shapes of a map src -> tgt and d phi = phi d,
+    compared as dicts (compose_chain_maps stores no zero product)."""
     for n, m in phi.items():
         if m.rows != tgt.dim(n) or m.cols != src.dim(n):
             return False
-    for n in set(src.dims):
-        lhs = tgt.d(n) * chain_component(phi, n, src, tgt)
-        rhs = chain_component(phi, n + 1, src, tgt) * src.d(n)
-        if lhs != rhs:
-            return False
-    return True
+    return (compose_chain_maps(tgt.diffs, phi)
+            == compose_chain_maps(shift_chain_map(phi, 1), src.diffs))
 
 
 def compose_chain_maps(phi, psi):
@@ -678,7 +669,8 @@ def add_chain_maps(phi, psi):
 
 
 def scale_chain_map(phi, c):
-    return {n: m.scale(c) for n, m in phi.items()}
+    out = {n: m.scale(c) for n, m in phi.items()}
+    return {n: m for n, m in out.items() if not m.is_zero()}
 
 
 def identity_chain_map(v: VectComplex):
@@ -715,8 +707,9 @@ def trace_endo(phi, v: VectComplex) -> Fraction:
 def cohomology_trace(phi, v: VectComplex) -> Fraction:
     """Alternating trace of the induced endomorphism of H^*(v).
 
-    Independent of trace_endo: builds explicit bases of cohomology and
-    solves for the induced matrices.  Rejects non-commuting phi.
+    Independent of trace_endo: the trace on H^n is read off reduced bases
+    of the cycles and the boundaries in degree n (see _cohomology_trace).
+    Rejects non-commuting phi.
     """
     if not is_chain_map(v, v, phi):
         raise LinAlgError("endomorphism does not commute with the differential")
@@ -735,32 +728,41 @@ def _trace_endo(phi, v: VectComplex) -> Fraction:
 
 def _cohomology_trace(phi, v: VectComplex) -> Fraction:
     """cohomology_trace of a phi already known to be a chain map; d^2 = 0
-    is still checked."""
+    is still checked.
+
+    phi keeps Z^n = ker d^n and B^n = im d^(n-1), so its trace on H^n is
+    Tr(phi|Z^n) - Tr(phi|B^n).  Each is read off a reduced basis whose
+    vectors are fixed by their entries at a set of columns:
+    - R = rref(d^n) with pivots p_i: each free column c gives the cycle
+      z_c = e_c - sum_i R[i, c] e_(p_i), which is 0 at every other free
+      column, so Tr(phi|Z^n) = sum_c (phi[c, c] - sum_i R[i, c] phi[c, p_i]);
+    - the rows r_i of rref((d^(n-1))^T) span B^n, each with a 1 at its own
+      pivot p_i and 0 at the others, so Tr(phi|B^n) = sum_i phi[p_i, :] . r_i.
+    """
     v.check()
     total = Fraction(0)
-    for n, dim in v.dims.items():
-        ker = kernel_basis(v.d(n))
-        if not ker:
-            continue
-        image = v.d(n - 1)
-        # columns: the image of d^{n-1} first, then the kernel vectors; the
-        # pivot columns of their rref are a basis of B^n followed by the
-        # kernel vectors that complete it to a basis of Z^n
-        span = Matrix.assemble(dim, image.cols + len(ker),
-                               [(0, 0, image),
-                                (0, image.cols, Matrix(len(ker), dim, ker).transpose())])
-        _, pivots = rref(span)
-        chosen = [c for c in pivots if c >= image.cols]
-        if not chosen:
-            continue
-        coeff = solve_unique(span.submatrix(range(dim), pivots),
-                             chain_component(phi, n, v, v)
-                             * span.submatrix(range(dim), chosen))
-        # the coordinates along the chosen vectors are the last rows of coeff
-        first = len(pivots) - len(chosen)
-        tr = sum((coeff[first + i, i] for i in range(len(chosen))), Fraction(0))
+    for n, m in phi.items():
+        rows = m.data
+        cycles = _pivot_rows(v.diffs.get(n))
+        image = v.diffs.get(n - 1)
+        bounds = _pivot_rows(None if image is None else image.transpose())
+        pivots = {p for p, _ in cycles}
+        tr = sum((row.get(c, _ZERO) for c, row in enumerate(rows) if c not in pivots),
+                 Fraction(0))
+        # in row i of R the only pivot column is p_i itself
+        tr -= sum(x * rows[c][p] for p, r in cycles for c, x in r.items()
+                  if c != p and p in rows[c])
+        tr -= sum(rows[p][c] * x for p, r in bounds for c, x in r.items() if c in rows[p])
         total += (-1 if n % 2 else 1) * tr
     return total
+
+
+def _pivot_rows(m):
+    """(pivot column, row) of each nonzero row of rref(m); none for None."""
+    if m is None:
+        return []
+    r, pivots = rref(m)
+    return list(zip(pivots, r.data))
 
 
 def total_complex(columns, horizontal) -> VectComplex:
@@ -778,26 +780,23 @@ def total_complex(columns, horizontal) -> VectComplex:
         except LinAlgError as e:
             raise LinAlgError("column %d: %s" % (i, e))
 
-    def horiz(i, n):
-        m = horizontal.get((i, n))
-        if m is None:
-            src = cols.get(i, ZERO_COMPLEX)
-            tgt = cols.get(i + 1, ZERO_COMPLEX)
-            m = Matrix.zeros(tgt.dim(n), src.dim(n))
-        return m
-
+    maps = {}  # i -> the chain map columns[i] -> columns[i + 1]
     for (i, n), m in horizontal.items():
         src = cols.get(i, ZERO_COMPLEX)
         tgt = cols.get(i + 1, ZERO_COMPLEX)
         if m.cols != src.dim(n) or m.rows != tgt.dim(n):
             raise LinAlgError("horizontal map at bidegree (%d, %d) has wrong shape" % (i, n))
-    for i in cols:
-        for n in cols[i].dims:
-            if cols.get(i + 2, ZERO_COMPLEX).dim(n) and not (horiz(i + 1, n) * horiz(i, n)).is_zero():
+        maps.setdefault(i, {})[n] = m
+    for i, c in cols.items():
+        h = maps.get(i, {})
+        square = compose_chain_maps(maps.get(i + 1, {}), h)
+        lhs = compose_chain_maps(shift_chain_map(h, 1), c.diffs)
+        rhs = compose_chain_maps(cols.get(i + 1, ZERO_COMPLEX).diffs, h)
+        for n in c.dims:
+            if n in square:
                 raise LinAlgError("horizontal d^2 != 0 at bidegree (%d, %d)" % (i, n))
-            if cols.get(i + 1, ZERO_COMPLEX).dim(n + 1):
-                if horiz(i, n + 1) * cols[i].d(n) != cols.get(i + 1, ZERO_COMPLEX).d(n) * horiz(i, n):
-                    raise LinAlgError("grid does not commute at bidegree (%d, %d)" % (i, n))
+            if lhs.get(n) != rhs.get(n):
+                raise LinAlgError("grid does not commute at bidegree (%d, %d)" % (i, n))
 
     # bidegree (i, n) sits in total degree i + n, ordered by i
     lay = layout([((i, n), i + n, c.dim(n))

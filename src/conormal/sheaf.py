@@ -20,7 +20,7 @@ from operator import itemgetter
 from .cellcx import CellComplex, CellularMap, _product_complex, factors_of
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
-                      tensor_layout, chain_component, is_chain_map,
+                      tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
                       shift_chain_map, layout, graded_map)
 
@@ -101,9 +101,9 @@ class CellularSheaf:
                 mids = [s for s in self.base.faces(tau) if self.base.incidence(s, rho)]
                 comps = [compose_chain_maps(self.res(s, tau), self.res(rho, s))
                          for s in mids]
+                # compose_chain_maps stores no zero component, so == compares
                 for i in range(1, len(comps)):
-                    if not _chain_maps_equal(comps[0], comps[i],
-                                             self.stalk(rho), self.stalk(tau)):
+                    if comps[0] != comps[i]:
                         problems.append(
                             "composite restrictions %r -> %r disagree" % (rho, tau))
                         break
@@ -111,13 +111,6 @@ class CellularSheaf:
 
     def __repr__(self):
         return "CellularSheaf(%r, %d nonzero stalks)" % (self.base, len(self.stalks))
-
-
-def _chain_maps_equal(a, b, src: VectComplex, tgt: VectComplex):
-    for n in set(a) | set(b):
-        if chain_component(a, n, src, tgt) != chain_component(b, n, src, tgt):
-            return False
-    return True
 
 
 class SheafMorphism:
@@ -144,7 +137,7 @@ class SheafMorphism:
         for (s, t) in {**self.source.restrictions, **self.target.restrictions}:
             lhs = compose_chain_maps(self.target.res(s, t), self.at(s))
             rhs = compose_chain_maps(self.at(t), self.source.res(s, t))
-            if not _chain_maps_equal(lhs, rhs, self.source.stalk(s), self.target.stalk(t)):
+            if lhs != rhs:
                 problems.append("morphism does not commute with restriction (%r, %r)" % (s, t))
         return problems
 
@@ -217,14 +210,22 @@ def shift_sheaf(f: CellularSheaf, k: int) -> CellularSheaf:
 def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     if not f.base.same_as(g.base):
         raise SheafError("direct sum over different bases")
-    cells = set(f.stalks) | set(g.stalks)
+    # dicts, not sets, of cells and pairs: the result, and its validate()
+    # problems, come in the same order under every hash seed
+    cells = {**f.stalks, **g.stalks}
     lays = {c: ql.direct_sum_layout(f.stalk(c), g.stalk(c)) for c in cells}
     stalks = {c: ql.direct_sum(f.stalk(c), g.stalk(c)) for c in cells}
-    restrictions = {}
-    for (s, t) in set(f.restrictions) | set(g.restrictions):
-        restrictions[(s, t)] = graded_map(lays[s], lays[t], [
-            ((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
-    return CellularSheaf(f.base, stalks, restrictions)
+    return CellularSheaf(f.base, stalks, _summed_restrictions(f, g, lays))
+
+
+def _summed_restrictions(f, g, lays):
+    """The restrictions of a stalkwise sum of f and g whose stalk at c has
+    the layout lays[c], with piece (0, n) for degree n of f and (1, n) for
+    degree n of g; each acts on its own pieces."""
+    return {(s, t): graded_map(lays[s], lays[t],
+                               [((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g))
+                                for n, m in h.res(s, t).items()])
+            for (s, t) in {**f.restrictions, **g.restrictions}}
 
 
 def tensor_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
@@ -383,18 +384,14 @@ def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
     # degree n of the cone holds f^{n+1} (the piece (0, n + 1)), then g^n
     lays = {c: layout([((0, p), p - 1, d) for p, d in f.stalk(c).dims.items()]
                       + [((1, n), n, d) for n, d in g.stalk(c).dims.items()])
-            for c in set(f.stalks) | set(g.stalks)}
+            for c in {**f.stalks, **g.stalks}}
     stalks = {}
     for c, lay in lays.items():
         arrows = [((0, p), (0, p + 1), m, 1, -1) for p, m in f.stalk(c).diffs.items()]
         arrows += [((0, p), (1, p), m, 1, 1) for p, m in alpha.at(c).items()]
         arrows += [((1, n), (1, n + 1), m, 1, 1) for n, m in g.stalk(c).diffs.items()]
         stalks[c] = VectComplex(lay[0], graded_map(lay, lay, arrows))
-    restrictions = {}
-    for (s, t) in set(f.restrictions) | set(g.restrictions):
-        restrictions[(s, t)] = graded_map(lays[s], lays[t], [
-            ((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g)) for n, m in h.res(s, t).items()])
-    return CellularSheaf(f.base, stalks, restrictions)
+    return CellularSheaf(f.base, stalks, _summed_restrictions(f, g, lays))
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:

@@ -1,9 +1,10 @@
-"""The names the benchmark's tracer wraps must keep resolving.
+"""The names the benchmark wraps and calls must keep resolving.
 
 bench/tracer.py wraps the functions and methods named in its TARGETS
-table; a refactor that renames or drops one of them breaks traced
-benchmark runs.  TARGETS is read from the source, so nothing under
-bench/ is imported or written.
+table, and bench/run.py and bench/workloads.py call further names; a
+refactor that renames or drops one of them breaks benchmark runs.
+TARGETS and the sources are read as text, so nothing under bench/ is
+imported or written.
 """
 
 import ast
@@ -12,7 +13,15 @@ import pathlib
 
 from conormal import randgen
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+
+# (module, attribute) that bench/run.py and bench/workloads.py use
+# besides the traced names
+CALLED = [("mueu", "set_negative_control"), ("checks", "_case_rng"),
+          ("checks", "SUITES"), ("randgen", "PieceSheaf"),
+          ("randgen", "random_invertible"), ("cellcx", "POINT"),
+          ("sheaf", "CellularSheaf")]
 
 
 def _targets():
@@ -40,3 +49,11 @@ def test_traced_names_resolve():
 def test_inverse_cache_resolves():
     # the tracer reports len(randgen._INV_CACHE)
     assert len(randgen._INV_CACHE) >= 0
+
+
+def test_called_names_resolve():
+    source = (BENCH / "run.py").read_text() + (BENCH / "workloads.py").read_text()
+    for layer, name in CALLED:
+        assert "." + name in source, "%s is no longer used by the benchmark" % name
+        assert hasattr(importlib.import_module("conormal." + layer), name), \
+            "%s.%s" % (layer, name)

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conormal.cellcx import identity_map, simplicial_map
+from conormal.cellcx import identity_map, simplicial_map, product, product_map
 from conormal.qlinalg import Matrix
 from conormal.sheaf import constant
 from conormal.lefschetz import (LefschetzInstance, LefschetzError,
                                 global_trace, local_trace_sum, constant_phi)
-from conormal.randgen import (hollow_triangle, tetra_boundary,
+from conormal.randgen import (hollow_triangle, tetra_boundary, circle,
                               random_lefschetz_instance)
 
 
@@ -114,3 +114,38 @@ def test_global_trace_checks_the_chain_map_once(monkeypatch):
                        match="^phi family does not induce a chain endomorphism$"):
         global_trace(bad)
     assert len(calls) == 2
+
+
+def test_global_trace_builds_no_basis_and_solves_nothing(monkeypatch):
+    """The cohomology route reads its traces off reduced bases: no kernel
+    basis, no linear solve and no assembled or sliced matrix."""
+    import conormal.qlinalg as ql
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ql, "solve_unique", counted("solve_unique", ql.solve_unique))
+    monkeypatch.setattr(ql, "kernel_basis", counted("kernel_basis", ql.kernel_basis))
+    monkeypatch.setattr(Matrix, "assemble",
+                        classmethod(counted("assemble", Matrix.assemble.__func__)))
+    monkeypatch.setattr(Matrix, "submatrix", counted("submatrix", Matrix.submatrix))
+    c = circle(4)
+    refl = simplicial_map(c, c, {v: (-v) % 4 for v in range(4)})
+    torus = product(c, c)[0]
+    f = product_map(refl, refl, source=torus, target=torus)
+    # L(reflection) = 2 on the circle, so 4 on the torus
+    assert global_trace(constant_phi(f, constant(torus), 3)) == 12
+    rng = random.Random(73)
+    for _ in range(10):
+        inst = random_lefschetz_instance(rng)
+        assert global_trace(inst) == local_trace_sum(inst)
+    assert calls == []
+    # the wrappers are the names qlinalg calls
+    one = Matrix.identity(1)
+    ql.solve_unique(one, one)
+    ql.kernel_basis(one)
+    assert calls == ["solve_unique", "assemble", "submatrix", "kernel_basis"]

@@ -535,6 +535,95 @@ def test_cohomology_trace_is_hopf_trace_on_sections_complexes():
         assert cohomology_trace(phi, v) == trace_endo(phi, v) == c * euler(v)
 
 
+def _solve_based_cohomology_trace(phi, v):
+    """Reference route to the trace on cohomology, through explicit bases
+    and a linear solve: per degree, the pivot columns of rref([B | Z]),
+    with B the columns of d^(n-1) and Z a kernel basis of d^n, are a basis
+    of B^n followed by kernel vectors that complete it to a basis of Z^n;
+    solve_unique gives phi on that basis, and the trace is taken over the
+    completing vectors."""
+    v.check()
+    total = Fraction(0)
+    for n, dim in v.dims.items():
+        ker = kernel_basis(v.d(n))
+        if not ker:
+            continue
+        image = v.d(n - 1)
+        span = Matrix.assemble(dim, image.cols + len(ker),
+                               [(0, 0, image),
+                                (0, image.cols, Matrix(len(ker), dim, ker).transpose())])
+        _, pivots = rref(span)
+        chosen = [c for c in pivots if c >= image.cols]
+        if not chosen:
+            continue
+        m = phi.get(n, Matrix.zeros(dim, dim))
+        coeff = solve_unique(span.submatrix(range(dim), pivots),
+                             m * span.submatrix(range(dim), chosen))
+        first = len(pivots) - len(chosen)
+        tr = sum((coeff[first + i, i] for i in range(len(chosen))), Fraction(0))
+        total += (-1 if n % 2 else 1) * tr
+    return total
+
+
+def _random_block(rng, rows, cols):
+    return Matrix(rows, cols, [[_rand_rational(rng) for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+def _random_conjugation(rng, n):
+    """(g, g^-1) for a random invertible n x n matrix g."""
+    while True:
+        g = _random_block(rng, n, n)
+        if rank(g) == n:
+            return g, solve_unique(g, Matrix.identity(n))
+
+
+def _split_complex_with_endo(rng):
+    """(v, phi, trace on H) for v^n = H^n + B^n + X^n conjugated by random
+    invertibles g_n, where d^n sends X^n onto B^(n+1) by the identity and
+    is zero on H^n + B^n, so H^n is the cohomology.  phi is
+    block-triangular for B^n < H^n + B^n = Z^n: any A_n on H^n, any block
+    H^n -> B^n, T_n on X^n with the same T_n on B^(n+1), and any blocks
+    from X^n into H^n + B^n.  Its trace on cohomology is
+    sum_n (-1)^n tr A_n."""
+    degrees = range(-1, 3)
+    h = {n: rng.randint(0, 2) for n in degrees}
+    x = {n: rng.randint(0, 2) if n + 1 in degrees else 0 for n in degrees}
+    b = {n: x.get(n - 1, 0) for n in degrees}
+    dims = {n: h[n] + b[n] + x[n] for n in degrees}
+    t = {n: _random_block(rng, x[n], x[n]) for n in degrees}
+    diffs, phi, expected = {}, {}, Fraction(0)
+    conj = {n: _random_conjugation(rng, dims[n]) for n in degrees}
+    for n in degrees:
+        g, g_inv = conj[n]
+        a = _random_block(rng, h[n], h[n])
+        blocks = [(0, 0, a), (h[n], 0, _random_block(rng, b[n], h[n])),
+                  (h[n] + b[n], h[n] + b[n], t[n]),
+                  (0, h[n] + b[n], _random_block(rng, h[n] + b[n], x[n]))]
+        if n - 1 in t:
+            blocks.append((h[n], h[n], t[n - 1]))
+        phi[n] = g * Matrix.assemble(dims[n], dims[n], blocks) * g_inv
+        expected += (-1 if n % 2 else 1) * a.trace()
+        if x[n]:
+            d = Matrix.assemble(dims[n + 1], dims[n],
+                                [(h[n + 1], h[n] + b[n], Matrix.identity(x[n]))])
+            diffs[n] = conj[n + 1][0] * d * g_inv
+    return VectComplex(dims, diffs), phi, expected
+
+
+def test_cohomology_trace_of_block_triangular_endos():
+    """Exact agreement with the solve-based reference and with the trace
+    on the cohomology H, for endomorphisms that are not homotopic to a
+    scalar and act on the boundaries B^n by a map of their own."""
+    rng = random.Random(31)
+    for _ in range(150):
+        v, phi, expected = _split_complex_with_endo(rng)
+        assert is_chain_map(v, v, phi)
+        got = cohomology_trace(phi, v)
+        assert got == _solve_based_cohomology_trace(phi, v) == expected
+        assert got == trace_endo(phi, v)
+
+
 def test_compose_identity_chain_maps():
     v = VectComplex({0: 2, 1: 1}, {0: M([[1, 0]])})
     i = identity_chain_map(v)
@@ -550,3 +639,38 @@ def test_total_complex_square():
     tot.check()
     assert euler(tot) == 0
     assert homology_ranks(tot) == {}
+
+
+def test_is_chain_map_rejections():
+    one = Matrix.identity(1)
+    acyc = VectComplex({0: 1, 1: 1}, {0: one})
+    assert is_chain_map(acyc, acyc, {0: one, 1: one})
+    # wrong shape
+    assert not is_chain_map(acyc, acyc, {0: Matrix.identity(2), 1: one})
+    assert not is_chain_map(acyc, acyc, {0: one, 1: Matrix.zeros(1, 2)})
+    # a missing degree is the zero map there
+    assert not is_chain_map(acyc, acyc, {0: one})
+    assert not is_chain_map(acyc, acyc, {1: one})
+    assert is_chain_map(acyc, acyc, {})
+    # 0-dimensional degrees: only an empty component fits there
+    assert is_chain_map(acyc, acyc, {0: one, 1: one, 3: Matrix.zeros(0, 0)})
+    assert not is_chain_map(acyc, acyc, {0: one, 1: one, 3: Matrix.zeros(0, 1)})
+    point = single(1, 1)
+    assert not is_chain_map(acyc, point, {0: Matrix.zeros(0, 1), 1: one})
+    assert is_chain_map(point, acyc, {1: one})
+    assert not is_chain_map(single(0, 1), acyc, {0: one})
+
+
+def test_total_complex_names_the_failing_bidegree():
+    one = Matrix.identity(1)
+    col = VectComplex({3: 1, 4: 1}, {3: one})
+    with pytest.raises(LinAlgError, match=r"^horizontal map at bidegree \(1, 4\) has wrong shape$"):
+        total_complex({1: col, 2: col}, {(1, 3): one, (1, 4): Matrix.identity(2)})
+    with pytest.raises(LinAlgError, match=r"^grid does not commute at bidegree \(1, 3\)$"):
+        total_complex({1: col, 2: col}, {(1, 3): one, (1, 4): one.scale(2)})
+    with pytest.raises(LinAlgError, match=r"^grid does not commute at bidegree \(1, 3\)$"):
+        total_complex({1: col, 2: col}, {(1, 3): one})
+    pt = single(5, 1)
+    with pytest.raises(LinAlgError, match=r"^horizontal d\^2 != 0 at bidegree \(2, 5\)$"):
+        total_complex({2: pt, 3: pt, 4: pt}, {(2, 5): one, (3, 5): one})
+    assert homology_ranks(total_complex({2: pt, 3: pt, 4: pt}, {(2, 5): one})) == {9: 1}

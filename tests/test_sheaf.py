@@ -16,7 +16,7 @@ from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
                             pushforward, extend_by_zero, verdier_dual,
                             mapping_cone, kernel_compose, euler_rhom,
-                            sections, _chain_maps_equal, _pulled_tensor)
+                            sections, _pulled_tensor)
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_piece_sheaf, random_sheaf,
@@ -74,7 +74,7 @@ def test_res_long_two_dimensions_apart():
     assert long
     for mid in ("0.1", "0.2"):
         step = compose_chain_maps(f.res(mid, "0.1.2"), f.res("0", mid))
-        assert _chain_maps_equal(long, step, f.stalk("0"), f.stalk("0.1.2"))
+        assert long == step
     with pytest.raises(SheafError, match="not comparable"):
         f.res_long("1", "0.2")
 
@@ -294,14 +294,22 @@ def test_operations_do_not_write_to_their_inputs():
 # the problems of the constant sheaf on full_simplex(4) with every third
 # restriction, in str order, scaled by 2
 _VALIDATE_PROBLEMS = """
+from conormal.qlinalg import Matrix, VectComplex
 from conormal.randgen import full_simplex
-from conormal.sheaf import CellularSheaf, constant
+from conormal.sheaf import CellularSheaf, constant, direct_sum_sheaf
 f = constant(full_simplex(4))
 res = dict(f.restrictions)
 for k, pair in enumerate(sorted(res, key=str)):
     if k % 3 == 0:
         res[pair] = {0: res[pair][0].scale(2)}
 print("\\n".join(CellularSheaf(f.base, f.stalks, res).validate()))
+# every stalk k -> k and every degree-1 restriction 2: no restriction is a
+# chain map, and a direct sum lists them in the order it builds them
+one = Matrix.identity(1)
+g = constant(full_simplex(3))
+acyclic = CellularSheaf(g.base, {c: VectComplex({0: 1, 1: 1}, {0: one}) for c in g.stalks},
+                        {pair: {0: one, 1: one.scale(2)} for pair in g.restrictions})
+print("\\n".join(direct_sum_sheaf(acyclic, g).validate()))
 """
 
 
@@ -320,6 +328,7 @@ def test_validate_problems_do_not_depend_on_the_hash_seed():
     assert len(outs) == 1
     (out,) = outs
     assert out.count("composite restrictions") == 10
+    assert out.count("is not a chain map") == 9
 
 
 def test_cone_of_identity_is_acyclic():
