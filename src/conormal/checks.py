@@ -161,23 +161,29 @@ def case_point(rng, **_):
 
 
 def _random_trace_kernel(rng):
+    """A random kernel and the twist t applied to it."""
     kind = rng.random()
     cx = randgen.random_complex(rng, max_dim=1, max_vertices=4, max_cells=9)
-    k = tk(randgen.random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1)))
+    k, t = tk(randgen.random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))), 0
     if kind < 0.3:
         cx2 = randgen.random_complex(rng, max_dim=1, max_vertices=3, max_cells=7)
         k = external_tk(k, tk(randgen.random_sheaf(rng, cx2, max_pieces=1)))
     elif kind < 0.4:
-        k = shift_twist(k, rng.randint(-2, 2))
-    return k
+        t = rng.randint(-2, 2)
+        k = shift_twist(k, t)
+    return k, t
 
 
 def case_twist(rng, **_):
-    k = _random_trace_kernel(rng)
+    k, t = _random_trace_kernel(rng)
     d = rng.randint(-3, 3)
     twisted = shift_twist(k, d)
     if twisted.euler_class != k.euler_class:
         return {"identity": "class(shift_twist(K, d)) == class(K)", "d": d}
+    # the first factor is A[t + d], and mueu(A[s]) = (-1)^s mueu(A)
+    if twisted.euler_class != mueu(twisted.first()).scale(-1 if (t + d) % 2 else 1):
+        return {"identity": "class(K) == (-1)^(t+d) mueu(first factor of K)",
+                "t": t, "d": d}
     # F[d] (x) DF[-d] has the stalk dims of F (x) DF: the shifts cancel
     got, want = twisted.stalk_pairs(), k.stalk_pairs()
     if got.keys() != want.keys():

@@ -438,12 +438,6 @@ class VectComplex:
     def degrees(self):
         return sorted(self.dims)
 
-    def d(self, n) -> Matrix:
-        m = self.diffs.get(n)
-        if m is None:
-            m = Matrix.zeros(self.dim(n + 1), self.dim(n))
-        return m
-
     def is_zero(self) -> bool:
         return not self.dims
 

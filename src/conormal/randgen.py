@@ -35,7 +35,8 @@ from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
 from .qlinalg import (Matrix, VectComplex, single, direct_sum,
                       identity_chain_map, add_chain_maps, scale_chain_map,
-                      solve_unique, _ONE, _add_multiple)
+                      compose_chain_maps, shift_chain_map, solve_unique,
+                      _ONE, _add_multiple)
 from .sheaf import CellularSheaf, SheafMorphism
 from .lefschetz import LefschetzInstance
 
@@ -557,16 +558,9 @@ def random_chain_endo(rng: random.Random, v: VectComplex):
                        [[_rand_rational(rng) if rng.random() < 0.5 else 0
                          for _ in range(v.dim(n))] for _ in range(v.dim(n - 1))])
             h[n] = m
-    extra = {}
-    for n in v.dims:
-        part = Matrix.zeros(v.dim(n), v.dim(n))
-        if n in h and v.dim(n - 1):
-            part = part + v.d(n - 1) * h[n]
-        if (n + 1) in h and v.dim(n + 1):
-            part = part + h[n + 1] * v.d(n)
-        if not part.is_zero():
-            extra[n] = part
-    return add_chain_maps(phi, extra), c
+    dh = compose_chain_maps(shift_chain_map(v.diffs, -1), h)  # d^{n-1} h^n
+    hd = compose_chain_maps(shift_chain_map(h, 1), v.diffs)  # h^{n+1} d^n
+    return add_chain_maps(phi, add_chain_maps(dh, hd)), c
 
 
 # ---------------------------------------------------------------------------

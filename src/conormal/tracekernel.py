@@ -2,14 +2,15 @@
 operations (external product, composition, shift twist).
 
 Every kernel is A (x) B on product(M, M): it is kept as its Euler class on
-M and its factor pair, factors(d) = (A[d], B[-d]) on M, composed factor
-by factor over M2 (Kunneth for convolution).  Its stalk at (x, y) is
-A_x (x) B_y.  No constructor builds a sheaf; sheaf(d) builds the one on
-product(M, M) as external(*factors(d)) on each call.  The defining
-morphisms from the constant sheaf on the diagonal and into the dualizing
-object of the diagonal are carried abstractly: each constructor
-corresponds to a closure statement guaranteeing their existence, and the
-microlocal Euler class is the shadow those morphisms determine.
+M and two zero-argument builders, first() -> A and second() -> B, sheaves
+on M that are not kept once built, composed factor by factor over M2
+(Kunneth for convolution).  Its stalk at (x, y) is A_x (x) B_y.  No
+constructor builds a sheaf; sheaf() builds the one on product(M, M) as
+external(first(), second()).  The defining morphisms from the constant
+sheaf on the diagonal and into the dualizing object of the diagonal are
+carried abstractly: each constructor corresponds to a closure statement
+guaranteeing their existence, and the microlocal Euler class is the shadow
+those morphisms determine.
 """
 
 from __future__ import annotations
@@ -25,23 +26,24 @@ class TraceKernelError(SheafError):
 
 
 class TraceKernel:
-    """A kernel A (x) B as its factor pair on M and its Euler class on M."""
+    """A kernel A (x) B as builders of its factors on M and its Euler class on M."""
 
-    def __init__(self, base: CellComplex, factors, euler_class: LagCycle):
+    def __init__(self, base: CellComplex, first, second, euler_class: LagCycle):
         if not euler_class.base.same_as(base):
             raise TraceKernelError("class must live on the diagonal factor")
         self.base = base
-        self.factors = factors
+        self.first = first
+        self.second = second
         self.euler_class = euler_class
 
-    def sheaf(self, d: int = 0) -> CellularSheaf:
-        """The sheaf of this kernel twisted by d, on product(M, M), built anew."""
-        return external(*self.factors(d))
+    def sheaf(self) -> CellularSheaf:
+        """The sheaf of this kernel on product(M, M), built anew."""
+        return external(self.first(), self.second())
 
     def stalk_pairs(self):
-        """(x, y) -> (A_x, B_y) where both are nonzero, for (A, B) = factors(0),
-        in the cell order of product(M, M)."""
-        a, b = self.factors(0)
+        """(x, y) -> (A_x, B_y) where both are nonzero, in the cell order of
+        product(M, M)."""
+        a, b = self.first(), self.second()
         ids = self.base.cell_ids()
         return {(x, y): (a.stalks[x], b.stalks[y])
                 for x in ids if x in a.stalks for y in ids if y in b.stalks}
@@ -55,8 +57,7 @@ def tk(f: CellularSheaf) -> TraceKernel:
     cls = mueu(f)
     if degree(cls) != euler_char(f):
         raise TraceKernelError("class degree disagrees with the index of F")
-    return TraceKernel(f.base, lambda d: (shift_sheaf(f, d),
-                                          shift_sheaf(verdier_dual(f), -d)), cls)
+    return TraceKernel(f.base, lambda: f, lambda: verdier_dual(f), cls)
 
 
 def eu_point(k: TraceKernel) -> int:
@@ -70,11 +71,9 @@ def eu_point(k: TraceKernel) -> int:
 def external_tk(k1: TraceKernel, k2: TraceKernel) -> TraceKernel:
     """External product of trace kernels, (A1 (x) A2, B1 (x) B2) on M12."""
     m12 = _product_complex(k1.base, k2.base)
-
-    def factors(d):
-        (a1, b1), (a2, b2) = k1.factors(d), k2.factors(d)
-        return external(a1, a2, m12), external(b1, b2, m12)
-    return TraceKernel(m12, factors, external_cycle(k1.euler_class, k2.euler_class, m12))
+    return TraceKernel(m12, lambda: external(k1.first(), k2.first(), m12),
+                       lambda: external(k1.second(), k2.second(), m12),
+                       external_cycle(k1.euler_class, k2.euler_class, m12))
 
 
 def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
@@ -85,11 +84,9 @@ def compose_tk(k12: TraceKernel, k23: TraceKernel) -> TraceKernel:
     if not m2.same_as(m2b):
         raise TraceKernelError("middle factors of the trace kernels disagree")
     m13 = _product_complex(m1, m3)
-
-    def factors(d):
-        (a12, b12), (a23, b23) = k12.factors(d), k23.factors(d)
-        return kernel_compose(a12, a23), kernel_compose(b12, b23)
-    return TraceKernel(m13, factors, compose_cycle(k12.euler_class, k23.euler_class, m13))
+    return TraceKernel(m13, lambda: kernel_compose(k12.first(), k23.first()),
+                       lambda: kernel_compose(k12.second(), k23.second()),
+                       compose_cycle(k12.euler_class, k23.euler_class, m13))
 
 
 def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
@@ -97,4 +94,5 @@ def shift_twist(k: TraceKernel, d: int) -> TraceKernel:
     -d; the Euler class is unchanged."""
     if d == 0:
         return k
-    return TraceKernel(k.base, lambda e: k.factors(d + e), k.euler_class)
+    return TraceKernel(k.base, lambda: shift_sheaf(k.first(), d),
+                       lambda: shift_sheaf(k.second(), -d), k.euler_class)

@@ -24,7 +24,7 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               random_vertex_collapse,
                               random_vect_complex, random_chain_endo,
                               random_lefschetz_instance, PieceSheaf, SKY, ACYC)
-from conormal.tracekernel import tk
+from conormal.tracekernel import tk, shift_twist
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
 
@@ -515,7 +515,8 @@ def _tensor_outputs():
                   for m in (cx, interval()))
         m12 = _product_complex(k1.base, k2.base)
         for d in (0, 1):
-            yield _pulled_tensor(_product_complex(m12, m12), k1.sheaf(d), k2.sheaf(d),
+            yield _pulled_tensor(_product_complex(m12, m12), shift_twist(k1, d).sheaf(),
+                                 shift_twist(k2, d).sheaf(),
                                  lambda x: (x[0][0], x[1][0]), lambda x: (x[0][1], x[1][1]))
 
 

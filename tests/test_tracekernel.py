@@ -198,17 +198,19 @@ def _old_route(tree, d):
                           _swap_middle)
 
 
-def _factor_route(tree, d):
-    """The factor pair (A[d], B[-d]) of a build tree, from public functions:
-    external products and compositions taken factor by factor."""
+def _factor_route(tree):
+    """The factor pair (A, B) of a build tree, from public functions:
+    external products and compositions taken factor by factor, and a twist
+    by s shifting the pair of its operand once, by s and by -s."""
     kind, *args = tree
     if kind == "tk":
         (f,) = args
-        return shift_sheaf(f, d), shift_sheaf(verdier_dual(f), -d)
+        return f, verdier_dual(f)
     if kind == "twist":
         sub, s = args
-        return _factor_route(sub, s + d)
-    (a1, b1), (a2, b2) = (_factor_route(t, d) for t in args)
+        a, b = _factor_route(sub)
+        return shift_sheaf(a, s), shift_sheaf(b, -s)
+    (a1, b1), (a2, b2) = (_factor_route(t) for t in args)
     op = external if kind == "external" else kernel_compose
     return op(a1, a2), op(b1, b2)
 
@@ -242,8 +244,9 @@ def _reference_trees(rng):
 
 
 def test_shift_twist_matches_old_route():
-    """shift_twist(K, d).sheaf() equals external(*factors) of K's build tree
-    taken factor by factor, stalk for stalk and restriction for restriction.
+    """shift_twist(K, d).sheaf() equals external(A[d], B[-d]) for the factor
+    pair (A, B) of K's build tree taken factor by factor, stalk for stalk and
+    restriction for restriction.
     The old route interleaves external products and composes over M2 x M2,
     not over M2, so its basis order differs: it agrees up to the base, the
     cells, the stalk dims and the per-stalk and global cohomology ranks."""
@@ -253,7 +256,7 @@ def test_shift_twist_matches_old_route():
         k = _kernel_of(tree)
         for d in (-2, -1, 0, 1, 2):
             got = shift_twist(k, d).sheaf()
-            exact = external(*_factor_route(tree, d))
+            exact = external(*_factor_route(("twist", tree, d)))
             assert got.base.same_as(exact.base)
             assert got.stalks == exact.stalks
             assert got.restrictions == exact.restrictions
@@ -297,18 +300,53 @@ def test_constructors_build_no_sheaf(monkeypatch):
     small.sheaf()
     assert "_pulled_tensor" in calls and "verdier_dual" in calls
 
+    # one factor is built alone: A12 o A23, with no dual and no B12 o B23
+    calls.clear()
+    compose_tk(tk(f), tk(g)).first()
+    assert calls.count("kernel_compose") == 1
+    assert calls.count("verdier_dual") == 0
+
+
+def _lowest_degree(f):
+    return min(n for v in f.stalks.values() for n in v.dims)
+
+
+def test_shift_twist_moves_each_factor_once():
+    """A twist by 1 moves the first factor one degree down and the second
+    one degree up, however many tk leaves the kernel has."""
+    line = tk(constant(interval()))
+    p12, p23 = product(interval(), POINT)[0], product(POINT, interval())[0]
+    for k in (tk(constant(hollow_triangle())), external_tk(line, line),
+              compose_tk(tk(constant(p12)), tk(constant(p23)))):
+        twisted = shift_twist(k, 1)
+        assert _lowest_degree(twisted.first()) == _lowest_degree(k.first()) - 1
+        assert _lowest_degree(twisted.second()) == _lowest_degree(k.second()) + 1
+        assert twisted.first().stalks == shift_sheaf(k.first(), 1).stalks
+        assert twisted.second().stalks == shift_sheaf(k.second(), -1).stalks
+
 
 def test_twist_suite_catches_a_one_sided_twist(monkeypatch):
-    """Under F[d] (x) DF in place of F[d] (x) DF[-d], the twisted kernel's
+    """Under A[d] (x) B in place of A[d] (x) B[-d], the twisted kernel's
     stalks move by d, and the twist suite reports it."""
     assert run_checks(seed=1, cases=25, suites=["twist"]).ok
 
-    def one_sided_tk(f):
-        k = tk(f)
-        return TraceKernel(k.base, lambda d: (shift_sheaf(f, d), verdier_dual(f)),
+    def one_sided_twist(k, d):
+        return TraceKernel(k.base, lambda: shift_sheaf(k.first(), d), k.second,
                            k.euler_class)
-    monkeypatch.setattr(checks, "tk", one_sided_tk)
+    monkeypatch.setattr(checks, "shift_twist", one_sided_twist)
     for seed in (1, 2):
         report = run_checks(seed=seed, cases=25, suites=["twist"])
         assert len(report.failures) >= 15
         assert all("stalk dims" in detail for _, _, detail in report.failures)
+
+
+def test_twist_suite_catches_a_double_twist(monkeypatch):
+    """Twisting by d twice moves the first factor by 2d, so its mueu has
+    the wrong sign for odd d, and the class identity of the twist suite
+    reports it."""
+    monkeypatch.setattr(checks, "shift_twist",
+                        lambda k, d: shift_twist(shift_twist(k, d), d))
+    for seed in (1, 2):
+        report = run_checks(seed=seed, cases=25, suites=["twist"])
+        assert len(report.failures) >= 8
+        assert all("mueu(first factor" in detail for _, _, detail in report.failures)
