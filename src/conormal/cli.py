@@ -102,9 +102,14 @@ def cmd_check(args):
         out = args.counterexample or "counterexample.json"
         payload = {"suite": name, "case": case, "seed": report.seed,
                    "detail": json.loads(detail)}
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print("first counterexample written to %s" % out, file=sys.stderr)
+        try:
+            with open(out, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+        except OSError as e:
+            print("counterexample not written to %s: %s" % (out, e),
+                  file=sys.stderr)
+        else:
+            print("first counterexample written to %s" % out, file=sys.stderr)
         return PROPERTY_VIOLATION
     return OK
 

@@ -267,57 +267,36 @@ def _integer_row(row):
     return out
 
 
-def _has_unit(row) -> bool:
-    return any(x == 1 or x == -1 for x in row.values())
-
-
 def rank(m: Matrix) -> int:
     """Exact rank by sparse fraction-free elimination.
 
     Rows become primitive integer rows (scaling a row keeps the rank).
-    Pivots are unit entries first: the shortest row holding a unit, then
-    among its units the column with the fewest entries (Markowitz), ties
-    by index.  Only when no unit is left does the shortest row give a
-    non-unit pivot.  A row is updated as a*row - b*pivot_row with
-    a / b = pivot / entry in lowest terms, then divided by the gcd of its
-    entries.  Cellular coboundaries are sparse and mostly +-1, so nearly
-    the whole matrix is eliminated before any fill-in.
+    Each pivot comes from the shortest live row, in the column of that
+    row with the fewest entries (Markowitz), ties by index.  A row is
+    updated as a*row - b*pivot_row with a / b = pivot / entry in lowest
+    terms, then divided by the gcd of its entries.  Cellular coboundaries
+    are sparse and mostly +-1, so nearly the whole matrix is eliminated
+    before any fill-in.
     """
     rows = {}
     cols = {}
-    units, shortest = [], []
-
-    def queue(i, row):
-        heappush(shortest, (len(row), i))
-        if _has_unit(row):
-            heappush(units, (len(row), i))
-
+    shortest = []
     for i, row in enumerate(m.data):
         row = _integer_row(row)
         if row:
             rows[i] = row
             for j in row:
                 cols.setdefault(j, set()).add(i)
-            queue(i, row)
-
-    def pop(heap, unit):
-        # entries go stale when a row is updated or eliminated
-        while heap:
-            n, i = heappop(heap)
-            row = rows.get(i)
-            if row is not None and len(row) == n and (not unit or _has_unit(row)):
-                return i
-        return None
+            heappush(shortest, (len(row), i))
 
     r = 0
     while rows:
-        i = pop(units, True)
-        unit = i is not None
-        if not unit:
-            i = pop(shortest, False)
+        # entries go stale when a row is updated or eliminated
+        n, i = heappop(shortest)
+        if len(rows.get(i, ())) != n:
+            continue
         prow = rows.pop(i)
-        _, j = min((len(cols[k]), k) for k, x in prow.items()
-                   if not unit or x == 1 or x == -1)
+        _, j = min((len(cols[k]), k) for k in prow)
         for k in prow:
             cols[k].discard(i)
         p = prow.pop(j)
@@ -345,7 +324,7 @@ def rank(m: Matrix) -> int:
                 if g != 1:
                     for k in row:
                         row[k] //= g
-                queue(t, row)
+                heappush(shortest, (len(row), t))
             else:
                 del rows[t]
         r += 1

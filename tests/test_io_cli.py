@@ -461,6 +461,18 @@ def test_cli_check_negative_control(tmp_path, capsys, monkeypatch):
     assert "detail" in payload and "suite" in payload
 
 
+def test_cli_check_negative_control_unwritable_counterexample(tmp_path,
+                                                               capsys):
+    # a path that cannot be written still reports the property violation
+    code = cli.main(["check", "--seed", "1", "--cases", "4",
+                     "--negative-control",
+                     "--counterexample", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "counterexample not written to %s" % tmp_path in captured.err
+
+
 @pytest.mark.parametrize("kwargs", [
     pytest.param({"cases": 0}, id="cases-zero"),
     pytest.param({"max_dim": -1}, id="max-dim-negative"),

@@ -65,6 +65,26 @@ def test_rank_exact():
     assert rank(M([[tiny, 1], [1, 2 * 10 ** 40]])) == 2
 
 
+def _sparse_matrices(seed, count):
+    """Seeded sparse matrices of 40-80 rows and columns, about 5 % of the
+    entries nonzero, each in {+-1, +-2, 3, 1/2}: big enough that rows are
+    updated many times and the pivot heap holds stale entries.  Four
+    rows, shuffled in, are a row plus a multiple of another, so the rank
+    is not read off the zero pattern alone."""
+    rng = random.Random(seed)
+    values = [1, -1, 2, -2, 3, Fraction(1, 2)]
+    for _ in range(count):
+        rows, cols = rng.randint(40, 80), rng.randint(40, 80)
+        data = [[rng.choice(values) if rng.random() < 0.05 else 0
+                 for _ in range(cols)] for _ in range(rows - 4)]
+        for _ in range(4):
+            a, b = rng.sample(data, 2)
+            c = rng.choice(values)
+            data.append([x + c * y for x, y in zip(a, b)])
+        rng.shuffle(data)
+        yield Matrix(rows, cols, data)
+
+
 def test_rank_agrees_with_rref():
     rng = random.Random(5)
     for _ in range(50):
@@ -75,6 +95,8 @@ def test_rank_agrees_with_rref():
                      for _ in range(cols)] for _ in range(rows)])
         r, pivots = rref(m)
         assert rank(m) == len(pivots)
+    for m in _sparse_matrices(7, 6):
+        assert rank(m) == len(rref(m)[1])
 
 
 _ENTRIES = st.one_of(
