@@ -72,6 +72,9 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would expand "1e10000000" into a 33-million-bit integer
+        if "e" in value.lower():
+            raise ParseError("bad rational %r: exponent notation is not accepted" % (value,))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:

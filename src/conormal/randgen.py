@@ -12,7 +12,8 @@ and their positions, are computed once per cell rather than once per
 incidence pair, and random_piece_sheaf draws its conjugations over those
 slots rather than over a probe sheaf.  random_invertible undoes its own
 elementary row operations in reverse order to get the exact inverse from
-the same draws, so no linear system is solved; a 1x1 draw reads the
+the same draws, and returns A as an Invertible that carries that inverse,
+so PieceSheaf solves no linear system for it; a 1x1 draw reads the
 product of its two scaling factors, and its inverse, from a table built
 once, so it does no Fraction arithmetic.  Most slots hold one label, and
 a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
@@ -213,15 +214,23 @@ def _scalar(x) -> Matrix:
     return m
 
 
-def random_invertible(rng: random.Random, n: int) -> Matrix:
+class Invertible(Matrix):
+    """A matrix that random_invertible drew, together with its inverse."""
+
+    __slots__ = ("inverse",)
+
+    def __init__(self, data, inverse: Matrix):
+        super().__init__(len(data), len(data))
+        self.data = data
+        self.inverse = inverse
+
+
+def random_invertible(rng: random.Random, n: int) -> Invertible:
     """Product of 2n elementary row operations on the identity.
 
     The operations are undone in reverse order on a second identity, which
-    gives the exact inverse from the same draws; (A, A^-1) is left in
-    _INV_CACHE for the PieceSheaf that takes A as a conjugation.  The cache
-    holds both matrices until the next PieceSheaf or random_morphism
-    returns, so a caller that draws matrices and never builds either keeps
-    every pair it drew alive in the cache.
+    gives the exact inverse from the same draws; the returned A holds it as
+    A.inverse.
 
     For n = 1 both operations scale the one row, so A = [[f1 f2]] and
     A^-1 = [[1 / (f1 f2)]] are read from _UNIT_DRAWS, after the same draws
@@ -231,9 +240,7 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
         i = rng.choice(rng.choice(_NONZERO_INDEX))
         rng.randrange(1), rng.randrange(1)
         f, inv = _UNIT_DRAWS[i][rng.choice(rng.choice(_NONZERO_INDEX))]
-        m = _scalar(f)
-        _INV_CACHE[id(m)] = (m, _scalar(inv))
-        return m
+        return Invertible([{0: f}], _scalar(inv))
     a = [{i: _ONE} for i in range(n)]
     ops = []
     for _ in range(2 * n):
@@ -252,15 +259,12 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
             rows[i] = {k: x / f for k, x in rows[i].items()}
         else:
             _add_multiple(rows[i], -f, rows[j])
-    m = Matrix(n, n)
     # columns in increasing order in every row, as a dense matrix stores them
-    m.data = [dict(sorted(row.items())) for row in a]
-    _INV_CACHE[id(m)] = (m, inv)
-    return m
+    return Invertible([dict(sorted(row.items())) for row in a], inv)
 
 
-# id(A) -> (A, A^-1) for the matrices random_invertible returned since the
-# last PieceSheaf or random_morphism: both empty it when they return
+# unused by the package; kept as a name that benchmark traces report the
+# length of
 _INV_CACHE = {}
 
 
@@ -297,10 +301,11 @@ class PieceSheaf:
     SKY pieces contribute k in one degree; ACYC pieces contribute an
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
     to the invertible matrix A conjugating that slot; a missing slot is
-    not conjugated.  A block between two slots of one label each is the
-    scalar g(t) h(s), one shared 1x1 Matrix per value (see _build); every
-    larger block is built as A_t M A_s^-1 in one product, where M is the
-    unconjugated block.
+    not conjugated.  A^-1 is the inverse that an Invertible A carries; it
+    is solved for only when A is another Matrix.  A block between two
+    slots of one label each is the scalar g(t) h(s), one shared 1x1 Matrix
+    per value (see _build); every larger block is built as A_t M A_s^-1 in
+    one product, where M is the unconjugated block.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
@@ -308,27 +313,17 @@ class PieceSheaf:
         self.pieces = pieces
         self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
         self.slots, self.pos = _piece_slots(base, pieces)
-        # (cell, degree) -> A^-1, kept for random_morphism
-        self.inverses = {}
-        try:
-            for key, a in conj.items():
-                got = _INV_CACHE.get(id(a))
-                if got is not None and got[0] is a:
-                    self.inverses[key] = got[1]
-            self.sheaf = self._build()
-        finally:
-            _INV_CACHE.clear()
+        self.sheaf = self._build()
 
     def inverse(self, key):
-        """A^-1 for the conjugation at (cell, degree) key, or None."""
-        inv = self.inverses.get(key)
-        if inv is None:
-            a = self.conj.get(key)
-            if a is None:
-                return None
-            # a conjugation that did not come from random_invertible
-            inv = self.inverses[key] = solve_unique(a, Matrix.identity(a.rows))
-        return inv
+        """A^-1 for the conjugation A at (cell, degree) key, or None."""
+        a = self.conj.get(key)
+        if a is None:
+            return None
+        if isinstance(a, Invertible):
+            return a.inverse
+        # a conjugation that did not come from random_invertible
+        return solve_unique(a, Matrix.identity(a.rows))
 
     def _conjugated(self, t_key, s_key, rows, cols, entries):
         """A_t M A_s^-1 for the rows x cols matrix M whose entries are the
@@ -491,13 +486,6 @@ def random_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
 
 def random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
     """Random morphism between piece sheaves on the same base."""
-    try:
-        return _random_morphism(rng, src, tgt)
-    finally:
-        _INV_CACHE.clear()
-
-
-def _random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
     scalars = {}
     for i, (ki, ui, di, wi) in enumerate(src.pieces):
         for j, (kj, uj, dj, wj) in enumerate(tgt.pieces):

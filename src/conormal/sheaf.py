@@ -29,6 +29,16 @@ class SheafError(ValueError):
     pass
 
 
+def _cell_key(base: CellComplex):
+    """Sort key of the cells of base: (dim, str)."""
+    return lambda c: (base.dim(c), str(c))
+
+
+def _pair_key(key):
+    """Sort key of (face, coface) pairs, both cells by key."""
+    return lambda pair: (key(pair[0]), key(pair[1]))
+
+
 class CellularSheaf:
     """Cellular sheaf of rational cochain complexes (immutable).
 
@@ -84,20 +94,21 @@ class CellularSheaf:
 
     def validate(self):
         """List of violations (stalk d^2, chain maps, poset functoriality)."""
+        # cells and pairs in (dim, str) order: problems come in the same
+        # order under every hash seed, whatever order the cells were made in
+        key = _cell_key(self.base)
         problems = []
-        for c, v in self.stalks.items():
+        for c in sorted(self.stalks, key=key):
             try:
-                v.check()
+                self.stalks[c].check()
             except ql.LinAlgError as e:
                 problems.append("stalk at %r: %s" % (c, e))
-        for (s, t), phi in self.restrictions.items():
-            if not is_chain_map(self.stalk(s), self.stalk(t), phi):
+        for s, t in sorted(self.restrictions, key=_pair_key(key)):
+            if not is_chain_map(self.stalk(s), self.stalk(t), self.restrictions[(s, t)]):
                 problems.append("restriction (%r, %r) is not a chain map" % (s, t))
-        for tau in self.base.cell_ids():
-            # a dict, not a set, of faces of faces: problems come in the
-            # same order under every hash seed
-            for rho in dict.fromkeys(r for s in self.base.faces(tau)
-                                     for r in self.base.faces(s)):
+        for tau in sorted(self.base.cell_ids(), key=key):
+            for rho in sorted({r for s in self.base.faces(tau) for r in self.base.faces(s)},
+                              key=key):
                 mids = [s for s in self.base.faces(tau) if self.base.incidence(s, rho)]
                 comps = [compose_chain_maps(self.res(s, tau), self.res(rho, s))
                          for s in mids]
@@ -128,13 +139,15 @@ class SheafMorphism:
         return self.components.get(cid, {})
 
     def validate(self):
+        # cells and pairs in (dim, str) order, as CellularSheaf.validate
+        key = _cell_key(self.source.base)
         problems = []
-        for c, phi in self.components.items():
-            if not is_chain_map(self.source.stalk(c), self.target.stalk(c), phi):
+        for c in sorted(self.components, key=key):
+            if not is_chain_map(self.source.stalk(c), self.target.stalk(c),
+                                self.components[c]):
                 problems.append("component at %r is not a chain map" % (c,))
-        # a dict, not a set, of pairs: problems come in the same order
-        # under every hash seed
-        for (s, t) in {**self.source.restrictions, **self.target.restrictions}:
+        pairs = {*self.source.restrictions, *self.target.restrictions}
+        for s, t in sorted(pairs, key=_pair_key(key)):
             lhs = compose_chain_maps(self.target.res(s, t), self.at(s))
             rhs = compose_chain_maps(self.at(t), self.source.res(s, t))
             if lhs != rhs:
@@ -152,8 +165,7 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
     (-1)^{weight(s)} * internal differentials.  Returns (VectComplex,
     index) with index[(cell, p)] = (total degree, offset).
     """
-    cells = sorted((c for c in cells if c in f.stalks),
-                   key=lambda c: (f.base.dim(c), str(c)))
+    cells = sorted((c for c in cells if c in f.stalks), key=_cell_key(f.base))
     weights = {c: weight(c) for c in cells}
     lay = layout([((c, p), p + weights[c], d)
                   for c in cells for p, d in sorted(f.stalks[c].dims.items())])
@@ -210,8 +222,8 @@ def shift_sheaf(f: CellularSheaf, k: int) -> CellularSheaf:
 def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     if not f.base.same_as(g.base):
         raise SheafError("direct sum over different bases")
-    # dicts, not sets, of cells and pairs: the result, and its validate()
-    # problems, come in the same order under every hash seed
+    # dicts, not sets, of cells and pairs: the result comes in the same
+    # order under every hash seed
     cells = {**f.stalks, **g.stalks}
     lays = {c: ql.direct_sum_layout(f.stalk(c), g.stalk(c)) for c in cells}
     stalks = {c: ql.direct_sum(f.stalk(c), g.stalk(c)) for c in cells}

@@ -6,11 +6,13 @@ the package's public names): each name an import statement binds must
 be read somewhere in the module.  ``from __future__ import annotations``
 binds nothing and is exempt.  A private name (one leading underscore)
 of another conormal module, imported by name or read as an attribute of
-an imported module, must be on ALLOWED_PRIVATE.
+an imported module, must be on ALLOWED_PRIVATE.  Every absolute import
+of the package (``__init__.py`` included) names a standard-library module.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -85,3 +87,32 @@ def test_private_scan_sees_both_forms_and_the_allow_list_is_used():
     assert _private_reads(tree) == [(1, "_factors"), (3, "_factor")]
     used = {name for path in MODULES for _, name in _private_reads(ast.parse(path.read_text()))}
     assert used == ALLOWED_PRIVATE
+
+
+def _absolute_imports(tree):
+    """(line, top-level module) of each absolute import statement."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    """The package runs on the standard library alone."""
+    found = _absolute_imports(ast.parse(path.read_text()))
+    other = [(line, name) for line, name in found if name not in sys.stdlib_module_names]
+    assert not other, "%s imports modules outside the standard library: %s" % (path.name, other)
+
+
+def test_stdlib_scan_sees_absolute_imports_only():
+    tree = ast.parse("import os.path, numpy as np\n"
+                     "from fractions import Fraction\n"
+                     "from .qlinalg import Matrix\n"
+                     "from . import io\n")
+    found = _absolute_imports(tree)
+    assert found == [(1, "numpy"), (1, "os"), (2, "fractions")]
+    assert [name for _, name in found if name not in sys.stdlib_module_names] == ["numpy"]

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -198,6 +200,11 @@ def _with(**changes):
                                    "signs": {c: 1 for c in _TRI_CELLS}, "target": "bogus"}}),
                  id="map-cells-target"),
     pytest.param(_with(maps={"m": {"identity": True, "target": [1]}}), id="map-identity-target"),
+    # a rational in exponent notation, which Fraction would expand in full
+    pytest.param(_with(sheaves={"s": {
+        "stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
+        "restrictions": [{"from": "0", "to": "0.1", "maps": {"0": [["1e5"]]}}]}}),
+        id="rational-exponent"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3
@@ -282,6 +289,19 @@ def test_cli_phi_on_a_map_to_a_point_is_a_validation_failure(tmp_path, capsys):
     doc = _with(lefschetz={"L": {"map": "pt", "sheaf": "k", "phi": {"0": {"0": [[1], [2]]}}}})
     assert cli.main(["validate", write(tmp_path, doc)]) == 1
     assert "self-map" in capsys.readouterr().out
+
+
+def test_cli_readme_instance_file_runs(tmp_path, capsys):
+    """The instance file README.md shows is valid, and the commands that
+    read each of its parts exit 0."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = write(tmp_path, json.loads(block))
+    for argv in (["validate"], ["chi", "explicit"], ["cc", "explicit"],
+                 ["dual", "explicit"], ["lefschetz", "L"], ["expand", "T"],
+                 ["pushforward", "k", "rot"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 0, (argv, capsys.readouterr())
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_chi_and_cc(tmp_path, capsys):

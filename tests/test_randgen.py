@@ -9,7 +9,6 @@ from pathlib import Path
 
 from conormal import checks, randgen
 from conormal.cellcx import product
-from conormal.checks import run_checks
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
 from conormal.qlinalg import Matrix, VectComplex, solve_unique, _add_multiple
 from conormal.sheaf import CellularSheaf
@@ -44,30 +43,45 @@ def test_suite_instances_do_not_depend_on_hash_seed():
     assert _instances(1) == _instances(2)
 
 
-def test_inverse_cache_is_emptied():
-    assert run_checks(seed=1, cases=20).ok
-    assert len(randgen._INV_CACHE) == 0
-    rng = random.Random(3)
-    src = randgen.random_piece_sheaf(rng, randgen.hollow_triangle())
-    assert len(randgen._INV_CACHE) == 0
-    randgen.random_invertible(rng, 3)
-    assert len(randgen._INV_CACHE) == 1
-    randgen.random_morphism(rng, src, src)
-    assert len(randgen._INV_CACHE) == 0
+def test_drawn_conjugations_keep_their_inverses_across_builds(monkeypatch):
+    """Conjugations drawn before an unrelated piece sheaf is built give the
+    PieceSheaf built from them afterwards their own inverses: no
+    solve_unique call, and the blocks of a rebuild with solved inverses."""
+    cx = randgen.hollow_triangle()
+    cells = cx.cell_ids()
+    rng = random.Random(5)
+    pieces = [(kind, upset, 0, {c: randgen._rand_nonzero(rng) for c in cells})
+              for kind, upset in ((randgen.SKY, frozenset(cells)),
+                                  (randgen.ACYC, frozenset(cx.up_closure(["0"]))))]
+    slots, _ = randgen._piece_slots(cx, pieces)
+    conj = {(c, n): randgen.random_invertible(rng, len(labels))
+            for c, per_degree in slots.items() for n, labels in per_degree.items()}
+    assert {a.rows for a in conj.values()} == {1, 2}
+    randgen.random_piece_sheaf(rng, cx)
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve_unique(*args)
+
+    monkeypatch.setattr(randgen, "solve_unique", counting_solve)
+    drawn = randgen.PieceSheaf(cx, pieces, conj)
+    assert calls == []
+    # a.scale(1) is a plain Matrix equal to a
+    solved = randgen.PieceSheaf(cx, pieces, {key: a.scale(1) for key, a in conj.items()})
+    assert len(calls) >= len(conj)
+    assert describe_sheaf(drawn.sheaf) == describe_sheaf(solved.sheaf) == \
+        describe_sheaf(_reference_sheaf(drawn))
+    assert drawn.sheaf.validate() == []
 
 
 def test_random_invertible_leaves_its_exact_inverse():
     rng = random.Random(8)
-    try:
-        for n in range(1, 9):
-            for _ in range(5):
-                a = randgen.random_invertible(rng, n)
-                got, inv = randgen._INV_CACHE[id(a)]
-                assert got is a
-                assert inv == solve_unique(a, Matrix.identity(n))
-                assert a * inv == Matrix.identity(n)
-    finally:
-        randgen._INV_CACHE.clear()
+    for n in range(1, 9):
+        for _ in range(5):
+            a = randgen.random_invertible(rng, n)
+            assert a.inverse == solve_unique(a, Matrix.identity(n))
+            assert a * a.inverse == Matrix.identity(n)
 
 
 def _reference_invertible(rng, n):
@@ -98,24 +112,21 @@ def _reference_invertible(rng, n):
 
 
 def test_random_invertible_matches_the_general_loop_draw_for_draw():
-    try:
-        for n in range(1, 5):
-            rng, ref = random.Random(100 + n), random.Random(100 + n)
-            for _ in range(250):
-                a = randgen.random_invertible(rng, n)
-                want, want_inv = _reference_invertible(ref, n)
-                assert a == want
-                assert randgen._INV_CACHE.pop(id(a)) == (a, want_inv)
-                assert rng.getstate() == ref.getstate()
-        rng, ref = random.Random(7), random.Random(7)
-        for _ in range(200):
-            assert randgen._rand_rational(rng) == Fraction(
-                ref.choice([-2, -1, -1, 1, 1, 2, 3]), ref.choice([1, 1, 1, 2, 3]))
-            assert randgen._rand_nonzero(rng) == Fraction(
-                ref.choice([-2, -1, 1, 2, 3]), ref.choice([1, 2]))
-        assert rng.getstate() == ref.getstate()
-    finally:
-        randgen._INV_CACHE.clear()
+    for n in range(1, 5):
+        rng, ref = random.Random(100 + n), random.Random(100 + n)
+        for _ in range(250):
+            a = randgen.random_invertible(rng, n)
+            want, want_inv = _reference_invertible(ref, n)
+            assert a == want
+            assert a.inverse == want_inv
+            assert rng.getstate() == ref.getstate()
+    rng, ref = random.Random(7), random.Random(7)
+    for _ in range(200):
+        assert randgen._rand_rational(rng) == Fraction(
+            ref.choice([-2, -1, -1, 1, 1, 2, 3]), ref.choice([1, 1, 1, 2, 3]))
+        assert randgen._rand_nonzero(rng) == Fraction(
+            ref.choice([-2, -1, 1, 2, 3]), ref.choice([1, 2]))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_unit_draw_table_holds_each_product_and_its_inverse():
@@ -255,7 +266,6 @@ def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
         assert counts["PieceSheaf"] == before + 2
         randgen.random_morphism(rng, src, tgt)
         randgen.random_morphism(rng, src, src)
-        assert len(randgen._INV_CACHE) == 0
         conjugated += len(src.conj) + len(tgt.conj)
     assert conjugated and counts["solve_unique"] == 0
     # a conjugation from elsewhere is inverted by solve_unique, which the

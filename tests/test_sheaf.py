@@ -291,9 +291,12 @@ def test_operations_do_not_write_to_their_inputs():
     assert len({id(phi[0]) for phi in constant(torus7()).restrictions.values()}) == 1
 
 
-# the problems of the constant sheaf on full_simplex(4) with every third
-# restriction, in str order, scaled by 2
+# the validate() problems of four instances, first the constant sheaf on
+# full_simplex(4) with every third restriction, in str order, scaled by 2
 _VALIDATE_PROBLEMS = """
+from itertools import combinations
+from conormal.cellcx import from_simplicial, identity_map
+from conormal.lefschetz import LefschetzInstance
 from conormal.qlinalg import Matrix, VectComplex
 from conormal.randgen import full_simplex
 from conormal.sheaf import CellularSheaf, constant, direct_sum_sheaf
@@ -304,12 +307,25 @@ for k, pair in enumerate(sorted(res, key=str)):
         res[pair] = {0: res[pair][0].scale(2)}
 print("\\n".join(CellularSheaf(f.base, f.stalks, res).validate()))
 # every stalk k -> k and every degree-1 restriction 2: no restriction is a
-# chain map, and a direct sum lists them in the order it builds them
+# chain map
 one = Matrix.identity(1)
 g = constant(full_simplex(3))
 acyclic = CellularSheaf(g.base, {c: VectComplex({0: 1, 1: 1}, {0: one}) for c in g.stalks},
                         {pair: {0: one, 1: one.scale(2)} for pair in g.restrictions})
 print("\\n".join(direct_sum_sheaf(acyclic, g).validate()))
+# string vertices, whose cells from_simplicial makes in hash order: the
+# full simplex on a-d with every third restriction, in str order, doubled
+abcd = from_simplicial([list(s) for k in range(1, 5) for s in combinations("abcd", k)])
+f = constant(abcd)
+res = dict(f.restrictions)
+for k, pair in enumerate(sorted(res, key=str)):
+    if k % 3 == 0:
+        res[pair] = {0: res[pair][0].scale(2)}
+print("\\n".join(CellularSheaf(abcd, f.stalks, res).validate()))
+# and a Lefschetz phi of 2 at a, b and a.b on the triangle a, b, c
+tri = from_simplicial([["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"]])
+phi = {c: {0: one.scale(2)} for c in ("a", "b", "a.b")}
+print("\\n".join(LefschetzInstance(identity_map(tri), constant(tri), phi).validate()))
 """
 
 
@@ -320,15 +336,18 @@ def test_validate_problems_do_not_depend_on_the_hash_seed():
     import sys
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     outs = set()
-    for seed in ("1", "2", "3", "4"):
+    for seed in ("1", "2", "3", "4", "5", "6"):
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
         proc = subprocess.run([sys.executable, "-c", _VALIDATE_PROBLEMS], env=env,
                               capture_output=True, text=True, check=True)
         outs.add(proc.stdout)
     assert len(outs) == 1
     (out,) = outs
-    assert out.count("composite restrictions") == 10
+    assert out.count("composite restrictions") == 20
     assert out.count("is not a chain map") == 9
+    assert out.endswith("composite restrictions 'b.d' -> 'a.b.c.d' disagree\n"
+                        "morphism does not commute with restriction ('a', 'a.c')\n"
+                        "morphism does not commute with restriction ('b', 'b.c')\n")
 
 
 def test_cone_of_identity_is_acyclic():
