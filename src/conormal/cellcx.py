@@ -145,6 +145,12 @@ EMPTY = CellComplex({}, {})
 POINT = CellComplex({"pt": 0}, {})
 
 
+def cell_sort_key(base):
+    """Sort key of the cells of base: (dim, str), the order in which
+    sections stacks its cells, validate reports and the CLI prints."""
+    return lambda c: (base.dim(c), str(c))
+
+
 def from_simplicial(simplices) -> CellComplex:
     """Complex generated by a list of simplices (sorted vertex lists).
 

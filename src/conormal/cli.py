@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .cellcx import POINT, CellComplexError
+from .cellcx import POINT, CellComplexError, cell_sort_key
 from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
                     kernel_compose, constant, external, SheafError)
@@ -27,13 +27,9 @@ from . import io, checks
 OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
-def _cell_sort_key(base):
-    return lambda c: (base.dim(c), str(c))
-
-
 def _print_cycle(cycle):
     base = cycle.base
-    for c in sorted(cycle.weights, key=_cell_sort_key(base)):
+    for c in sorted(cycle.weights, key=cell_sort_key(base)):
         print("%+d %s" % (cycle.weights[c], c))
     print("degree %d" % degree(cycle))
 
@@ -144,7 +140,7 @@ def cmd_pushforward(args):
     except PushforwardError as e:
         print("pushforward not representable: %s" % e)
         return VALIDATION_FAILURE
-    for c in sorted(pushed.base.cell_ids(), key=_cell_sort_key(pushed.base)):
+    for c in sorted(pushed.base.cell_ids(), key=cell_sort_key(pushed.base)):
         print("chi %s = %d" % (c, euler(pushed.stalk(c))))
     pushed_class = mueu(pushed)
     if pushed_class != pushforward_cycle(f, mueu(sheaf)):
@@ -158,7 +154,7 @@ def cmd_dual(args):
     inst = io.load_instance(args.file)
     sheaf = _named(inst.sheaves, args.sheaf, "sheaf")
     df = verdier_dual(sheaf)
-    for c in sorted(df.base.cell_ids(), key=_cell_sort_key(df.base)):
+    for c in sorted(df.base.cell_ids(), key=cell_sort_key(df.base)):
         print("chi %s = %d" % (c, euler(df.stalk(c))))
     index = euler_char(df)
     if index != euler_char(sheaf):

@@ -17,13 +17,19 @@ so PieceSheaf solves no linear system for it; a 1x1 draw reads the
 product of its two scaling factors, and its inverse, from a table built
 once, so it does no Fraction arithmetic.  Most slots hold one label, and
 a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
-as g(t) h(s) from two scalars per slot.  One build computes g and h once
-per distinct (A, w) and makes one 1x1 Matrix per distinct value
-g(t) h(s), which every equal restriction and differential shares (no
-operation writes to its inputs' matrices).  A larger unconjugated block has
-at most one entry in each row, so A_t M A_s^-1 is written as scaled rows
-of A_s^-1 and multiplied by A_t once.  The random rationals are picked
-from tables of precomputed Fractions, with the same draws as building them.
+as g(t) h(s) from two scalars per slot, each a reduced (numerator,
+denominator) pair of ints.  One build computes g and h once per distinct
+(A, w); a block is then two int products and one gcd, and its value picks
+the one 1x1 Matrix (and Fraction) of that value, which every equal
+restriction and differential shares.  Cells in the same pieces share one
+slots dict; where none of those pieces is acyclic they have no
+differential and share one stalk, and a pair of such cells whose slots
+all hold one label gets its restrictions in one comprehension.  No
+operation writes to its inputs' matrices or stalks.  A larger
+unconjugated block has at most one entry in each row, so A_t M A_s^-1 is
+written as scaled rows of A_s^-1 and multiplied by A_t once.  The random
+rationals are picked from tables of precomputed Fractions, with the same
+draws as building them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
@@ -207,6 +214,14 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
     return rng.choice(rng.choice(_NONZEROS))
 
 
+def _ratio(num, den):
+    """num / den as a reduced (numerator, denominator) pair, den > 0."""
+    if den < 0:
+        num, den = -num, -den
+    k = gcd(num, den)
+    return num // k, den // k
+
+
 def _scalar(x) -> Matrix:
     """The 1x1 matrix [[x]] for a nonzero x."""
     m = Matrix(1, 1)
@@ -268,30 +283,41 @@ def random_invertible(rng: random.Random, n: int) -> Invertible:
 _INV_CACHE = {}
 
 
-def _piece_slots(base: CellComplex, pieces):
-    """Per cell, per degree, the list of (piece index, leg) basis labels,
-    and per cell the map label -> position within its degree (a label
-    (i, leg) lies in degree deg_i + leg on every cell).  Cells that no
-    piece reaches are left out; cells that lie in the same pieces share
-    one (read-only) pair of dicts."""
-    shared = {}
-    slots, pos = {}, {}
+def _piece_patterns(base: CellComplex, pieces):
+    """The pieces each cell lies in, and their slots.
+
+    Returns (keys, patterns).  keys[c] is the tuple of indices of the
+    pieces that contain c, for every cell that some piece contains, in the
+    order of base.  patterns[key] is (per degree, the list of (piece index,
+    leg) basis labels; the map label -> position within its degree): a
+    label (i, leg) lies in degree deg_i + leg on every cell of piece i, so
+    cells with one key have the same slots."""
+    keys, patterns = {}, {}
     for c in base.cell_ids():
         key = tuple(i for i, piece in enumerate(pieces) if c in piece[1])
         if not key:
             continue
-        got = shared.get(key)
-        if got is None:
+        keys[c] = key
+        if key not in patterns:
             per_degree = {}
             for i in key:
                 kind, _, deg, _ = pieces[i]
                 per_degree.setdefault(deg, []).append((i, 0))
                 if kind == ACYC:
                     per_degree.setdefault(deg + 1, []).append((i, 1))
-            got = shared[key] = (per_degree, {lab: k for labels in per_degree.values()
-                                              for k, lab in enumerate(labels)})
-        slots[c], pos[c] = got
-    return slots, pos
+            patterns[key] = (per_degree, {lab: k for labels in per_degree.values()
+                                          for k, lab in enumerate(labels)})
+    return keys, patterns
+
+
+def _piece_slots(base: CellComplex, pieces):
+    """Per cell, per degree, the list of (piece index, leg) basis labels,
+    and per cell the map label -> position within its degree.  Cells that
+    no piece reaches are left out; cells that lie in the same pieces share
+    one (read-only) pair of dicts."""
+    keys, patterns = _piece_patterns(base, pieces)
+    return ({c: patterns[key][0] for c, key in keys.items()},
+            {c: patterns[key][1] for c, key in keys.items()})
 
 
 class PieceSheaf:
@@ -303,17 +329,21 @@ class PieceSheaf:
     to the invertible matrix A conjugating that slot; a missing slot is
     not conjugated.  A^-1 is the inverse that an Invertible A carries; it
     is solved for only when A is another Matrix.  A block between two
-    slots of one label each is the scalar g(t) h(s), one shared 1x1 Matrix
-    per value (see _build); every larger block is built as A_t M A_s^-1 in
-    one product, where M is the unconjugated block.
+    slots of one label each is the scalar g(t) h(s), computed in integers
+    and shared as one 1x1 Matrix per value; the cells of one piece pattern
+    with no acyclic piece share one stalk (see _build).  Every larger
+    block is built as A_t M A_s^-1 in one product, where M is the
+    unconjugated block.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
         self.base = base
         self.pieces = pieces
         self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
-        self.slots, self.pos = _piece_slots(base, pieces)
-        self.sheaf = self._build()
+        keys, patterns = _piece_patterns(base, pieces)
+        self.slots = {c: patterns[key][0] for c, key in keys.items()}
+        self.pos = {c: patterns[key][1] for c, key in keys.items()}
+        self.sheaf = self._build(keys, patterns)
 
     def inverse(self, key):
         """A^-1 for the conjugation A at (cell, degree) key, or None."""
@@ -339,59 +369,75 @@ class PieceSheaf:
         a = self.conj.get(t_key)
         return m if a is None else a * m
 
-    def _build(self) -> CellularSheaf:
-        pieces, pos = self.pieces, self.pos
-        # (g, h) = (A w_i(c), A^-1 / w_i(c)) per slot (c, n) of one label
-        # (i, leg), A = 1 where unconjugated: a 1x1 restriction is
-        # A_t (w_i(t) / w_i(s)) A_s^-1 = g(t) h(s), and a 1x1 differential,
-        # whose two legs of piece i have the same weight w_i(c), is
-        # A_t 1 A_s^-1 = g(t) h(s) as well.  Each distinct (A, w) gives its
-        # (g, h, g's key, h's key) once, and each distinct value g(t) h(s)
-        # one 1x1 Matrix that every block equal to it shares; the keys are
-        # (numerator, denominator) ints, which hash faster than Fractions.
-        slot_gh, pair_blocks, value_blocks = {}, {}, {}
-        gh = {}
-        for c, slots in self.slots.items():
-            for n, labels in slots.items():
-                if len(labels) == 1:
-                    w = pieces[labels[0][0]][3][c]
-                    a = self.conj.get((c, n))
-                    x = _ONE if a is None else a.data[0][0]
-                    key = (x.numerator, x.denominator, w.numerator, w.denominator)
-                    got = slot_gh.get(key)
-                    if got is None:
-                        inv = self.inverse((c, n))
-                        g = w if a is None else x * w
-                        h = _ONE / w if inv is None else inv.data[0][0] / w
-                        got = slot_gh[key] = (g, h, (g.numerator, g.denominator),
-                                              (h.numerator, h.denominator))
-                    gh[(c, n)] = got
+    def _scalars(self, keys, patterns):
+        """Per cell, per degree of one label (i, leg), the pair
+        (g, h) = (A w_i(c), A^-1 / w_i(c)), A = 1 where unconjugated, each
+        as a reduced (numerator, denominator) int pair with a positive
+        denominator; computed once per distinct (A, w)."""
+        pieces, conj = self.pieces, self.conj
+        seen = {}  # (A, w) as four ints -> (g, h)
+        g, h = {}, {}
+        for c, key in keys.items():
+            g[c], h[c] = gc, hc = {}, {}
+            for n, labels in patterns[key][0].items():
+                if len(labels) != 1:
+                    continue
+                w = pieces[labels[0][0]][3][c]
+                a = conj.get((c, n))
+                x = _ONE if a is None else a.data[0][0]
+                k = (x.numerator, x.denominator, w.numerator, w.denominator)
+                got = seen.get(k)
+                if got is None:
+                    inv = self.inverse((c, n))
+                    y = _ONE if inv is None else inv.data[0][0]
+                    xn, xd, wn, wd = k
+                    got = seen[k] = (_ratio(xn * wn, xd * wd),
+                                     _ratio(y.numerator * wd, y.denominator * wn))
+                gc[n], hc[n] = got
+        return g, h
 
-        def scalar_block(t_gh, s_gh):
-            """The shared 1x1 Matrix [[g(t) h(s)]]."""
-            key = (t_gh[2], s_gh[3])
-            m = pair_blocks.get(key)
+    def _build(self, keys, patterns) -> CellularSheaf:
+        """The sheaf, with every 1x1 block g(t) h(s) read from _scalars.
+
+        A 1x1 restriction is A_t (w_i(t) / w_i(s)) A_s^-1 = g(t) h(s), and a
+        1x1 differential, whose two legs of piece i have the same weight
+        w_i(c), is A_t 1 A_s^-1 = g(t) h(s) as well.  Its value is reduced
+        in ints, and each distinct value gets one 1x1 Matrix (one Fraction)
+        that every block equal to it shares.  A pattern with no acyclic
+        piece has no differential, so its cells share one stalk; a pair of
+        cells of one pattern whose slots all hold one label restricts by
+        g(t) h(s) in every degree."""
+        pieces, slots, pos = self.pieces, self.slots, self.pos
+        g, h = self._scalars(keys, patterns)
+        blocks = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
+
+        def block(gt, hs):
+            num, den = gt[0] * hs[0], gt[1] * hs[1]
+            k = gcd(num, den)
+            value = (num // k, den // k)
+            m = blocks.get(value)
             if m is None:
-                x = t_gh[0] * s_gh[1]
-                value = (x.numerator, x.denominator)
-                m = value_blocks.get(value)
-                if m is None:
-                    m = value_blocks[value] = _scalar(x)
-                pair_blocks[key] = m
+                m = blocks[value] = _scalar(Fraction(*value))
             return m
 
+        shared = {key: VectComplex({n: len(labels) for n, labels in per_degree.items()})
+                  for key, (per_degree, _) in patterns.items()
+                  if all(pieces[i][0] == SKY for i in key)}
         stalks = {}
-        for c, slots in self.slots.items():
-            dims = {n: len(labels) for n, labels in slots.items()}
+        for c, key in keys.items():
+            if key in shared:
+                stalks[c] = shared[key]
+                continue
+            cslots, cpos = patterns[key]
+            dims = {n: len(labels) for n, labels in cslots.items()}
             diffs = {}
-            cpos = pos[c]
-            for n, labels in slots.items():
-                if n + 1 not in slots:
+            for n, labels in cslots.items():
+                if n + 1 not in cslots:
                     continue
                 if dims[n] == 1 == dims[n + 1]:
                     i, leg = labels[0]
                     if leg == 0 and pieces[i][0] == ACYC:
-                        diffs[n] = scalar_block(gh[(c, n + 1)], gh[(c, n)])
+                        diffs[n] = block(g[c][n + 1], h[c][n])
                     continue
                 # d^n sends leg 0 of each acyclic piece to its leg 1
                 entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
@@ -400,19 +446,27 @@ class PieceSheaf:
                     diffs[n] = self._conjugated((c, n + 1), (c, n), dims[n + 1],
                                                 dims[n], entries)
             stalks[c] = VectComplex(dims, diffs)
+        # h of the cells whose slots all hold one label
+        scalar_h = {c: h[c] for c, cslots in slots.items()
+                    if all(len(labels) == 1 for labels in cslots.values())}
         restrictions = {}
         for (t, s) in self.base.incidence_pairs():
-            if s not in stalks or t not in stalks:
+            hs = scalar_h.get(s)
+            if hs is not None and slots.get(t) is slots[s]:
+                gt = g[t]
+                restrictions[(s, t)] = {n: block(gt[n], hs[n]) for n in hs}
+                continue
+            if s not in slots or t not in slots:
                 continue
             phi = {}
-            slots_t, tpos = self.slots[t], pos[t]
-            for n, labels in self.slots[s].items():
+            slots_t, tpos = slots[t], pos[t]
+            for n, labels in slots[s].items():
                 labels_t = slots_t.get(n)
                 if labels_t is None:
                     continue
                 if len(labels) == 1 == len(labels_t):
                     if labels == labels_t:
-                        phi[n] = scalar_block(gh[(t, n)], gh[(s, n)])
+                        phi[n] = block(g[t][n], h[s][n])
                     continue
                 # each piece on both cells maps by its weight ratio
                 entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cellcx import CellComplex, CellularMap, _product_complex, factors_of
+from .cellcx import (CellComplex, CellularMap, _product_complex, cell_sort_key,
+                     factors_of)
 from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
@@ -29,11 +30,6 @@ class SheafError(ValueError):
     pass
 
 
-def _cell_key(base: CellComplex):
-    """Sort key of the cells of base: (dim, str)."""
-    return lambda c: (base.dim(c), str(c))
-
-
 def _pair_key(key):
     """Sort key of (face, coface) pairs, both cells by key."""
     return lambda pair: (key(pair[0]), key(pair[1]))
@@ -42,10 +38,13 @@ def _pair_key(key):
 class CellularSheaf:
     """Cellular sheaf of rational cochain complexes (immutable).
 
-    One Matrix may serve as several of its blocks or be shared with other
-    sheaves (the constant sheaf has one [[1]] for every restriction, a
-    random piece sheaf one 1x1 Matrix per distinct value), so no operation
-    writes to the matrices of the sheaves it is given."""
+    One Matrix may serve as several of its blocks, and one VectComplex as
+    the stalk of several cells, or be shared with other sheaves (the
+    constant sheaf has one k for every stalk and one [[1]] for every
+    restriction; a random piece sheaf has one 1x1 Matrix per distinct value
+    and one stalk per pattern of pieces without an acyclic one), so no
+    operation writes to the matrices or stalks of the sheaves it is
+    given."""
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
@@ -96,7 +95,7 @@ class CellularSheaf:
         """List of violations (stalk d^2, chain maps, poset functoriality)."""
         # cells and pairs in (dim, str) order: problems come in the same
         # order under every hash seed, whatever order the cells were made in
-        key = _cell_key(self.base)
+        key = cell_sort_key(self.base)
         problems = []
         for c in sorted(self.stalks, key=key):
             try:
@@ -140,7 +139,7 @@ class SheafMorphism:
 
     def validate(self):
         # cells and pairs in (dim, str) order, as CellularSheaf.validate
-        key = _cell_key(self.source.base)
+        key = cell_sort_key(self.source.base)
         problems = []
         for c in sorted(self.components, key=key):
             if not is_chain_map(self.source.stalk(c), self.target.stalk(c),
@@ -165,7 +164,7 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
     (-1)^{weight(s)} * internal differentials.  Returns (VectComplex,
     index) with index[(cell, p)] = (total degree, offset).
     """
-    cells = sorted((c for c in cells if c in f.stalks), key=_cell_key(f.base))
+    cells = sorted((c for c in cells if c in f.stalks), key=cell_sort_key(f.base))
     weights = {c: weight(c) for c in cells}
     lay = layout([((c, p), p + weights[c], d)
                   for c in cells for p, d in sorted(f.stalks[c].dims.items())])
@@ -205,8 +204,9 @@ def zero_sheaf(x: CellComplex) -> CellularSheaf:
 
 
 def constant(x: CellComplex) -> CellularSheaf:
-    """The constant sheaf k on x: every restriction is one shared [[1]]."""
-    stalks = {c: ql.single(0, 1) for c in x.cell_ids()}
+    """The constant sheaf k on x: every stalk is one shared k in degree 0
+    and every restriction one shared [[1]]."""
+    stalks = dict.fromkeys(x.cell_ids(), ql.single(0, 1))
     one = Matrix.identity(1)
     restrictions = {(s, t): {0: one} for (t, s) in x.incidence_pairs()}
     return CellularSheaf(x, stalks, restrictions)

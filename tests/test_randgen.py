@@ -237,6 +237,69 @@ def test_piece_sheaf_blocks_match_the_conjugation_formula():
     assert min(seen.values()) > 0, seen
 
 
+def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
+    """Seeded builds equal _reference_sheaf block by block where the 1x1
+    blocks computed in ints have corners: negative weights and
+    conjugations, unconjugated slots and conj={}, 1x1 conjugations given as
+    plain Matrix (so solved inverses), 1x1 acyclic differentials, and two
+    cells in the same pieces with different conjugations."""
+    rng = random.Random(31)
+    values = [Fraction(v) for v in (-3, -2, -1, 1, 2)] + [
+        Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
+    seen = dict.fromkeys(("negative weight", "negative conj", "bare slot", "conj={}",
+                          "plain 1x1", "1x1 d", "same pieces, other conj"), 0)
+    for _ in range(8):
+        cx = rng.choice([product(randgen.hollow_triangle(), randgen.interval())[0],
+                         randgen.random_complex(rng, max_dim=2, max_vertices=5,
+                                                max_cells=20)])
+        cells = cx.cell_ids()
+
+        def weights():
+            return {c: rng.choice(values) for c in cells}
+        star = frozenset(cx.star(rng.choice(cx.cells_of_dim(0))))
+        pieces = [(randgen.SKY, frozenset(cells), 0, weights()),
+                  (randgen.ACYC, star, 1, weights()),
+                  (randgen.SKY, randgen.random_upset(rng, cx), rng.choice((0, 2)), weights())]
+        slots, _ = randgen._piece_slots(cx, pieces)
+        for kind in ("conj={}", "drawn", "plain 1x1"):
+            conj = {}
+            for c, per_degree in slots.items():
+                for n, labels in per_degree.items():
+                    if kind == "conj={}" or rng.random() < 0.3:
+                        continue
+                    if kind == "plain 1x1" and len(labels) == 1:
+                        conj[(c, n)] = Matrix(1, 1, [[rng.choice(values)]])
+                    else:
+                        conj[(c, n)] = randgen.random_invertible(rng, len(labels))
+            ps = randgen.PieceSheaf(cx, pieces, conj)
+            ref = _reference_sheaf(ps)
+            assert ps.sheaf.stalks == ref.stalks
+            assert ps.sheaf.restrictions == ref.restrictions
+            # one shared Matrix per value of a 1x1 block
+            ones = [m for phi in ps.sheaf.restrictions.values() for m in phi.values()]
+            ones = [m for m in ones + [m for v in ps.sheaf.stalks.values()
+                                       for m in v.diffs.values()] if m.rows == m.cols == 1]
+            assert len({id(m) for m in ones}) == len({m[0, 0] for m in ones})
+            seen["conj={}"] += not conj
+            for c, per_degree in slots.items():
+                for n, labels in per_degree.items():
+                    if len(labels) != 1:
+                        continue
+                    a = conj.get((c, n))
+                    seen["negative weight"] += pieces[labels[0][0]][3][c] < 0
+                    seen["bare slot"] += a is None and bool(conj)
+                    seen["negative conj"] += a is not None and a[0, 0] < 0
+                    seen["plain 1x1"] += a is not None and not isinstance(a, randgen.Invertible)
+                seen["1x1 d"] += any(m.rows == m.cols == 1
+                                     for m in ps.sheaf.stalk(c).diffs.values())
+            for t, s in cx.incidence_pairs():
+                if s in slots and slots[s] is slots.get(t):
+                    seen["same pieces, other conj"] += any(
+                        len(labels) == 1 and conj.get((s, n)) != conj.get((t, n))
+                        for n, labels in slots[s].items())
+    assert min(seen.values()) > 0, seen
+
+
 def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
     """One PieceSheaf per random_piece_sheaf, and no solve_unique call for
     conjugations that random_invertible drew; counted by wrappers installed

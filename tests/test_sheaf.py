@@ -249,13 +249,15 @@ def test_random_morphisms_and_cone():
 
 
 def test_operations_do_not_write_to_their_inputs():
-    """A piece sheaf shares one 1x1 Matrix among its equal blocks and the
-    constant sheaf one [[1]] among its restrictions, which is safe because
-    no operation writes to the matrices of its inputs: describe_sheaf of
-    every input is the same after each operation as before."""
+    """A piece sheaf shares one 1x1 Matrix among its equal blocks and one
+    stalk among the cells of a pattern of sky pieces, and the constant
+    sheaf one [[1]] among its restrictions and one k among its stalks,
+    which is safe because no operation writes to the matrices or stalks of
+    its inputs: describe_sheaf of every input is the same after each
+    operation as before."""
     rng = random.Random(36)
     factors = [interval(), hollow_triangle(), circle(4)]
-    shared = 0
+    shared = shared_stalks = 0
     for _ in range(6):
         cx = random_complex(rng, max_dim=2, max_vertices=5, max_cells=14)
         ps = random_piece_sheaf(rng, cx, max_pieces=3)
@@ -287,8 +289,13 @@ def test_operations_do_not_write_to_their_inputs():
                     for c, phi in alpha.components.items()} == components
         blocks = [m for phi in k23.restrictions.values() for m in phi.values()]
         shared += len(blocks) - len({id(m) for m in blocks})
-    assert shared > 0
-    assert len({id(phi[0]) for phi in constant(torus7()).restrictions.values()}) == 1
+        for f in inputs[:-1]:
+            shared_stalks += len(f.stalks) - len({id(v) for v in f.stalks.values()})
+        assert len({id(v) for v in inputs[-1].stalks.values()}) == 1
+    assert shared > 0 and shared_stalks > 0
+    const = constant(torus7())
+    assert len({id(phi[0]) for phi in const.restrictions.values()}) == 1
+    assert len({id(v) for v in const.stalks.values()}) == 1 < len(const.stalks)
 
 
 # the validate() problems of four instances, first the constant sheaf on
