@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 
 from .cellcx import POINT, _product_complex
-from .qlinalg import euler, tensor_layout
-from .sheaf import (CellularSheaf, euler_char, external, tensor_sheaf,
-                    pushforward, verdier_dual, kernel_compose)
+from .qlinalg import euler, homology_ranks, tensor_layout
+from .sheaf import (CellularSheaf, euler_char, external, global_sections,
+                    tensor_sheaf, pushforward, verdier_dual, kernel_compose)
 from .mueu import (mueu, degree, external_cycle, star, compose_cycle,
                    pushforward_cycle, support_compose)
 from .tracekernel import tk, eu_point, shift_twist, external_tk
@@ -208,9 +208,13 @@ def case_lefschetz(rng, **_):
     return None
 
 
-def case_duality(rng, **_):
+def _duality_instance(rng):
     cx = randgen.random_complex(rng, max_dim=2, max_vertices=5, max_cells=12)
-    f = randgen.random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))
+    return cx, randgen.random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))
+
+
+def case_duality(rng, **_):
+    cx, f = _duality_instance(rng)
     df = verdier_dual(f)
     if euler_char(df) != euler_char(f):
         return {"identity": "euler_char(DF) == euler_char(F)",
@@ -220,6 +224,20 @@ def case_duality(rng, **_):
         if euler(ddf.stalk(c)) != euler(f.stalk(c)):
             return {"identity": "stalkwise chi of DDF == stalkwise chi of F",
                     "cell": str(c), **_sheaf_blob(cx, f)}
+    return None
+
+
+def case_duality_rk(rng, **_):
+    """Verdier duality in cohomology ranks: the base is compact, so
+    RGamma(M; DF) is the dual of RGamma(M; F) and H^k(M; DF) has the
+    dimension of H^-k(M; F).  Unlike the Euler characteristics, the ranks
+    see the restriction maps."""
+    cx, f = _duality_instance(rng)
+    lhs = homology_ranks(global_sections(verdier_dual(f)))
+    rhs = {-k: h for k, h in homology_ranks(global_sections(f)).items()}
+    if lhs != rhs:
+        return {"identity": "dim H^k(M; DF) == dim H^-k(M; F)",
+                "lhs": lhs, "rhs": rhs, **_sheaf_blob(cx, f)}
     return None
 
 
@@ -233,6 +251,7 @@ SUITES = {
     "twist": case_twist,
     "lefschetz": case_lefschetz,
     "duality": case_duality,
+    "duality-rk": case_duality_rk,
 }
 
 

@@ -268,28 +268,34 @@ def _integer_row(row):
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by sparse fraction-free elimination.
+    """Exact rank: the number of pivot columns of _pivot_columns on the
+    rows of m made primitive integer rows (scaling a row keeps the rank)."""
+    return len(_pivot_columns({i: _integer_row(row) for i, row in enumerate(m.data)
+                               if row}))
 
-    Rows become primitive integer rows (scaling a row keeps the rank).
+
+def _pivot_columns(rows) -> set:
+    """The pivot columns of sparse fraction-free elimination of rows, a
+    dict from row index to a nonzero primitive integer row (column ->
+    int); the rows are consumed.
+
     Each pivot comes from the shortest live row, in the column of that
     row with the fewest entries (Markowitz), ties by index.  A row is
     updated as a*row - b*pivot_row with a / b = pivot / entry in lowest
-    terms, then divided by the gcd of its entries.  Cellular coboundaries
-    are sparse and mostly +-1, so nearly the whole matrix is eliminated
-    before any fill-in.
+    terms, then divided by the gcd of its entries.  Each pivot row is zero
+    at the pivot columns chosen before it, so the matrix has full column
+    rank on the pivot columns, and their number is its rank.  Cellular
+    coboundaries are sparse and mostly +-1, so nearly the whole matrix is
+    eliminated before any fill-in.
     """
-    rows = {}
     cols = {}
     shortest = []
-    for i, row in enumerate(m.data):
-        row = _integer_row(row)
-        if row:
-            rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-            heappush(shortest, (len(row), i))
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+        heappush(shortest, (len(row), i))
 
-    r = 0
+    pivots = set()
     while rows:
         # entries go stale when a row is updated or eliminated
         n, i = heappop(shortest)
@@ -327,8 +333,8 @@ def rank(m: Matrix) -> int:
                 heappush(shortest, (len(row), t))
             else:
                 del rows[t]
-        r += 1
-    return r
+        pivots.add(j)
+    return pivots
 
 
 def rref(m: Matrix):
@@ -421,26 +427,12 @@ class VectComplex:
         return not self.dims
 
     def check(self):
-        """Verify d^2 = 0 on sparse rows; raises naming the offending degree."""
-        for n, m in self.diffs.items():
+        """Verify d^2 = 0 on sparse rows, from the top degree down; raises
+        naming the highest offending degree."""
+        for n in sorted(self.diffs, reverse=True):
             upper = self.diffs.get(n + 1)
-            if upper is None or not self.dim(n + 2):
-                continue
-            # rows of d^{n+1} and columns of d^n scaled to integers: scaling
-            # keeps every entry of the product zero or nonzero
-            den = {}
-            for row in m.data:
-                for j, x in row.items():
-                    den[j] = lcm(den.get(j, 1), x.denominator)
-            lower = [{j: x.numerator * (den[j] // x.denominator) for j, x in row.items()}
-                     for row in m.data]
-            for row in upper.data:
-                acc = {}
-                for k, a in _integer_row(row).items():
-                    for j, b in lower[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                if any(acc.values()):
-                    raise LinAlgError("d^2 != 0 at degree %d" % n)
+            if upper is not None:
+                _check_square(n, map(_integer_row, upper.data), self.diffs[n])
         return self
 
     def __eq__(self, other):
@@ -466,11 +458,59 @@ def euler(v: VectComplex) -> int:
     return sum((-1 if n % 2 else 1) * d for n, d in v.dims.items())
 
 
+def _check_square(n, upper, lower):
+    """Raise unless d^(n+1) d^n = 0 on the rows given: upper yields
+    integer rows of d^(n+1) (each a row scaled by a nonzero rational) and
+    lower is d^n."""
+    # columns of d^n scaled to integers: scaling keeps every entry of the
+    # product zero or nonzero
+    den = {}
+    for row in lower.data:
+        for j, x in row.items():
+            den[j] = lcm(den.get(j, 1), x.denominator)
+    low = [{j: x.numerator * (den[j] // x.denominator) for j, x in row.items()}
+           for row in lower.data]
+    for row in upper:
+        acc = {}
+        for k, a in row.items():
+            for j, b in low[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise LinAlgError("d^2 != 0 at degree %d" % n)
+
+
 def homology_ranks(v: VectComplex) -> dict:
-    """dim H^n for every degree; rejects complexes with d^2 != 0."""
-    v.check()
+    """dim H^n for every degree; rejects complexes with d^2 != 0, naming
+    the highest offending degree as VectComplex.check does.
+
+    The differentials are eliminated from the top degree down, with
+    clearing: the rows of d^n at the pivot columns J of d^(n+1) are left
+    out, and never made integer rows.  This keeps the rank of d^n.  Proof:
+    d^(n+1) has full column rank on J, so it is injective on the span of
+    the basis vectors e_j, j in J; it vanishes on im d^n, so im d^n meets
+    that span only in 0.  Dropping the coordinates in J is therefore
+    injective on im d^n, and the rank of the remaining rows of d^n is the
+    rank of d^n.
+
+    The d^2 = 0 check reads the same rows: once d^(n+1) d^n = 0 is known,
+    d^n d^(n-1) = 0 follows from its rows outside J, since its image lies
+    in ker d^(n+1), which meets the span of the e_j, j in J, only in 0.
+    Each kept row is made a primitive integer row once; the check reads
+    it and the elimination then consumes it.
+    """
+    rk = {}
+    cleared = ()  # pivot columns of the differential one degree up
+    for n in sorted(v.diffs, reverse=True):
+        if n + 1 not in rk:
+            cleared = ()
+        rows = {i: _integer_row(row) for i, row in enumerate(v.diffs[n].data)
+                if row and i not in cleared}
+        lower = v.diffs.get(n - 1)
+        if lower is not None:
+            _check_square(n - 1, rows.values(), lower)
+        cleared = _pivot_columns(rows)
+        rk[n] = len(cleared)
     out = {}
-    rk = {n: rank(m) for n, m in v.diffs.items()}
     for n in v.dims:
         h = v.dim(n) - rk.get(n, 0) - rk.get(n - 1, 0)
         if h < 0:

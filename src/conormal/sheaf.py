@@ -44,7 +44,10 @@ class CellularSheaf:
     restriction; a random piece sheaf has one 1x1 Matrix per distinct value
     and one stalk per pattern of pieces without an acyclic one), so no
     operation writes to the matrices or stalks of the sheaves it is
-    given."""
+    given.  A restriction dict (degree -> Matrix) is kept as its builder
+    gave it unless one of its blocks is zero, when a copy without the zero
+    blocks is kept, so it may be shared with the builder or with another
+    sheaf (pullback hands over the dicts of g.res) and is read-only too."""
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
@@ -55,11 +58,15 @@ class CellularSheaf:
             if not v.is_zero():
                 self.stalks[c] = v
         self.restrictions = {}
+        incidence, kept = base.incidence, self.stalks
         for (s, t), phi in restrictions.items():
-            if base.incidence(t, s) == 0:
+            if not incidence(t, s):
                 raise SheafError("restriction on non-incident pair (%r, %r)" % (s, t))
-            phi = {n: m for n, m in phi.items() if not m.is_zero()}
-            if phi and s in self.stalks and t in self.stalks:
+            for m in phi.values():
+                if m.is_zero():
+                    phi = {n: m for n, m in phi.items() if not m.is_zero()}
+                    break
+            if phi and s in kept and t in kept:
                 self.restrictions[(s, t)] = phi
 
     def stalk(self, cid) -> VectComplex:

@@ -9,7 +9,7 @@ import pytest
 from conormal import io, cli
 from conormal.cellcx import POINT
 from conormal.qlinalg import euler
-from conormal.sheaf import euler_char, constant
+from conormal.sheaf import CellularSheaf, euler_char, constant
 from conormal.mueu import mueu, degree, set_negative_control
 from conormal.checks import run_checks
 from conormal.randgen import random_complex, random_sheaf, hollow_triangle
@@ -381,6 +381,23 @@ def test_twist_suite_and_expand_read_only_the_factors(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == ""
 
 
+def test_duality_rank_suite_sees_stripped_restrictions(monkeypatch):
+    """A verdier_dual that keeps its stalks and drops every restriction
+    keeps every Euler characteristic, so only the rank suite can see it."""
+    from conormal import checks
+    honest = checks.verdier_dual
+
+    def stripped(f):
+        df = honest(f)
+        return CellularSheaf(df.base, df.stalks, {})
+    assert run_checks(seed=4, cases=25, suites=["duality", "duality-rk"]).ok
+    monkeypatch.setattr(checks, "verdier_dual", stripped)
+    r = run_checks(seed=4, cases=25, suites=["duality", "duality-rk"])
+    assert {name for name, _, _ in r.failures} == {"duality-rk"}
+    assert all("dim H^k(M; DF) == dim H^-k(M; F)" in detail
+               for _, _, detail in r.failures)
+
+
 def test_cli_pushforward(tmp_path, capsys):
     path = write(tmp_path, TRI)
     assert cli.main(["pushforward", path, "k", "pt"]) == 0
@@ -415,6 +432,14 @@ def test_cli_check_seed2_matches_golden(capsys):
     import pathlib
     golden = pathlib.Path(__file__).parent / "fixtures" / "check_seed2_cases50.txt"
     assert cli.main(["check", "--seed", "2", "--cases", "50"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_cli_check_seed4_matches_golden(capsys):
+    # stdout of `conormal check --seed 4 --cases 100`, byte for byte
+    import pathlib
+    golden = pathlib.Path(__file__).parent / "fixtures" / "check_seed4_cases100.txt"
+    assert cli.main(["check", "--seed", "4", "--cases", "100"]) == 0
     assert capsys.readouterr().out == golden.read_text()
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
                               trace_endo, cohomology_trace, layout,
-                              graded_map, tensor_layout, tensor_chain_maps)
+                              graded_map, tensor_layout, tensor_chain_maps,
+                              _pivot_columns, _integer_row)
+from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex, random_chain_endo,
                               random_invertible, _rand_rational,
-                              random_complex, random_sheaf)
-from conormal.sheaf import global_sections
+                              random_complex, random_sheaf, interval,
+                              hollow_triangle)
+from conormal.sheaf import global_sections, verdier_dual, tensor_sheaf, kernel_compose
 
 
 def M(rows):
@@ -485,12 +489,21 @@ def test_inverse_roundtrip():
 
 
 def test_vect_complex_check():
-    good = VectComplex({0: 1, 1: 1}, {0: Matrix.identity(1)})
+    """check() and homology_ranks reject d^2 != 0 with the same message,
+    naming the highest failing degree."""
+    one = Matrix.identity(1)
+    good = VectComplex({0: 1, 1: 1}, {0: one})
     good.check()
-    bad = VectComplex({0: 1, 1: 1, 2: 1},
-                      {0: Matrix.identity(1), 1: Matrix.identity(1)})
-    with pytest.raises(LinAlgError):
-        bad.check()
+    bad = VectComplex({0: 1, 1: 1, 2: 1}, {0: one, 1: one})
+    # failing at degrees 0 and 1
+    worse = VectComplex({0: 1, 1: 1, 2: 1, 3: 1}, {0: one, 1: one, 2: one})
+    # d^2 d^1 = 0 but d^1 d^0 != 0, in a row of d^1 that d^2 does not clear
+    hidden = VectComplex({0: 1, 1: 1, 2: 2, 3: 1},
+                         {0: one, 1: M([[1], [0]]), 2: M([[0, 1]])})
+    for v, n in ((bad, 0), (worse, 1), (hidden, 0)):
+        for f in (homology_ranks, VectComplex.check):
+            with pytest.raises(LinAlgError, match=r"^d\^2 != 0 at degree %d$" % n):
+                f(v)
 
 
 def test_euler_and_homology_circle():
@@ -698,3 +711,135 @@ def test_total_complex_names_the_failing_bidegree():
     with pytest.raises(LinAlgError, match=r"^horizontal d\^2 != 0 at bidegree \(2, 5\)$"):
         total_complex({2: pt, 3: pt, 4: pt}, {(2, 5): one, (3, 5): one})
     assert homology_ranks(total_complex({2: pt, 3: pt, 4: pt}, {(2, 5): one})) == {9: 1}
+
+
+# ---------------------------------------------------------------------------
+# homology_ranks: top-down elimination with clearing
+
+def _ranks_by_full_rank(v):
+    """homology_ranks without clearing: check() and the rank of every
+    differential in full."""
+    v.check()
+    rk = {n: rank(m) for n, m in v.diffs.items()}
+    return {n: h for n in v.dims if (h := v.dim(n) - rk.get(n, 0) - rk.get(n - 1, 0))}
+
+
+_NONZERO = _ENTRIES.filter(bool)
+
+
+@st.composite
+def _invertibles(draw, n):
+    """(g, g^-1): a lower unitriangular times an upper triangular matrix
+    with a nonzero diagonal, or the identity."""
+    if not n or draw(st.booleans()):
+        return Matrix.identity(n), Matrix.identity(n)
+    lower = Matrix(n, n, [[draw(_ENTRIES) if j < i else int(i == j) for j in range(n)]
+                          for i in range(n)])
+    upper = Matrix(n, n, [[draw(_NONZERO) if j == i else draw(_ENTRIES) if j > i else 0
+                           for j in range(n)] for i in range(n)])
+    g = lower * upper
+    return g, solve_unique(g, Matrix.identity(n))
+
+
+@st.composite
+def _exact_complexes(draw):
+    """(v, ranks of H) with d^2 = 0 by construction.  Degrees in -3..3 with
+    gaps; d^n = g_(n+1) D^n g_n^-1, where the normal form D^n sends basis
+    vector r_(n-1) + k to basis vector k for k < r_n, so the ranks of H
+    are known; r_n = 0 gives a zero differential."""
+    degrees = sorted(draw(st.sets(st.integers(-3, 3), max_size=5)))
+    dims = {n: draw(st.integers(0, 4)) for n in degrees}
+    ranks = {}
+    for n in degrees:
+        room = min(dims[n] - ranks.get(n - 1, 0), dims.get(n + 1, 0))
+        ranks[n] = draw(st.integers(0, max(room, 0)))
+    conj = {n: draw(_invertibles(d)) for n, d in dims.items()}
+    diffs = {}
+    for n, r in ranks.items():
+        if r:
+            normal = Matrix(dims[n + 1], dims[n])
+            for k in range(r):
+                normal[k, ranks.get(n - 1, 0) + k] = 1
+            diffs[n] = conj[n + 1][0] * normal * conj[n][1]
+    homology = {n: h for n, d in dims.items()
+                if (h := d - ranks[n] - ranks.get(n - 1, 0))}
+    return VectComplex(dims, diffs), homology
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_complexes())
+def test_homology_ranks_agree_with_full_ranks(case):
+    v, homology = case
+    assert homology_ranks(v) == _ranks_by_full_rank(v) == homology
+
+
+def _message(f, v):
+    try:
+        f(v)
+    except LinAlgError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_complexes(), st.data())
+def test_broken_complexes_are_rejected_with_the_same_message(case, data):
+    """One entry of one differential changed: homology_ranks and check()
+    reject the result with the same message, or both accept it and the
+    ranks agree with the full ranks."""
+    v, _ = case
+    if not v.diffs:
+        return
+    n = data.draw(st.sampled_from(sorted(v.diffs)))
+    m = v.diffs[n]
+    broken = Matrix(m.rows, m.cols)
+    broken.data = [dict(row) for row in m.data]
+    i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    broken[i, j] = broken[i, j] + data.draw(_NONZERO)
+    w = VectComplex(v.dims, {**v.diffs, n: broken})
+    message = _message(VectComplex.check, w)
+    assert _message(homology_ranks, w) == message
+    if message is None:
+        assert homology_ranks(w) == _ranks_by_full_rank(w)
+    else:
+        assert re.fullmatch(r"d\^2 != 0 at degree -?\d+", message)
+
+
+def _seeded_complexes(seed):
+    """Sections of random piece sheaves and of their Verdier duals and
+    tensor squares, tensor products of those complexes, and the stalks of
+    composed kernels."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        cx = random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
+        f = random_sheaf(rng, cx, max_pieces=2, degree_range=(-1, 1))
+        v = global_sections(f)
+        yield v
+        yield global_sections(verdier_dual(f))
+        yield global_sections(tensor_sheaf(f, f))
+        yield tensor(v, random_vect_complex(rng))
+    for _ in range(4):
+        m1, m2, m3 = interval(), hollow_triangle(), interval()
+        k12 = random_sheaf(rng, product(m1, m2)[0], max_pieces=2, degree_range=(-1, 1))
+        k23 = random_sheaf(rng, product(m2, m3)[0], max_pieces=2, degree_range=(-1, 1))
+        yield from kernel_compose(k12, k23).stalks.values()
+
+
+def test_homology_ranks_agree_with_full_ranks_on_seeded_complexes():
+    count = 0
+    for v in _seeded_complexes(31):
+        assert homology_ranks(v) == _ranks_by_full_rank(v)
+        count += 1
+    assert count > 48  # the kernel_compose stalks are among them
+
+
+def test_pivot_columns_have_full_column_rank():
+    """For the pivot columns J of a matrix, its columns J have rank |J|,
+    which is its rank: the rows that clearing drops are exactly these."""
+    def cases():
+        yield from _sparse_matrices(3, 4)
+        for v in _seeded_complexes(37):
+            yield from v.diffs.values()
+    for m in cases():
+        pivots = _pivot_columns({i: _integer_row(row) for i, row in enumerate(m.data) if row})
+        assert rank(m.submatrix(range(m.rows), sorted(pivots))) == len(pivots) == rank(m)

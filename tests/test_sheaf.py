@@ -66,6 +66,25 @@ def test_validate_catches_non_chain_map():
     assert CellularSheaf(cx, stalks, res).validate() != []
 
 
+def test_constructor_shares_restrictions_and_drops_zero_blocks():
+    cx = interval()
+    two = VectComplex({0: 1, 1: 1})
+    stalks = {"0": two, "1": two, "0.1": two}
+    whole = {0: Matrix.identity(1), 1: Matrix.identity(1)}
+    part = {0: Matrix.identity(1), 1: Matrix.zeros(1, 1)}
+    f = CellularSheaf(cx, stalks, {("0", "0.1"): whole, ("1", "0.1"): part})
+    assert f.res("0", "0.1") is whole  # kept as the builder gave it
+    assert f.res("1", "0.1") == {0: Matrix.identity(1)}  # zero block dropped
+    assert len(part) == 2  # from a copy
+    f = CellularSheaf(cx, {**stalks, "1": VectComplex({})},
+                      {("1", "0.1"): whole, ("0", "0.1"): {1: Matrix.zeros(1, 1)}})
+    assert "1" not in f.stalks and f.restrictions == {}
+    with pytest.raises(SheafError, match="non-incident pair"):
+        CellularSheaf(cx, stalks, {("0", "1"): whole})
+    with pytest.raises(SheafError, match="unknown cell"):
+        CellularSheaf(cx, {"0.2": two}, {})
+
+
 def test_res_long_two_dimensions_apart():
     # vertex 0 below the triangle: two chains of codim-1 steps, via 0.1 and 0.2
     f = random_sheaf(random.Random(17), full_simplex(3), max_pieces=2)
