@@ -2,20 +2,19 @@
 trace kernels on finite cell complexes."""
 
 from .cellcx import (CellComplex, CellularMap, CellComplexError,
-                     CellularMapError, EMPTY, POINT, from_simplicial, product,
+                     CellularMapError, POINT, from_simplicial, product,
                      product_map, identity_map, collapse_to_point,
                      simplicial_map, factors_of)
 from .qlinalg import (Matrix, VectComplex, LinAlgError, rank, euler,
-                      homology_ranks, total_complex, trace_endo,
-                      cohomology_trace, tensor, dual, shift, direct_sum, single)
+                      homology_ranks, total_complex, cohomology_trace,
+                      tensor, dual, shift, direct_sum, single)
 from .sheaf import (CellularSheaf, SheafMorphism, SheafError, PushforwardError,
-                    constant, zero_sheaf, global_sections, euler_char,
+                    constant, global_sections, euler_char,
                     tensor_sheaf, external, pullback, pushforward,
-                    extend_by_zero, verdier_dual, mapping_cone, kernel_compose,
+                    extend_by_zero, verdier_dual, kernel_compose,
                     euler_rhom, shift_sheaf, direct_sum_sheaf)
 from .mueu import (LagCycle, mueu, degree, external_cycle, star, compose_cycle,
-                   pushforward_cycle, pullback_cycle_projection,
-                   support_compose, zero_cycle, set_negative_control)
+                   pushforward_cycle, support_compose, set_negative_control)
 from .tracekernel import (TraceKernel, TraceKernelError, tk, eu_point,
                           external_tk, compose_tk, shift_twist)
 from .lefschetz import (LefschetzInstance, LefschetzError, global_trace,

@@ -105,9 +105,6 @@ class CellComplex:
             out |= self.star(c)
         return out
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d for d in self._cells.values())
-
     def same_as(self, other) -> bool:
         """Structural equality of cells and incidence data."""
         return self._cells == other._cells and self._incidence == other._incidence
@@ -139,8 +136,6 @@ class CellComplex:
                     problems.append("d^2 != 0 on interval (%r, %r): sum %d" % (rho, tau, total))
         return problems
 
-
-EMPTY = CellComplex({}, {})
 
 POINT = CellComplex({"pt": 0}, {})
 
@@ -205,13 +200,12 @@ class CellularMap:
     """Order-preserving, dimension-nonincreasing map of cell complexes.
 
     orientation_sign is defined exactly on the cells whose dimension is
-    preserved; projection_of tags the projections returned by product().
+    preserved.
     """
     source: CellComplex
     target: CellComplex
     assignment: dict
     orientation_sign: dict = field(default_factory=dict)
-    projection_of: tuple = None  # (product_complex, "first" | "second")
 
     def __post_init__(self):
         src, tgt = self.source, self.target
@@ -334,15 +328,11 @@ def _product_complex(a: CellComplex, b: CellComplex) -> CellComplex:
 
 
 def projections(p: CellComplex):
-    """The two projections of a registered product complex, tagged with
-    projection_of."""
+    """The two projections of a registered product complex."""
     ids = p.cell_ids()
-    maps = []
-    for k, (factor, which) in enumerate(zip(factors_of(p), ("first", "second"))):
-        maps.append(CellularMap(p, factor, {c: c[k] for c in ids},
-                                {c: 1 for c in ids if factor.dim(c[k]) == p.dim(c)},
-                                projection_of=(p, which)))
-    return tuple(maps)
+    return tuple(CellularMap(p, factor, {c: c[k] for c in ids},
+                             {c: 1 for c in ids if factor.dim(c[k]) == p.dim(c)})
+                 for k, factor in enumerate(factors_of(p)))
 
 
 def product_map(f: CellularMap, g: CellularMap,

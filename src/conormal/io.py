@@ -82,10 +82,6 @@ def parse_fraction(value) -> Fraction:
     raise ParseError("bad rational %r" % (value,))
 
 
-def fmt_fraction(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
 def parse_matrix(rows) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError("a matrix must be a list of rows")
@@ -248,6 +244,8 @@ def parse_sheaf(spec, cx, resolved):
             if s not in known or t not in known:
                 raise ParseError("restriction between unknown cells %r -> %r"
                                  % (s, t))
+            if (s, t) in restrictions:
+                raise ParseError("restriction %r -> %r is given twice" % (s, t))
             phi = _parse_chain_map(entry.get("maps", {}), "'maps'")
             _check_shapes(phi, stalks.get(s, ZERO_COMPLEX), stalks.get(t, ZERO_COMPLEX),
                           "restriction %r -> %r" % (s, t))
@@ -347,12 +345,20 @@ def parse_kernel(tree, sheaves):
     raise ParseError("kernel tree needs 'tk', 'external', 'compose' or 'twist'")
 
 
+def _reference(spec, key, known):
+    """The object of `known` that spec[key] names."""
+    name = spec.get(key)
+    if not isinstance(name, str):
+        raise ParseError("'%s' must name a %s, got %r" % (key, key, name))
+    if name not in known:
+        raise ParseError("lefschetz instance references unknown %s %r" % (key, name))
+    return known[name]
+
+
 def parse_lefschetz(spec, maps, sheaves):
-    try:
-        f = maps[spec["map"]]
-        sheaf = sheaves[spec["sheaf"]]
-    except (KeyError, TypeError) as e:
-        raise ParseError("lefschetz instance references unknown object: %s" % e)
+    spec = _object(spec, "a lefschetz instance")
+    f = _reference(spec, "map", maps)
+    sheaf = _reference(spec, "sheaf", sheaves)
     if "phi" in spec:
         known = set(map(str, sheaf.base.cell_ids()))
         phi = {}

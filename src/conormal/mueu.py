@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cellcx import CellComplex, CellularMap, _product_complex, factors_of
 from .qlinalg import euler
-from .sheaf import CellularSheaf, SheafError, constant
+from .sheaf import CellularSheaf, SheafError
 
 # test hook: flipping the class-building sign must break the index,
 # composition and tensor suites (negative control for test sensitivity).
@@ -76,10 +76,6 @@ class LagCycle:
             self.base, len(self.weights), degree(self))
 
 
-def zero_cycle(base: CellComplex) -> LagCycle:
-    return LagCycle(base, {})
-
-
 def mueu(f: CellularSheaf) -> LagCycle:
     """Microlocal Euler class of a sheaf: (-1)^{dim} stalk indices."""
     return LagCycle(f.base, {c: _class_parity(f.base.dim(c)) * euler(v)
@@ -138,24 +134,6 @@ def pushforward_cycle(f: CellularMap, lam: LagCycle) -> LagCycle:
         t = f(c)
         w[t] = w.get(t, 0) + wc
     return LagCycle(f.target, w)
-
-
-def pullback_cycle_projection(q: CellularMap, lam: LagCycle) -> LagCycle:
-    """Inverse image along a registered product projection only."""
-    if q.projection_of is None:
-        raise SheafError("pullback of cycles is supported along registered "
-                         "product projections only")
-    prod, which = q.projection_of
-    a, b = factors_of(prod)
-    if which == "first":
-        if not a.same_as(lam.base):
-            raise SheafError("cycle does not live on the projection target")
-        other = mueu(constant(b))
-        return external_cycle(lam, other, prod)
-    if not b.same_as(lam.base):
-        raise SheafError("cycle does not live on the projection target")
-    other = mueu(constant(a))
-    return external_cycle(other, lam, prod)
 
 
 def support_compose(a, b):

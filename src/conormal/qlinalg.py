@@ -108,10 +108,6 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         return cls(nr, nc, rows)
 
-    @classmethod
-    def column(cls, entries):
-        return cls(len(entries), 1, [[e] for e in entries])
-
     def _row(self, i):
         if not 0 <= i < self.rows:
             raise IndexError("row %d out of range" % i)
@@ -409,19 +405,15 @@ class VectComplex:
         self.dims = {n: d for n, d in dims.items() if d}
         self.diffs = {}
         for n, m in (diffs or {}).items():
-            if m.is_zero():
-                continue
             if m.cols != self.dims.get(n, 0) or m.rows != self.dims.get(n + 1, 0):
                 raise LinAlgError(
                     "differential at degree %d has shape %dx%d, expected %dx%d"
                     % (n, m.rows, m.cols, self.dims.get(n + 1, 0), self.dims.get(n, 0)))
-            self.diffs[n] = m
+            if not m.is_zero():
+                self.diffs[n] = m
 
     def dim(self, n) -> int:
         return self.dims.get(n, 0)
-
-    def degrees(self):
-        return sorted(self.dims)
 
     def is_zero(self) -> bool:
         return not self.dims
@@ -674,18 +666,6 @@ def compose_chain_maps(phi, psi):
     return out
 
 
-def add_chain_maps(phi, psi):
-    out = dict(phi)
-    for n, m in psi.items():
-        out[n] = out[n] + m if n in out else m
-    return {n: m for n, m in out.items() if not m.is_zero()}
-
-
-def scale_chain_map(phi, c):
-    out = {n: m.scale(c) for n, m in phi.items()}
-    return {n: m for n, m in out.items() if not m.is_zero()}
-
-
 def identity_chain_map(v: VectComplex):
     return {n: Matrix.identity(d) for n, d in v.dims.items()}
 
@@ -710,17 +690,10 @@ def tensor_chain_maps(phi, psi, src, tgt):
                                  for p, fp in phi.items() for q, gq in psi.items()])
 
 
-def trace_endo(phi, v: VectComplex) -> Fraction:
-    """Alternating trace of a chain endomorphism; rejects non-commuting phi."""
-    if not is_chain_map(v, v, phi):
-        raise LinAlgError("endomorphism does not commute with the differential")
-    return _trace_endo(phi, v)
-
-
 def cohomology_trace(phi, v: VectComplex) -> Fraction:
     """Alternating trace of the induced endomorphism of H^*(v).
 
-    Independent of trace_endo: the trace on H^n is read off reduced bases
+    Independent of _trace_endo: the trace on H^n is read off reduced bases
     of the cycles and the boundaries in degree n (see _cohomology_trace).
     Rejects non-commuting phi.
     """
@@ -730,7 +703,8 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
 
 
 def _trace_endo(phi, v: VectComplex) -> Fraction:
-    """trace_endo of a phi already known to be a chain map."""
+    """Alternating trace of phi, an endomorphism of v already known to be
+    a chain map."""
     total = Fraction(0)
     for n, d in v.dims.items():
         m = phi.get(n)

@@ -12,10 +12,11 @@ and their positions, are computed once per cell rather than once per
 incidence pair, and random_piece_sheaf draws its conjugations over those
 slots rather than over a probe sheaf.  random_invertible undoes its own
 elementary row operations in reverse order to get the exact inverse from
-the same draws, and returns A as an Invertible that carries that inverse,
-so PieceSheaf solves no linear system for it; a 1x1 draw reads the
-product of its two scaling factors, and its inverse, from a table built
-once, so it does no Fraction arithmetic.  Most slots hold one label, and
+the same draws, and returns A as an Invertible that carries that inverse;
+PieceSheaf takes only such conjugations, so it solves no linear system.
+A 1x1 draw reads the product of its two scaling factors, and its
+inverse, from a table built once, so it does no Fraction arithmetic.
+Most slots hold one label, and
 a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
 as g(t) h(s) from two scalars per slot, each a reduced (numerator,
 denominator) pair of ints.  One build computes g and h once per distinct
@@ -41,11 +42,8 @@ from math import gcd
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
-from .qlinalg import (Matrix, VectComplex, single, direct_sum,
-                      identity_chain_map, add_chain_maps, scale_chain_map,
-                      compose_chain_maps, shift_chain_map, solve_unique,
-                      _ONE, _add_multiple)
-from .sheaf import CellularSheaf, SheafMorphism
+from .qlinalg import Matrix, VectComplex, single, direct_sum, _ONE, _add_multiple
+from .sheaf import CellularSheaf
 from .lefschetz import LefschetzInstance
 
 SKY = "sky"
@@ -310,28 +308,18 @@ def _piece_patterns(base: CellComplex, pieces):
     return keys, patterns
 
 
-def _piece_slots(base: CellComplex, pieces):
-    """Per cell, per degree, the list of (piece index, leg) basis labels,
-    and per cell the map label -> position within its degree.  Cells that
-    no piece reaches are left out; cells that lie in the same pieces share
-    one (read-only) pair of dicts."""
-    keys, patterns = _piece_patterns(base, pieces)
-    return ({c: patterns[key][0] for c, key in keys.items()},
-            {c: patterns[key][1] for c, key in keys.items()})
-
-
 class PieceSheaf:
     """A sheaf presented as conjugated elementary pieces.
 
     pieces: list of (kind, up-set frozenset, degree, weights dict).
     SKY pieces contribute k in one degree; ACYC pieces contribute an
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
-    to the invertible matrix A conjugating that slot; a missing slot is
-    not conjugated.  A^-1 is the inverse that an Invertible A carries; it
-    is solved for only when A is another Matrix.  A block between two
-    slots of one label each is the scalar g(t) h(s), computed in integers
-    and shared as one 1x1 Matrix per value; the cells of one piece pattern
-    with no acyclic piece share one stalk (see _build).  Every larger
+    to the Invertible A conjugating that slot, as random_invertible draws
+    it, and A^-1 is the inverse it carries; a missing slot is not
+    conjugated.  A block between two slots of one label each is the
+    scalar g(t) h(s), computed in integers and shared as one 1x1 Matrix
+    per value; the cells of one piece pattern with no acyclic piece share
+    one stalk (see _build).  Every larger
     block is built as A_t M A_s^-1 in one product, where M is the
     unconjugated block.
     """
@@ -339,7 +327,7 @@ class PieceSheaf:
     def __init__(self, base: CellComplex, pieces, conj):
         self.base = base
         self.pieces = pieces
-        self.conj = conj  # (cell, degree) -> invertible Matrix (or None)
+        self.conj = conj  # (cell, degree) -> Invertible
         keys, patterns = _piece_patterns(base, pieces)
         self.slots = {c: patterns[key][0] for c, key in keys.items()}
         self.pos = {c: patterns[key][1] for c, key in keys.items()}
@@ -348,12 +336,7 @@ class PieceSheaf:
     def inverse(self, key):
         """A^-1 for the conjugation A at (cell, degree) key, or None."""
         a = self.conj.get(key)
-        if a is None:
-            return None
-        if isinstance(a, Invertible):
-            return a.inverse
-        # a conjugation that did not come from random_invertible
-        return solve_unique(a, Matrix.identity(a.rows))
+        return None if a is None else a.inverse
 
     def _conjugated(self, t_key, s_key, rows, cols, entries):
         """A_t M A_s^-1 for the rows x cols matrix M whose entries are the
@@ -508,9 +491,9 @@ def random_piece_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
         pieces.append((kind, upset, deg, weights))
     conj = {}
     if invariant_under is None:
-        slots, _ = _piece_slots(cx, pieces)
-        for c, per_degree in slots.items():
-            for n, labels in per_degree.items():
+        keys, patterns = _piece_patterns(cx, pieces)
+        for c, key in keys.items():
+            for n, labels in patterns[key][0].items():
                 if rng.random() < 0.7:
                     conj[(c, n)] = random_invertible(rng, len(labels))
     return PieceSheaf(cx, pieces, conj)
@@ -538,42 +521,6 @@ def random_sheaf(rng: random.Random, cx: CellComplex, max_pieces=3,
     return random_piece_sheaf(rng, cx, max_pieces, degree_range).sheaf
 
 
-def random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> SheafMorphism:
-    """Random morphism between piece sheaves on the same base."""
-    scalars = {}
-    for i, (ki, ui, di, wi) in enumerate(src.pieces):
-        for j, (kj, uj, dj, wj) in enumerate(tgt.pieces):
-            if ki == kj and di == dj and ui <= uj and rng.random() < 0.6:
-                scalars[(i, j)] = _rand_rational(rng)
-    components = {}
-    for c, slots_s in src.slots.items():
-        slots_t, tpos = tgt.slots.get(c, {}), tgt.pos.get(c)
-        phi = {}
-        for n, labels in slots_s.items():
-            if n not in slots_t:
-                continue
-            m = Matrix.zeros(len(slots_t[n]), len(labels))
-            hit = False
-            for k, (i, leg) in enumerate(labels):
-                for j in range(len(tgt.pieces)):
-                    if (i, j) in scalars and (j, leg) in tpos:
-                        wi = src.pieces[i][3]
-                        wj = tgt.pieces[j][3]
-                        m[tpos[(j, leg)], k] = scalars[(i, j)] * wj[c] / wi[c]
-                        hit = True
-            if hit:
-                a_t = tgt.conj.get((c, n))
-                inv_s = src.inverse((c, n))
-                if a_t is not None:
-                    m = a_t * m
-                if inv_s is not None:
-                    m = m * inv_s
-                phi[n] = m
-        if phi:
-            components[c] = phi
-    return SheafMorphism(src.sheaf, tgt.sheaf, components)
-
-
 # ---------------------------------------------------------------------------
 # random complexes of vector spaces and endomorphisms
 
@@ -587,22 +534,6 @@ def random_vect_complex(rng: random.Random, max_degree=2, max_dim=3) -> VectComp
             acyc = VectComplex({deg: 1, deg + 1: 1}, {deg: Matrix.identity(1)})
             v = direct_sum(v, acyc)
     return v
-
-
-def random_chain_endo(rng: random.Random, v: VectComplex):
-    """c * id + d h + h d for a random degree-(-1) map h."""
-    c = _rand_rational(rng)
-    phi = scale_chain_map(identity_chain_map(v), c)
-    h = {}
-    for n in v.dims:
-        if v.dim(n - 1):
-            m = Matrix(v.dim(n - 1), v.dim(n),
-                       [[_rand_rational(rng) if rng.random() < 0.5 else 0
-                         for _ in range(v.dim(n))] for _ in range(v.dim(n - 1))])
-            h[n] = m
-    dh = compose_chain_maps(shift_chain_map(v.diffs, -1), h)  # d^{n-1} h^n
-    hd = compose_chain_maps(shift_chain_map(h, 1), v.diffs)  # h^{n+1} d^n
-    return add_chain_maps(phi, add_chain_maps(dh, hd)), c
 
 
 # ---------------------------------------------------------------------------

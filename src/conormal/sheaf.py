@@ -92,9 +92,6 @@ class CellularSheaf:
             a = c
         return phi
 
-    def support(self):
-        return set(self.stalks)
-
     def is_zero(self):
         return not self.stalks
 
@@ -206,10 +203,6 @@ def euler_char(f: CellularSheaf) -> int:
 # ---------------------------------------------------------------------------
 # constructors and operations
 
-def zero_sheaf(x: CellComplex) -> CellularSheaf:
-    return CellularSheaf(x, {}, {})
-
-
 def constant(x: CellComplex) -> CellularSheaf:
     """The constant sheaf k on x: every stalk is one shared k in degree 0
     and every restriction one shared [[1]]."""
@@ -234,17 +227,14 @@ def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     cells = {**f.stalks, **g.stalks}
     lays = {c: ql.direct_sum_layout(f.stalk(c), g.stalk(c)) for c in cells}
     stalks = {c: ql.direct_sum(f.stalk(c), g.stalk(c)) for c in cells}
-    return CellularSheaf(f.base, stalks, _summed_restrictions(f, g, lays))
-
-
-def _summed_restrictions(f, g, lays):
-    """The restrictions of a stalkwise sum of f and g whose stalk at c has
-    the layout lays[c], with piece (0, n) for degree n of f and (1, n) for
-    degree n of g; each acts on its own pieces."""
-    return {(s, t): graded_map(lays[s], lays[t],
-                               [((k, n), (k, n), m, 1, 1) for k, h in enumerate((f, g))
-                                for n, m in h.res(s, t).items()])
-            for (s, t) in {**f.restrictions, **g.restrictions}}
+    # piece (0, n) of a stalk is degree n of f, (1, n) degree n of g, and
+    # each restriction acts on its own pieces
+    restrictions = {(s, t): graded_map(lays[s], lays[t],
+                                       [((k, n), (k, n), m, 1, 1)
+                                        for k, h in enumerate((f, g))
+                                        for n, m in h.res(s, t).items()])
+                    for (s, t) in {**f.restrictions, **g.restrictions}}
+    return CellularSheaf(f.base, stalks, restrictions)
 
 
 def tensor_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
@@ -395,22 +385,6 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
             restrictions[(s, t)] = graded_map(lays[s], lays[t], [
                 ((c, p), (c, p), f.stalks[c].dims[p], 1, 1) for c, p in lays[t][1]])
     return CellularSheaf(base, stalks, restrictions)
-
-
-def mapping_cone(alpha: SheafMorphism) -> CellularSheaf:
-    """Stalkwise cone F[1] (+) G of a sheaf morphism F -> G."""
-    f, g = alpha.source, alpha.target
-    # degree n of the cone holds f^{n+1} (the piece (0, n + 1)), then g^n
-    lays = {c: layout([((0, p), p - 1, d) for p, d in f.stalk(c).dims.items()]
-                      + [((1, n), n, d) for n, d in g.stalk(c).dims.items()])
-            for c in {**f.stalks, **g.stalks}}
-    stalks = {}
-    for c, lay in lays.items():
-        arrows = [((0, p), (0, p + 1), m, 1, -1) for p, m in f.stalk(c).diffs.items()]
-        arrows += [((0, p), (1, p), m, 1, 1) for p, m in alpha.at(c).items()]
-        arrows += [((1, n), (1, n + 1), m, 1, 1) for n, m in g.stalk(c).diffs.items()]
-        stalks[c] = VectComplex(lay[0], graded_map(lay, lay, arrows))
-    return CellularSheaf(f.base, stalks, _summed_restrictions(f, g, lays))
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:

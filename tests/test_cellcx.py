@@ -6,6 +6,7 @@ from conormal.cellcx import (CellComplex, CellComplexError, CellularMapError,
                              POINT, from_simplicial, simplicial_map,
                              identity_map, collapse_to_point, product,
                              product_map, factors_of, CellularMap)
+from conormal.sheaf import constant, euler_char
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
                               random_cellular_map, random_symmetry)
@@ -26,11 +27,11 @@ def test_boundary_squares_to_zero_on_fixtures():
 
 
 def test_euler_characteristics():
-    assert interval().euler_characteristic() == 1
-    assert hollow_triangle().euler_characteristic() == 0
-    assert full_simplex(3).euler_characteristic() == 1
-    assert tetra_boundary().euler_characteristic() == 2
-    assert torus7().euler_characteristic() == 0
+    assert euler_char(constant(interval())) == 1
+    assert euler_char(constant(hollow_triangle())) == 0
+    assert euler_char(constant(full_simplex(3))) == 1
+    assert euler_char(constant(tetra_boundary())) == 2
+    assert euler_char(constant(torus7())) == 0
     assert len(torus7()) == 42  # 7 + 21 + 14
 
 
@@ -66,7 +67,7 @@ def test_product_complex():
     p, pa, pb = product(a, b)
     assert p.validate() == []
     assert len(p) == len(a) * len(b)
-    assert p.euler_characteristic() == 0
+    assert euler_char(constant(p)) == 0
     fa, fb = factors_of(p)
     assert fa.same_as(a) and fb.same_as(b)
     assert pa(("0.1", "2")) == "0.1"

@@ -1,13 +1,17 @@
 """Every module of the package uses every name it imports, and takes
-no private name from another module that is not on an allow-list.
+no private name from another module that is not on an allow-list; every
+public function and class is reached, or waits on a list with a reason.
 
 An AST scan of src/conormal (``__init__.py`` excepted, whose imports are
 the package's public names): each name an import statement binds must
 be read somewhere in the module.  ``from __future__ import annotations``
 binds nothing and is exempt.  A private name (one leading underscore)
 of another conormal module, imported by name or read as an attribute of
-an imported module, must be on ALLOWED_PRIVATE.  Every absolute import
-of the package (``__init__.py`` included) names a standard-library module.
+an imported module, must be on ALLOWED_PRIVATE.  Each public module-level
+def or class must be read, as a name or as an attribute, by package code
+outside its own definition or by bench/run.py or bench/workloads.py, or
+be on AWAITING.  Every absolute import of the package (``__init__.py``
+included) names a standard-library module.
 """
 
 import ast
@@ -16,11 +20,21 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "conormal"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "conormal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the private names one module still reads from another
 ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_trace_endo", "_cohomology_trace",
                    "_ONE", "_add_multiple"}
+# the benchmark's code that runs the package (bench/tracer.py only wraps names)
+BENCH_CALLERS = [ROOT / "bench" / "run.py", ROOT / "bench" / "workloads.py"]
+# public names that no package code and no benchmark caller reads, and why
+# each stays
+_TRACED = "bench/tracer.py TARGETS wraps it; it goes after TARGETS drops it"
+_GATE = "the rank-level RHom suites of ROADMAP item 5 will read it"
+AWAITING = {"rank": _TRACED, "kernel_basis": _TRACED, "solve_unique": _TRACED,
+            "tensor": _TRACED, "cohomology_trace": _TRACED, "total_complex": _TRACED,
+            "direct_sum_sheaf": _GATE, "euler_rhom": _GATE}
 
 
 def _imported(tree):
@@ -116,3 +130,67 @@ def test_stdlib_scan_sees_absolute_imports_only():
     found = _absolute_imports(tree)
     assert found == [(1, "numpy"), (1, "os"), (2, "fractions")]
     assert [name for _, name in found if name not in sys.stdlib_module_names] == ["numpy"]
+
+
+def _public_defs(tree):
+    """name -> node of each public module-level def and class."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _reads(tree, skip=None):
+    """Names the tree reads, as a name or as an attribute, outside skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if id(node) not in inside and (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute))}
+
+
+def _unreached(sources, callers):
+    """'module:line name' of each public def or class of the sources (a
+    dict of module name -> tree) that neither package code outside its
+    definition nor a caller (a list of trees) reads."""
+    called = set().union(*(_reads(tree) for tree in callers))
+    out = {}
+    for name, tree in sources.items():
+        others = set().union(*(_reads(t) for m, t in sources.items() if m != name))
+        for public, node in _public_defs(tree).items():
+            if public not in called | others | _reads(tree, skip=node):
+                out[public] = "%s:%d" % (name, node.lineno)
+    return out
+
+
+def _package_unreached():
+    return _unreached({p.name: ast.parse(p.read_text()) for p in MODULES},
+                      [ast.parse(p.read_text()) for p in BENCH_CALLERS])
+
+
+def test_every_public_name_is_reached_or_awaiting():
+    """A public function or class that nothing runs is deleted, moved into
+    the tests that use it, or put on AWAITING with a reason."""
+    new = sorted("%s %s" % (where, name) for name, where in _package_unreached().items()
+                 if name not in AWAITING)
+    assert not new, "public names that no package code or benchmark caller reads: %s" % new
+
+
+def test_awaiting_names_are_still_unreached():
+    """A name on AWAITING that is now read, or gone, leaves the list."""
+    stale = sorted(set(AWAITING) - set(_package_unreached()))
+    assert not stale, "AWAITING names that are now read or no longer defined: %s" % stale
+
+
+def test_reach_scan_sees_names_attributes_and_callers():
+    sources = {"a.py": ast.parse("def used(): pass\n"
+                                 "def by_attr(): pass\n"
+                                 "def by_caller(): pass\n"
+                                 "def own_recursion(): return own_recursion()\n"
+                                 "def unread(): pass\n"
+                                 "class Read: pass\n"
+                                 "def _private(): pass\n"),
+               "b.py": ast.parse("from .a import used, Read\n"
+                                 "from . import a\n"
+                                 "used(a.by_attr, Read)\n")}
+    callers = [ast.parse("cn.a.by_caller()\n")]
+    assert _unreached(sources, callers) == {"own_recursion": "a.py:4", "unread": "a.py:5"}

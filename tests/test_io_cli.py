@@ -97,7 +97,7 @@ def test_parse_errors():
 def test_fraction_round_trip():
     from fractions import Fraction
     for q in (Fraction(3, 4), Fraction(-7), Fraction(0)):
-        assert io.parse_fraction(io.fmt_fraction(q)) == q
+        assert io.parse_fraction(str(q)) == q
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,36 @@ def _with(**changes):
     for key, value in changes.items():
         doc[key] = {**doc.get(key, {}), **value}
     return doc
+
+
+_TWICE = {"stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
+          "restrictions": [{"from": "0", "to": "0.1", "maps": {"0": [[1]]}},
+                           {"from": "0", "to": "0.1", "maps": {"0": [[0]]}}]}
+_ZERO_D_WRONG_SHAPE = {"dims": {"0": 1, "1": 1}, "d": {"0": [[0, 0, 0]]}}
+
+
+def test_repeated_restriction_is_a_parse_error_naming_the_pair():
+    with pytest.raises(io.ParseError, match=r"^restriction '0' -> '0.1' is given twice$"):
+        io.parse_sheaf(_TWICE, io.parse_complex(TRI["complex"])[0], {})
+
+
+def test_zero_differential_of_the_wrong_shape_is_a_parse_error():
+    with pytest.raises(io.ParseError, match=r"^bad stalk complex: differential at degree 0 "
+                                            r"has shape 1x3, expected 1x1$"):
+        io.parse_vect_complex(_ZERO_D_WRONG_SHAPE)
+
+
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"map": ["ident"], "sheaf": "k"}, "'map' must name a map, got ['ident']",
+                 id="map-list"),
+    pytest.param("L", "a lefschetz instance must be an object", id="spec-string"),
+    pytest.param({"map": "ident"}, "'sheaf' must name a sheaf, got None", id="sheaf-missing"),
+    pytest.param({"map": "ident", "sheaf": "nope"},
+                 "lefschetz instance references unknown sheaf 'nope'", id="sheaf-unknown"),
+])
+def test_cli_lefschetz_reference_errors_name_the_field(tmp_path, capsys, spec, message):
+    assert cli.main(["validate", write(tmp_path, _with(lefschetz={"L": spec}))]) == 3
+    assert capsys.readouterr().err == "parse error: %s\n" % message
 
 
 @pytest.mark.parametrize("doc", [
@@ -205,6 +235,11 @@ def _with(**changes):
         "stalks": {"0": {"dims": {"0": 1}}, "0.1": {"dims": {"0": 1}}},
         "restrictions": [{"from": "0", "to": "0.1", "maps": {"0": [["1e5"]]}}]}}),
         id="rational-exponent"),
+    # a restriction given twice, the second one zero
+    pytest.param(_with(sheaves={"s": _TWICE}), id="restriction-twice"),
+    # a zero differential is still a 1x1 map
+    pytest.param(_with(sheaves={"s": {"stalks": {"0": _ZERO_D_WRONG_SHAPE}}}),
+                 id="zero-d-shape"),
 ])
 def test_cli_malformed_instance_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["validate", write(tmp_path, doc)]) == 3

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from conormal.cellcx import POINT, product, collapse_to_point, identity_map
-from conormal.sheaf import (SheafError, constant, zero_sheaf, external,
-                            tensor_sheaf, pullback, pushforward,
+from conormal.cellcx import POINT, product, identity_map
+from conormal.sheaf import (CellularSheaf, SheafError, constant, external,
+                            tensor_sheaf, pushforward,
                             kernel_compose, euler_char, verdier_dual)
-from conormal.mueu import (LagCycle, zero_cycle, mueu, degree, external_cycle,
+from conormal.mueu import (LagCycle, mueu, degree, external_cycle,
                            star, compose_cycle, pushforward_cycle,
-                           pullback_cycle_projection, support_compose,
-                           set_negative_control)
+                           support_compose, set_negative_control)
 from conormal.randgen import (interval, hollow_triangle, tetra_boundary,
                               circle, random_complex, random_sheaf,
                               random_cellular_map)
@@ -34,7 +33,7 @@ def test_mueu_of_constant():
     assert lam.weights == {"0": 1, "1": 1, "2": 1,
                            "0.1": -1, "0.2": -1, "1.2": -1}
     assert degree(lam) == 0
-    assert mueu(zero_sheaf(hollow_triangle())) == zero_cycle(hollow_triangle())
+    assert mueu(CellularSheaf(hollow_triangle(), {}, {})) == LagCycle(hollow_triangle(), {})
 
 
 def test_mueu_of_dual_flips_signs_on_circle():
@@ -97,16 +96,6 @@ def test_pushforward_cycle_degree_and_compatibility():
         pushed = pushforward_cycle(f, lam)
         assert degree(pushed) == degree(lam)
         assert mueu(pushforward(f, sh)) == pushed
-
-
-def test_pullback_cycle_projection():
-    a, b = interval(), hollow_triangle()
-    p, pa, pb = product(a, b)
-    g = constant(b)
-    lam = pullback_cycle_projection(pb, mueu(g))
-    assert lam == mueu(pullback(pb, g))
-    with pytest.raises(SheafError):
-        pullback_cycle_projection(collapse_to_point(a), mueu(constant(POINT)))
 
 
 def test_support_compose():

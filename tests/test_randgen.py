@@ -12,6 +12,7 @@ from conormal.cellcx import product
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
 from conormal.qlinalg import Matrix, VectComplex, solve_unique, _add_multiple
 from conormal.sheaf import CellularSheaf
+from generators import random_morphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,33 +44,23 @@ def test_suite_instances_do_not_depend_on_hash_seed():
     assert _instances(1) == _instances(2)
 
 
-def test_drawn_conjugations_keep_their_inverses_across_builds(monkeypatch):
+def test_drawn_conjugations_keep_their_inverses_across_builds():
     """Conjugations drawn before an unrelated piece sheaf is built give the
-    PieceSheaf built from them afterwards their own inverses: no
-    solve_unique call, and the blocks of a rebuild with solved inverses."""
+    PieceSheaf built from them afterwards their own inverses: the blocks
+    of a rebuild whose conjugations carry solved inverses."""
     cx = randgen.hollow_triangle()
     cells = cx.cell_ids()
     rng = random.Random(5)
     pieces = [(kind, upset, 0, {c: randgen._rand_nonzero(rng) for c in cells})
               for kind, upset in ((randgen.SKY, frozenset(cells)),
                                   (randgen.ACYC, frozenset(cx.up_closure(["0"]))))]
-    slots, _ = randgen._piece_slots(cx, pieces)
+    slots = randgen.PieceSheaf(cx, pieces, {}).slots
     conj = {(c, n): randgen.random_invertible(rng, len(labels))
             for c, per_degree in slots.items() for n, labels in per_degree.items()}
     assert {a.rows for a in conj.values()} == {1, 2}
     randgen.random_piece_sheaf(rng, cx)
-    calls = []
-
-    def counting_solve(*args):
-        calls.append(args)
-        return solve_unique(*args)
-
-    monkeypatch.setattr(randgen, "solve_unique", counting_solve)
     drawn = randgen.PieceSheaf(cx, pieces, conj)
-    assert calls == []
-    # a.scale(1) is a plain Matrix equal to a
-    solved = randgen.PieceSheaf(cx, pieces, {key: a.scale(1) for key, a in conj.items()})
-    assert len(calls) >= len(conj)
+    solved = randgen.PieceSheaf(cx, pieces, {key: _solved(a) for key, a in conj.items()})
     assert describe_sheaf(drawn.sheaf) == describe_sheaf(solved.sheaf) == \
         describe_sheaf(_reference_sheaf(drawn))
     assert drawn.sheaf.validate() == []
@@ -82,6 +73,11 @@ def test_random_invertible_leaves_its_exact_inverse():
             a = randgen.random_invertible(rng, n)
             assert a.inverse == solve_unique(a, Matrix.identity(n))
             assert a * a.inverse == Matrix.identity(n)
+
+
+def _solved(a):
+    """a as a conjugation whose inverse is solved for."""
+    return randgen.Invertible(a.data, solve_unique(a, Matrix.identity(a.rows)))
 
 
 def _reference_invertible(rng, n):
@@ -210,7 +206,7 @@ def test_piece_sheaf_blocks_match_the_conjugation_formula():
     """Every block, 1x1 or larger, equals A_t M A_s^-1: on seeded sheaves
     with sky and acyclic pieces, conjugated and unconjugated slots, and
     again with every one-label slot conjugated by a matrix from outside
-    random_invertible."""
+    random_invertible, with its inverse solved for."""
     rng = random.Random(21)
     seen = {"1x1 d": 0, "bare 1x1": 0, "1x1": 0, "2x2": 0}
     for _ in range(25):
@@ -231,7 +227,7 @@ def test_piece_sheaf_blocks_match_the_conjugation_formula():
         for c, slots in ps.slots.items():
             for n, labels in slots.items():
                 if len(labels) == 1:
-                    foreign[(c, n)] = Matrix(1, 1, [[Fraction(-3, 2)]])
+                    foreign[(c, n)] = _solved(Matrix(1, 1, [[Fraction(-3, 2)]]))
         other = randgen.PieceSheaf(cx, ps.pieces, foreign)
         assert describe_sheaf(other.sheaf) == describe_sheaf(_reference_sheaf(other))
     assert min(seen.values()) > 0, seen
@@ -240,9 +236,10 @@ def test_piece_sheaf_blocks_match_the_conjugation_formula():
 def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
     """Seeded builds equal _reference_sheaf block by block where the 1x1
     blocks computed in ints have corners: negative weights and
-    conjugations, unconjugated slots and conj={}, 1x1 conjugations given as
-    plain Matrix (so solved inverses), 1x1 acyclic differentials, and two
-    cells in the same pieces with different conjugations."""
+    conjugations, unconjugated slots and conj={}, 1x1 conjugations from
+    outside random_invertible (with solved inverses), 1x1 acyclic
+    differentials, and two cells in the same pieces with different
+    conjugations."""
     rng = random.Random(31)
     values = [Fraction(v) for v in (-3, -2, -1, 1, 2)] + [
         Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
@@ -260,7 +257,7 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
         pieces = [(randgen.SKY, frozenset(cells), 0, weights()),
                   (randgen.ACYC, star, 1, weights()),
                   (randgen.SKY, randgen.random_upset(rng, cx), rng.choice((0, 2)), weights())]
-        slots, _ = randgen._piece_slots(cx, pieces)
+        slots = randgen.PieceSheaf(cx, pieces, {}).slots
         for kind in ("conj={}", "drawn", "plain 1x1"):
             conj = {}
             for c, per_degree in slots.items():
@@ -268,7 +265,7 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
                     if kind == "conj={}" or rng.random() < 0.3:
                         continue
                     if kind == "plain 1x1" and len(labels) == 1:
-                        conj[(c, n)] = Matrix(1, 1, [[rng.choice(values)]])
+                        conj[(c, n)] = _solved(Matrix(1, 1, [[rng.choice(values)]]))
                     else:
                         conj[(c, n)] = randgen.random_invertible(rng, len(labels))
             ps = randgen.PieceSheaf(cx, pieces, conj)
@@ -289,7 +286,7 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
                     seen["negative weight"] += pieces[labels[0][0]][3][c] < 0
                     seen["bare slot"] += a is None and bool(conj)
                     seen["negative conj"] += a is not None and a[0, 0] < 0
-                    seen["plain 1x1"] += a is not None and not isinstance(a, randgen.Invertible)
+                    seen["plain 1x1"] += a is not None and kind == "plain 1x1"
                 seen["1x1 d"] += any(m.rows == m.cols == 1
                                      for m in ps.sheaf.stalk(c).diffs.values())
             for t, s in cx.incidence_pairs():
@@ -327,17 +324,10 @@ def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
         src = randgen.random_piece_sheaf(rng, cx)
         tgt = randgen.random_piece_sheaf(rng, cx, max_pieces=2)
         assert counts["PieceSheaf"] == before + 2
-        randgen.random_morphism(rng, src, tgt)
-        randgen.random_morphism(rng, src, src)
+        random_morphism(rng, src, tgt)
+        random_morphism(rng, src, src)
         conjugated += len(src.conj) + len(tgt.conj)
     assert conjugated and counts["solve_unique"] == 0
-    # a conjugation from elsewhere is inverted by solve_unique, which the
-    # wrapper sees
-    cx = randgen.hollow_triangle()
-    whole = [(randgen.SKY, frozenset(cx.cell_ids()), 0, {c: Fraction(1) for c in cx.cell_ids()})]
-    foreign = {(c, 0): Matrix(1, 1, [[2]]) for c in cx.cell_ids()}
-    assert randgen.PieceSheaf(cx, whole, foreign).sheaf.validate() == []
-    assert counts["solve_unique"] > 0
 
 
 # sha256 of _instance_stream(): the random piece sheaves, morphisms and
@@ -371,10 +361,10 @@ def _instance_stream():
             yield {"complex": describe_complex(cx),
                    "src": describe_sheaf(src.sheaf),
                    "tgt": describe_sheaf(tgt.sheaf),
-                   "morphism": _components(randgen.random_morphism(rng, src, tgt).components),
-                   "endo": _components(randgen.random_morphism(rng, src, src).components),
+                   "morphism": _components(random_morphism(rng, src, tgt).components),
+                   "endo": _components(random_morphism(rng, src, src).components),
                    "reconjugated": describe_sheaf(other.sheaf),
-                   "to_other": _components(randgen.random_morphism(rng, src, other).components),
+                   "to_other": _components(random_morphism(rng, src, other).components),
                    "sheaf": describe_sheaf(randgen.random_sheaf(
                        rng, cx, max_pieces=2, degree_range=(-1, 1)))}
     for i in range(40):
