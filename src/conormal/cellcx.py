@@ -32,6 +32,7 @@ class CellComplex:
             self._faces[tau].append(sigma)
             self._cofaces[sigma].append(tau)
         self._below = None
+        self._face_pairs = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -63,6 +64,15 @@ class CellComplex:
 
     def incidence_pairs(self):
         return dict(self._incidence)
+
+    def face_pairs(self):
+        """The (face, coface) tuple of every codim-1 pair, in the order of
+        incidence_pairs, built once: a sheaf on this complex keys its
+        restrictions by these tuples, so the sheaves on one base share
+        them."""
+        if self._face_pairs is None:
+            self._face_pairs = tuple((s, t) for (t, s) in self._incidence)
+        return self._face_pairs
 
     def _closure(self):
         if self._below is None:
@@ -217,7 +227,7 @@ class CellularMap:
                 raise CellularMapError("image %r of %r is not a target cell" % (img, c))
             if tgt.dim(img) > src.dim(c):
                 raise CellularMapError("map raises dimension on cell %r" % (c,))
-        for (tau, sigma) in src.incidence_pairs():
+        for sigma, tau in src.face_pairs():
             if not tgt.leq(self.assignment[sigma], self.assignment[tau]):
                 raise CellularMapError("map is not order-preserving on %r < %r" % (sigma, tau))
         preserved = {c for c in src.cell_ids() if src.dim(c) == tgt.dim(self.assignment[c])}

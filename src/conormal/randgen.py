@@ -13,20 +13,24 @@ incidence pair, and random_piece_sheaf draws its conjugations over those
 slots rather than over a probe sheaf.  random_invertible undoes its own
 elementary row operations in reverse order to get the exact inverse from
 the same draws, and returns A as an Invertible that carries that inverse;
-PieceSheaf takes only such conjugations, so it solves no linear system.
-A 1x1 draw reads the product of its two scaling factors, and its
-inverse, from a table built once, so it does no Fraction arithmetic.
+PieceSheaf takes only such conjugations (it rejects any other), so it
+solves no linear system.  A 1x1 draw makes the same draws and returns one
+of the 1x1 Invertibles of a fixed table built at import, one object per
+product of its two scaling factors, so it allocates nothing.
 Most slots hold one label, and
 a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
 as g(t) h(s) from two scalars per slot, each a reduced (numerator,
 denominator) pair of ints.  One build computes g and h once per distinct
 (A, w); a block is then two int products and one gcd, and its value picks
 the one 1x1 Matrix (and Fraction) of that value, which every equal
-restriction and differential shares.  Cells in the same pieces share one
-slots dict; where none of those pieces is acyclic they have no
-differential and share one stalk, and a pair of such cells whose slots
-all hold one label gets its restrictions in one comprehension.  No
-operation writes to its inputs' matrices or stalks.  A larger
+restriction and differential shares.  Likewise every pair whose
+restriction has only 1x1 blocks gets the one restriction dict of its
+(degree, value) entries, and every restriction is keyed by the tuple of
+base.face_pairs(), so a build makes one dict per value and no key.  Cells
+in the same pieces share one slots dict; where none of those pieces is
+acyclic they have no differential and share one stalk.  No
+operation writes to its inputs' matrices, stalks or restriction dicts,
+and none outlives the build but the fixed table of 1x1 draws.  A larger
 unconjugated block has at most one entry in each row, so A_t M A_s^-1 is
 written as scaled rows of A_s^-1 and multiplied by A_t once.  The random
 rationals are picked from tables of precomputed Fractions, with the same
@@ -198,10 +202,6 @@ _NONZEROS = tuple(tuple(Fraction(num, den) for den in (1, 2))
 _NONZERO_LIST = tuple(x for row in _NONZEROS for x in row)
 _NONZERO_INDEX = tuple(tuple(range(k * len(row), (k + 1) * len(row)))
                        for k, row in enumerate(_NONZEROS))
-# _UNIT_DRAWS[i][j] = (f1 f2, 1 / (f1 f2)) for the factors f1, f2 at
-# positions i, j: the one entry of a 1x1 random_invertible and of its inverse
-_UNIT_DRAWS = tuple(tuple((a * b, _ONE / (a * b)) for b in _NONZERO_LIST)
-                    for a in _NONZERO_LIST)
 
 
 def _rand_rational(rng: random.Random) -> Fraction:
@@ -238,6 +238,23 @@ class Invertible(Matrix):
         self.inverse = inverse
 
 
+def _unit_table():
+    """_UNITS[i][j] is the 1x1 Invertible [[f1 f2]], with inverse
+    [[1 / (f1 f2)]], for the factors f1, f2 at positions i, j of
+    _NONZERO_LIST; equal products are one object."""
+    by_value = {}
+    for a in _NONZERO_LIST:
+        for b in _NONZERO_LIST:
+            x = a * b
+            if x not in by_value:
+                by_value[x] = Invertible([{0: x}], _scalar(_ONE / x))
+    return tuple(tuple(by_value[a * b] for b in _NONZERO_LIST) for a in _NONZERO_LIST)
+
+
+# every 1x1 random_invertible, built once: read-only, like every conjugation
+_UNITS = _unit_table()
+
+
 def random_invertible(rng: random.Random, n: int) -> Invertible:
     """Product of 2n elementary row operations on the identity.
 
@@ -245,15 +262,15 @@ def random_invertible(rng: random.Random, n: int) -> Invertible:
     gives the exact inverse from the same draws; the returned A holds it as
     A.inverse.
 
-    For n = 1 both operations scale the one row, so A = [[f1 f2]] and
-    A^-1 = [[1 / (f1 f2)]] are read from _UNIT_DRAWS, after the same draws
-    (two row indices, then a factor, per operation) as the general loop."""
+    For n = 1 both operations scale the one row, so A = [[f1 f2]], with
+    A^-1 = [[1 / (f1 f2)]], is the Invertible of _UNITS at the positions of
+    f1 and f2, after the same draws (two row indices, then a factor, per
+    operation) as the general loop: equal 1x1 draws return one object."""
     if n == 1:
         rng.randrange(1), rng.randrange(1)  # i = j = 0: scale the row
         i = rng.choice(rng.choice(_NONZERO_INDEX))
         rng.randrange(1), rng.randrange(1)
-        f, inv = _UNIT_DRAWS[i][rng.choice(rng.choice(_NONZERO_INDEX))]
-        return Invertible([{0: f}], _scalar(inv))
+        return _UNITS[i][rng.choice(rng.choice(_NONZERO_INDEX))]
     a = [{i: _ONE} for i in range(n)]
     ops = []
     for _ in range(2 * n):
@@ -316,11 +333,14 @@ class PieceSheaf:
     acyclic k -> k in two consecutive degrees.  conj maps (cell, degree)
     to the Invertible A conjugating that slot, as random_invertible draws
     it, and A^-1 is the inverse it carries; a missing slot is not
-    conjugated.  A block between two slots of one label each is the
-    scalar g(t) h(s), computed in integers and shared as one 1x1 Matrix
-    per value; the cells of one piece pattern with no acyclic piece share
-    one stalk (see _build).  Every larger
-    block is built as A_t M A_s^-1 in one product, where M is the
+    conjugated; a conjugation that is not an Invertible of its slot's
+    size is a ValueError naming the slot.  A block between two slots of
+    one label each is the scalar g(t) h(s), computed in integers and
+    shared as one 1x1 Matrix per value, and a restriction of such blocks
+    only as one dict per ((degree, value), ...) entries; restrictions are
+    keyed by the tuples of base.face_pairs(), and the cells of one piece
+    pattern with no acyclic piece share one stalk (see _build).  Every
+    larger block is built as A_t M A_s^-1 in one product, where M is the
     unconjugated block.
     """
 
@@ -331,6 +351,13 @@ class PieceSheaf:
         keys, patterns = _piece_patterns(base, pieces)
         self.slots = {c: patterns[key][0] for c, key in keys.items()}
         self.pos = {c: patterns[key][1] for c, key in keys.items()}
+        for (c, n), a in conj.items():
+            size = len(self.slots.get(c, {}).get(n, ()))
+            if not isinstance(a, Invertible) or not a.rows == a.cols == size:
+                got = "%dx%d " % (a.rows, a.cols) if isinstance(a, Matrix) else ""
+                raise ValueError("conjugation at slot %r must be an Invertible of the "
+                                 "slot's size %d, got a %s%s" % ((c, n), size, got,
+                                                                 type(a).__name__))
         self.sheaf = self._build(keys, patterns)
 
     def inverse(self, key):
@@ -386,22 +413,35 @@ class PieceSheaf:
         1x1 differential, whose two legs of piece i have the same weight
         w_i(c), is A_t 1 A_s^-1 = g(t) h(s) as well.  Its value is reduced
         in ints, and each distinct value gets one 1x1 Matrix (one Fraction)
-        that every block equal to it shares.  A pattern with no acyclic
-        piece has no differential, so its cells share one stalk; a pair of
-        cells of one pattern whose slots all hold one label restricts by
-        g(t) h(s) in every degree."""
+        that every block equal to it shares, and each distinct tuple of
+        (degree, value) entries one restriction dict that every pair with
+        only those 1x1 blocks shares.  A pattern with no acyclic piece has
+        no differential, so its cells share one stalk; a pair of cells of
+        one pattern whose slots all hold one label restricts by g(t) h(s)
+        in every degree."""
         pieces, slots, pos = self.pieces, self.slots, self.pos
         g, h = self._scalars(keys, patterns)
         blocks = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
+        shared_phi = {}  # ((degree, numerator, denominator), ...) -> shared dict
 
-        def block(gt, hs):
+        def value(gt, hs):
             num, den = gt[0] * hs[0], gt[1] * hs[1]
             k = gcd(num, den)
-            value = (num // k, den // k)
-            m = blocks.get(value)
+            return num // k, den // k
+
+        def block(v):
+            m = blocks.get(v)
             if m is None:
-                m = blocks[value] = _scalar(Fraction(*value))
+                m = blocks[v] = _scalar(Fraction(*v))
             return m
+
+        def scalar_phi(values):
+            """The one restriction dict {degree: 1x1 block} of these
+            (degree, numerator, denominator) triples."""
+            phi = shared_phi.get(values)
+            if phi is None:
+                phi = shared_phi[values] = {n: block((num, den)) for n, num, den in values}
+            return phi
 
         shared = {key: VectComplex({n: len(labels) for n, labels in per_degree.items()})
                   for key, (per_degree, _) in patterns.items()
@@ -420,7 +460,7 @@ class PieceSheaf:
                 if dims[n] == 1 == dims[n + 1]:
                     i, leg = labels[0]
                     if leg == 0 and pieces[i][0] == ACYC:
-                        diffs[n] = block(g[c][n + 1], h[c][n])
+                        diffs[n] = block(value(g[c][n + 1], h[c][n]))
                     continue
                 # d^n sends leg 0 of each acyclic piece to its leg 1
                 entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
@@ -433,15 +473,17 @@ class PieceSheaf:
         scalar_h = {c: h[c] for c, cslots in slots.items()
                     if all(len(labels) == 1 for labels in cslots.values())}
         restrictions = {}
-        for (t, s) in self.base.incidence_pairs():
+        for pair in self.base.face_pairs():
+            s, t = pair
             hs = scalar_h.get(s)
             if hs is not None and slots.get(t) is slots[s]:
                 gt = g[t]
-                restrictions[(s, t)] = {n: block(gt[n], hs[n]) for n in hs}
+                restrictions[pair] = scalar_phi(tuple((n, *value(gt[n], hs[n])) for n in hs))
                 continue
             if s not in slots or t not in slots:
                 continue
-            phi = {}
+            # phi, and its 1x1 blocks as (degree, numerator, denominator)
+            ones, phi = [], {}
             slots_t, tpos = slots[t], pos[t]
             for n, labels in slots[s].items():
                 labels_t = slots_t.get(n)
@@ -449,7 +491,9 @@ class PieceSheaf:
                     continue
                 if len(labels) == 1 == len(labels_t):
                     if labels == labels_t:
-                        phi[n] = block(g[t][n], h[s][n])
+                        v = value(g[t][n], h[s][n])
+                        ones.append((n, *v))
+                        phi[n] = block(v)
                     continue
                 # each piece on both cells maps by its weight ratio
                 entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])
@@ -458,7 +502,8 @@ class PieceSheaf:
                     phi[n] = self._conjugated((t, n), (s, n), len(labels_t),
                                               len(labels), entries)
             if phi:
-                restrictions[(s, t)] = phi
+                # a dict of 1x1 blocks only is the one of its values
+                restrictions[pair] = scalar_phi(tuple(ones)) if len(ones) == len(phi) else phi
         return CellularSheaf(self.base, stalks, restrictions)
 
 

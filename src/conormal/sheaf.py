@@ -38,16 +38,20 @@ def _pair_key(key):
 class CellularSheaf:
     """Cellular sheaf of rational cochain complexes (immutable).
 
-    One Matrix may serve as several of its blocks, and one VectComplex as
-    the stalk of several cells, or be shared with other sheaves (the
-    constant sheaf has one k for every stalk and one [[1]] for every
-    restriction; a random piece sheaf has one 1x1 Matrix per distinct value
-    and one stalk per pattern of pieces without an acyclic one), so no
-    operation writes to the matrices or stalks of the sheaves it is
-    given.  A restriction dict (degree -> Matrix) is kept as its builder
-    gave it unless one of its blocks is zero, when a copy without the zero
-    blocks is kept, so it may be shared with the builder or with another
-    sheaf (pullback hands over the dicts of g.res) and is read-only too."""
+    One Matrix may serve as several of its blocks, one restriction dict
+    (degree -> Matrix) as the restriction of several pairs, and one
+    VectComplex as the stalk of several cells, or be shared with other
+    sheaves (the constant sheaf has one k for every stalk and one
+    {0: [[1]]} for every restriction; a random piece sheaf has one 1x1
+    Matrix and one dict of 1x1 blocks per distinct value, and one stalk per
+    pattern of pieces without an acyclic one; pullback hands over the dicts
+    of g.res and one identity per image cell), so no operation writes to
+    the matrices, restriction dicts or stalks of the sheaves it is given.
+    A restriction dict is kept as its builder gave it unless one of its
+    blocks is zero, when a copy without the zero blocks is kept.  The
+    (face, coface) keys are kept as the builder gave them too: constant,
+    the random piece sheaves, pullback and verdier_dual key by
+    base.face_pairs(), so those sheaves on one base share its key tuples."""
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
@@ -59,7 +63,8 @@ class CellularSheaf:
                 self.stalks[c] = v
         self.restrictions = {}
         incidence, kept = base.incidence, self.stalks
-        for (s, t), phi in restrictions.items():
+        for pair, phi in restrictions.items():
+            s, t = pair
             if not incidence(t, s):
                 raise SheafError("restriction on non-incident pair (%r, %r)" % (s, t))
             for m in phi.values():
@@ -67,7 +72,7 @@ class CellularSheaf:
                     phi = {n: m for n, m in phi.items() if not m.is_zero()}
                     break
             if phi and s in kept and t in kept:
-                self.restrictions[(s, t)] = phi
+                self.restrictions[pair] = phi
 
     def stalk(self, cid) -> VectComplex:
         return self.stalks.get(cid, ZERO_COMPLEX)
@@ -205,11 +210,9 @@ def euler_char(f: CellularSheaf) -> int:
 
 def constant(x: CellComplex) -> CellularSheaf:
     """The constant sheaf k on x: every stalk is one shared k in degree 0
-    and every restriction one shared [[1]]."""
+    and every restriction one shared {0: [[1]]}, keyed by x.face_pairs()."""
     stalks = dict.fromkeys(x.cell_ids(), ql.single(0, 1))
-    one = Matrix.identity(1)
-    restrictions = {(s, t): {0: one} for (t, s) in x.incidence_pairs()}
-    return CellularSheaf(x, stalks, restrictions)
+    return CellularSheaf(x, stalks, dict.fromkeys(x.face_pairs(), {0: Matrix.identity(1)}))
 
 
 def shift_sheaf(f: CellularSheaf, k: int) -> CellularSheaf:
@@ -286,18 +289,27 @@ def _pulled_tensor(base, f, g, left, right):
 
 
 def pullback(f: CellularMap, g: CellularSheaf) -> CellularSheaf:
-    """Inverse image: stalk at s is the stalk of g at f(s)."""
+    """Inverse image: stalk at s is the stalk of g at f(s).  A pair that f
+    collapses onto one cell restricts by the identity of its stalk, built
+    once per image cell."""
     if not f.target.same_as(g.base):
         raise SheafError("pullback target mismatch")
     stalks = {c: g.stalk(f(c)) for c in f.source.cell_ids()
               if not g.stalk(f(c)).is_zero()}
-    restrictions = {}
-    for (t, s) in f.source.incidence_pairs():
+    restrictions, identities = {}, {}
+    for pair in f.source.face_pairs():
+        s, t = pair
         if s not in stalks or t not in stalks:
             continue
-        phi = g.res_long(f(s), f(t))
+        a, b = f(s), f(t)
+        if a == b:
+            phi = identities.get(a)
+            if phi is None:
+                phi = identities[a] = identity_chain_map(stalks[s])
+        else:
+            phi = g.res_long(a, b)
         if phi:
-            restrictions[(s, t)] = phi
+            restrictions[pair] = phi
     return CellularSheaf(f.source, stalks, restrictions)
 
 
@@ -329,7 +341,7 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
             stalks[t] = vc
             lays[t] = (vc.dims, idx)
     arrows = {}  # (t_lo, t_hi) -> arrows between the fiber sections
-    for (s_hi, s_lo) in src.incidence_pairs():
+    for s_lo, s_hi in src.face_pairs():
         t_lo, t_hi = f(s_lo), f(s_hi)
         if t_lo == t_hi:
             continue
@@ -380,9 +392,10 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
             stalks[c] = dv = ql.dual(vc)
             lays[c] = (dv.dims, {piece: (-n, off) for piece, (n, off) in idx.items()})
     restrictions = {}
-    for (t, s) in base.incidence_pairs():
+    for pair in base.face_pairs():
+        s, t = pair
         if s in lays and t in lays:
-            restrictions[(s, t)] = graded_map(lays[s], lays[t], [
+            restrictions[pair] = graded_map(lays[s], lays[t], [
                 ((c, p), (c, p), f.stalks[c].dims[p], 1, 1) for c, p in lays[t][1]])
     return CellularSheaf(base, stalks, restrictions)
 

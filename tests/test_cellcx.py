@@ -55,6 +55,13 @@ def test_star_and_upsets():
     assert set(cx.up_closure(["1"])) == {"1", "0.1", "1.2"}
 
 
+def test_face_pairs_are_built_once_in_incidence_order():
+    for cx in (torus7(), product(circle(4), interval())[0], POINT):
+        pairs = cx.face_pairs()
+        assert cx.face_pairs() is pairs
+        assert list(pairs) == [(s, t) for (t, s) in cx.incidence_pairs()]
+
+
 def test_closure_order():
     cx = full_simplex(3)
     assert cx.lt("0", "0.1.2")

@@ -492,6 +492,44 @@ def test_python_m_conormal_runs_check():
     assert proc.stdout == golden.replace("cases 5\n", "cases 2\n")
 
 
+def _console_scripts(pyproject):
+    """name -> (module, function) of each `name = "module:function"` line
+    of [project.scripts], read line by line (tomllib is Python 3.11+)."""
+    import re
+    scripts, inside = {}, False
+    for line in pyproject.splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        elif inside and line:
+            m = re.fullmatch(r'([\w.-]+)\s*=\s*"([\w.]+):(\w+)"', line)
+            assert m, "unreadable [project.scripts] line: %r" % line
+            scripts[m.group(1)] = (m.group(2), m.group(3))
+    return scripts
+
+
+def test_console_script_runs_check():
+    """The conormal entry point of pyproject.toml, called as the script an
+    install writes calls it (no arguments, sys.argv read by argparse)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    module, function = _console_scripts((root / "pyproject.toml").read_text())["conormal"]
+    script = ("import sys; from %s import %s as entry; sys.argv[0] = 'conormal'; "
+              "sys.exit(entry())" % (module, function))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, "check", "--seed", "1",
+                           "--cases", "2"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    golden = (root / "tests" / "fixtures" / "check_seed1_cases5.txt").read_text()
+    assert proc.stdout == golden.replace("cases 5\n", "cases 2\n")
+    assert _console_scripts('[project]\nname = "x"\n[project.scripts]\n'
+                            'a-b = "p.q:main"  # c\n\n[tool.x]\ny = "z:w"\n') == \
+        {"a-b": ("p.q", "main")}
+
+
 def test_check_stdout_does_not_depend_on_the_hash_seed():
     import os
     import pathlib

@@ -2,16 +2,19 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from conormal import checks, randgen
 from conormal.cellcx import product
 from conormal.io import describe_complex, describe_sheaf, fmt_matrix
 from conormal.qlinalg import Matrix, VectComplex, solve_unique, _add_multiple
-from conormal.sheaf import CellularSheaf
+from conormal.sheaf import CellularSheaf, constant
 from generators import random_morphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -126,15 +129,19 @@ def test_random_invertible_matches_the_general_loop_draw_for_draw():
 
 
 def test_unit_draw_table_holds_each_product_and_its_inverse():
-    """_UNIT_DRAWS[i][j] is (a b, 1 / (a b)) for the nonzero factors a, b
-    at positions i, j, and _NONZERO_INDEX draws those positions in the
+    """_UNITS[i][j] is the 1x1 Invertible [[a b]], with inverse
+    [[1 / (a b)]], for the nonzero factors a, b at positions i, j, one
+    object per product, and _NONZERO_INDEX draws those positions in the
     shape of _NONZEROS."""
     flat = [x for row in randgen._NONZEROS for x in row]
-    assert len(randgen._UNIT_DRAWS) == len(flat)
-    for a, row in zip(flat, randgen._UNIT_DRAWS):
+    assert len(randgen._UNITS) == len(flat)
+    for a, row in zip(flat, randgen._UNITS):
         assert len(row) == len(flat)
-        for b, (p, q) in zip(flat, row):
-            assert p == a * b and p * q == 1
+        for b, u in zip(flat, row):
+            assert isinstance(u, randgen.Invertible) and u.rows == u.cols == 1
+            assert u[0, 0] == a * b and u[0, 0] * u.inverse[0, 0] == 1
+    units = [u for row in randgen._UNITS for u in row]
+    assert len({id(u) for u in units}) == len({u[0, 0] for u in units})
     assert [[flat[k] for k in row] for row in randgen._NONZERO_INDEX] == \
         [list(row) for row in randgen._NONZEROS]
 
@@ -158,6 +165,55 @@ def test_unconjugated_piece_sheaf_shares_one_block_per_value():
     values = {m[0, 0] for m in blocks}
     assert len(objects) <= len(values) < len(blocks)
     assert sheaf.validate() == []
+
+
+def test_piece_sheaf_rejects_a_conjugation_that_is_not_an_invertible_of_its_slot():
+    """A plain Matrix, an Invertible of another size, or a conjugation of a
+    slot the pieces do not make is a ValueError naming the (cell, degree)
+    slot, not an AttributeError inside the build or a block read from a
+    corner of the matrix."""
+    cx = randgen.full_simplex(3)
+    cells = cx.cell_ids()
+    pieces = [(randgen.SKY, frozenset(cells), 0, dict.fromkeys(cells, Fraction(1)))]
+    rng = random.Random(4)
+    for slot, a, got in [(("0", 0), Matrix.identity(1), "1x1 Matrix"),
+                         (("0.1", 0), randgen.random_invertible(rng, 2), "2x2 Invertible"),
+                         (("0", 1), randgen.random_invertible(rng, 1), "1x1 Invertible"),
+                         (("0", 0), "[[1]]", "str")]:
+        conj = {(c, 0): randgen.random_invertible(rng, 1) for c in cells}
+        conj[slot] = a
+        with pytest.raises(ValueError, match=r"slot %s .* got a %s$" % (
+                re.escape(repr(slot)), got)):
+            randgen.PieceSheaf(cx, pieces, conj)
+    conj = {(c, 0): randgen.random_invertible(rng, 1) for c in cells}
+    assert randgen.PieceSheaf(cx, pieces, conj).sheaf.validate() == []
+
+
+def test_sheaves_share_restriction_dicts_pair_keys_and_unit_draws():
+    """Counts, not bytes: the constant sheaf holds one restriction dict; a
+    conjugated one-piece sky sheaf on circle(8)^2 holds no more dicts than
+    distinct (degree, value) pairs; every restriction key of either is a
+    tuple of base.face_pairs(); two equal 1x1 draws are one object."""
+    cx = product(randgen.circle(8), randgen.circle(8))[0]
+    cells = cx.cell_ids()
+    rng = random.Random(12)
+    pieces = [(randgen.SKY, frozenset(cells), 1,
+               {c: randgen._rand_nonzero(rng) for c in cells})]
+    conj = {(c, 1): randgen.random_invertible(rng, 1) for c in cells if rng.random() < 0.7}
+    sky = randgen.PieceSheaf(cx, pieces, conj).sheaf
+    const = constant(cx)
+    assert len({id(phi) for phi in const.restrictions.values()}) == 1
+    dicts = {id(phi) for phi in sky.restrictions.values()}
+    values = {(n, m[0, 0]) for phi in sky.restrictions.values() for n, m in phi.items()}
+    assert 1 < len(dicts) <= len(values) < len(sky.restrictions)
+    pairs = {id(pair) for pair in cx.face_pairs()}
+    for f in (sky, const):
+        assert len(f.restrictions) == len(pairs)
+        assert all(id(pair) in pairs for pair in f.restrictions)
+    assert sky.validate() == []
+    draws = [randgen.random_invertible(random.Random(k), 1) for k in range(40)]
+    assert draws[3] is randgen.random_invertible(random.Random(3), 1)
+    assert len({id(a) for a in draws}) == len({a[0, 0] for a in draws}) < len(draws)
 
 
 def _reference_sheaf(ps):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, CellularMap,
-                             factors_of, projections, product_map, _product_complex)
+                             factors_of, projections, product_map, _product_complex,
+                             simplicial_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps,
                               dual, graded_map, total_complex)
@@ -22,8 +23,11 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               random_cellular_map,
                               random_vertex_collapse,
                               random_vect_complex,
-                              random_lefschetz_instance, PieceSheaf, SKY, ACYC)
-from conormal.tracekernel import tk, shift_twist
+                              random_lefschetz_instance, random_invertible, PieceSheaf,
+                              SKY, ACYC)
+from conormal.tracekernel import tk, shift_twist, compose_tk
+from conormal.mueu import mueu
+from conormal import sheaf as sheaf_mod
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
 from generators import random_morphism, random_chain_endo
@@ -138,6 +142,25 @@ def test_pullback_along_projection():
     pb_sheaf = pullback(pb, g)
     assert pb_sheaf.validate() == []
     assert euler_char(pb_sheaf) == 0  # chi(I x S1)
+
+
+def test_pullback_builds_one_identity_per_image_cell():
+    """Pairs that the map collapses onto one cell share one identity chain
+    map; the others restrict as g.res_long does."""
+    fold = simplicial_map(circle(4), full_simplex(3), {0: 0, 1: 0, 2: 1, 3: 2})
+    f = product_map(fold, identity_map(interval()))
+    g = random_sheaf(random.Random(8), f.target, max_pieces=3)
+    pulled = pullback(f, g)
+    assert pulled.validate() == []
+    shared = {}
+    for (s, t), phi in pulled.restrictions.items():
+        if f(s) == f(t):
+            assert phi == {n: Matrix.identity(d) for n, d in g.stalk(f(s)).dims.items()}
+            shared.setdefault(f(s), set()).add(id(phi))
+        else:
+            assert phi == g.res_long(f(s), f(t))
+    assert shared and all(len(ids) == 1 for ids in shared.values())
+    assert sum(f(s) == f(t) for s, t in pulled.restrictions) > len(shared)
 
 
 def test_pushforward_preserves_sections():
@@ -311,6 +334,89 @@ def test_operations_do_not_write_to_their_inputs():
     const = constant(torus7())
     assert len({id(phi[0]) for phi in const.restrictions.values()}) == 1
     assert len({id(v) for v in const.stalks.values()}) == 1 < len(const.stalks)
+
+
+def _contract_inputs():
+    """The read-only contract's inputs, all on circle(3)^2: the constant
+    sheaf, a conjugated one-piece sky sheaf, a two-piece conjugated sheaf
+    (2x2 slots on a vertex star) and the factors of tk of the latter."""
+    c = circle(3)
+    x = product(c, c)[0]
+    cells = x.cell_ids()
+    rng = random.Random(44)
+    star = frozenset(x.star(("0", "0")))
+    sky = PieceSheaf(x, [(SKY, frozenset(cells), 0,
+                          {c: Fraction(rng.choice((-2, -1, 1, 3))) for c in cells})],
+                     {(c, 0): random_invertible(rng, 1) for c in cells}).sheaf
+    pieces = [(SKY, frozenset(cells), 0, {c: Fraction(rng.choice((-1, 1, 2))) for c in cells}),
+              (SKY, star, 0, {c: Fraction(rng.choice((1, 3))) for c in cells})]
+    slots = PieceSheaf(x, pieces, {}).slots
+    two = PieceSheaf(x, pieces, {(c, n): random_invertible(rng, len(labels))
+                                 for c, per in slots.items()
+                                 for n, labels in per.items()}).sheaf
+    kernel = tk(two)
+    return x, [constant(x), sky, two, kernel.first(), kernel.second()]
+
+
+def _contract_writes(x, inputs):
+    """Names of the sheaf-layer operations after which describe_sheaf of
+    some input differs from before it.  The operations of conormal.sheaf
+    are looked up at call time, so a test can replace one."""
+    c = factors_of(x)[0]
+    fold = product_map(simplicial_map(c, c, {0: 0, 1: 0, 2: 2}), identity_map(c),
+                       source=x, target=x)
+    proj = projections(x)[0]
+    upset = x.star(("0", "0"))
+    pairs = list(zip(inputs, inputs[1:] + inputs[:1]))
+    ops = []
+    for f, g in pairs:
+        ops += [("global_sections", lambda f=f: homology_ranks(sheaf_mod.global_sections(f))),
+                ("pushforward", lambda f=f: sheaf_mod.pushforward(proj, f)),
+                ("pullback", lambda f=f: sheaf_mod.pullback(fold, f)),
+                ("verdier_dual", lambda f=f: sheaf_mod.verdier_dual(f)),
+                ("kernel_compose", lambda f=f, g=g: sheaf_mod.kernel_compose(f, g)),
+                ("tensor_sheaf", lambda f=f, g=g: sheaf_mod.tensor_sheaf(f, g)),
+                ("shift_sheaf", lambda f=f: sheaf_mod.shift_sheaf(f, 1)),
+                ("extend_by_zero", lambda f=f: sheaf_mod.extend_by_zero(f, upset)),
+                ("direct_sum_sheaf", lambda f=f, g=g: sheaf_mod.direct_sum_sheaf(f, g)),
+                ("mueu", lambda f=f: mueu(f)),
+                ("compose_tk", lambda f=f, g=g: compose_tk(tk(f), tk(g)).first())]
+    # the external product lives on circle(3)^4: two of them
+    ops += [("external", lambda f=f, g=g: sheaf_mod.external(f, g)) for f, g in pairs[1:3]]
+    before, out = [describe_sheaf(f) for f in inputs], []
+    for name, run in ops:
+        run()
+        now = [describe_sheaf(f) for f in inputs]
+        if now != before:
+            out.append(name)
+            before = now
+    return out
+
+
+def test_sheaf_operations_keep_their_shared_inputs():
+    """Sheaves share blocks, stalks, restriction dicts and their base's
+    pair keys, so no sheaf-layer operation may write to its inputs."""
+    x, inputs = _contract_inputs()
+    sky, two = inputs[1], inputs[2]
+    assert len({id(phi) for phi in sky.restrictions.values()}) < len(sky.restrictions)
+    assert any(m.rows == 2 for phi in two.restrictions.values() for m in phi.values())
+    assert _contract_writes(x, inputs) == []
+
+
+def test_sheaf_contract_sees_an_operation_that_writes_a_restriction(monkeypatch):
+    """The contract test can fail: a shift_sheaf that first negates the
+    blocks of the restriction dicts it was given (a valid sheaf again, so
+    the later operations run) is caught, and only it."""
+    shift = sheaf_mod.shift_sheaf
+
+    def writing_shift(f, k):
+        for phi in {id(phi): phi for phi in f.restrictions.values()}.values():
+            for n, m in phi.items():
+                phi[n] = m.scale(-1)
+        return shift(f, k)
+    monkeypatch.setattr(sheaf_mod, "shift_sheaf", writing_shift)
+    x, inputs = _contract_inputs()
+    assert set(_contract_writes(x, inputs)) == {"shift_sheaf"}
 
 
 # the validate() problems of four instances, first the constant sheaf on
