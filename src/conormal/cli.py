@@ -18,8 +18,7 @@ from .cellcx import POINT, CellComplexError, cell_sort_key
 from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
                     kernel_compose, constant, external, SheafError)
-from .mueu import (mueu, degree, compose_cycle, pushforward_cycle,
-                   set_negative_control)
+from .mueu import mueu, degree, compose_cycle, pushforward_cycle
 from .tracekernel import TraceKernelError
 from .lefschetz import global_trace, local_trace_sum, LefschetzError
 from . import io, checks
@@ -79,15 +78,9 @@ def cmd_cc(args):
 
 
 def cmd_check(args):
-    if args.negative_control:
-        set_negative_control(True)
-    try:
-        report = checks.run_checks(seed=args.seed, cases=args.cases,
-                                   suites=args.suite or None,
-                                   max_dim=args.max_dim,
-                                   max_cells=args.max_cells)
-    finally:
-        set_negative_control(False)
+    report = checks.run_checks(seed=args.seed, cases=args.cases,
+                               suites=args.suite or None,
+                               max_dim=args.max_dim, max_cells=args.max_cells)
     for line in report.lines():
         print(line)
     for name, seconds in report.suite_seconds.items():
@@ -244,8 +237,6 @@ def build_parser():
     p.add_argument("--max-dim", type=_at_least(0), default=3)
     p.add_argument("--max-cells", type=_at_least(1), default=40)
     p.add_argument("--counterexample", help="failure output path")
-    p.add_argument("--negative-control", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("compose", help="compose two sheaves as kernels "

@@ -8,8 +8,8 @@ produces dense rational stalk data, so the suites exercise generic
 matrices without a repair pass.
 
 A sheaf is built in one pass.  The basis labels of every cell's slots,
-and their positions, are computed once per cell rather than once per
-incidence pair, and random_piece_sheaf draws its conjugations over those
+and their positions, are computed once per piece pattern (the pieces a
+cell lies in), and random_piece_sheaf draws its conjugations over those
 slots rather than over a probe sheaf.  random_invertible undoes its own
 elementary row operations in reverse order to get the exact inverse from
 the same draws, and returns A as an Invertible that carries that inverse;
@@ -17,22 +17,18 @@ PieceSheaf takes only such conjugations (it rejects any other), so it
 solves no linear system.  A 1x1 draw makes the same draws and returns one
 of the 1x1 Invertibles of a fixed table built at import, one object per
 product of its two scaling factors, so it allocates nothing.
-Most slots hold one label, and
-a block between two of them is the scalar A_t (w_t / w_s) A_s^-1, written
-as g(t) h(s) from two scalars per slot, each a reduced (numerator,
-denominator) pair of ints.  One build computes g and h once per distinct
-(A, w); a block is then two int products and one gcd, and its value picks
-the one 1x1 Matrix (and Fraction) of that value, which every equal
-restriction and differential shares.  Likewise every pair whose
-restriction has only 1x1 blocks gets the one restriction dict of its
-(degree, value) entries, and every restriction is keyed by the tuple of
-base.face_pairs(), so a build makes one dict per value and no key.  Cells
-in the same pieces share one slots dict; where none of those pieces is
-acyclic they have no differential and share one stalk.  No
-operation writes to its inputs' matrices, stalks or restriction dicts,
-and none outlives the build but the fixed table of 1x1 draws.  A larger
-unconjugated block has at most one entry in each row, so A_t M A_s^-1 is
-written as scaled rows of A_s^-1 and multiplied by A_t once.  The random
+
+Every block, differential or restriction, is built by one rule
+(PieceSheaf._build): A_t M A_s^-1, where M sends each label of the source
+slot to the label of its piece in the target's degree, scaled by the
+ratio of the piece's weights on the two cells.  Between two slots of one
+label it is a scalar, computed in reduced ints and shared as one 1x1
+Matrix per value; otherwise it is the scaled rows of A_s^-1 multiplied by
+A_t once.  A build also shares one restriction dict per tuple of
+(degree, value) 1x1 entries and one stalk per pattern of sky pieces, and
+keys every restriction by the tuples of base.face_pairs().  No operation
+writes to its inputs' matrices, stalks or restriction dicts, and none
+outlives the build but the fixed table of 1x1 draws.  The random
 rationals are picked from tables of precomputed Fractions, with the same
 draws as building them.
 """
@@ -212,14 +208,6 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
     return rng.choice(rng.choice(_NONZEROS))
 
 
-def _ratio(num, den):
-    """num / den as a reduced (numerator, denominator) pair, den > 0."""
-    if den < 0:
-        num, den = -num, -den
-    k = gcd(num, den)
-    return num // k, den // k
-
-
 def _scalar(x) -> Matrix:
     """The 1x1 matrix [[x]] for a nonzero x."""
     m = Matrix(1, 1)
@@ -334,14 +322,8 @@ class PieceSheaf:
     to the Invertible A conjugating that slot, as random_invertible draws
     it, and A^-1 is the inverse it carries; a missing slot is not
     conjugated; a conjugation that is not an Invertible of its slot's
-    size is a ValueError naming the slot.  A block between two slots of
-    one label each is the scalar g(t) h(s), computed in integers and
-    shared as one 1x1 Matrix per value, and a restriction of such blocks
-    only as one dict per ((degree, value), ...) entries; restrictions are
-    keyed by the tuples of base.face_pairs(), and the cells of one piece
-    pattern with no acyclic piece share one stalk (see _build).  Every
-    larger block is built as A_t M A_s^-1 in one product, where M is the
-    unconjugated block.
+    size is a ValueError naming the slot.  Every block is A_t M A_s^-1,
+    M the unconjugated block, built by the one rule of _build.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
@@ -382,10 +364,8 @@ class PieceSheaf:
     def _scalars(self, keys, patterns):
         """Per cell, per degree of one label (i, leg), the pair
         (g, h) = (A w_i(c), A^-1 / w_i(c)), A = 1 where unconjugated, each
-        as a reduced (numerator, denominator) int pair with a positive
-        denominator; computed once per distinct (A, w)."""
+        as a (numerator, denominator) int pair with a positive denominator."""
         pieces, conj = self.pieces, self.conj
-        seen = {}  # (A, w) as four ints -> (g, h)
         g, h = {}, {}
         for c, key in keys.items():
             g[c], h[c] = gc, hc = {}, {}
@@ -393,117 +373,91 @@ class PieceSheaf:
                 if len(labels) != 1:
                     continue
                 w = pieces[labels[0][0]][3][c]
+                wn, wd = w.numerator, w.denominator
                 a = conj.get((c, n))
-                x = _ONE if a is None else a.data[0][0]
-                k = (x.numerator, x.denominator, w.numerator, w.denominator)
-                got = seen.get(k)
-                if got is None:
-                    inv = self.inverse((c, n))
-                    y = _ONE if inv is None else inv.data[0][0]
-                    xn, xd, wn, wd = k
-                    got = seen[k] = (_ratio(xn * wn, xd * wd),
-                                     _ratio(y.numerator * wd, y.denominator * wn))
-                gc[n], hc[n] = got
+                x, y = (_ONE, _ONE) if a is None else (a.data[0][0], a.inverse.data[0][0])
+                gc[n] = x.numerator * wn, x.denominator * wd
+                hc[n] = (y.numerator * wd if wn > 0 else -y.numerator * wd,
+                         y.denominator * abs(wn))
         return g, h
 
     def _build(self, keys, patterns) -> CellularSheaf:
-        """The sheaf, with every 1x1 block g(t) h(s) read from _scalars.
+        """The sheaf, every differential and restriction block by block.
 
-        A 1x1 restriction is A_t (w_i(t) / w_i(s)) A_s^-1 = g(t) h(s), and a
-        1x1 differential, whose two legs of piece i have the same weight
-        w_i(c), is A_t 1 A_s^-1 = g(t) h(s) as well.  Its value is reduced
-        in ints, and each distinct value gets one 1x1 Matrix (one Fraction)
-        that every block equal to it shares, and each distinct tuple of
-        (degree, value) entries one restriction dict that every pair with
-        only those 1x1 blocks shares.  A pattern with no acyclic piece has
-        no differential, so its cells share one stalk; a pair of cells of
-        one pattern whose slots all hold one label restricts by g(t) h(s)
-        in every degree."""
+        The block from slot (s, n) to slot (t, m) sends each label (i, leg)
+        of (s, n) to the label of piece i in degree m, where (t, m) has
+        one, scaled by w_i(t) / w_i(s): a restriction (t a coface of s,
+        m = n) sends each label to itself, and a differential (t = s,
+        m = n + 1) sends leg 0 of an acyclic piece to its leg 1, scaled by
+        1.  Between two slots of one label each the block is the scalar
+        g(t) h(s) of _scalars, reduced in ints, and picks the one 1x1
+        Matrix of its value; otherwise it is _conjugated.  A restriction of
+        1x1 blocks only is the one dict of its (degree, value) entries, and
+        the cells of a pattern with no acyclic piece share one stalk."""
         pieces, slots, pos = self.pieces, self.slots, self.pos
         g, h = self._scalars(keys, patterns)
-        blocks = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
-        shared_phi = {}  # ((degree, numerator, denominator), ...) -> shared dict
+        scalars = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
+        shared_phi = {}  # ((degree, value), ...) of 1x1 blocks -> shared dict
+        shared_stalk = {}  # pattern with no acyclic piece -> its one stalk
 
-        def value(gt, hs):
-            num, den = gt[0] * hs[0], gt[1] * hs[1]
-            k = gcd(num, den)
-            return num // k, den // k
+        def block(t, m, s, n):
+            """The block from slot (s, n) to slot (t, m), or None if it is
+            zero: a reduced int pair between slots of one label, else a
+            Matrix."""
+            labels, labels_t = slots[s][n], slots[t][m]
+            if len(labels) == 1 == len(labels_t):
+                if labels_t[0][0] != labels[0][0]:  # (t, m) holds another piece
+                    return None
+                (gn, gd), (hn, hd) = g[t][m], h[s][n]
+                num, den = gn * hn, gd * hd
+                k = gcd(num, den)
+                return num // k, den // k
+            tpos, shift = pos[t], m - n
+            entries = [(tpos[i, leg + shift], k,
+                        _ONE if s == t else pieces[i][3][t] / pieces[i][3][s])
+                       for k, (i, leg) in enumerate(labels) if (i, leg + shift) in tpos]
+            if entries:
+                return self._conjugated((t, m), (s, n), len(labels_t), len(labels), entries)
+            return None
 
-        def block(v):
-            m = blocks.get(v)
+        def matrix(b):
+            """The Matrix of a block: the shared one of an int pair."""
+            if type(b) is not tuple:
+                return b
+            m = scalars.get(b)
             if m is None:
-                m = blocks[v] = _scalar(Fraction(*v))
+                m = scalars[b] = _scalar(Fraction(*b))
             return m
 
-        def scalar_phi(values):
-            """The one restriction dict {degree: 1x1 block} of these
-            (degree, numerator, denominator) triples."""
-            phi = shared_phi.get(values)
-            if phi is None:
-                phi = shared_phi[values] = {n: block((num, den)) for n, num, den in values}
-            return phi
-
-        shared = {key: VectComplex({n: len(labels) for n, labels in per_degree.items()})
-                  for key, (per_degree, _) in patterns.items()
-                  if all(pieces[i][0] == SKY for i in key)}
         stalks = {}
         for c, key in keys.items():
-            if key in shared:
-                stalks[c] = shared[key]
-                continue
-            cslots, cpos = patterns[key]
-            dims = {n: len(labels) for n, labels in cslots.items()}
-            diffs = {}
-            for n, labels in cslots.items():
-                if n + 1 not in cslots:
-                    continue
-                if dims[n] == 1 == dims[n + 1]:
-                    i, leg = labels[0]
-                    if leg == 0 and pieces[i][0] == ACYC:
-                        diffs[n] = block(value(g[c][n + 1], h[c][n]))
-                    continue
-                # d^n sends leg 0 of each acyclic piece to its leg 1
-                entries = [(cpos[(i, 1)], k, _ONE) for k, (i, leg) in enumerate(labels)
-                           if leg == 0 and pieces[i][0] == ACYC]
-                if entries:
-                    diffs[n] = self._conjugated((c, n + 1), (c, n), dims[n + 1],
-                                                dims[n], entries)
-            stalks[c] = VectComplex(dims, diffs)
-        # h of the cells whose slots all hold one label
-        scalar_h = {c: h[c] for c, cslots in slots.items()
-                    if all(len(labels) == 1 for labels in cslots.values())}
+            stalk = shared_stalk.get(key)
+            if stalk is None:
+                cslots = patterns[key][0]
+                diffs = {n: matrix(b) for n in cslots
+                         if n + 1 in cslots and (b := block(c, n + 1, c, n)) is not None}
+                stalk = VectComplex({n: len(labels) for n, labels in cslots.items()}, diffs)
+                if all(pieces[i][0] == SKY for i in key):
+                    shared_stalk[key] = stalk
+            stalks[c] = stalk
         restrictions = {}
         for pair in self.base.face_pairs():
             s, t = pair
-            hs = scalar_h.get(s)
-            if hs is not None and slots.get(t) is slots[s]:
-                gt = g[t]
-                restrictions[pair] = scalar_phi(tuple((n, *value(gt[n], hs[n])) for n in hs))
-                continue
             if s not in slots or t not in slots:
                 continue
-            # phi, and its 1x1 blocks as (degree, numerator, denominator)
-            ones, phi = [], {}
-            slots_t, tpos = slots[t], pos[t]
-            for n, labels in slots[s].items():
-                labels_t = slots_t.get(n)
-                if labels_t is None:
-                    continue
-                if len(labels) == 1 == len(labels_t):
-                    if labels == labels_t:
-                        v = value(g[t][n], h[s][n])
-                        ones.append((n, *v))
-                        phi[n] = block(v)
-                    continue
-                # each piece on both cells maps by its weight ratio
-                entries = [(tpos[lab], k, pieces[lab[0]][3][t] / pieces[lab[0]][3][s])
-                           for k, lab in enumerate(labels) if lab in tpos]
-                if entries:
-                    phi[n] = self._conjugated((t, n), (s, n), len(labels_t),
-                                              len(labels), entries)
-            if phi:
-                # a dict of 1x1 blocks only is the one of its values
-                restrictions[pair] = scalar_phi(tuple(ones)) if len(ones) == len(phi) else phi
+            slots_t = slots[t]
+            entries = tuple([(n, b) for n in slots[s]
+                             if n in slots_t and (b := block(t, n, s, n)) is not None])
+            if not entries:
+                continue
+            try:  # only int pairs hash: a dict with a Matrix block is not shared
+                phi = shared_phi.get(entries)
+            except TypeError:
+                phi = {n: matrix(b) for n, b in entries}
+            else:
+                if phi is None:
+                    phi = shared_phi[entries] = {n: matrix(b) for n, b in entries}
+            restrictions[pair] = phi
         return CellularSheaf(self.base, stalks, restrictions)
 
 

@@ -43,10 +43,11 @@ class CellularSheaf:
     VectComplex as the stalk of several cells, or be shared with other
     sheaves (the constant sheaf has one k for every stalk and one
     {0: [[1]]} for every restriction; a random piece sheaf has one 1x1
-    Matrix and one dict of 1x1 blocks per distinct value, and one stalk per
-    pattern of pieces without an acyclic one; pullback hands over the dicts
-    of g.res and one identity per image cell), so no operation writes to
-    the matrices, restriction dicts or stalks of the sheaves it is given.
+    Matrix per value, one restriction dict per tuple of (degree, value)
+    1x1 entries, and one stalk per pattern of sky pieces; pullback hands
+    over the dicts of g.res and one identity per image cell), so no
+    operation writes to the matrices, restriction dicts or stalks of the
+    sheaves it is given.
     A restriction dict is kept as its builder gave it unless one of its
     blocks is zero, when a copy without the zero blocks is kept.  The
     (face, coface) keys are kept as the builder gave them too: constant,

@@ -570,9 +570,12 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_cli_check_negative_control(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = cli.main(["check", "--seed", "1", "--cases", "4",
-                     "--negative-control",
-                     "--counterexample", str(tmp_path / "ce.json")])
+    set_negative_control(True)
+    try:
+        code = cli.main(["check", "--seed", "1", "--cases", "4",
+                         "--counterexample", str(tmp_path / "ce.json")])
+    finally:
+        set_negative_control(False)
     assert code == 2
     assert (tmp_path / "ce.json").exists()
     payload = json.loads((tmp_path / "ce.json").read_text())
@@ -582,9 +585,12 @@ def test_cli_check_negative_control(tmp_path, capsys, monkeypatch):
 def test_cli_check_negative_control_unwritable_counterexample(tmp_path,
                                                                capsys):
     # a path that cannot be written still reports the property violation
-    code = cli.main(["check", "--seed", "1", "--cases", "4",
-                     "--negative-control",
-                     "--counterexample", str(tmp_path)])
+    set_negative_control(True)
+    try:
+        code = cli.main(["check", "--seed", "1", "--cases", "4",
+                         "--counterexample", str(tmp_path)])
+    finally:
+        set_negative_control(False)
     assert code == 2
     captured = capsys.readouterr()
     assert "FAIL" in captured.out

@@ -295,24 +295,39 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
     conjugations, unconjugated slots and conj={}, 1x1 conjugations from
     outside random_invertible (with solved inverses), 1x1 acyclic
     differentials, and two cells in the same pieces with different
-    conjugations."""
+    conjugations; and the benchmark's shape, a whole sky and a whole
+    acyclic piece on circle(4)^2 with every slot conjugated, so that every
+    cell is in one pattern, in apart and in overlapping degrees."""
     rng = random.Random(31)
     values = [Fraction(v) for v in (-3, -2, -1, 1, 2)] + [
         Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
     seen = dict.fromkeys(("negative weight", "negative conj", "bare slot", "conj={}",
                           "plain 1x1", "1x1 d", "same pieces, other conj"), 0)
+
+    def weights(cells):
+        return {c: rng.choice(values) for c in cells}
+
+    def matches_reference(ps):
+        ref = _reference_sheaf(ps)
+        assert ps.sheaf.stalks == ref.stalks
+        assert ps.sheaf.restrictions == ref.restrictions
+        # one shared Matrix per value of a 1x1 block
+        blocks = [m for phi in ps.sheaf.restrictions.values() for m in phi.values()]
+        blocks += [m for v in ps.sheaf.stalks.values() for m in v.diffs.values()]
+        ones = [m for m in blocks if m.rows == m.cols == 1]
+        assert len({id(m) for m in ones}) == len({m[0, 0] for m in ones})
+        return {(m.rows, m.cols) for m in blocks}
+
     for _ in range(8):
         cx = rng.choice([product(randgen.hollow_triangle(), randgen.interval())[0],
                          randgen.random_complex(rng, max_dim=2, max_vertices=5,
                                                 max_cells=20)])
         cells = cx.cell_ids()
-
-        def weights():
-            return {c: rng.choice(values) for c in cells}
         star = frozenset(cx.star(rng.choice(cx.cells_of_dim(0))))
-        pieces = [(randgen.SKY, frozenset(cells), 0, weights()),
-                  (randgen.ACYC, star, 1, weights()),
-                  (randgen.SKY, randgen.random_upset(rng, cx), rng.choice((0, 2)), weights())]
+        pieces = [(randgen.SKY, frozenset(cells), 0, weights(cells)),
+                  (randgen.ACYC, star, 1, weights(cells)),
+                  (randgen.SKY, randgen.random_upset(rng, cx), rng.choice((0, 2)),
+                   weights(cells))]
         slots = randgen.PieceSheaf(cx, pieces, {}).slots
         for kind in ("conj={}", "drawn", "plain 1x1"):
             conj = {}
@@ -325,14 +340,7 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
                     else:
                         conj[(c, n)] = randgen.random_invertible(rng, len(labels))
             ps = randgen.PieceSheaf(cx, pieces, conj)
-            ref = _reference_sheaf(ps)
-            assert ps.sheaf.stalks == ref.stalks
-            assert ps.sheaf.restrictions == ref.restrictions
-            # one shared Matrix per value of a 1x1 block
-            ones = [m for phi in ps.sheaf.restrictions.values() for m in phi.values()]
-            ones = [m for m in ones + [m for v in ps.sheaf.stalks.values()
-                                       for m in v.diffs.values()] if m.rows == m.cols == 1]
-            assert len({id(m) for m in ones}) == len({m[0, 0] for m in ones})
+            matches_reference(ps)
             seen["conj={}"] += not conj
             for c, per_degree in slots.items():
                 for n, labels in per_degree.items():
@@ -351,6 +359,16 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
                         len(labels) == 1 and conj.get((s, n)) != conj.get((t, n))
                         for n, labels in slots[s].items())
     assert min(seen.values()) > 0, seen
+    cx = product(randgen.circle(4), randgen.circle(4))[0]
+    cells = cx.cell_ids()
+    for acyc_degree, sizes in ((1, {(1, 1)}), (0, {(1, 1), (2, 2), (1, 2)})):
+        pieces = [(randgen.SKY, frozenset(cells), 0, weights(cells)),
+                  (randgen.ACYC, frozenset(cells), acyc_degree, weights(cells))]
+        slots = randgen.PieceSheaf(cx, pieces, {}).slots
+        assert len({id(per_degree) for per_degree in slots.values()}) == 1
+        conj = {(c, n): randgen.random_invertible(rng, len(labels))
+                for c, per_degree in slots.items() for n, labels in per_degree.items()}
+        assert matches_reference(randgen.PieceSheaf(cx, pieces, conj)) == sizes
 
 
 def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
