@@ -33,6 +33,8 @@ class CellComplex:
             self._cofaces[sigma].append(tau)
         self._below = None
         self._face_pairs = None
+        self._order = None
+        self._coboundary = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -73,6 +75,28 @@ class CellComplex:
         if self._face_pairs is None:
             self._face_pairs = tuple((s, t) for (t, s) in self._incidence)
         return self._face_pairs
+
+    def cell_order(self):
+        """Position of every cell in the (dim, str) order, built once: the
+        order in which sections stacks its cells, validate reports and the
+        CLI prints.  Cells of one dim and one str keep the order of
+        cell_ids."""
+        if self._order is None:
+            cells = self._cells
+            ranked = sorted(cells, key=lambda c: (cells[c], str(c)))
+            self._order = {c: k for k, c in enumerate(ranked)}
+        return self._order
+
+    def coboundary(self):
+        """Per cell c, its cofaces in the order of incidence_pairs, built
+        once: a tuple of (coface, the face_pairs tuple (c, coface), the
+        incidence sign)."""
+        if self._coboundary is None:
+            cob = {c: [] for c in self._cells}
+            for pair, sign in zip(self.face_pairs(), self._incidence.values()):
+                cob[pair[0]].append((pair[1], pair, sign))
+            self._coboundary = {c: tuple(entries) for c, entries in cob.items()}
+        return self._coboundary
 
     def _closure(self):
         if self._below is None:
@@ -151,9 +175,8 @@ POINT = CellComplex({"pt": 0}, {})
 
 
 def cell_sort_key(base):
-    """Sort key of the cells of base: (dim, str), the order in which
-    sections stacks its cells, validate reports and the CLI prints."""
-    return lambda c: (base.dim(c), str(c))
+    """Sort key of the cells of base: their position in base.cell_order()."""
+    return base.cell_order().__getitem__
 
 
 def from_simplicial(simplices) -> CellComplex:

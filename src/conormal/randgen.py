@@ -391,14 +391,16 @@ class PieceSheaf:
         m = n + 1) sends leg 0 of an acyclic piece to its leg 1, scaled by
         1.  Between two slots of one label each the block is the scalar
         g(t) h(s) of _scalars, reduced in ints, and picks the one 1x1
-        Matrix of its value; otherwise it is _conjugated.  A restriction of
-        1x1 blocks only is the one dict of its (degree, value) entries, and
-        the cells of a pattern with no acyclic piece share one stalk."""
+        Matrix of its value; otherwise it is _conjugated, each weight
+        ratio made from int pairs, one Fraction per value.  A restriction
+        of 1x1 blocks only is the one dict of its (degree, value) entries,
+        and the cells of a pattern with no acyclic piece share one stalk."""
         pieces, slots, pos = self.pieces, self.slots, self.pos
         g, h = self._scalars(keys, patterns)
         scalars = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
         shared_phi = {}  # ((degree, value), ...) of 1x1 blocks -> shared dict
         shared_stalk = {}  # pattern with no acyclic piece -> its one stalk
+        ratios = {}  # unreduced int pair of a weight ratio -> its Fraction
 
         def block(t, m, s, n):
             """The block from slot (s, n) to slot (t, m), or None if it is
@@ -413,12 +415,21 @@ class PieceSheaf:
                 k = gcd(num, den)
                 return num // k, den // k
             tpos, shift = pos[t], m - n
-            entries = [(tpos[i, leg + shift], k,
-                        _ONE if s == t else pieces[i][3][t] / pieces[i][3][s])
+            entries = [(tpos[i, leg + shift], k, _ONE if s == t else ratio(pieces[i][3], t, s))
                        for k, (i, leg) in enumerate(labels) if (i, leg + shift) in tpos]
             if entries:
                 return self._conjugated((t, m), (s, n), len(labels_t), len(labels), entries)
             return None
+
+        def ratio(w, t, s):
+            """w(t) / w(s) for the weights w of one piece, from their int
+            pairs: one Fraction per unreduced pair of ints."""
+            a, b = w[t], w[s]
+            key = a.numerator * b.denominator, a.denominator * b.numerator
+            r = ratios.get(key)
+            if r is None:
+                r = ratios[key] = Fraction(*key)
+            return r
 
         def matrix(b):
             """The Matrix of a block: the shared one of an int pair."""

@@ -172,21 +172,31 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
 
     Differential: delta_sign * (incidence-weighted restrictions) plus
     (-1)^{weight(s)} * internal differentials.  Returns (VectComplex,
-    index) with index[(cell, p)] = (total degree, offset).
+    index) with index[(cell, p)] = (total degree, offset).  The cells are
+    stacked by their positions in base.cell_order(), and each one's
+    cofaces, pair keys and signs are read from base.coboundary(), both
+    built once per base.
     """
-    cells = sorted((c for c in cells if c in f.stalks), key=cell_sort_key(f.base))
+    stalks, restrictions = f.stalks, f.restrictions
+    cells = sorted((c for c in cells if c in stalks), key=cell_sort_key(f.base))
     weights = {c: weight(c) for c in cells}
     lay = layout([((c, p), p + weights[c], d)
-                  for c in cells for p, d in sorted(f.stalks[c].dims.items())])
+                  for c in cells for p, d in sorted(stalks[c].dims.items())])
+    coboundary = f.base.coboundary()
     arrows = []
+    append = arrows.append
     for c, w in weights.items():
         sgn = -1 if w % 2 else 1
-        arrows += [((c, p), (c, p + 1), d, 1, sgn) for p, d in f.stalks[c].diffs.items()]
-        for cf in f.base.cofaces(c):
-            phi = f.restrictions.get((c, cf))
+        for p, d in stalks[c].diffs.items():
+            append(((c, p), (c, p + 1), d, 1, sgn))
+        # pair is the base's own face_pairs tuple, the key that most
+        # builders store, so the lookup finds it without comparing cells
+        for cf, pair, sign in coboundary[c]:
+            phi = restrictions.get(pair)
             if phi is not None and cf in weights:
-                sgn = f.base.incidence(cf, c) * delta_sign
-                arrows += [((c, p), (cf, p), m, 1, sgn) for p, m in phi.items()]
+                sgn = sign * delta_sign
+                for p, m in phi.items():
+                    append(((c, p), (cf, p), m, 1, sgn))
     return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
 
 

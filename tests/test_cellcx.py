@@ -56,10 +56,29 @@ def test_star_and_upsets():
 
 
 def test_face_pairs_are_built_once_in_incidence_order():
-    for cx in (torus7(), product(circle(4), interval())[0], POINT):
+    # and so are the cell order and the coboundary that sections reads
+    rng = random.Random(29)
+    for cx in (torus7(), product(circle(4), interval())[0], POINT,
+               random_complex(rng), random_complex(rng, max_dim=2, max_cells=20)):
         pairs = cx.face_pairs()
         assert cx.face_pairs() is pairs
         assert list(pairs) == [(s, t) for (t, s) in cx.incidence_pairs()]
+        order, cob = cx.cell_order(), cx.coboundary()
+        assert cx.cell_order() is order and cx.coboundary() is cob
+        ranked = sorted(cx.cell_ids(), key=lambda c: (cx.dim(c), str(c)))
+        assert sorted(order, key=order.get) == ranked
+        assert sorted(order.values()) == list(range(len(cx)))
+        assert list(cob) == cx.cell_ids()
+        walked = [(cf, c, pair, sign) for c, entries in cob.items()
+                  for cf, pair, sign in entries]
+        assert len(walked) == len(pairs)
+        assert {(cf, c): sign for cf, c, _, sign in walked} == cx.incidence_pairs()
+        for c, entries in cob.items():
+            assert [cf for cf, _, _ in entries] == cx.cofaces(c)
+        # each entry holds the face_pairs tuple itself, the key of a restriction
+        assert all(pair == (c, cf) for cf, c, pair, _ in walked)
+        held = {pair: pair for _, _, pair, _ in walked}
+        assert all(held[pair] is pair for pair in pairs)
 
 
 def test_closure_order():

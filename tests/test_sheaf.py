@@ -10,7 +10,7 @@ from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, Ce
                              simplicial_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps,
-                              dual, graded_map, total_complex)
+                              dual, graded_map, layout, total_complex)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             constant, global_sections, euler_char, shift_sheaf,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
@@ -190,6 +190,55 @@ def test_pushforward_unrepresentable_jump():
     f = CellularMap(cx, cx, assignment, signs)
     with pytest.raises(PushforwardError):
         pushforward(f, constant(cx))
+
+
+def _reference_sections(f, cells, weight, delta_sign=1):
+    """sections as it was before CellComplex.cell_order and coboundary:
+    the cells sorted by (dim, str) on every call, each pair's key tuple
+    built afresh and its sign read through base.incidence."""
+    cells = sorted((c for c in cells if c in f.stalks), key=lambda c: (f.base.dim(c), str(c)))
+    weights = {c: weight(c) for c in cells}
+    lay = layout([((c, p), p + weights[c], d)
+                  for c in cells for p, d in sorted(f.stalks[c].dims.items())])
+    arrows = []
+    for c, w in weights.items():
+        sgn = -1 if w % 2 else 1
+        arrows += [((c, p), (c, p + 1), d, 1, sgn) for p, d in f.stalks[c].diffs.items()]
+        for cf in f.base.cofaces(c):
+            phi = f.restrictions.get((c, cf))
+            if phi is not None and cf in weights:
+                sgn = f.base.incidence(cf, c) * delta_sign
+                arrows += [((c, p), (cf, p), m, 1, sgn) for p, m in phi.items()]
+    return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
+
+
+def test_sections_match_the_reference_route():
+    # all cells, every star with weight dim, and every pushforward fibre
+    # with the weight shifted by the dim of its image, under both delta
+    # signs; the cells come as a list, a set and a generator
+    rng = random.Random(29)
+    bases = [torus7(), product(circle(3), interval())[0]]
+    bases += [random_complex(rng, max_dim=2, max_cells=20) for _ in range(6)]
+    seen = set()
+    for cx in bases:
+        g = random_cellular_map(rng, cx)
+        src, tgt = g.source, g.target
+        f = random_piece_sheaf(rng, src, max_pieces=3).sheaf
+        routes = [(src.cell_ids(), src.dim, 1)]
+        routes += [(sorted(src.star(c), key=str), src.dim, 1) for c in src.cell_ids()]
+        for t in tgt.cell_ids():
+            fibre = [c for c in src.cell_ids() if g(c) == t]
+            for sign in (1, -1):
+                routes.append((fibre, lambda c, dt=tgt.dim(t): src.dim(c) - dt, sign))
+        for cells, weight, sign in routes:
+            want, want_index = _reference_sections(f, cells, weight, sign)
+            for given in (list(cells), set(cells), (c for c in cells)):
+                got, index = sections(f, given, weight, sign)
+                assert got.dims == want.dims
+                assert got.diffs == want.diffs
+                assert index == want_index and list(index) == list(want_index)
+            seen.add((sign, bool(want.diffs)))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def test_verdier_dual_fixtures():
