@@ -3,6 +3,8 @@
 A complex stores its cells (id -> dimension) and the codimension-1
 incidence numbers; the full face order is the transitive closure of the
 incidence pairs.  Product cells are identified by (id_a, id_b) tuples.
+Each cell id is stored once and each codim-1 pair once, as one
+(face, coface) tuple of the cell ids themselves.
 """
 
 from __future__ import annotations
@@ -15,22 +17,39 @@ class CellComplexError(ValueError):
 
 
 class CellComplex:
-    """Graded poset of cells with +-1 incidence numbers (immutable)."""
+    """Graded poset of cells with +-1 incidence numbers (immutable).
+
+    Every codim-1 pair is held once, as one (face, coface) tuple that is
+    both its key in the sign table and its entry in face_pairs(), the key
+    of a restriction of every sheaf built on base.face_pairs().  Both
+    members of the tuple are the complex's own cell id objects, so a pair
+    adds no copy of an id: the constructor maps every id it is given onto
+    the equal key of cells."""
 
     def __init__(self, cells, incidence, product_of=None):
         """cells: id -> dim; incidence: (coface_id, face_id) -> +-1."""
-        self._cells = dict(cells)
-        self._incidence = dict(incidence)
-        self.product_of = product_of  # (A, B) when built by product()
-        self._faces = {c: [] for c in self._cells}
-        self._cofaces = {c: [] for c in self._cells}
-        for (tau, sigma), sign in self._incidence.items():
-            if tau not in self._cells or sigma not in self._cells:
+        cells = dict(cells)
+        own = {c: c for c in cells}
+        pairs = {}  # (face, coface) -> sign, in the order of incidence
+        for (tau, sigma), sign in incidence.items():
+            if tau not in own or sigma not in own:
                 raise CellComplexError("incidence pair (%r, %r) mentions unknown cell" % (tau, sigma))
             if sign not in (1, -1):
                 raise CellComplexError("incidence sign must be +-1 at (%r, %r)" % (tau, sigma))
-            self._faces[tau].append(sigma)
-            self._cofaces[sigma].append(tau)
+            pairs[(own[sigma], own[tau])] = sign
+        self._store(cells, pairs, product_of)
+
+    def _store(self, cells, pairs, product_of):
+        """Keep cells (id -> dim) and pairs ((face, coface) -> +-1, both
+        members keys of cells) as they are."""
+        self._cells = cells
+        self._incidence = pairs
+        self.product_of = product_of  # (A, B) when built by product()
+        cofaces = {c: [] for c in cells}
+        for s, t in pairs:
+            cofaces[s].append(t)
+        self._cofaces = {c: tuple(cf) for c, cf in cofaces.items()}
+        self._faces = None
         self._below = None
         self._face_pairs = None
         self._order = None
@@ -54,27 +73,38 @@ class CellComplex:
         return [c for c, cd in self._cells.items() if cd == d]
 
     def faces(self, cid):
-        """Codimension-1 faces."""
-        return self._faces[cid]
+        """Codimension-1 faces, in the order of incidence_pairs."""
+        return self._face_table()[cid]
 
     def cofaces(self, cid):
+        """Codimension-1 cofaces, in the order of incidence_pairs."""
         return self._cofaces[cid]
 
     def incidence(self, tau, sigma) -> int:
         """Sign of the codim-1 pair (tau, sigma); 0 if not incident."""
-        return self._incidence.get((tau, sigma), 0)
+        return self._incidence.get((sigma, tau), 0)
 
     def incidence_pairs(self):
-        return dict(self._incidence)
+        """A new dict (coface, face) -> sign, in the order the pairs came."""
+        return {(t, s): sign for (s, t), sign in self._incidence.items()}
 
     def face_pairs(self):
         """The (face, coface) tuple of every codim-1 pair, in the order of
-        incidence_pairs, built once: a sheaf on this complex keys its
-        restrictions by these tuples, so the sheaves on one base share
-        them."""
+        incidence_pairs, built once: the tuples are the keys of the sign
+        table themselves, and a sheaf on this complex keys its
+        restrictions by them, so the sheaves on one base share them."""
         if self._face_pairs is None:
-            self._face_pairs = tuple((s, t) for (t, s) in self._incidence)
+            self._face_pairs = tuple(self._incidence)
         return self._face_pairs
+
+    def _face_table(self):
+        """Per cell, its faces in the order of incidence_pairs, built once."""
+        if self._faces is None:
+            faces = {c: [] for c in self._cells}
+            for s, t in self._incidence:
+                faces[t].append(s)
+            self._faces = {c: tuple(fs) for c, fs in faces.items()}
+        return self._faces
 
     def cell_order(self):
         """Position of every cell in the (dim, str) order, built once: the
@@ -101,8 +131,9 @@ class CellComplex:
     def _closure(self):
         if self._below is None:
             below = {c: set() for c in self._cells}
+            faces = self._face_table()
             for c in sorted(self._cells, key=self._cells.get):
-                for f in self._faces[c]:
+                for f in faces[c]:
                     below[c].add(f)
                     below[c] |= below[f]
             self._below = below
@@ -139,6 +170,15 @@ class CellComplex:
             out |= self.star(c)
         return out
 
+    def down_closure(self, cells):
+        """The closed subcomplex generated by cells: each with all its faces."""
+        below = self._closure()
+        out = set()
+        for c in cells:
+            out.add(c)
+            out |= below[c]
+        return out
+
     def same_as(self, other) -> bool:
         """Structural equality of cells and incidence data."""
         return self._cells == other._cells and self._incidence == other._incidence
@@ -155,16 +195,17 @@ class CellComplex:
     def validate(self):
         """Report of every grading / d^2 violation (empty report = valid)."""
         problems = []
-        for (tau, sigma) in self._incidence:
+        for (sigma, tau) in self._incidence:
             if self._cells[tau] - self._cells[sigma] != 1:
                 problems.append("incidence pair (%r, %r) is not codimension 1" % (tau, sigma))
         # d^2 = 0 over every codim-2 interval
+        faces = self._face_table()
         for tau in self._cells:
             acc = {}
-            for sigma in self._faces[tau]:
-                s1 = self._incidence[(tau, sigma)]
-                for rho in self._faces[sigma]:
-                    acc[rho] = acc.get(rho, 0) + s1 * self._incidence[(sigma, rho)]
+            for sigma in faces[tau]:
+                s1 = self._incidence[(sigma, tau)]
+                for rho in faces[sigma]:
+                    acc[rho] = acc.get(rho, 0) + s1 * self._incidence[(rho, sigma)]
             for rho, total in acc.items():
                 if total != 0:
                     problems.append("d^2 != 0 on interval (%r, %r): sum %d" % (rho, tau, total))
@@ -202,14 +243,14 @@ def from_simplicial(simplices) -> CellComplex:
         all_simplices.add(s)
         for i in range(len(s)):
             stack.append(s[:i] + s[i + 1:])
-    cells = {simplex_id(s): len(s) - 1 for s in all_simplices}
+    ids = {s: simplex_id(s) for s in all_simplices}
+    cells = {ids[s]: len(s) - 1 for s in all_simplices}
     incidence = {}
     for s in all_simplices:
         if len(s) == 1:
             continue
         for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            incidence[(simplex_id(s), simplex_id(face))] = (-1) ** i
+            incidence[(ids[s], ids[s[:i] + s[i + 1:]])] = (-1) ** i
     return CellComplex(cells, incidence)
 
 
@@ -344,20 +385,21 @@ def product(a: CellComplex, b: CellComplex):
 
 
 def _product_complex(a: CellComplex, b: CellComplex) -> CellComplex:
-    """The complex of product(a, b), without its projections."""
-    cells = {}
-    for ca in a.cell_ids():
-        for cb in b.cell_ids():
-            cells[(ca, cb)] = a.dim(ca) + b.dim(cb)
-    incidence = {}
-    for (tau, sigma), sign in a.incidence_pairs().items():
-        for cb in b.cell_ids():
-            incidence[((tau, cb), (sigma, cb))] = sign
-    for (tau, sigma), sign in b.incidence_pairs().items():
-        for ca in a.cell_ids():
-            s = sign if a.dim(ca) % 2 == 0 else -sign
-            incidence[((ca, tau), (ca, sigma))] = s
-    return CellComplex(cells, incidence, product_of=(a, b))
+    """The complex of product(a, b), without its projections.  Its pairs
+    are stored as built, from its (ca, cb) cell keys and the factors'
+    stored pairs: valid factors need no check."""
+    cell = {ca: {cb: (ca, cb) for cb in b._cells} for ca in a._cells}
+    cells = {x: a._cells[x[0]] + b._cells[x[1]] for row in cell.values() for x in row.values()}
+    pairs = {}
+    for (sigma, tau), sign in a._incidence.items():
+        for cb in b._cells:
+            pairs[(cell[sigma][cb], cell[tau][cb])] = sign
+    for (sigma, tau), sign in b._incidence.items():
+        for ca, row in cell.items():
+            pairs[(row[sigma], row[tau])] = sign if a._cells[ca] % 2 == 0 else -sign
+    p = CellComplex.__new__(CellComplex)
+    p._store(cells, pairs, (a, b))
+    return p
 
 
 def projections(p: CellComplex):

@@ -123,10 +123,14 @@ def case_external(rng, **_):
     return None
 
 
-def case_pushforward(rng, **_):
+def _pushforward_instance(rng):
     cx = randgen.random_complex(rng, max_dim=2, max_vertices=6, max_cells=25)
     f = randgen.random_cellular_map(rng, cx)
-    sheaf = randgen.random_sheaf(rng, f.source, max_pieces=2)
+    return f, randgen.random_sheaf(rng, f.source, max_pieces=2)
+
+
+def case_pushforward(rng, **_):
+    f, sheaf = _pushforward_instance(rng)
     lhs = mueu(pushforward(f, sheaf))
     rhs = pushforward_cycle(f, mueu(sheaf))
     if lhs != rhs:
@@ -241,6 +245,19 @@ def case_duality_rk(rng, **_):
     return None
 
 
+def case_push_rk(rng, **_):
+    """Direct image in cohomology ranks: RGamma(N; Rf_*F) is
+    RGamma(M; F), so H^k(N; Rf_*F) has the dimension of H^k(M; F).
+    Unlike the cycles, the ranks see the restriction maps of Rf_*F."""
+    f, sheaf = _pushforward_instance(rng)
+    lhs = homology_ranks(global_sections(pushforward(f, sheaf)))
+    rhs = homology_ranks(global_sections(sheaf))
+    if lhs != rhs:
+        return {"identity": "dim H^k(N; Rf_*F) == dim H^k(M; F)",
+                "lhs": lhs, "rhs": rhs, **_sheaf_blob(f.source, sheaf)}
+    return None
+
+
 SUITES = {
     "index": case_index,
     "compose": case_compose,
@@ -252,6 +269,7 @@ SUITES = {
     "lefschetz": case_lefschetz,
     "duality": case_duality,
     "duality-rk": case_duality_rk,
+    "push-rk": case_push_rk,
 }
 
 

@@ -133,10 +133,7 @@ def random_inclusion(rng: random.Random, cx: CellComplex):
     """Inclusion of the subcomplex generated by a random set of cells."""
     ids = cx.cell_ids()
     picked = rng.sample(ids, rng.randint(1, len(ids)))
-    down = set()
-    for c in picked:
-        down.add(c)
-        down |= {d for d in ids if cx.lt(d, c)}
+    down = cx.down_closure(picked)
     # cells in the order of cx, so the result does not depend on set order
     kept = [c for c in ids if c in down]
     cells = {c: cx.dim(c) for c in kept}

@@ -52,7 +52,10 @@ class CellularSheaf:
     blocks is zero, when a copy without the zero blocks is kept.  The
     (face, coface) keys are kept as the builder gave them too: constant,
     the random piece sheaves, pullback and verdier_dual key by
-    base.face_pairs(), so those sheaves on one base share its key tuples."""
+    base.face_pairs(), the one tuple per pair that is also the base's key
+    of its incidence sign and holds the base's own cell ids, so those
+    sheaves on one base share its key tuples and add no copy of a pair
+    or an id."""
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base

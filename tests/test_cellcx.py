@@ -9,7 +9,8 @@ from conormal.cellcx import (CellComplex, CellComplexError, CellularMapError,
 from conormal.sheaf import constant, euler_char
 from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               tetra_boundary, torus7, circle, random_complex,
-                              random_cellular_map, random_symmetry)
+                              random_cellular_map, random_symmetry,
+                              random_inclusion)
 
 
 def test_from_simplicial_interval():
@@ -53,6 +54,19 @@ def test_star_and_upsets():
     assert cx.is_upset({"0.1"})
     assert not cx.is_upset({"0"})
     assert set(cx.up_closure(["1"])) == {"1", "0.1", "1.2"}
+    assert cx.down_closure(["0.1"]) == {"0.1", "0", "1"}
+    assert cx.down_closure(["0", "1.2"]) == {"0", "1", "2", "1.2"}
+
+
+def test_down_closure_is_every_cell_below():
+    rng = random.Random(31)
+    for cx in (full_simplex(3), product(circle(3), interval())[0],
+               random_complex(rng), random_complex(rng, max_dim=2, max_cells=20)):
+        ids = cx.cell_ids()
+        for k in (1, 2, 4):
+            picked = rng.sample(ids, min(k, len(ids)))
+            assert cx.down_closure(picked) == \
+                set(picked) | {d for c in picked for d in ids if cx.lt(d, c)}
 
 
 def test_face_pairs_are_built_once_in_incidence_order():
@@ -74,11 +88,63 @@ def test_face_pairs_are_built_once_in_incidence_order():
         assert len(walked) == len(pairs)
         assert {(cf, c): sign for cf, c, _, sign in walked} == cx.incidence_pairs()
         for c, entries in cob.items():
-            assert [cf for cf, _, _ in entries] == cx.cofaces(c)
+            assert tuple(cf for cf, _, _ in entries) == cx.cofaces(c)
         # each entry holds the face_pairs tuple itself, the key of a restriction
         assert all(pair == (c, cf) for cf, c, pair, _ in walked)
         held = {pair: pair for _, _, pair, _ in walked}
         assert all(held[pair] is pair for pair in pairs)
+
+
+def _assert_stored_once(cx):
+    """Each codim-1 pair is one (face, coface) tuple, the key of its sign,
+    made of the complex's own cell id objects."""
+    own = {c: c for c in cx.cell_ids()}
+    pairs = cx.face_pairs()
+    assert all(own[s] is s and own[t] is t for s, t in pairs)
+    assert len(set(pairs)) == len(pairs) == len(cx.incidence_pairs())
+    assert all(key is pair for key, pair in zip(cx._incidence, pairs))
+    assert all(t is own[t] for s in cx.cell_ids() for t in cx.cofaces(s))
+    assert all(s is own[s] for t in cx.cell_ids() for s in cx.faces(t))
+
+
+def test_cells_and_pairs_are_stored_once():
+    # equal ids that are other objects than the keys of cells
+    def fresh(cid):
+        return "".join(list(cid))
+    cells = {"0": 0, "1": 0, "2": 0, "0.1": 1, "0.2": 1, "1.2": 1, "0.1.2": 2}
+    hand = {("0.1", "0"): -1, ("0.1", "1"): 1, ("0.2", "0"): -1, ("0.2", "2"): 1,
+            ("1.2", "1"): -1, ("1.2", "2"): 1,
+            ("0.1.2", "1.2"): 1, ("0.1.2", "0.2"): -1, ("0.1.2", "0.1"): 1}
+    cx = CellComplex(cells, {(fresh(t), fresh(s)): sign for (t, s), sign in hand.items()})
+    assert cx.validate() == []
+    _assert_stored_once(cx)
+    assert list(cx.incidence_pairs().items()) == list(hand.items())
+    assert cx.face_pairs() == tuple((s, t) for t, s in hand)
+    for (t, s), sign in hand.items():
+        assert cx.incidence(t, s) == sign
+        assert cx.incidence(s, t) == 0
+    assert cx.incidence("0.1.2", "0") == 0 and cx.incidence("1", "0") == 0
+    assert cx.faces("0.1.2") == ("1.2", "0.2", "0.1")
+    assert cx.cofaces("2") == ("0.2", "1.2")
+    # the same signs from the simplicial route, in its own pair order
+    assert from_simplicial([[0, 1, 2]]).incidence_pairs() == hand
+
+    rng = random.Random(37)
+    inner = product(interval(), hollow_triangle())[0]
+    nested = product(inner, circle(3))[0]
+    sub = random_inclusion(rng, torus7()).source
+    for x in (from_simplicial([[0, 1, 2], [1, 3], [4]]), inner, nested, sub, POINT,
+              random_complex(rng)):
+        _assert_stored_once(x)
+        assert x.validate() == []
+    # a product cell holds its factors' own id objects
+    for p in (inner, nested):
+        a, b = factors_of(p)
+        own_a, own_b = ({c: c for c in f.cell_ids()} for f in (a, b))
+        assert all(own_a[x] is x and own_b[y] is y for x, y in p.cell_ids())
+    # Leibniz: the inner cell (edge, vertex) has dim 1, so the sign flips
+    assert nested.incidence((("0.1", "0"), "0.1"), (("0.1", "0"), "0")) == \
+        -circle(3).incidence("0.1", "0")
 
 
 def test_closure_order():

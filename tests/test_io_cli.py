@@ -433,6 +433,23 @@ def test_duality_rank_suite_sees_stripped_restrictions(monkeypatch):
                for _, _, detail in r.failures)
 
 
+def test_push_rank_suite_sees_stripped_restrictions(monkeypatch):
+    """A pushforward that keeps its stalks and drops every restriction
+    keeps every cycle, so only the rank suite can see it."""
+    from conormal import checks
+    honest = checks.pushforward
+
+    def stripped(f, sheaf):
+        g = honest(f, sheaf)
+        return CellularSheaf(g.base, g.stalks, {})
+    assert run_checks(seed=4, cases=25, suites=["pushforward", "push-rk"]).ok
+    monkeypatch.setattr(checks, "pushforward", stripped)
+    r = run_checks(seed=4, cases=25, suites=["pushforward", "push-rk"])
+    assert {name for name, _, _ in r.failures} == {"push-rk"}
+    assert all("dim H^k(N; Rf_*F) == dim H^k(M; F)" in detail
+               for _, _, detail in r.failures)
+
+
 def test_cli_pushforward(tmp_path, capsys):
     path = write(tmp_path, TRI)
     assert cli.main(["pushforward", path, "k", "pt"]) == 0
