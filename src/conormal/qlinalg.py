@@ -555,15 +555,17 @@ def graded_map(src, tgt, arrows):
     Arrows into one place add, and entries that cancel are dropped.  A
     scalar block, whose factors are both 1x1 (a 1x1 Matrix or the int 1),
     is the one entry sign * x * y added into its target row, with no
-    product by a factor 1, and nothing when x or y is zero.  Any other
-    block is added row by row into its target rows with _add_row, which
-    shifts the columns and applies the sign in the same pass; when b is
-    the int 1 and a is a Matrix the rows are a's own, read and never
-    stored.  Keyed by source degree, and degrees whose matrix is zero
-    are left out."""
+    product by a factor 1, and nothing when x or y is zero; a call negates
+    each distinct entry x once and reuses that negative for every arrow of
+    sign -1 that reads x.  Any other block is added row by row into its
+    target rows with _add_row, which shifts the columns and applies the
+    sign in the same pass; when b is the int 1 and a is a Matrix the rows
+    are a's own, read and never stored.  Keyed by source degree, and
+    degrees whose matrix is zero are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
+    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     for s, t, a, b, sign in arrows:
         n, c0 = sindex[s]
         nt, r0 = tindex[t]
@@ -574,20 +576,24 @@ def graded_map(src, tgt, arrows):
             raise LinAlgError("arrows from degree %d land in degrees %d and %d"
                               % (n, entry[0], nt))
         m = entry[1]
-        ar, ac = (a, a) if isinstance(a, int) else (a.rows, a.cols)
-        br, bc = (b, b) if isinstance(b, int) else (b.rows, b.cols)
+        a_int, b_int = type(a) is int, type(b) is int
+        ar, ac = (a, a) if a_int else (a.rows, a.cols)
+        br, bc = (b, b) if b_int else (b.rows, b.cols)
         if r0 + ar * br > m.rows or c0 + ac * bc > m.cols:
             raise LinAlgError("block out of range")
         if ar == ac == br == bc == 1:
-            x = _ONE if isinstance(a, int) else a.data[0].get(0)
-            y = _ONE if isinstance(b, int) else b.data[0].get(0)
+            x = _ONE if a_int else a.data[0].get(0)
+            y = _ONE if b_int else b.data[0].get(0)
             if x is not None and y is not None:
                 if x is _ONE:
-                    x = y
-                elif y is not _ONE:
-                    x *= y
+                    x, y = y, x
                 if sign < 0:
-                    x = -x
+                    hit = negated.get(id(x))
+                    if hit is None:
+                        hit = negated[id(x)] = x, -x
+                    x = hit[1]
+                if y is not _ONE:
+                    x *= y
                 row = m.data[r0]
                 z = row.get(c0)
                 if z is None:
@@ -599,7 +605,7 @@ def graded_map(src, tgt, arrows):
                     else:
                         del row[c0]
             continue
-        rows = a.data if b == 1 and isinstance(a, Matrix) else _kron_rows(a, b)
+        rows = a.data if b_int and b == 1 and not a_int else _kron_rows(a, b)
         for r, row in enumerate(rows, r0):
             _add_row(m.data[r], row, c0, sign)
     return {n: m for n, (_, m) in out.items() if any(m.data)}

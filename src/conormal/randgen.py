@@ -21,16 +21,20 @@ product of its two scaling factors, so it allocates nothing.
 Every block, differential or restriction, is built by one rule
 (PieceSheaf._build): A_t M A_s^-1, where M sends each label of the source
 slot to the label of its piece in the target's degree, scaled by the
-ratio of the piece's weights on the two cells.  Between two slots of one
-label it is a scalar, computed in reduced ints and shared as one 1x1
-Matrix per value; otherwise it is the scaled rows of A_s^-1 multiplied by
-A_t once.  A build also shares one restriction dict per tuple of
-(degree, value) 1x1 entries and one stalk per pattern of sky pieces, and
-keys every restriction by the tuples of base.face_pairs().  No operation
-writes to its inputs' matrices, stalks or restriction dicts, and none
-outlives the build but the fixed table of 1x1 draws.  The random
-rationals are picked from tables of precomputed Fractions, with the same
-draws as building them.
+ratio of the piece's weights on the two cells.  That is G_t P H_s, for P
+the 0/1 match of labels and, per slot, the factors G = A W and
+H = W^-1 A^-1 (W the diagonal of the slot's piece weights), which a build
+keeps as int rows over one positive denominator.  So every block is an
+int product: between two slots of one label a scalar, reduced by one gcd
+and shared as one 1x1 Matrix per value; otherwise the rows of G_t times
+the rows of H_s that P selects, with one Fraction per entry.  A build
+also shares one restriction dict per tuple of (degree, value) 1x1
+entries and one stalk per pattern of sky pieces, and keys every
+restriction by the tuples of base.face_pairs().  No operation writes to
+its inputs' matrices, stalks or restriction dicts, and none outlives the
+build but the fixed table of 1x1 draws.  The random rationals are picked
+from tables of precomputed Fractions, with the same draws as building
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
@@ -294,7 +298,7 @@ def _piece_patterns(base: CellComplex, pieces):
     cells with one key have the same slots."""
     keys, patterns = {}, {}
     for c in base.cell_ids():
-        key = tuple(i for i, piece in enumerate(pieces) if c in piece[1])
+        key = tuple([i for i, piece in enumerate(pieces) if c in piece[1]])
         if not key:
             continue
         keys[c] = key
@@ -310,6 +314,14 @@ def _piece_patterns(base: CellComplex, pieces):
     return keys, patterns
 
 
+def _int_rows(m: Matrix):
+    """The rows of m as (int rows, d): sparse rows of ints, column ->
+    entry times d, for d the least common denominator of the entries."""
+    den = lcm(*[x.denominator for row in m.data for x in row.values()])
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for row in m.data], den
+
+
 class PieceSheaf:
     """A sheaf presented as conjugated elementary pieces.
 
@@ -320,7 +332,8 @@ class PieceSheaf:
     it, and A^-1 is the inverse it carries; a missing slot is not
     conjugated; a conjugation that is not an Invertible of its slot's
     size is a ValueError naming the slot.  Every block is A_t M A_s^-1,
-    M the unconjugated block, built by the one rule of _build.
+    M the unconjugated block, built as G_t P H_s from the slots' int
+    factors by the one rule of _build.
     """
 
     def __init__(self, base: CellComplex, pieces, conj):
@@ -337,96 +350,116 @@ class PieceSheaf:
                 raise ValueError("conjugation at slot %r must be an Invertible of the "
                                  "slot's size %d, got a %s%s" % ((c, n), size, got,
                                                                  type(a).__name__))
-        self.sheaf = self._build(keys, patterns)
+        self.sheaf = self._build(keys)
 
     def inverse(self, key):
         """A^-1 for the conjugation A at (cell, degree) key, or None."""
         a = self.conj.get(key)
         return None if a is None else a.inverse
 
-    def _conjugated(self, t_key, s_key, rows, cols, entries):
-        """A_t M A_s^-1 for the rows x cols matrix M whose entries are the
-        (row, column, value) triples, at most one in each row."""
-        m = Matrix(rows, cols)
-        inv = self.inverse(s_key)
-        if inv is None:
-            for p, k, w in entries:
-                m.data[p] = {k: w}
-        else:
-            for p, k, w in entries:
-                m.data[p] = {j: w * x for j, x in inv.data[k].items()}
-        a = self.conj.get(t_key)
-        return m if a is None else a * m
-
-    def _scalars(self, keys, patterns):
-        """Per cell, per degree of one label (i, leg), the pair
-        (g, h) = (A w_i(c), A^-1 / w_i(c)), A = 1 where unconjugated, each
-        as a (numerator, denominator) int pair with a positive denominator."""
-        pieces, conj = self.pieces, self.conj
-        g, h = {}, {}
-        for c, key in keys.items():
-            g[c], h[c] = gc, hc = {}, {}
-            for n, labels in patterns[key][0].items():
-                if len(labels) != 1:
-                    continue
-                w = pieces[labels[0][0]][3][c]
-                wn, wd = w.numerator, w.denominator
+    def _factors(self, keys):
+        """Per cell, per degree, the factors of the slot (c, n) as
+        (g, gd, h, hd): G = A W is g / gd and H = W^-1 A^-1 is h / hd, for
+        W the diagonal of the weights w_i(c) of the slot's labels (i, leg)
+        and A its conjugation, 1 where unconjugated.  g and h are sparse
+        int rows (column -> int) over one positive denominator, or for a
+        slot of one label its one int numerator."""
+        pieces, conj, slots = self.pieces, self.conj, self.slots
+        units = {id(None): (1, 1, 1, 1)}  # id of a 1x1 A -> the int pairs of A, A^-1
+        factors = {}
+        for c in keys:
+            factors[c] = fc = {}
+            for n, labels in slots[c].items():
                 a = conj.get((c, n))
-                x, y = (_ONE, _ONE) if a is None else (a.data[0][0], a.inverse.data[0][0])
-                gc[n] = x.numerator * wn, x.denominator * wd
-                hc[n] = (y.numerator * wd if wn > 0 else -y.numerator * wd,
-                         y.denominator * abs(wn))
-        return g, h
+                if len(labels) == 1:
+                    u = units.get(id(a))
+                    if u is None:
+                        x, y = a.data[0][0], a.inverse.data[0][0]
+                        u = units[id(a)] = x.numerator, x.denominator, y.numerator, y.denominator
+                    w = pieces[labels[0][0]][3][c]
+                    wn, wd = w.numerator, w.denominator
+                    if wn > 0:
+                        fc[n] = u[0] * wn, u[1] * wd, u[2] * wd, u[3] * wn
+                    else:
+                        fc[n] = u[0] * wn, u[1] * wd, -u[2] * wd, -u[3] * wn
+                    continue
+                # W = diag(w_int) / dw and W^-1 = diag(v_int) / dv
+                ws = [pieces[i][3][c] for i, _ in labels]
+                dw = lcm(*[w.denominator for w in ws])
+                dv = lcm(*[w.numerator for w in ws])
+                w_int = [w.numerator * (dw // w.denominator) for w in ws]
+                v_int = [w.denominator * (dv // w.numerator) for w in ws]
+                if a is None:  # the int rows of the identity, read only
+                    ones = [{p: 1} for p in range(len(ws))]
+                    (g, ga), (h, hi) = (ones, 1), (ones, 1)
+                else:
+                    (g, ga), (h, hi) = _int_rows(a), _int_rows(a.inverse)
+                fc[n] = ([{p: x * w_int[p] for p, x in row.items()} for row in g], ga * dw,
+                         [{j: v * y for j, y in row.items()} for v, row in zip(v_int, h)],
+                         hi * dv)
+        return factors
 
-    def _build(self, keys, patterns) -> CellularSheaf:
+    def _build(self, keys) -> CellularSheaf:
         """The sheaf, every differential and restriction block by block.
 
-        The block from slot (s, n) to slot (t, m) sends each label (i, leg)
-        of (s, n) to the label of piece i in degree m, where (t, m) has
-        one, scaled by w_i(t) / w_i(s): a restriction (t a coface of s,
-        m = n) sends each label to itself, and a differential (t = s,
-        m = n + 1) sends leg 0 of an acyclic piece to its leg 1, scaled by
-        1.  Between two slots of one label each the block is the scalar
-        g(t) h(s) of _scalars, reduced in ints, and picks the one 1x1
-        Matrix of its value; otherwise it is _conjugated, each weight
-        ratio made from int pairs, one Fraction per value.  A restriction
-        of 1x1 blocks only is the one dict of its (degree, value) entries,
-        and the cells of a pattern with no acyclic piece share one stalk."""
+        The block from slot (s, n) to slot (t, m) is A_t M A_s^-1, where M
+        sends each label (i, leg) of (s, n) to the label of piece i in
+        degree m, where (t, m) has one, scaled by w_i(t) / w_i(s): a
+        restriction (t a coface of s, m = n) sends each label to itself,
+        and a differential (t = s, m = n + 1) sends leg 0 of an acyclic
+        piece to its leg 1.  So M = W_t P W_s^-1 for the 0/1 label match
+        P, and the block is G_t P H_s in the factors of _factors.  Between
+        two slots of one label it is the scalar G_t H_s, two int products
+        and one gcd, whose reduced value picks the one 1x1 Matrix of that
+        value; a restriction between two cells of one piece pattern does
+        this inside its loop.  A larger block sums int products of the
+        rows of G_t with the rows of H_s that P selects, over the product
+        of the two denominators, and makes one Fraction per nonzero entry.
+        A restriction of 1x1 blocks only is the one dict of its (degree,
+        value) entries, and the cells of a pattern with no acyclic piece
+        share one stalk."""
         pieces, slots, pos = self.pieces, self.slots, self.pos
-        g, h = self._scalars(keys, patterns)
+        factors = self._factors(keys)
         scalars = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
         shared_phi = {}  # ((degree, value), ...) of 1x1 blocks -> shared dict
         shared_stalk = {}  # pattern with no acyclic piece -> its one stalk
-        ratios = {}  # unreduced int pair of a weight ratio -> its Fraction
 
         def block(t, m, s, n):
-            """The block from slot (s, n) to slot (t, m), or None if it is
-            zero: a reduced int pair between slots of one label, else a
-            Matrix."""
-            labels, labels_t = slots[s][n], slots[t][m]
-            if len(labels) == 1 == len(labels_t):
-                if labels_t[0][0] != labels[0][0]:  # (t, m) holds another piece
+            """The block G_t P H_s from slot (s, n) to slot (t, m), or None
+            if it is zero: a reduced int pair between slots of one label,
+            else a Matrix."""
+            labels, shift = slots[s][n], m - n
+            g, gd, _, _ = factors[t][m]
+            _, _, h, hd = factors[s][n]
+            if type(g) is int and type(h) is int:
+                (i, leg), = labels
+                if slots[t][m][0] != (i, leg + shift):  # P = 0
                     return None
-                (gn, gd), (hn, hd) = g[t][m], h[s][n]
-                num, den = gn * hn, gd * hd
+                num, den = g * h, gd * hd
                 k = gcd(num, den)
                 return num // k, den // k
-            tpos, shift = pos[t], m - n
-            entries = [(tpos[i, leg + shift], k, _ONE if s == t else ratio(pieces[i][3], t, s))
-                       for k, (i, leg) in enumerate(labels) if (i, leg + shift) in tpos]
-            if entries:
-                return self._conjugated((t, m), (s, n), len(labels_t), len(labels), entries)
-            return None
-
-        def ratio(w, t, s):
-            """w(t) / w(s) for the weights w of one piece, from their int
-            pairs: one Fraction per unreduced pair of ints."""
-            a, b = w[t], w[s]
-            key = a.numerator * b.denominator, a.denominator * b.numerator
-            r = ratios.get(key)
-            if r is None:
-                r = ratios[key] = Fraction(*key)
-            return r
+            tpos = pos[t]
+            pick = {tpos[i, leg + shift]: k for k, (i, leg) in enumerate(labels)
+                    if (i, leg + shift) in tpos}  # P: target label -> source label
+            if not pick:
+                return None
+            if type(g) is int:
+                g = ({0: g},)
+            if type(h) is int:
+                h = ({0: h},)
+            den = gd * hd
+            out = Matrix(len(g), len(labels))
+            for row, grow in zip(out.data, g):
+                acc = {}
+                for p, x in grow.items():
+                    k = pick.get(p)
+                    if k is not None:
+                        for j, y in h[k].items():
+                            acc[j] = acc.get(j, 0) + x * y
+                for j, v in acc.items():
+                    if v:
+                        row[j] = Fraction(v, den)
+            return out
 
         def matrix(b):
             """The Matrix of a block: the shared one of an int pair."""
@@ -441,7 +474,7 @@ class PieceSheaf:
         for c, key in keys.items():
             stalk = shared_stalk.get(key)
             if stalk is None:
-                cslots = patterns[key][0]
+                cslots = slots[c]
                 diffs = {n: matrix(b) for n in cslots
                          if n + 1 in cslots and (b := block(c, n + 1, c, n)) is not None}
                 stalk = VectComplex({n: len(labels) for n, labels in cslots.items()}, diffs)
@@ -451,13 +484,24 @@ class PieceSheaf:
         restrictions = {}
         for pair in self.base.face_pairs():
             s, t = pair
-            if s not in slots or t not in slots:
+            fs, ft = factors.get(s), factors.get(t)
+            if fs is None or ft is None:
                 continue
-            slots_t = slots[t]
-            entries = tuple([(n, b) for n in slots[s]
-                             if n in slots_t and (b := block(t, n, s, n)) is not None])
+            # two cells of one pattern: a slot of one label holds the same
+            # label on both
+            same = slots[s] is slots[t]
+            entries = []
+            for n, (_, _, h, hd) in fs.items():
+                if same and type(h) is int:
+                    g, gd, _, _ = ft[n]
+                    num, den = g * h, gd * hd
+                    k = gcd(num, den)
+                    entries.append((n, (num // k, den // k)))
+                elif n in ft and (b := block(t, n, s, n)) is not None:
+                    entries.append((n, b))
             if not entries:
                 continue
+            entries = tuple(entries)
             try:  # only int pairs hash: a dict with a Matrix block is not shared
                 phi = shared_phi.get(entries)
             except TypeError:

@@ -49,7 +49,8 @@ class CellularSheaf:
     operation writes to the matrices, restriction dicts or stalks of the
     sheaves it is given.
     A restriction dict is kept as its builder gave it unless one of its
-    blocks is zero, when a copy without the zero blocks is kept.  The
+    blocks is zero, when a copy without the zero blocks is kept: one copy
+    per given dict, which every pair given that dict shares.  The
     (face, coface) keys are kept as the builder gave them too: constant,
     the random piece sheaves, pullback and verdier_dual key by
     base.face_pairs(), the one tuple per pair that is also the base's key
@@ -59,24 +60,33 @@ class CellularSheaf:
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
-        self.stalks = {}
+        self.stalks = kept = {}
         for c, v in stalks.items():
             if c not in base:
                 raise SheafError("stalk on unknown cell %r" % (c,))
             if not v.is_zero():
-                self.stalks[c] = v
-        self.restrictions = {}
-        incidence, kept = base.incidence, self.stalks
+                kept[c] = v
+        self.restrictions = out = {}
+        pairs = base.pair_signs()
+        # id of a given dict -> (that dict, the dict kept for it): each
+        # given dict is cleaned once, and holding it keeps its id unique
+        cleaned = {}
         for pair, phi in restrictions.items():
             s, t = pair
-            if not incidence(t, s):
+            if pair not in pairs:
                 raise SheafError("restriction on non-incident pair (%r, %r)" % (s, t))
-            for m in phi.values():
-                if m.is_zero():
-                    phi = {n: m for n, m in phi.items() if not m.is_zero()}
-                    break
+            seen = cleaned.get(id(phi))
+            if seen is None:
+                given = phi
+                for m in phi.values():
+                    if m.is_zero():
+                        phi = {n: m for n, m in phi.items() if not m.is_zero()}
+                        break
+                cleaned[id(given)] = given, phi
+            else:
+                phi = seen[1]
             if phi and s in kept and t in kept:
-                self.restrictions[pair] = phi
+                out[pair] = phi
 
     def stalk(self, cid) -> VectComplex:
         return self.stalks.get(cid, ZERO_COMPLEX)

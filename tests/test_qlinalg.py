@@ -470,6 +470,26 @@ def test_graded_map_never_stores_a_factor_row():
         assert [f.data for f in factors] == before
 
 
+def test_graded_map_negates_each_shared_scalar_once():
+    """Many arrows of sign -1 that read one shared 1x1 factor, as a or as
+    b, write equal entries that are one negated object; a positive arrow
+    writes the factor's own entry, a product of two 1x1 factors is still
+    computed, and the factors are left as they were."""
+    f, g = Matrix(1, 1, [[Fraction(3, 2)]]), Matrix(1, 1, [[-2]])
+    pieces = [("s%d" % k, 0, 1) for k in range(6)] + [("t%d" % k, 1, 1) for k in range(6)]
+    lay = layout(pieces)
+    arrows = [("s0", "t0", f, 1, -1), ("s1", "t1", 1, f, -1), ("s2", "t2", f, 1, -1),
+              ("s3", "t3", 1, f, -1), ("s4", "t4", f, 1, 1), ("s5", "t5", f, g, -1)]
+    before = [[dict(row) for row in m.data] for m in (f, g)]
+    d = graded_map(lay, lay, arrows)[0]
+    negatives = [d.data[r][r] for r in range(4)]
+    assert all(x == Fraction(-3, 2) for x in negatives)
+    assert all(x is negatives[0] for x in negatives)
+    assert d.data[4][4] is f.data[0][0]
+    assert d.data[5][5] == 3 and d.data[5][5] is not negatives[0]
+    assert [[dict(row) for row in m.data] for m in (f, g)] == before
+
+
 def test_kernel_and_solve():
     m = M([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(m)

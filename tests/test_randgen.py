@@ -371,6 +371,52 @@ def test_integer_blocks_match_the_conjugation_formula_at_their_corners():
         assert matches_reference(randgen.PieceSheaf(cx, pieces, conj)) == sizes
 
 
+def test_blocks_between_slots_of_up_to_three_labels_match_the_conjugation_formula():
+    """Seeded builds whose slots hold up to three labels (a sky piece in
+    degree 0, acyclic pieces in degrees 0 and -1, a sky piece in degree 1,
+    on random up-sets) equal _reference_sheaf block by block: with no
+    conjugation, with a random share of slots conjugated and with every
+    slot conjugated, under weights of both signs.  They reach non-square
+    blocks between slots of several labels: 3x2 restrictions and 2x3
+    differentials."""
+    rng = random.Random(41)
+    values = [Fraction(v) for v in (-3, -2, -1, 1, 2)] + [Fraction(-1, 2), Fraction(2, 3)]
+    seen = dict.fromkeys(("3 labels", "3x2", "2x3", "3x3", "negative weight",
+                          "bare slot", "conj={}"), 0)
+    for _ in range(6):
+        cx = rng.choice([randgen.full_simplex(3),
+                         product(randgen.hollow_triangle(), randgen.interval())[0]])
+        cells = cx.cell_ids()
+        pieces = [(kind, randgen.random_upset(rng, cx), deg,
+                   {c: rng.choice(values) for c in cells})
+                  for kind, deg in ((randgen.SKY, 0), (randgen.ACYC, 0),
+                                    (randgen.ACYC, -1), (randgen.SKY, 1))]
+        slots = randgen.PieceSheaf(cx, pieces, {}).slots
+        for share in (0, 0.6, 1):
+            conj = {(c, n): randgen.random_invertible(rng, len(labels))
+                    for c, per_degree in slots.items() for n, labels in per_degree.items()
+                    if rng.random() < share}
+            ps = randgen.PieceSheaf(cx, pieces, conj)
+            ref = _reference_sheaf(ps)
+            assert ps.sheaf.stalks == ref.stalks
+            assert ps.sheaf.restrictions == ref.restrictions
+            assert ps.sheaf.validate() == []
+            seen["conj={}"] += not conj
+            for c, per_degree in slots.items():
+                for n, labels in per_degree.items():
+                    if len(labels) > 1:
+                        seen["3 labels"] += len(labels) == 3
+                        seen["negative weight"] += any(pieces[i][3][c] < 0 for i, _ in labels)
+                        seen["bare slot"] += (c, n) not in conj and bool(conj)
+            shapes = [(m.rows, m.cols) for phi in ps.sheaf.restrictions.values()
+                      for m in phi.values()]
+            seen["3x2"] += shapes.count((3, 2))
+            seen["3x3"] += shapes.count((3, 3))
+            seen["2x3"] += [(m.rows, m.cols) for v in ps.sheaf.stalks.values()
+                            for m in v.diffs.values()].count((2, 3))
+    assert min(seen.values()) > 0, seen
+
+
 def test_piece_sheaves_are_built_once_without_solving(monkeypatch):
     """One PieceSheaf per random_piece_sheaf, and no solve_unique call for
     conjugations that random_invertible drew; counted by wrappers installed
