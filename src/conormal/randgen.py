@@ -298,7 +298,7 @@ def _piece_patterns(base: CellComplex, pieces):
     cells with one key have the same slots."""
     keys, patterns = {}, {}
     for c in base.cell_ids():
-        key = tuple([i for i, piece in enumerate(pieces) if c in piece[1]])
+        key = tuple(i for i, piece in enumerate(pieces) if c in piece[1])
         if not key:
             continue
         keys[c] = key
