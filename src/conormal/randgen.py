@@ -22,19 +22,15 @@ Every block, differential or restriction, is built by one rule
 (PieceSheaf._build): A_t M A_s^-1, where M sends each label of the source
 slot to the label of its piece in the target's degree, scaled by the
 ratio of the piece's weights on the two cells.  That is G_t P H_s, for P
-the 0/1 match of labels and, per slot, the factors G = A W and
-H = W^-1 A^-1 (W the diagonal of the slot's piece weights), which a build
-keeps as int rows over one positive denominator.  So every block is an
-int product: between two slots of one label a scalar, reduced by one gcd
-and shared as one 1x1 Matrix per value; otherwise the rows of G_t times
-the rows of H_s that P selects, with one Fraction per entry.  A build
-also shares one restriction dict per tuple of (degree, value) 1x1
-entries and one stalk per pattern of sky pieces, and keys every
-restriction by the tuples of base.face_pairs().  No operation writes to
-its inputs' matrices, stalks or restriction dicts, and none outlives the
-build but the fixed table of 1x1 draws.  The random rationals are picked
-from tables of precomputed Fractions, with the same draws as building
-them.
+the 0/1 label match and per-slot int factors G = A W, H = W^-1 A^-1 (W
+the slot's piece weights): a scalar between slots of one label, shared as
+one 1x1 Matrix per value, else an int product of rows.  A build also
+shares one restriction dict per tuple of (degree, value) 1x1 entries and
+one stalk per pattern of sky pieces, and keys every restriction by the
+tuples of base.face_pairs().  No operation writes to its inputs'
+matrices, stalks or restriction dicts, and none outlives the build but
+the fixed table of 1x1 draws.  The random rationals are picked from
+tables of precomputed Fractions, with the same draws as building them.
 """
 
 from __future__ import annotations
@@ -358,12 +354,10 @@ class PieceSheaf:
         return None if a is None else a.inverse
 
     def _factors(self, keys):
-        """Per cell, per degree, the factors of the slot (c, n) as
-        (g, gd, h, hd): G = A W is g / gd and H = W^-1 A^-1 is h / hd, for
-        W the diagonal of the weights w_i(c) of the slot's labels (i, leg)
-        and A its conjugation, 1 where unconjugated.  g and h are sparse
-        int rows (column -> int) over one positive denominator, or for a
-        slot of one label its one int numerator."""
+        """Per cell, per degree, (g, gd, h, hd): G = A W = g / gd and
+        H = W^-1 A^-1 = h / hd for the slot's conjugation A (1 if none) and
+        diagonal W of its labels' weights w_i(c).  g and h are sparse int
+        rows over one positive denominator, or one int for one label."""
         pieces, conj, slots = self.pieces, self.conj, self.slots
         units = {id(None): (1, 1, 1, 1)}  # id of a 1x1 A -> the int pairs of A, A^-1
         factors = {}
@@ -402,22 +396,17 @@ class PieceSheaf:
     def _build(self, keys) -> CellularSheaf:
         """The sheaf, every differential and restriction block by block.
 
-        The block from slot (s, n) to slot (t, m) is A_t M A_s^-1, where M
-        sends each label (i, leg) of (s, n) to the label of piece i in
-        degree m, where (t, m) has one, scaled by w_i(t) / w_i(s): a
-        restriction (t a coface of s, m = n) sends each label to itself,
-        and a differential (t = s, m = n + 1) sends leg 0 of an acyclic
-        piece to its leg 1.  So M = W_t P W_s^-1 for the 0/1 label match
-        P, and the block is G_t P H_s in the factors of _factors.  Between
-        two slots of one label it is the scalar G_t H_s, two int products
-        and one gcd, whose reduced value picks the one 1x1 Matrix of that
-        value; a restriction between two cells of one piece pattern does
-        this inside its loop.  A larger block sums int products of the
-        rows of G_t with the rows of H_s that P selects, over the product
-        of the two denominators, and makes one Fraction per nonzero entry.
-        A restriction of 1x1 blocks only is the one dict of its (degree,
-        value) entries, and the cells of a pattern with no acyclic piece
-        share one stalk."""
+        The block from slot (s, n) to slot (t, m) sends each label (i, leg)
+        to the label of piece i in degree m, if (t, m) has one, scaled by
+        w_i(t) / w_i(s): a restriction (m = n) sends each label to itself,
+        a differential (t = s, m = n + 1) leg 0 of an acyclic piece to its
+        leg 1.  With P that 0/1 label match it is A_t W_t P W_s^-1 A_s^-1 =
+        G_t P H_s.  Between slots of one label it is the scalar G_t H_s in
+        reduced ints, which picks the one 1x1 Matrix of its value; else the
+        rows of G_t times the rows of H_s that P selects, one Fraction per
+        entry.  A restriction of 1x1 blocks only is the one dict of its
+        (degree, value) entries; the cells of a pattern with no acyclic
+        piece share one stalk."""
         pieces, slots, pos = self.pieces, self.slots, self.pos
         factors = self._factors(keys)
         scalars = {}  # reduced (numerator, denominator) -> shared 1x1 Matrix
@@ -428,21 +417,17 @@ class PieceSheaf:
             """The block G_t P H_s from slot (s, n) to slot (t, m), or None
             if it is zero: a reduced int pair between slots of one label,
             else a Matrix."""
-            labels, shift = slots[s][n], m - n
-            g, gd, _, _ = factors[t][m]
-            _, _, h, hd = factors[s][n]
-            if type(g) is int and type(h) is int:
-                (i, leg), = labels
-                if slots[t][m][0] != (i, leg + shift):  # P = 0
-                    return None
-                num, den = g * h, gd * hd
-                k = gcd(num, den)
-                return num // k, den // k
-            tpos = pos[t]
+            labels, tpos, shift = slots[s][n], pos[t], m - n
             pick = {tpos[i, leg + shift]: k for k, (i, leg) in enumerate(labels)
                     if (i, leg + shift) in tpos}  # P: target label -> source label
             if not pick:
                 return None
+            g, gd, _, _ = factors[t][m]
+            _, _, h, hd = factors[s][n]
+            if type(g) is int and type(h) is int:
+                num, den = g * h, gd * hd
+                k = gcd(num, den)
+                return num // k, den // k
             if type(g) is int:
                 g = ({0: g},)
             if type(h) is int:
@@ -487,9 +472,7 @@ class PieceSheaf:
             fs, ft = factors.get(s), factors.get(t)
             if fs is None or ft is None:
                 continue
-            # two cells of one pattern: a slot of one label holds the same
-            # label on both
-            same = slots[s] is slots[t]
+            same = slots[s] is slots[t]  # one pattern: the same labels
             entries = []
             for n, (_, _, h, hd) in fs.items():
                 if same and type(h) is int:
