@@ -417,17 +417,21 @@ class PieceSheaf:
             """The block G_t P H_s from slot (s, n) to slot (t, m), or None
             if it is zero: a reduced int pair between slots of one label,
             else a Matrix."""
-            labels, tpos, shift = slots[s][n], pos[t], m - n
+            labels, shift = slots[s][n], m - n
+            g, gd, _, _ = factors[t][m]
+            _, _, h, hd = factors[s][n]
+            if type(g) is int and type(h) is int:
+                (i, leg), = labels
+                if slots[t][m][0] != (i, leg + shift):  # P = 0
+                    return None
+                num, den = g * h, gd * hd
+                k = gcd(num, den)
+                return num // k, den // k
+            tpos = pos[t]
             pick = {tpos[i, leg + shift]: k for k, (i, leg) in enumerate(labels)
                     if (i, leg + shift) in tpos}  # P: target label -> source label
             if not pick:
                 return None
-            g, gd, _, _ = factors[t][m]
-            _, _, h, hd = factors[s][n]
-            if type(g) is int and type(h) is int:
-                num, den = g * h, gd * hd
-                k = gcd(num, den)
-                return num // k, den // k
             if type(g) is int:
                 g = ({0: g},)
             if type(h) is int:
