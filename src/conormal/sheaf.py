@@ -68,23 +68,22 @@ class CellularSheaf:
                 kept[c] = v
         self.restrictions = out = {}
         pairs = base.pair_signs()
-        # id of a given dict -> (that dict, the dict kept for it): each
-        # given dict is cleaned once, and holding it keeps its id unique
+        # id of a given dict with a zero block -> (that dict, its copy
+        # without zero blocks): one copy per dict, and holding the dict
+        # keeps its id unique
         cleaned = {}
         for pair, phi in restrictions.items():
             s, t = pair
             if pair not in pairs:
                 raise SheafError("restriction on non-incident pair (%r, %r)" % (s, t))
-            seen = cleaned.get(id(phi))
-            if seen is None:
-                given = phi
-                for m in phi.values():
-                    if m.is_zero():
-                        phi = {n: m for n, m in phi.items() if not m.is_zero()}
-                        break
-                cleaned[id(given)] = given, phi
-            else:
-                phi = seen[1]
+            for m in phi.values():
+                if m.is_zero():
+                    seen = cleaned.get(id(phi))
+                    if seen is None:
+                        seen = cleaned[id(phi)] = phi, {n: m for n, m in phi.items()
+                                                        if not m.is_zero()}
+                    phi = seen[1]
+                    break
             if phi and s in kept and t in kept:
                 out[pair] = phi
 
