@@ -88,12 +88,6 @@ class CellComplex:
         """A new dict (coface, face) -> sign, in the order the pairs came."""
         return {(t, s): sign for (s, t), sign in self._incidence.items()}
 
-    def pair_signs(self):
-        """The sign table itself, (face, coface) -> +-1 for every codim-1
-        pair, keyed by the tuples of face_pairs(): read-only, so that a
-        caller can test many pairs without a call per pair."""
-        return self._incidence
-
     def face_pairs(self):
         """The (face, coface) tuple of every codim-1 pair, in the order of
         incidence_pairs, built once: the tuples are the keys of the sign

@@ -359,23 +359,21 @@ class PieceSheaf:
         diagonal W of its labels' weights w_i(c).  g and h are sparse int
         rows over one positive denominator, or one int for one label."""
         pieces, conj, slots = self.pieces, self.conj, self.slots
-        units = {id(None): (1, 1, 1, 1)}  # id of a 1x1 A -> the int pairs of A, A^-1
         factors = {}
         for c in keys:
             factors[c] = fc = {}
             for n, labels in slots[c].items():
                 a = conj.get((c, n))
                 if len(labels) == 1:
-                    u = units.get(id(a))
-                    if u is None:
-                        x, y = a.data[0][0], a.inverse.data[0][0]
-                        u = units[id(a)] = x.numerator, x.denominator, y.numerator, y.denominator
+                    x, y = (_ONE, _ONE) if a is None else (a.data[0][0], a.inverse.data[0][0])
                     w = pieces[labels[0][0]][3][c]
                     wn, wd = w.numerator, w.denominator
                     if wn > 0:
-                        fc[n] = u[0] * wn, u[1] * wd, u[2] * wd, u[3] * wn
+                        fc[n] = (x.numerator * wn, x.denominator * wd,
+                                 y.numerator * wd, y.denominator * wn)
                     else:
-                        fc[n] = u[0] * wn, u[1] * wd, -u[2] * wd, -u[3] * wn
+                        fc[n] = (x.numerator * wn, x.denominator * wd,
+                                 -y.numerator * wd, -y.denominator * wn)
                     continue
                 # W = diag(w_int) / dw and W^-1 = diag(v_int) / dv
                 ws = [pieces[i][3][c] for i, _ in labels]
@@ -479,7 +477,7 @@ class PieceSheaf:
             same = slots[s] is slots[t]  # one pattern: the same labels
             entries = []
             for n, (_, _, h, hd) in fs.items():
-                if same and type(h) is int:
+                if same and type(h) is int:  # block's one-label scalar, with no call
                     g, gd, _, _ = ft[n]
                     num, den = g * h, gd * hd
                     k = gcd(num, den)

@@ -49,8 +49,7 @@ class CellularSheaf:
     operation writes to the matrices, restriction dicts or stalks of the
     sheaves it is given.
     A restriction dict is kept as its builder gave it unless one of its
-    blocks is zero, when a copy without the zero blocks is kept: one copy
-    per given dict, which every pair given that dict shares.  The
+    blocks is zero, when a copy without the zero blocks is kept.  The
     (face, coface) keys are kept as the builder gave them too: constant,
     the random piece sheaves, pullback and verdier_dual key by
     base.face_pairs(), the one tuple per pair that is also the base's key
@@ -60,32 +59,24 @@ class CellularSheaf:
 
     def __init__(self, base: CellComplex, stalks, restrictions):
         self.base = base
-        self.stalks = kept = {}
+        self.stalks = {}
         for c, v in stalks.items():
             if c not in base:
                 raise SheafError("stalk on unknown cell %r" % (c,))
             if not v.is_zero():
-                kept[c] = v
-        self.restrictions = out = {}
-        pairs = base.pair_signs()
-        # id of a given dict with a zero block -> (that dict, its copy
-        # without zero blocks): one copy per dict, and holding the dict
-        # keeps its id unique
-        cleaned = {}
+                self.stalks[c] = v
+        self.restrictions = {}
+        incidence, kept = base.incidence, self.stalks
         for pair, phi in restrictions.items():
             s, t = pair
-            if pair not in pairs:
+            if not incidence(t, s):
                 raise SheafError("restriction on non-incident pair (%r, %r)" % (s, t))
             for m in phi.values():
                 if m.is_zero():
-                    seen = cleaned.get(id(phi))
-                    if seen is None:
-                        seen = cleaned[id(phi)] = phi, {n: m for n, m in phi.items()
-                                                        if not m.is_zero()}
-                    phi = seen[1]
+                    phi = {n: m for n, m in phi.items() if not m.is_zero()}
                     break
             if phi and s in kept and t in kept:
-                out[pair] = phi
+                self.restrictions[pair] = phi
 
     def stalk(self, cid) -> VectComplex:
         return self.stalks.get(cid, ZERO_COMPLEX)

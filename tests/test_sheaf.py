@@ -89,28 +89,6 @@ def test_constructor_shares_restrictions_and_drops_zero_blocks():
         CellularSheaf(cx, {"0.2": two}, {})
 
 
-def test_a_shared_restriction_with_a_zero_block_is_cleaned_once():
-    """One dict with a zero block, given for every pair of circle(6), is
-    cleaned into one copy that every pair shares; the given dict keeps its
-    blocks; a non-incident pair given that same dict after the pairs that
-    were checked with it still raises."""
-    cx = circle(6)
-    two = VectComplex({0: 1, 1: 1})
-    stalks = {c: two for c in cx.cell_ids()}
-    one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
-    part = {0: one, 1: zero}
-    f = CellularSheaf(cx, stalks, {pair: part for pair in cx.face_pairs()})
-    kept = list(f.restrictions.values())
-    assert len(kept) == len(cx.face_pairs()) == 12
-    assert kept[0] == {0: one} and kept[0][0] is one
-    assert all(phi is kept[0] for phi in kept)
-    assert part == {0: one, 1: zero} and part[1] is zero
-    stray = dict.fromkeys(cx.face_pairs(), part)
-    stray[("0", "2")] = part
-    with pytest.raises(SheafError, match=r"non-incident pair \('0', '2'\)"):
-        CellularSheaf(cx, stalks, stray)
-
-
 def test_res_long_two_dimensions_apart():
     # vertex 0 below the triangle: two chains of codim-1 steps, via 0.1 and 0.2
     f = random_sheaf(random.Random(17), full_simplex(3), max_pieces=2)
