@@ -26,7 +26,7 @@ class CellComplex:
     adds no copy of an id: the constructor maps every id it is given onto
     the equal key of cells."""
 
-    def __init__(self, cells, incidence, product_of=None):
+    def __init__(self, cells, incidence):
         """cells: id -> dim; incidence: (coface_id, face_id) -> +-1."""
         cells = dict(cells)
         own = {c: c for c in cells}
@@ -37,7 +37,7 @@ class CellComplex:
             if sign not in (1, -1):
                 raise CellComplexError("incidence sign must be +-1 at (%r, %r)" % (tau, sigma))
             pairs[(own[sigma], own[tau])] = sign
-        self._store(cells, pairs, product_of)
+        self._store(cells, pairs, None)
 
     def _store(self, cells, pairs, product_of):
         """Keep cells (id -> dim) and pairs ((face, coface) -> +-1, both
@@ -320,9 +320,8 @@ def identity_map(x: CellComplex) -> CellularMap:
                        {c: 1 for c in x.cell_ids()})
 
 
-def collapse_to_point(x: CellComplex, point=POINT) -> CellularMap:
-    pt = point.cell_ids()[0]
-    return CellularMap(x, point, {c: pt for c in x.cell_ids()},
+def collapse_to_point(x: CellComplex) -> CellularMap:
+    return CellularMap(x, POINT, {c: "pt" for c in x.cell_ids()},
                        {c: 1 for c in x.cells_of_dim(0)})
 
 

@@ -234,8 +234,12 @@ def build_parser():
     p.add_argument("--cases", type=_at_least(1), default=100)
     p.add_argument("--suite", action="append", choices=sorted(checks.SUITES),
                    help="restrict to a suite (repeatable)")
-    p.add_argument("--max-dim", type=_at_least(0), default=3)
-    p.add_argument("--max-cells", type=_at_least(1), default=40)
+    p.add_argument("--max-dim", type=_at_least(0), default=3,
+                   help="top cell dimension of the index suite's complexes "
+                        "(the other suites draw fixed sizes)")
+    p.add_argument("--max-cells", type=_at_least(1), default=40,
+                   help="cell bound of the index suite's complexes "
+                        "(the other suites draw fixed sizes)")
     p.add_argument("--counterexample", help="failure output path")
     p.set_defaults(fn=cmd_check)
 

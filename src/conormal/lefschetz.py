@@ -46,7 +46,7 @@ class LefschetzInstance:
 def _induced_endo(inst: LefschetzInstance):
     """The chain endomorphism of the sections complex and that complex."""
     sh, f = inst.sheaf, inst.f
-    vc, index = sections(sh, sh.base.cell_ids(), sh.base.dim)
+    vc, index = sections(sh, sh.base.cell_ids())
     # phi_c : F(f(c)) -> F(c) on the cells whose dimension f preserves
     arrows = [((f(c), p), (c, p), m, 1, f.sign(c))
               for c, comp in inst.phi.items() if sh.base.dim(f(c)) == sh.base.dim(c)

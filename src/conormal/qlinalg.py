@@ -9,7 +9,6 @@ matrix with dim V^{n+1} rows and dim V^n columns.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, lcm
 
 
@@ -271,40 +270,33 @@ def rank(m: Matrix) -> int:
 
 
 def _pivot_columns(rows) -> set:
-    """The pivot columns of sparse fraction-free elimination of rows, a
-    dict from row index to a nonzero primitive integer row (column ->
-    int); the rows are consumed.
+    """The pivot columns of left-looking fraction-free elimination of
+    rows, a dict from row index to a nonzero primitive integer row
+    (column -> int); the rows are reduced in place.
 
-    Each pivot comes from the shortest live row, in the column of that
-    row with the fewest entries (Markowitz), ties by index.  A row is
-    updated as a*row - b*pivot_row with a / b = pivot / entry in lowest
-    terms, then divided by the gcd of its entries.  Each pivot row is zero
-    at the pivot columns chosen before it, so the matrix has full column
-    rank on the pivot columns, and their number is its rank.  Cellular
-    coboundaries are sparse and mostly +-1, so nearly the whole matrix is
-    eliminated before any fill-in.
+    The rows are taken once each, shortest first, ties in the order
+    given.  While some kept row has its pivot at the lowest column j of
+    a row, the row becomes a*row - b*pivot_row with a / b = pivot /
+    entry in lowest terms, divided by the gcd of its entries; that
+    clears column j and leaves the row zero to the left of it.  A row
+    that reaches zero is dropped, and any other is kept as the pivot row
+    of its lowest column.
+
+    Each kept row is zero to the left of its pivot, so on the pivot
+    columns the kept rows form a triangular matrix with a nonzero
+    diagonal, and the matrix has full column rank there.  Every dropped
+    row lies in the span of the kept rows, so the number of pivot columns
+    is the rank.
     """
-    cols = {}
-    shortest = []
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-        heappush(shortest, (len(row), i))
-
-    pivots = set()
-    while rows:
-        # entries go stale when a row is updated or eliminated
-        n, i = heappop(shortest)
-        if len(rows.get(i, ())) != n:
-            continue
-        prow = rows.pop(i)
-        _, j = min((len(cols[k]), k) for k in prow)
-        for k in prow:
-            cols[k].discard(i)
-        p = prow.pop(j)
-        for t in cols.pop(j):
-            row = rows[t]
-            b = row.pop(j)
+    pivot_rows = {}
+    for row in sorted(rows.values(), key=len):
+        while row:
+            j = min(row)
+            prow = pivot_rows.get(j)
+            if prow is None:
+                pivot_rows[j] = row
+                break
+            p, b = prow[j], row[j]
             g = gcd(p, b)
             a, b = p // g, b // g
             if a < 0:
@@ -315,22 +307,15 @@ def _pivot_columns(rows) -> set:
             for k, x in prow.items():
                 y = row.get(k, 0) - b * x
                 if y:
-                    if k not in row:
-                        cols[k].add(t)
                     row[k] = y
                 elif k in row:
                     del row[k]
-                    cols[k].discard(t)
             if row:
                 g = gcd(*row.values())
                 if g != 1:
                     for k in row:
                         row[k] //= g
-                heappush(shortest, (len(row), t))
-            else:
-                del rows[t]
-        pivots.add(j)
-    return pivots
+    return set(pivot_rows)
 
 
 def rref(m: Matrix):

@@ -170,22 +170,24 @@ class SheafMorphism:
 # ---------------------------------------------------------------------------
 # sections complexes
 
-def sections(f: CellularSheaf, cells, weight, delta_sign=1):
-    """Total complex of oplus stalk(s)[-weight(s)] over the given cells.
+def sections(f: CellularSheaf, cells, shift=0):
+    """Total complex of oplus stalk(s)[-w(s)] over the given cells, with
+    w(s) = dim s - shift.
 
-    Differential: delta_sign * (incidence-weighted restrictions) plus
-    (-1)^{weight(s)} * internal differentials.  Returns (VectComplex,
-    index) with index[(cell, p)] = (total degree, offset).  The cells are
+    Differential: (-1)^shift * (incidence-weighted restrictions) plus
+    (-1)^{w(s)} * internal differentials.  Returns (VectComplex, index)
+    with index[(cell, p)] = (total degree, offset).  The cells are
     stacked by their positions in base.cell_order(), and each one's
     cofaces, pair keys and signs are read from base.coboundary(), both
     built once per base.
     """
-    stalks, restrictions = f.stalks, f.restrictions
-    cells = sorted((c for c in cells if c in stalks), key=cell_sort_key(f.base))
-    weights = {c: weight(c) for c in cells}
+    stalks, restrictions, base = f.stalks, f.restrictions, f.base
+    cells = sorted((c for c in cells if c in stalks), key=cell_sort_key(base))
+    weights = {c: base.dim(c) - shift for c in cells}
     lay = layout([((c, p), p + weights[c], d)
                   for c in cells for p, d in sorted(stalks[c].dims.items())])
-    coboundary = f.base.coboundary()
+    coboundary = base.coboundary()
+    flip = -1 if shift % 2 else 1
     arrows = []
     append = arrows.append
     for c, w in weights.items():
@@ -197,7 +199,7 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
         for cf, pair, sign in coboundary[c]:
             phi = restrictions.get(pair)
             if phi is not None and cf in weights:
-                sgn = sign * delta_sign
+                sgn = sign * flip
                 for p, m in phi.items():
                     append(((c, p), (cf, p), m, 1, sgn))
     return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
@@ -206,7 +208,7 @@ def sections(f: CellularSheaf, cells, weight, delta_sign=1):
 def global_sections(f: CellularSheaf) -> VectComplex:
     """Hypercohomology complex over the whole base (d^2 = 0 is checked by
     its consumers: homology_ranks, euler_char)."""
-    vc, _ = sections(f, f.base.cell_ids(), f.base.dim)
+    vc, _ = sections(f, f.base.cell_ids())
     return vc
 
 
@@ -348,9 +350,7 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
     stalks = {}
     lays = {}
     for t, cells in fibers.items():
-        dt = tgt.dim(t)
-        vc, idx = sections(sheaf, cells, lambda c, dt=dt: src.dim(c) - dt,
-                           delta_sign=-1 if dt % 2 else 1)
+        vc, idx = sections(sheaf, cells, tgt.dim(t))
         if not vc.is_zero():
             stalks[t] = vc
             lays[t] = (vc.dims, idx)
@@ -401,7 +401,7 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
     base = f.base
     stalks, lays = {}, {}
     for c in base.cell_ids():
-        vc, idx = sections(f, base.star(c), base.dim)
+        vc, idx = sections(f, base.star(c))
         if not vc.is_zero():
             stalks[c] = dv = ql.dual(vc)
             lays[c] = (dv.dims, {piece: (-n, off) for piece, (n, off) in idx.items()})

@@ -17,7 +17,7 @@ from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf, interval,
-                              hollow_triangle)
+                              hollow_triangle, circle)
 from conormal.sheaf import global_sections, verdier_dual, tensor_sheaf, kernel_compose
 from generators import random_chain_endo
 
@@ -72,8 +72,8 @@ def test_rank_exact():
 
 def _sparse_matrices(seed, count):
     """Seeded sparse matrices of 40-80 rows and columns, about 5 % of the
-    entries nonzero, each in {+-1, +-2, 3, 1/2}: big enough that rows are
-    updated many times and the pivot heap holds stale entries.  Four
+    entries nonzero, each in {+-1, +-2, 3, 1/2}: big enough that a row is
+    reduced against many pivot rows and fills in before it is kept.  Four
     rows, shuffled in, are a row plus a multiple of another, so the rank
     is not read off the zero pattern alone."""
     rng = random.Random(seed)
@@ -872,3 +872,20 @@ def test_pivot_columns_have_full_column_rank():
     for m in cases():
         pivots = _pivot_columns({i: _integer_row(row) for i, row in enumerate(m.data) if row})
         assert rank(m.submatrix(range(m.rows), sorted(pivots))) == len(pivots) == rank(m)
+
+
+def test_homology_ranks_agree_with_rref_on_dual_sections():
+    """homology_ranks against ranks read off rref, the independent
+    Gauss-Jordan engine (every other test of homology_ranks compares it
+    with rank, which runs the same elimination), on the sections
+    complexes of Verdier duals of random sheaves on circle(n)^2: the
+    densest complexes the program ranks."""
+    rng = random.Random(53)
+    for n in (4, 5):
+        cx = product(circle(n), circle(n))[0]
+        for _ in range(3):
+            v = global_sections(verdier_dual(random_sheaf(rng, cx, max_pieces=3)))
+            assert v.diffs
+            rk = {k: len(rref(m)[1]) for k, m in v.diffs.items()}
+            want = {k: h for k in v.dims if (h := v.dim(k) - rk.get(k, 0) - rk.get(k - 1, 0))}
+            assert homology_ranks(v) == want

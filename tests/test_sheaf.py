@@ -213,9 +213,10 @@ def _reference_sections(f, cells, weight, delta_sign=1):
 
 
 def test_sections_match_the_reference_route():
-    # all cells, every star with weight dim, and every pushforward fibre
-    # with the weight shifted by the dim of its image, under both delta
-    # signs; the cells come as a list, a set and a generator
+    # all cells and every star unshifted, and every pushforward fibre
+    # shifted by the dim of its image and by one more, so both parities of
+    # the shift (the sign of the restrictions) are seen; the cells come as
+    # a list, a set and a generator
     rng = random.Random(29)
     bases = [torus7(), product(circle(3), interval())[0]]
     bases += [random_complex(rng, max_dim=2, max_cells=20) for _ in range(6)]
@@ -224,16 +225,17 @@ def test_sections_match_the_reference_route():
         g = random_cellular_map(rng, cx)
         src, tgt = g.source, g.target
         f = random_piece_sheaf(rng, src, max_pieces=3).sheaf
-        routes = [(src.cell_ids(), src.dim, 1)]
-        routes += [(sorted(src.star(c), key=str), src.dim, 1) for c in src.cell_ids()]
+        routes = [(src.cell_ids(), 0)]
+        routes += [(sorted(src.star(c), key=str), 0) for c in src.cell_ids()]
         for t in tgt.cell_ids():
             fibre = [c for c in src.cell_ids() if g(c) == t]
-            for sign in (1, -1):
-                routes.append((fibre, lambda c, dt=tgt.dim(t): src.dim(c) - dt, sign))
-        for cells, weight, sign in routes:
-            want, want_index = _reference_sections(f, cells, weight, sign)
+            routes += [(fibre, tgt.dim(t)), (fibre, tgt.dim(t) + 1)]
+        for cells, shift in routes:
+            sign = -1 if shift % 2 else 1
+            want, want_index = _reference_sections(
+                f, cells, lambda c: src.dim(c) - shift, sign)
             for given in (list(cells), set(cells), (c for c in cells)):
-                got, index = sections(f, given, weight, sign)
+                got, index = sections(f, given, shift)
                 assert got.dims == want.dims
                 assert got.diffs == want.diffs
                 assert index == want_index and list(index) == list(want_index)
@@ -289,7 +291,7 @@ def test_verdier_dual_restrictions_are_transposed_inclusions():
     for f in _dual_inputs():
         base = f.base
         got = verdier_dual(f)
-        star = {c: sections(f, base.star(c), base.dim) for c in base.cell_ids()}
+        star = {c: sections(f, base.star(c)) for c in base.cell_ids()}
         assert got.stalks == {c: dual(vc) for c, (vc, _) in star.items() if not vc.is_zero()}
         want = {}
         for t, s in base.incidence_pairs():
