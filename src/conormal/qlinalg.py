@@ -247,40 +247,35 @@ def _kron_rows(a, b):
             for arow in a.data for brow in b.data]
 
 
-def _integer_row(row):
-    """A sparse row of Fractions as a primitive integer row (column ->
-    int), scaled by the lcm of the denominators and divided by the gcd of
-    the numerators; empty for a zero row."""
-    if not row:
-        return {}
-    den = lcm(*[x.denominator for x in row.values()])
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    g = gcd(*out.values())
-    if g != 1:
-        for j in out:
-            out[j] //= g
-    return out
+def _int_rows(m: Matrix):
+    """The rows of m as (int rows, d): sparse rows of ints, column ->
+    entry times d, for d the least common denominator of the entries.
+    The one integer form of a matrix: the d^2 = 0 check and the
+    elimination need the rows scaled by a nonzero constant only."""
+    den = lcm(*[x.denominator for row in m.data for x in row.values()])
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for row in m.data], den
 
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivot columns of _pivot_columns on the
-    rows of m made primitive integer rows (scaling a row keeps the rank)."""
-    return len(_pivot_columns({i: _integer_row(row) for i, row in enumerate(m.data)
-                               if row}))
+    int rows of m (scaling the rows keeps the rank)."""
+    return len(_pivot_columns(_int_rows(m)[0]))
 
 
 def _pivot_columns(rows) -> set:
     """The pivot columns of left-looking fraction-free elimination of
-    rows, a dict from row index to a nonzero primitive integer row
-    (column -> int); the rows are reduced in place.
+    rows, sparse int rows (column -> int); the rows are reduced in place.
 
     The rows are taken once each, shortest first, ties in the order
-    given.  While some kept row has its pivot at the lowest column j of
-    a row, the row becomes a*row - b*pivot_row with a / b = pivot /
-    entry in lowest terms, divided by the gcd of its entries; that
-    clears column j and leaves the row zero to the left of it.  A row
-    that reaches zero is dropped, and any other is kept as the pivot row
-    of its lowest column.
+    given, and zero rows are skipped.  At the top of each step the row is
+    divided by the gcd of its entries, which makes it primitive as it is
+    taken and after each update.  While some kept row has its pivot at
+    the lowest column j of a row, the row becomes a*row - b*pivot_row
+    with a / b = pivot / entry in lowest terms; that clears column j and
+    leaves the row zero to the left of it.  A row that reaches zero is
+    dropped, and any other is kept as the pivot row of its lowest
+    column.
 
     Each kept row is zero to the left of its pivot, so on the pivot
     columns the kept rows form a triangular matrix with a nonzero
@@ -289,8 +284,12 @@ def _pivot_columns(rows) -> set:
     is the rank.
     """
     pivot_rows = {}
-    for row in sorted(rows.values(), key=len):
+    for row in sorted(rows, key=len):
         while row:
+            g = gcd(*row.values())
+            if g != 1:
+                for k in row:
+                    row[k] //= g
             j = min(row)
             prow = pivot_rows.get(j)
             if prow is None:
@@ -310,11 +309,6 @@ def _pivot_columns(rows) -> set:
                     row[k] = y
                 elif k in row:
                     del row[k]
-            if row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for k in row:
-                        row[k] //= g
     return set(pivot_rows)
 
 
@@ -404,12 +398,18 @@ class VectComplex:
         return not self.dims
 
     def check(self):
-        """Verify d^2 = 0 on sparse rows, from the top degree down; raises
-        naming the highest offending degree."""
+        """Verify d^2 = 0 on int rows, from the top degree down; raises
+        naming the highest offending degree.  Each differential is
+        converted once: it is the lower factor of one product and the
+        upper factor of the next."""
+        upper = None  # int rows of d^(n+1), or None if it is zero
         for n in sorted(self.diffs, reverse=True):
-            upper = self.diffs.get(n + 1)
+            if upper is None and n - 1 not in self.diffs:
+                continue  # d^n is in no product
+            lower = _int_rows(self.diffs[n])[0]
             if upper is not None:
-                _check_square(n, map(_integer_row, upper.data), self.diffs[n])
+                _check_square(n, upper, lower)
+            upper = lower if n - 1 in self.diffs else None
         return self
 
     def __eq__(self, other):
@@ -436,21 +436,14 @@ def euler(v: VectComplex) -> int:
 
 
 def _check_square(n, upper, lower):
-    """Raise unless d^(n+1) d^n = 0 on the rows given: upper yields
-    integer rows of d^(n+1) (each a row scaled by a nonzero rational) and
-    lower is d^n."""
-    # columns of d^n scaled to integers: scaling keeps every entry of the
-    # product zero or nonzero
-    den = {}
-    for row in lower.data:
-        for j, x in row.items():
-            den[j] = lcm(den.get(j, 1), x.denominator)
-    low = [{j: x.numerator * (den[j] // x.denominator) for j, x in row.items()}
-           for row in lower.data]
+    """Raise unless d^(n+1) d^n = 0 on the rows given: upper yields int
+    rows of d^(n+1) and lower is the int rows of d^n, as _int_rows gives
+    them.  Each factor is scaled by one nonzero constant, which keeps
+    every entry of the product zero or nonzero."""
     for row in upper:
         acc = {}
         for k, a in row.items():
-            for j, b in low[k].items():
+            for j, b in lower[k].items():
                 acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             raise LinAlgError("d^2 != 0 at degree %d" % n)
@@ -462,29 +455,32 @@ def homology_ranks(v: VectComplex) -> dict:
 
     The differentials are eliminated from the top degree down, with
     clearing: the rows of d^n at the pivot columns J of d^(n+1) are left
-    out, and never made integer rows.  This keeps the rank of d^n.  Proof:
-    d^(n+1) has full column rank on J, so it is injective on the span of
-    the basis vectors e_j, j in J; it vanishes on im d^n, so im d^n meets
-    that span only in 0.  Dropping the coordinates in J is therefore
-    injective on im d^n, and the rank of the remaining rows of d^n is the
-    rank of d^n.
+    out of the check and the elimination.  This keeps the rank of d^n.
+    Proof: d^(n+1) has full column rank on J, so it is injective on the
+    span of the basis vectors e_j, j in J; it vanishes on im d^n, so
+    im d^n meets that span only in 0.  Dropping the coordinates in J is
+    therefore injective on im d^n, and the rank of the remaining rows of
+    d^n is the rank of d^n.
 
     The d^2 = 0 check reads the same rows: once d^(n+1) d^n = 0 is known,
     d^n d^(n-1) = 0 follows from its rows outside J, since its image lies
     in ker d^(n+1), which meets the span of the e_j, j in J, only in 0.
-    Each kept row is made a primitive integer row once; the check reads
-    it and the elimination then consumes it.
+    Each differential is converted to int rows once (_int_rows): d^(n-1)
+    is converted as the lower factor of the check of d^n d^(n-1), and its
+    rows outside the pivot columns of d^n are then the upper factor of
+    the next check and the rows the next step eliminates.
     """
     rk = {}
-    cleared = ()  # pivot columns of the differential one degree up
+    low = None  # int rows of d^n, converted one step up
     for n in sorted(v.diffs, reverse=True):
-        if n + 1 not in rk:
-            cleared = ()
-        rows = {i: _integer_row(row) for i, row in enumerate(v.diffs[n].data)
-                if row and i not in cleared}
+        if n + 1 in rk:  # low and cleared are those of the step for d^(n+1)
+            rows = [row for i, row in enumerate(low) if i not in cleared]
+        else:
+            rows = _int_rows(v.diffs[n])[0]
         lower = v.diffs.get(n - 1)
         if lower is not None:
-            _check_square(n - 1, rows.values(), lower)
+            low = _int_rows(lower)[0]
+            _check_square(n - 1, rows, low)
         cleared = _pivot_columns(rows)
         rk[n] = len(cleared)
     out = {}
@@ -508,7 +504,7 @@ def dual(v: VectComplex) -> VectComplex:
     dims = {-n: d for n, d in v.dims.items()}
     diffs = {}
     for n, m in v.diffs.items():
-        # d^{-n-2}_dual : (V^{n+2...}) -- the map into degree -n is (d^n)^T
+        # (d^n)^T maps (V^(n+1))^* in degree -n-1 to (V^n)^* in degree -n
         diffs[-n - 1] = m.transpose()
     return VectComplex(dims, diffs)
 

@@ -24,7 +24,9 @@ slot to the label of its piece in the target's degree, scaled by the
 ratio of the piece's weights on the two cells.  That is G_t P H_s, for P
 the 0/1 label match and per-slot int factors G = A W, H = W^-1 A^-1 (W
 the slot's piece weights): a scalar between slots of one label, shared as
-one 1x1 Matrix per value, else an int product of rows.  A build also
+one 1x1 Matrix per value, else an int product of rows.  The int rows of
+A and A^-1 are qlinalg._int_rows, the one integer form of a matrix,
+which the d^2 = 0 check and the elimination also use.  A build also
 shares one restriction dict per tuple of (degree, value) 1x1 entries and
 one stalk per pattern of sky pieces, and keys every restriction by the
 tuples of base.face_pairs().  No operation writes to its inputs'
@@ -42,7 +44,8 @@ from math import gcd, lcm
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
                      simplicial_map, identity_map)
-from .qlinalg import Matrix, VectComplex, single, direct_sum, _ONE, _add_multiple
+from .qlinalg import (Matrix, VectComplex, single, direct_sum, _ONE, _add_multiple,
+                      _int_rows)
 from .sheaf import CellularSheaf
 from .lefschetz import LefschetzInstance
 
@@ -308,14 +311,6 @@ def _piece_patterns(base: CellComplex, pieces):
             patterns[key] = (per_degree, {lab: k for labels in per_degree.values()
                                           for k, lab in enumerate(labels)})
     return keys, patterns
-
-
-def _int_rows(m: Matrix):
-    """The rows of m as (int rows, d): sparse rows of ints, column ->
-    entry times d, for d the least common denominator of the entries."""
-    den = lcm(*[x.denominator for row in m.data for x in row.values()])
-    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
-            for row in m.data], den
 
 
 class PieceSheaf:

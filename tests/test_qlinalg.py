@@ -12,7 +12,7 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               compose_chain_maps, identity_chain_map,
                               cohomology_trace, layout,
                               graded_map, tensor_layout, tensor_chain_maps,
-                              _pivot_columns, _integer_row, _trace_endo)
+                              _pivot_columns, _int_rows, _trace_endo)
 from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex,
                               random_invertible, _rand_rational,
@@ -70,17 +70,18 @@ def test_rank_exact():
     assert rank(M([[tiny, 1], [1, 2 * 10 ** 40]])) == 2
 
 
-def _sparse_matrices(seed, count):
-    """Seeded sparse matrices of 40-80 rows and columns, about 5 % of the
-    entries nonzero, each in {+-1, +-2, 3, 1/2}: big enough that a row is
-    reduced against many pivot rows and fills in before it is kept.  Four
-    rows, shuffled in, are a row plus a multiple of another, so the rank
-    is not read off the zero pattern alone."""
+def _sparse_matrices(seed, count, density=0.05):
+    """Seeded sparse matrices of 40-80 rows and columns, about the given
+    share of the entries nonzero (5 % by default), each in
+    {+-1, +-2, 3, 1/2}: big enough that a row is reduced against many
+    pivot rows and fills in before it is kept.  Four rows, shuffled in,
+    are a row plus a multiple of another, so the rank is not read off the
+    zero pattern alone."""
     rng = random.Random(seed)
     values = [1, -1, 2, -2, 3, Fraction(1, 2)]
     for _ in range(count):
         rows, cols = rng.randint(40, 80), rng.randint(40, 80)
-        data = [[rng.choice(values) if rng.random() < 0.05 else 0
+        data = [[rng.choice(values) if rng.random() < density else 0
                  for _ in range(cols)] for _ in range(rows - 4)]
         for _ in range(4):
             a, b = rng.sample(data, 2)
@@ -101,6 +102,11 @@ def test_rank_agrees_with_rref():
         r, pivots = rref(m)
         assert rank(m) == len(pivots)
     for m in _sparse_matrices(7, 6):
+        assert rank(m) == len(rref(m)[1])
+    # most rows of 12 or more entries before any fill-in: the complexes the
+    # program ranks have shorter rows, so only these see how long rows go
+    for m in _sparse_matrices(11, 2, density=0.2):
+        assert 2 * sum(len(row) >= 12 for row in m.data) > m.rows
         assert rank(m) == len(rref(m)[1])
 
 
@@ -511,7 +517,7 @@ def test_inverse_roundtrip():
 
 def test_vect_complex_check():
     """check() and homology_ranks reject d^2 != 0 with the same message,
-    naming the highest failing degree."""
+    naming the highest failing degree, and accept d^2 = 0."""
     one = Matrix.identity(1)
     good = VectComplex({0: 1, 1: 1}, {0: one})
     good.check()
@@ -525,6 +531,14 @@ def test_vect_complex_check():
         for f in (homology_ranks, VectComplex.check):
             with pytest.raises(LinAlgError, match=r"^d\^2 != 0 at degree %d$" % n):
                 f(v)
+    # d^2 = 0 with mixed denominators across the rows of d^0, the lower
+    # factor of d^1 d^0 and the upper one of d^0 d^-1: made primitive row
+    # by row, d^0 would be [[1, 1], [1, 1]] and d^1 d^0 would not vanish
+    mixed = VectComplex({-1: 1, 0: 2, 1: 2, 2: 2},
+                        {-1: M([[1], [-1]]), 0: M([[1, 1], ["1/2", "1/2"]]),
+                         1: M([[1, -2], [2, -4]])})
+    assert mixed.check() is mixed
+    assert homology_ranks(mixed) == _ranks_by_full_rank(mixed) == {2: 1}
 
 
 def test_zero_differential_of_the_wrong_shape_is_rejected():
@@ -870,7 +884,7 @@ def test_pivot_columns_have_full_column_rank():
         for v in _seeded_complexes(37):
             yield from v.diffs.values()
     for m in cases():
-        pivots = _pivot_columns({i: _integer_row(row) for i, row in enumerate(m.data) if row})
+        pivots = _pivot_columns(_int_rows(m)[0])
         assert rank(m.submatrix(range(m.rows), sorted(pivots))) == len(pivots) == rank(m)
 
 
