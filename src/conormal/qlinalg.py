@@ -510,7 +510,9 @@ def dual(v: VectComplex) -> VectComplex:
 
 
 # ---------------------------------------------------------------------------
-# graded direct sums: every totalization lists its pieces and its arrows
+# graded direct sums: every totalization but sheaf.sections lists its
+# pieces and its arrows; sections writes its blocks itself, its larger ones
+# through _add_block
 
 def layout(pieces):
     """Place ordered pieces (label, degree, dim) in a graded direct sum.
@@ -538,11 +540,12 @@ def graded_map(src, tgt, arrows):
     is the one entry sign * x * y added into its target row, with no
     product by a factor 1, and nothing when x or y is zero; a call negates
     each distinct entry x once and reuses that negative for every arrow of
-    sign -1 that reads x.  Any other block is added row by row into its
-    target rows with _add_row, which shifts the columns and applies the
-    sign in the same pass; when b is the int 1 and a is a Matrix the rows
-    are a's own, read and never stored.  Keyed by source degree, and
-    degrees whose matrix is zero are left out."""
+    sign -1 that reads x.  Any other block goes through _add_block, the
+    rule for non-scalar blocks that sheaf.sections shares; sections places
+    its own scalar entries and calls neither layout nor graded_map, while
+    pushforward, verdier_dual and the Lefschetz endomorphisms place blocks
+    on a sections index here.  Keyed by source degree, and degrees whose
+    matrix is zero are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
@@ -560,9 +563,7 @@ def graded_map(src, tgt, arrows):
         a_int, b_int = type(a) is int, type(b) is int
         ar, ac = (a, a) if a_int else (a.rows, a.cols)
         br, bc = (b, b) if b_int else (b.rows, b.cols)
-        if r0 + ar * br > m.rows or c0 + ac * bc > m.cols:
-            raise LinAlgError("block out of range")
-        if ar == ac == br == bc == 1:
+        if ar == ac == br == bc == 1 and r0 < m.rows and c0 < m.cols:
             x = _ONE if a_int else a.data[0].get(0)
             y = _ONE if b_int else b.data[0].get(0)
             if x is not None and y is not None:
@@ -586,10 +587,27 @@ def graded_map(src, tgt, arrows):
                     else:
                         del row[c0]
             continue
-        rows = a.data if b_int and b == 1 and not a_int else _kron_rows(a, b)
-        for r, row in enumerate(rows, r0):
-            _add_row(m.data[r], row, c0, sign)
+        # any other block, and a scalar one out of range, which this raises on
+        _add_block(m, r0, c0, a, b, sign)
     return {n: m for n, (_, m) in out.items() if any(m.data)}
+
+
+def _add_block(m, r0, c0, a, b, sign):
+    """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
+    for sign +-1 and a factor given as an int n standing for I_n: row by
+    row into the target rows with _add_row, which shifts the columns and
+    applies the sign in the same pass.  When b is the int 1 and a is a
+    Matrix the rows are a's own, read and never stored.  Raises
+    LinAlgError when the block does not fit in m."""
+    a_int, b_int = type(a) is int, type(b) is int
+    nr = (a if a_int else a.rows) * (b if b_int else b.rows)
+    nc = (a if a_int else a.cols) * (b if b_int else b.cols)
+    if r0 + nr > m.rows or c0 + nc > m.cols:
+        raise LinAlgError("block out of range")
+    data = m.data
+    rows = a.data if b_int and b == 1 and not a_int else _kron_rows(a, b)
+    for r, row in enumerate(rows, r0):
+        _add_row(data[r], row, c0, sign)
 
 
 def direct_sum_layout(*parts: VectComplex):

@@ -23,7 +23,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      shift_chain_map, layout, graded_map)
+                      shift_chain_map, layout, graded_map, _add_block)
 
 
 class SheafError(ValueError):
@@ -180,29 +180,57 @@ def sections(f: CellularSheaf, cells, shift=0):
     stacked by their positions in base.cell_order(), and each one's
     cofaces, pair keys and signs are read from base.coboundary(), both
     built once per base.
+
+    The blocks are written straight into the matrices, with no arrow list
+    and no graded_map.  Each block joins one source piece to one target
+    piece, so no two blocks share an entry: a 1x1 block is its one entry,
+    stored in its target row (a call negates each distinct entry once, as
+    graded_map does), and a larger block goes through qlinalg._add_block,
+    graded_map's own rule for non-scalar blocks.  The sheaf's matrices
+    store no zero and its zero blocks are dropped, so every 1x1 block has
+    its entry and no zero is written.
     """
     stalks, restrictions, base = f.stalks, f.restrictions, f.base
-    cells = sorted((c for c in cells if c in stalks), key=cell_sort_key(base))
-    weights = {c: base.dim(c) - shift for c in cells}
-    lay = layout([((c, p), p + weights[c], d)
-                  for c in cells for p, d in sorted(stalks[c].dims.items())])
+    dims = {}
+    index = {}
+    place = {}  # cell -> {stalk degree p: (total degree, offset)}
+    for c in sorted((c for c in cells if c in stalks), key=cell_sort_key(base)):
+        w = base.dim(c) - shift
+        at = place[c] = {}
+        for p, d in sorted(stalks[c].dims.items()):
+            n = p + w
+            off = dims.get(n, 0)
+            index[(c, p)] = at[p] = (n, off)
+            dims[n] = off + d
+    mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
     coboundary = base.coboundary()
     flip = -1 if shift % 2 else 1
-    arrows = []
-    append = arrows.append
-    for c, w in weights.items():
-        sgn = -1 if w % 2 else 1
-        for p, d in stalks[c].diffs.items():
-            append(((c, p), (c, p + 1), d, 1, sgn))
+    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
+    for c, at in place.items():
+        # (target placement, step in stalk degree, blocks by degree, sign);
         # pair is the base's own face_pairs tuple, the key that most
         # builders store, so the lookup finds it without comparing cells
+        moves = [(at, 1, stalks[c].diffs, -1 if (base.dim(c) - shift) % 2 else 1)]
         for cf, pair, sign in coboundary[c]:
             phi = restrictions.get(pair)
-            if phi is not None and cf in weights:
-                sgn = sign * flip
-                for p, m in phi.items():
-                    append(((c, p), (cf, p), m, 1, sgn))
-    return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
+            if phi is not None and cf in place:
+                moves.append((place[cf], 0, phi, sign * flip))
+        for tat, step, blocks, sgn in moves:
+            for p, a in blocks.items():
+                n, c0 = at[p]
+                r0 = tat[p + step][1]
+                m = mats[n]
+                if a.rows == a.cols == 1:
+                    x = a.data[0][0]
+                    if sgn < 0:
+                        hit = negated.get(id(x))
+                        if hit is None:
+                            hit = negated[id(x)] = x, -x
+                        x = hit[1]
+                    m.data[r0][c0] = x
+                else:
+                    _add_block(m, r0, c0, a, 1, sgn)
+    return VectComplex(dims, {n: m for n, m in mats.items() if any(m.data)}), index
 
 
 def global_sections(f: CellularSheaf) -> VectComplex:

@@ -27,7 +27,7 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               SKY, ACYC)
 from conormal.tracekernel import tk, shift_twist, compose_tk
 from conormal.mueu import mueu
-from conormal import sheaf as sheaf_mod
+from conormal import qlinalg as ql, sheaf as sheaf_mod
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
 from generators import random_morphism, random_chain_endo
@@ -212,6 +212,29 @@ def _reference_sections(f, cells, weight, delta_sign=1):
     return VectComplex(lay[0], graded_map(lay, lay, arrows)), lay[1]
 
 
+def _blocks_hit(f, cells, shift):
+    """Kinds of block that sections(f, cells, shift) writes: a stalk
+    differential, a restriction block that is not 1x1, and a 1x1 entry
+    written negated."""
+    cells = {c for c in cells if c in f.stalks}
+    hit = set()
+    for c in cells:
+        w = f.base.dim(c) - shift
+        for d in f.stalks[c].diffs.values():
+            hit.add("stalk differential")
+            if w % 2 and (d.rows, d.cols) == (1, 1):
+                hit.add("negated 1x1")
+        for cf in f.base.cofaces(c):
+            if cf in cells:
+                sign = f.base.incidence(cf, c) * (-1 if shift % 2 else 1)
+                for m in f.res(c, cf).values():
+                    if (m.rows, m.cols) != (1, 1):
+                        hit.add("restriction block larger than 1x1")
+                    elif sign < 0:
+                        hit.add("negated 1x1")
+    return hit
+
+
 def test_sections_match_the_reference_route():
     # all cells and every star unshifted, and every pushforward fibre
     # shifted by the dim of its image and by one more, so both parities of
@@ -220,11 +243,17 @@ def test_sections_match_the_reference_route():
     rng = random.Random(29)
     bases = [torus7(), product(circle(3), interval())[0]]
     bases += [random_complex(rng, max_dim=2, max_cells=20) for _ in range(6)]
-    seen = set()
+    cases = []
     for cx in bases:
         g = random_cellular_map(rng, cx)
+        cases.append((g, random_piece_sheaf(rng, g.source, max_pieces=3).sheaf))
+    # the constant sheaf, every block of which is a 1x1 restriction, with
+    # the fibres of a projection
+    cx, proj, _ = product(circle(3), circle(4))
+    cases.append((proj, constant(cx)))
+    seen = set()
+    for g, f in cases:
         src, tgt = g.source, g.target
-        f = random_piece_sheaf(rng, src, max_pieces=3).sheaf
         routes = [(src.cell_ids(), 0)]
         routes += [(sorted(src.star(c), key=str), 0) for c in src.cell_ids()]
         for t in tgt.cell_ids():
@@ -240,7 +269,55 @@ def test_sections_match_the_reference_route():
                 assert got.diffs == want.diffs
                 assert index == want_index and list(index) == list(want_index)
             seen.add((sign, bool(want.diffs)))
-    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+            seen |= _blocks_hit(f, cells, shift)
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False), "stalk differential",
+                    "restriction block larger than 1x1", "negated 1x1"}
+
+
+def test_sections_calls_no_layout_and_no_graded_map(monkeypatch):
+    """sections writes its blocks straight into its matrices: no call of
+    layout or graded_map, under either name sheaf binds."""
+    calls = []
+    for name, real in [("layout", ql.layout), ("graded_map", ql.graded_map)]:
+        for mod in (ql, sheaf_mod):
+            monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+    rng = random.Random(31)
+    g = random_cellular_map(rng, torus7())
+    cx = g.source
+    f = random_piece_sheaf(rng, cx, max_pieces=3).sheaf
+    vertex = cx.cells_of_dim(0)[0]
+    t = g.target.cell_ids()[-1]
+    fibre = [c for c in cx.cell_ids() if g(c) == t]
+    for vc in (global_sections(f), sections(f, cx.star(vertex))[0],
+               sections(f, fibre, g.target.dim(t) + 1)[0]):
+        assert vc.diffs
+    assert calls == []
+    # the counters see a call through either name
+    sheaf_mod.graded_map(*[ql.layout([("a", 0, 1)])] * 2, [])
+    ql.graded_map(*[sheaf_mod.layout([("a", 0, 1)])] * 2, [])
+    assert calls == ["layout", "graded_map"] * 2
+
+
+def test_sections_guards_its_blocks():
+    """A restriction block that does not fit raises LinAlgError; and no
+    sections differential of the seeded sheaves here stores a zero
+    entry (the Matrix invariant)."""
+    cx = interval()
+    k = VectComplex({0: 1})
+    f = CellularSheaf(cx, {"0": k, "0.1": k}, {("0", "0.1"): {0: Matrix.from_rows([[1, 2]])}})
+    with pytest.raises(LinAlgError, match="block out of range"):
+        global_sections(f)
+    rng = random.Random(37)
+    sheaves = list(_dual_inputs())
+    sheaves += [random_piece_sheaf(rng, product(circle(3), interval())[0]).sheaf
+                for _ in range(5)]
+    for f in sheaves:
+        complexes = [global_sections(f)]
+        complexes += [sections(f, f.base.star(c), 1)[0] for c in f.base.cells_of_dim(0)]
+        for vc in complexes:
+            for m in vc.diffs.values():
+                assert all(x != 0 for row in m.data for x in row.values())
 
 
 def test_verdier_dual_fixtures():
