@@ -230,7 +230,7 @@ def sections(f: CellularSheaf, cells, shift=0):
                     m.data[r0][c0] = x
                 else:
                     _add_block(m, r0, c0, a, 1, sgn)
-    return VectComplex(dims, {n: m for n, m in mats.items() if any(m.data)}), index
+    return VectComplex(dims, mats), index
 
 
 def global_sections(f: CellularSheaf) -> VectComplex:
