@@ -338,7 +338,8 @@ def _perm_sign(seq):
 def simplicial_map(source: CellComplex, target: CellComplex, vertex_map) -> CellularMap:
     """Cellular map induced by a map of vertices.
 
-    vertex_map keys/values are vertex names (as they appear in cell ids).
+    vertex_map keys/values are vertex names (as they appear in cell ids);
+    every cell id of source must be a string of them.
     The image of every simplex must be a simplex of the target;
     orientation signs are permutation parities on nondegenerate cells.
     """
@@ -346,6 +347,8 @@ def simplicial_map(source: CellComplex, target: CellComplex, vertex_map) -> Cell
     assignment = {}
     signs = {}
     for c in source.cell_ids():
+        if not isinstance(c, str):
+            raise CellularMapError("cell %r is not a simplex of vertex names" % (c,))
         verts = simplex_vertices(c)
         try:
             imgs = [vm[v] for v in verts]

@@ -398,18 +398,10 @@ class VectComplex:
         return not self.dims
 
     def check(self):
-        """Verify d^2 = 0 on int rows, from the top degree down; raises
-        naming the highest offending degree.  Each differential is
-        converted once: it is the lower factor of one product and the
-        upper factor of the next."""
-        upper = None  # int rows of d^(n+1), or None if it is zero
-        for n in sorted(self.diffs, reverse=True):
-            if upper is None and n - 1 not in self.diffs:
-                continue  # d^n is in no product
-            lower = _int_rows(self.diffs[n])[0]
-            if upper is not None:
-                _check_square(n, upper, lower)
-            upper = lower if n - 1 in self.diffs else None
+        """Verify d^2 = 0 and return self; raises LinAlgError naming the
+        highest offending degree.  The check is the one homology_ranks
+        makes, whose ranks are dropped."""
+        homology_ranks(self)
         return self
 
     def __eq__(self, other):
@@ -451,7 +443,8 @@ def _check_square(n, upper, lower):
 
 def homology_ranks(v: VectComplex) -> dict:
     """dim H^n for every degree; rejects complexes with d^2 != 0, naming
-    the highest offending degree as VectComplex.check does.
+    the highest offending degree.  This is the one d^2 = 0 check of the
+    package: VectComplex.check calls it.
 
     The differentials are eliminated from the top degree down, with
     clearing: the rows of d^n at the pivot columns J of d^(n+1) are left

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cellcx import (CellComplex, CellularMap, from_simplicial, product,
-                     simplicial_map, identity_map)
+                     simplicial_map, identity_map, collapse_to_point)
 from .qlinalg import (Matrix, VectComplex, single, direct_sum, _ONE, _add_multiple,
                       _int_rows)
 from .sheaf import CellularSheaf
@@ -147,9 +147,12 @@ def random_inclusion(rng: random.Random, cx: CellComplex):
 
 
 def random_cellular_map(rng: random.Random, cx: CellComplex) -> CellularMap:
-    """A random collapse, inclusion, projection or identity."""
+    """A random collapse, inclusion, projection or identity.  A product
+    complex, whose cells are not simplices, collapses to a point."""
     kind = rng.randrange(4)
     if kind == 0:
+        if cx.product_of is not None:
+            return collapse_to_point(cx)
         return random_vertex_collapse(rng, cx)
     if kind == 1:
         return random_inclusion(rng, cx)

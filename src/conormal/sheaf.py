@@ -235,18 +235,17 @@ def sections(f: CellularSheaf, cells, shift=0):
 
 def global_sections(f: CellularSheaf) -> VectComplex:
     """Hypercohomology complex over the whole base (d^2 = 0 is checked by
-    its consumers: homology_ranks, euler_char)."""
+    homology_ranks, which euler_char reads)."""
     vc, _ = sections(f, f.base.cell_ids())
     return vc
 
 
 def euler_char(f: CellularSheaf) -> int:
-    """Index of f: the alternating sum over cells of the stalk Euler
-    characteristics, which is the Euler characteristic of the sections
-    complex (its degree n holds stalk degree n - dim c).  Raises
+    """Index of f: the Euler characteristic of its hypercohomology, the
+    alternating sum of the homology ranks of global_sections(f).  Raises
     LinAlgError when that complex has d^2 != 0."""
-    global_sections(f).check()
-    return sum((-1) ** f.base.dim(c) * euler(v) for c, v in f.stalks.items())
+    return sum((-1 if n % 2 else 1) * h
+               for n, h in ql.homology_ranks(global_sections(f)).items())
 
 
 # ---------------------------------------------------------------------------

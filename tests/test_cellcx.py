@@ -236,6 +236,24 @@ def test_random_maps_are_valid():
             assert f(c) in f.target
 
 
+def test_random_maps_on_product_complexes_are_valid():
+    """A product's cells are pairs, not simplices: a draw of a vertex
+    collapse collapses it to a point instead, and simplicial_map rejects
+    it naming a cell."""
+    for cx in (product(circle(3), interval())[0], product(torus7(), hollow_triangle())[0]):
+        points = 0
+        for seed in range(100):
+            f = random_cellular_map(random.Random(seed), cx)
+            # CellularMap validates on construction; build it once more
+            CellularMap(f.source, f.target, f.assignment, f.orientation_sign)
+            assert cx in (f.source, f.target)
+            points += f.target.same_as(POINT)
+        assert points >= 10
+        with pytest.raises(CellularMapError,
+                           match=r"^cell \(.+\) is not a simplex of vertex names$"):
+            simplicial_map(cx, POINT, {})
+
+
 def test_random_symmetry_is_automorphism():
     rng = random.Random(5)
     for _ in range(15):

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, and takes
 no private name from another module that is not on an allow-list; every
-public function and class is reached, or waits on a list with a reason.
+public function, class and method is reached, or waits on a list with a
+reason.
 
 An AST scan of src/conormal (``__init__.py`` excepted, whose imports are
 the package's public names): each name an import statement binds must
@@ -8,10 +9,12 @@ be read somewhere in the module.  ``from __future__ import annotations``
 binds nothing and is exempt.  A private name (one leading underscore)
 of another conormal module, imported by name or read as an attribute of
 an imported module, must be on ALLOWED_PRIVATE.  Each public module-level
-def or class must be read, as a name or as an attribute, by package code
-outside its own definition or by bench/run.py or bench/workloads.py, or
-be on AWAITING.  Every absolute import of the package (``__init__.py``
-included) names a standard-library module.
+def or class, and each public method of a public class (``Class.method``),
+must be read, as a name or as an attribute, by package code outside its
+own definition or by bench/run.py or bench/workloads.py, or be on
+AWAITING; a method counts as read wherever its name is.  Every absolute
+import of the package (``__init__.py`` included) names a standard-library
+module.
 """
 
 import ast
@@ -28,12 +31,13 @@ ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_trace_endo", "_cohomology_tr
                    "_ONE", "_add_multiple", "_int_rows", "_add_block"}
 # the benchmark's code that runs the package (bench/tracer.py only wraps names)
 BENCH_CALLERS = [ROOT / "bench" / "run.py", ROOT / "bench" / "workloads.py"]
-# public names that no package code and no benchmark caller reads, and why
-# each stays
+# public names ('Class.method' for a method) that no package code and no
+# benchmark caller reads, and why each stays
 _TRACED = "bench/tracer.py TARGETS wraps it; it goes after TARGETS drops it"
 _GATE = "the rank-level RHom suites of ROADMAP item 5 will read it"
 AWAITING = {"rank": _TRACED, "kernel_basis": _TRACED, "solve_unique": _TRACED,
             "tensor": _TRACED, "cohomology_trace": _TRACED, "total_complex": _TRACED,
+            "Matrix.kron": _TRACED,
             "direct_sum_sheaf": _GATE, "euler_rhom": _GATE}
 
 
@@ -133,10 +137,16 @@ def test_stdlib_scan_sees_absolute_imports_only():
 
 
 def _public_defs(tree):
-    """name -> node of each public module-level def and class."""
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """name -> node of each public module-level def and class, and
+    'Class.method' -> node of each public method of a public class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                out.update(("%s.%s" % (node.name, m.name), m) for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    return out
 
 
 def _reads(tree, skip=None):
@@ -149,15 +159,16 @@ def _reads(tree, skip=None):
 
 
 def _unreached(sources, callers):
-    """'module:line name' of each public def or class of the sources (a
-    dict of module name -> tree) that neither package code outside its
-    definition nor a caller (a list of trees) reads."""
+    """'module:line name' of each public def, class or method of the
+    sources (a dict of module name -> tree) that neither package code
+    outside its definition nor a caller (a list of trees) reads; a method
+    is read as its own name."""
     called = set().union(*(_reads(tree) for tree in callers))
     out = {}
     for name, tree in sources.items():
         others = set().union(*(_reads(t) for m, t in sources.items() if m != name))
         for public, node in _public_defs(tree).items():
-            if public not in called | others | _reads(tree, skip=node):
+            if public.rpartition(".")[2] not in called | others | _reads(tree, skip=node):
                 out[public] = "%s:%d" % (name, node.lineno)
     return out
 
@@ -168,8 +179,8 @@ def _package_unreached():
 
 
 def test_every_public_name_is_reached_or_awaiting():
-    """A public function or class that nothing runs is deleted, moved into
-    the tests that use it, or put on AWAITING with a reason."""
+    """A public function, class or method that nothing runs is deleted,
+    moved into the tests that use it, or put on AWAITING with a reason."""
     new = sorted("%s %s" % (where, name) for name, where in _package_unreached().items()
                  if name not in AWAITING)
     assert not new, "public names that no package code or benchmark caller reads: %s" % new
@@ -194,3 +205,20 @@ def test_reach_scan_sees_names_attributes_and_callers():
                                  "used(a.by_attr, Read)\n")}
     callers = [ast.parse("cn.a.by_caller()\n")]
     assert _unreached(sources, callers) == {"own_recursion": "a.py:4", "unread": "a.py:5"}
+
+
+def test_reach_scan_sees_public_methods():
+    sources = {"a.py": ast.parse("class Box:\n"
+                                 "    def used(self): return self.by_method()\n"
+                                 "    def by_method(self): pass\n"
+                                 "    def by_caller(self): pass\n"
+                                 "    def own_recursion(self): return self.own_recursion()\n"
+                                 "    def unread(self): pass\n"
+                                 "    def _private(self): pass\n"
+                                 "class _Hidden:\n"
+                                 "    def unread_too(self): pass\n"),
+               "b.py": ast.parse("from .a import Box\n"
+                                 "Box().used()\n")}
+    callers = [ast.parse("cn.a.Box().by_caller()\n")]
+    assert _unreached(sources, callers) == {"Box.own_recursion": "a.py:5",
+                                            "Box.unread": "a.py:6"}

@@ -516,8 +516,10 @@ def test_inverse_roundtrip():
 
 
 def test_vect_complex_check():
-    """check() and homology_ranks reject d^2 != 0 with the same message,
-    naming the highest failing degree, and accept d^2 = 0."""
+    """homology_ranks, and check() through it, reject d^2 != 0 naming the
+    highest failing degree, also where the failing rows of a differential
+    are outside the ones its upper neighbour clears; check() returns a
+    complex with d^2 = 0."""
     one = Matrix.identity(1)
     good = VectComplex({0: 1, 1: 1}, {0: one})
     good.check()
@@ -759,10 +761,18 @@ def test_total_complex_names_the_failing_bidegree():
 # ---------------------------------------------------------------------------
 # homology_ranks: top-down elimination with clearing
 
+def _square_message(v):
+    """The reference d^2 = 0 check, by Matrix products: the message for
+    the highest degree n at which d^(n+1) d^n is not zero, or None."""
+    bad = [n for n in v.diffs
+           if n + 1 in v.diffs and not (v.diffs[n + 1] * v.diffs[n]).is_zero()]
+    return "d^2 != 0 at degree %d" % max(bad) if bad else None
+
+
 def _ranks_by_full_rank(v):
-    """homology_ranks without clearing: check() and the rank of every
-    differential in full."""
-    v.check()
+    """homology_ranks without clearing: d^2 = 0 by Matrix products and the
+    rank of every differential in full."""
+    assert _square_message(v) is None
     rk = {n: rank(m) for n, m in v.diffs.items()}
     return {n: h for n in v.dims if (h := v.dim(n) - rk.get(n, 0) - rk.get(n - 1, 0))}
 
@@ -827,9 +837,9 @@ def _message(f, v):
 @settings(max_examples=150, deadline=None)
 @given(_exact_complexes(), st.data())
 def test_broken_complexes_are_rejected_with_the_same_message(case, data):
-    """One entry of one differential changed: homology_ranks and check()
-    reject the result with the same message, or both accept it and the
-    ranks agree with the full ranks."""
+    """One entry of one differential changed: homology_ranks, and check()
+    through it, reject the result with the message of the check by Matrix
+    products, or accept it and the ranks agree with the full ranks."""
     v, _ = case
     if not v.diffs:
         return
@@ -840,8 +850,9 @@ def test_broken_complexes_are_rejected_with_the_same_message(case, data):
     i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
     broken[i, j] = broken[i, j] + data.draw(_NONZERO)
     w = VectComplex(v.dims, {**v.diffs, n: broken})
-    message = _message(VectComplex.check, w)
-    assert _message(homology_ranks, w) == message
+    message = _message(homology_ranks, w)
+    assert message == _square_message(w)
+    assert _message(VectComplex.check, w) == message
     if message is None:
         assert homology_ranks(w) == _ranks_by_full_rank(w)
     else:

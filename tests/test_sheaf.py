@@ -49,6 +49,41 @@ def test_euler_char_fixtures():
     assert euler_char(CellularSheaf(torus7(), {}, {})) == 0
 
 
+def _stalk_sum(f):
+    """The reference for euler_char: sum over cells of (-1)^dim c times
+    the Euler characteristic of the stalk at c, the sections complex
+    counted degree by degree."""
+    return sum((-1) ** f.base.dim(c) * euler(v) for c, v in f.stalks.items())
+
+
+def _euler_char_inputs():
+    """Seeded piece sheaves, and their verdier_dual, shift_sheaf,
+    tensor_sheaf, pushforward and kernel_compose outputs."""
+    rng = random.Random(45)
+    for cx in [full_simplex(2), circle(5), torus7(), tetra_boundary(), hollow_triangle(),
+               product(circle(3), interval())[0]] * 2:
+        f = random_piece_sheaf(rng, cx, max_pieces=3).sheaf
+        yield f
+        yield verdier_dual(f)
+        yield shift_sheaf(f, rng.randint(-2, 2))
+        yield tensor_sheaf(f, random_piece_sheaf(rng, cx, max_pieces=2).sheaf)
+        m = random_cellular_map(rng, cx)
+        yield pushforward(m, random_piece_sheaf(rng, m.source, max_pieces=2).sheaf)
+    for k12, k23 in _random_kernel_pairs():
+        yield kernel_compose(k12, k23)
+
+
+def test_euler_char_is_the_stalk_sum():
+    """chi of hypercohomology, which euler_char reads off homology_ranks,
+    equals the alternating stalk sum."""
+    values = []
+    for f in _euler_char_inputs():
+        values.append(euler_char(f))
+        assert values[-1] == _stalk_sum(f)
+    assert len(values) == 72
+    assert sum(map(bool, values)) >= 40
+
+
 def test_validate_accepts_constant_and_catches_breakage():
     f = constant(full_simplex(3))
     assert f.validate() == []
