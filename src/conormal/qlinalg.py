@@ -528,14 +528,11 @@ def graded_map(src, tgt, arrows):
     that sends piece s into piece t by sign * (a (x) b), for arrows
     (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
     identity I_n, so a plain matrix m is the arrow (s, t, m, 1, sign).
-    Arrows into one place add, and entries that cancel are dropped.  A
-    scalar block, whose factors are both 1x1 (a 1x1 Matrix or the int 1),
-    is the one entry sign * x * y added into its target row, with no
-    product by a factor 1, and nothing when x or y is zero; a call negates
-    each distinct entry x once and reuses that negative for every arrow of
-    sign -1 that reads x.  Any other block goes through _add_block, the
-    rule for non-scalar blocks that sheaf.sections shares; sections places
-    its own scalar entries and calls neither layout nor graded_map, while
+    Arrows into one place add, and entries that cancel are dropped.  Each
+    arrow is placed by _place, the rule that sheaf.kernel_compose shares:
+    a scalar block is one entry, and a call negates each distinct entry
+    once.  sections and kernel_compose write their blocks straight into
+    their matrices and call neither layout nor graded_map, while
     pushforward, verdier_dual and the Lefschetz endomorphisms place blocks
     on a sections index here.  Keyed by source degree, and degrees whose
     matrix is zero are left out."""
@@ -552,37 +549,49 @@ def graded_map(src, tgt, arrows):
         elif entry[0] != nt:
             raise LinAlgError("arrows from degree %d land in degrees %d and %d"
                               % (n, entry[0], nt))
-        m = entry[1]
-        a_int, b_int = type(a) is int, type(b) is int
-        ar, ac = (a, a) if a_int else (a.rows, a.cols)
-        br, bc = (b, b) if b_int else (b.rows, b.cols)
-        if ar == ac == br == bc == 1 and r0 < m.rows and c0 < m.cols:
-            x = _ONE if a_int else a.data[0].get(0)
-            y = _ONE if b_int else b.data[0].get(0)
-            if x is not None and y is not None:
-                if x is _ONE:
-                    x, y = y, x
-                if sign < 0:
-                    hit = negated.get(id(x))
-                    if hit is None:
-                        hit = negated[id(x)] = x, -x
-                    x = hit[1]
-                if y is not _ONE:
-                    x *= y
-                row = m.data[r0]
-                z = row.get(c0)
-                if z is None:
+        _place(entry[1], r0, c0, a, b, sign, negated)
+    return {n: m for n, (_, m) in out.items() if any(m.data)}
+
+
+def _place(m, r0, c0, a, b, sign, negated):
+    """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
+    for sign +-1 and a factor given as an int n standing for I_n: the one
+    placement rule of graded_map and sheaf.kernel_compose.  A scalar
+    block, whose factors are both 1x1 (a 1x1 Matrix or the int 1), is the
+    one entry sign * x * y added into its target row, with no product by a
+    factor 1, and nothing when x or y is zero.  negated is the caller's
+    memo, one dict per call, id of an entry -> (the entry, its negative):
+    it holds the entry, so each distinct entry is negated once.  Any other
+    block, and a scalar one out of range, goes through _add_block, which
+    raises on a block that does not fit."""
+    a_int, b_int = type(a) is int, type(b) is int
+    ar, ac = (a, a) if a_int else (a.rows, a.cols)
+    br, bc = (b, b) if b_int else (b.rows, b.cols)
+    if ar == ac == br == bc == 1 and r0 < m.rows and c0 < m.cols:
+        x = _ONE if a_int else a.data[0].get(0)
+        y = _ONE if b_int else b.data[0].get(0)
+        if x is not None and y is not None:
+            if x is _ONE:
+                x, y = y, x
+            if sign < 0:
+                hit = negated.get(id(x))
+                if hit is None:
+                    hit = negated[id(x)] = x, -x
+                x = hit[1]
+            if y is not _ONE:
+                x *= y
+            row = m.data[r0]
+            z = row.get(c0)
+            if z is None:
+                row[c0] = x
+            else:
+                x += z
+                if x:
                     row[c0] = x
                 else:
-                    x += z
-                    if x:
-                        row[c0] = x
-                    else:
-                        del row[c0]
-            continue
-        # any other block, and a scalar one out of range, which this raises on
-        _add_block(m, r0, c0, a, b, sign)
-    return {n: m for n, (_, m) in out.items() if any(m.data)}
+                    del row[c0]
+        return
+    _add_block(m, r0, c0, a, b, sign)
 
 
 def _add_block(m, r0, c0, a, b, sign):
@@ -590,8 +599,10 @@ def _add_block(m, r0, c0, a, b, sign):
     for sign +-1 and a factor given as an int n standing for I_n: row by
     row into the target rows with _add_row, which shifts the columns and
     applies the sign in the same pass.  When b is the int 1 and a is a
-    Matrix the rows are a's own, read and never stored.  Raises
-    LinAlgError when the block does not fit in m."""
+    Matrix the rows are a's own, read and never stored.  The rule for
+    non-scalar blocks of _place (so of graded_map and kernel_compose) and
+    of sections, which writes its own scalar entries.  Raises LinAlgError
+    when the block does not fit in m."""
     a_int, b_int = type(a) is int, type(b) is int
     nr = (a if a_int else a.rows) * (b if b_int else b.rows)
     nc = (a if a_int else a.cols) * (b if b_int else b.cols)

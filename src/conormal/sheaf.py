@@ -23,7 +23,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      shift_chain_map, layout, graded_map, _add_block)
+                      shift_chain_map, graded_map, _add_block, _place)
 
 
 class SheafError(ValueError):
@@ -441,6 +441,21 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
     return CellularSheaf(base, stalks, restrictions)
 
 
+def _steps(restrictions, swap=False):
+    """The restrictions of a sheaf on a product X x Y (on Y x X when swap),
+    grouped by the cell x of X that they start from: (along, across) with
+    along[x][y] = {y2: phi} for each step (x, y) < (x, y2) and
+    across[x][x2] = {y: phi} for each step (x, y) < (x2, y)."""
+    along, across = {}, {}
+    for (s, t), phi in restrictions.items():
+        (x, y), (x2, y2) = (s[::-1], t[::-1]) if swap else (s, t)
+        if x == x2:
+            along.setdefault(x, {}).setdefault(y, {})[y2] = phi
+        else:
+            across.setdefault(x, {}).setdefault(x2, {})[y] = phi
+    return along, across
+
+
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     """Convolution of kernels: q13_*(q12^*K12 (x) q23^*K23), built on
     M1 x M3 with no sheaf on T = (M1 x M2) x M3.
@@ -451,6 +466,14 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     (-1)^(dim b + p) 1 (x) d plus, for each coface b' of b,
     (-1)^dim c [b':b] K12.res (x) K23.res.  A step in a restricts by
     K12.res (x) 1 and a step in c by (-1)^dim b 1 (x) K23.res, on every b.
+
+    The blocks are written straight into one Matrix per degree, with no
+    arrow list, layout or graded_map: each fiber's pieces are placed once,
+    and every block goes through qlinalg._place, graded_map's own rule
+    (a call negates each distinct entry once).  Each block joins one
+    source piece to one target piece, so no two blocks share an entry.
+    Each kernel's restrictions are grouped once (_steps), by the cell of
+    the outer factor, a or c, that they start from.
     """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
@@ -459,45 +482,113 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     base = _product_complex(m1, m3)
     # sections() stacks a fiber by (dim, str(((a, b), c))), which within one
     # fiber is (dim b, repr(b))
-    mids = sorted(m2.cell_ids(), key=lambda b: (m2.dim(b), repr(b)))
-    sign = {b: -1 if m2.dim(b) % 2 else 1 for b in mids}
-    fibers, stalks = {}, {}  # fibers: (a, c) -> ([(b, K12(a, b), K23(b, c))], layout)
-    for a, c in base.cell_ids():
-        fib = [(b, k12.stalks[(a, b)], k23.stalks[(b, c)]) for b in mids
-               if (a, b) in k12.stalks and (b, c) in k23.stalks]
+    order = {b: i for i, b in enumerate(sorted(m2.cell_ids(),
+                                               key=lambda b: (m2.dim(b), repr(b))))}
+    sign = {b: -1 if m2.dim(b) % 2 else 1 for b in order}
+    left = {}  # a -> [(b, K12(a, b), its (degree, dim) in order)] in fiber order
+    for (a, b), u in sorted(k12.stalks.items(), key=lambda item: order[item[0][1]]):
+        left.setdefault(a, []).append((b, u, sorted(u.dims.items())))
+    right = {}  # c -> {b: (K23(b, c), its (degree, dim) in order)}
+    for (b, c), v in k23.stalks.items():
+        right.setdefault(c, {})[b] = v, sorted(v.dims.items())
+    in_b12, in_a12 = _steps(k12.restrictions)
+    in_b23, in_c23 = _steps(k23.restrictions, swap=True)
+    coboundary = m2.coboundary()
+    empty = {}
+    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
+    # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)})}, dims)
+    fibers, stalks = {}, {}
+    for ac in base.cell_ids():
+        a, c = ac
+        us, vs = left.get(a), right.get(c)
+        if us is None or vs is None:
+            continue
+        fib, dims = {}, {}
+        for b, u, udims in us:
+            hit = vs.get(b)
+            if hit is None:
+                continue
+            v, vdims = hit
+            at, w = {}, m2.dim(b)
+            for p, du in udims:
+                for q, dv in vdims:
+                    n = p + q + w
+                    off = dims.get(n, 0)
+                    at[(p, q)] = (n, off)
+                    dims[n] = off + du * dv
+            fib[b] = u, v, at
         if not fib:
             continue
-        lay = layout([((b, p, q), p + q + m2.dim(b), u.dims[p] * v.dims[q])
-                      for b, u, v in fib for p in sorted(u.dims) for q in sorted(v.dims)])
+        mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
         sc = -1 if m3.dim(c) % 2 else 1
-        arrows = []
-        for b, u, v in fib:
+        res12, res23 = in_b12.get(a, empty), in_b23.get(c, empty)
+        for b, (u, v, at) in fib.items():
             sb = sign[b]
-            arrows += [((b, p, q), (b, p + 1, q), d, v.dims[q], sb)
-                       for p, d in u.diffs.items() for q in v.dims]
-            arrows += [((b, p, q), (b, p, q + 1), u.dims[p], d, -sb if p % 2 else sb)
-                       for q, d in v.diffs.items() for p in u.dims]
-            for b2 in m2.cofaces(b):
-                phi, psi = k12.res((a, b), (a, b2)), k23.res((b, c), (b2, c))
-                if phi and psi:
-                    sgn = sc * m2.incidence(b2, b)
-                    arrows += [((b, p, q), (b2, p, q), fp, gq, sgn)
-                               for p, fp in phi.items() for q, gq in psi.items()]
-        fibers[(a, c)] = fib, lay
-        stalks[(a, c)] = VectComplex(lay[0], graded_map(lay, lay, arrows))
+            for p, d in u.diffs.items():
+                for q, e in v.dims.items():
+                    n, c0 = at[(p, q)]
+                    _place(mats[n], at[(p + 1, q)][1], c0, d, e, sb, negated)
+            for q, d in v.diffs.items():
+                for p, e in u.dims.items():
+                    n, c0 = at[(p, q)]
+                    _place(mats[n], at[(p, q + 1)][1], c0, e, d, -sb if p % 2 else sb,
+                           negated)
+            phis, psis = res12.get(b), res23.get(b)
+            if phis is None or psis is None:
+                continue
+            for b2, _, inc in coboundary[b]:
+                phi, psi = phis.get(b2), psis.get(b2)
+                if phi is not None and psi is not None:
+                    sgn = sc * inc
+                    to = fib[b2][2]
+                    for p, fp in phi.items():
+                        for q, gq in psi.items():
+                            n, c0 = at[(p, q)]
+                            _place(mats[n], to[(p, q)][1], c0, fp, gq, sgn, negated)
+        fibers[ac] = fib, dims
+        stalks[ac] = VectComplex(dims, mats)
     restrictions = {}
-    for (a, c), (fib, lay) in fibers.items():
-        # a restriction of K12 or K23 joins nonzero stalks, so an arrow
-        # lands in a piece of the fiber over (a2, c2)
-        for a2, c2 in base.cofaces((a, c)):
+    for ac, (fib, dims) in fibers.items():
+        a, c = ac
+        steps12, steps23 = in_a12.get(a, empty), in_c23.get(c, empty)
+        for t in base.cofaces(ac):
+            # a restriction of K12 or K23 joins nonzero stalks, so when t has
+            # no fiber no block lands there
+            target = fibers.get(t)
+            if target is None:
+                continue
+            fib2, dims2 = target
+            a2, c2 = t
+            mats = {}
             if c2 == c:
-                arrows = [((b, p, q), (b, p, q), fp, v.dims[q], 1) for b, u, v in fib
-                          for p, fp in k12.res((a, b), (a2, b)).items() for q in v.dims]
+                for b, phi in steps12.get(a2, empty).items():
+                    hit = fib.get(b)
+                    if hit is not None:
+                        u, v, at = hit
+                        to = fib2[b][2]
+                        for p, fp in phi.items():
+                            for q, e in v.dims.items():
+                                n, c0 = at[(p, q)]
+                                m = mats.get(n)
+                                if m is None:
+                                    m = mats[n] = Matrix(dims2[n], dims[n])
+                                _place(m, to[(p, q)][1], c0, fp, e, 1, negated)
             else:
-                arrows = [((b, p, q), (b, p, q), u.dims[p], gq, sign[b]) for b, u, v in fib
-                          for q, gq in k23.res((b, c), (b, c2)).items() for p in u.dims]
-            if arrows:
-                restrictions[((a, c), (a2, c2))] = graded_map(lay, fibers[(a2, c2)][1], arrows)
+                for b, psi in steps23.get(c2, empty).items():
+                    hit = fib.get(b)
+                    if hit is not None:
+                        u, v, at = hit
+                        to, sb = fib2[b][2], sign[b]
+                        for q, gq in psi.items():
+                            for p, e in u.dims.items():
+                                n, c0 = at[(p, q)]
+                                m = mats.get(n)
+                                if m is None:
+                                    m = mats[n] = Matrix(dims2[n], dims[n])
+                                _place(m, to[(p, q)][1], c0, e, gq, sb, negated)
+            phi = {n: m for n, m in mats.items() if any(m.data)}
+            if phi:
+                restrictions[(ac, t)] = phi
     return CellularSheaf(base, stalks, restrictions)
 
 

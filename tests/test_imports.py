@@ -10,11 +10,13 @@ binds nothing and is exempt.  A private name (one leading underscore)
 of another conormal module, imported by name or read as an attribute of
 an imported module, must be on ALLOWED_PRIVATE.  Each public module-level
 def or class, and each public method of a public class (``Class.method``),
-must be read, as a name or as an attribute, by package code outside its
-own definition or by bench/run.py or bench/workloads.py, or be on
-AWAITING; a method counts as read wherever its name is.  Every absolute
-import of the package (``__init__.py`` included) names a standard-library
-module.
+must be read by package code outside its own definition or by
+bench/run.py or bench/workloads.py, or be on AWAITING.  Its own module
+reads it as a name or as an attribute; any other module as an attribute,
+or as a name that module imports, so a local variable that shares the
+name reads nothing.  A method counts as read wherever its name is.
+Every absolute import of the package (``__init__.py`` included) names a
+standard-library module.
 """
 
 import ast
@@ -28,13 +30,13 @@ SRC = ROOT / "src" / "conormal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the private names one module still reads from another
 ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_trace_endo", "_cohomology_trace",
-                   "_ONE", "_add_multiple", "_int_rows", "_add_block"}
+                   "_ONE", "_add_multiple", "_int_rows", "_add_block", "_place"}
 # the benchmark's code that runs the package (bench/tracer.py only wraps names)
 BENCH_CALLERS = [ROOT / "bench" / "run.py", ROOT / "bench" / "workloads.py"]
 # public names ('Class.method' for a method) that no package code and no
 # benchmark caller reads, and why each stays
 _TRACED = "bench/tracer.py TARGETS wraps it; it goes after TARGETS drops it"
-_GATE = "the rank-level RHom suites of ROADMAP item 5 will read it"
+_GATE = "the rank-level RHom suites of ROADMAP item 6 will read it"
 AWAITING = {"rank": _TRACED, "kernel_basis": _TRACED, "solve_unique": _TRACED,
             "tensor": _TRACED, "cohomology_trace": _TRACED, "total_complex": _TRACED,
             "Matrix.kron": _TRACED,
@@ -158,15 +160,22 @@ def _reads(tree, skip=None):
                 or isinstance(node, ast.Attribute))}
 
 
+def _foreign_reads(tree):
+    """Names the tree reads of another module: every attribute, and a bare
+    name only when the tree imports it."""
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | (_read(tree) & set(_imported(tree))))
+
+
 def _unreached(sources, callers):
     """'module:line name' of each public def, class or method of the
     sources (a dict of module name -> tree) that neither package code
     outside its definition nor a caller (a list of trees) reads; a method
     is read as its own name."""
-    called = set().union(*(_reads(tree) for tree in callers))
+    called = set().union(*(_foreign_reads(tree) for tree in callers))
     out = {}
     for name, tree in sources.items():
-        others = set().union(*(_reads(t) for m, t in sources.items() if m != name))
+        others = set().union(*(_foreign_reads(t) for m, t in sources.items() if m != name))
         for public, node in _public_defs(tree).items():
             if public.rpartition(".")[2] not in called | others | _reads(tree, skip=node):
                 out[public] = "%s:%d" % (name, node.lineno)
@@ -202,8 +211,14 @@ def test_reach_scan_sees_names_attributes_and_callers():
                                  "def _private(): pass\n"),
                "b.py": ast.parse("from .a import used, Read\n"
                                  "from . import a\n"
-                                 "used(a.by_attr, Read)\n")}
-    callers = [ast.parse("cn.a.by_caller()\n")]
+                                 "used(a.by_attr, Read)\n"
+                                 "def _local():\n"
+                                 "    unread = 1\n"
+                                 "    return unread\n")}
+    callers = [ast.parse("cn.a.by_caller()\n"
+                         "own_recursion = 2\n"
+                         "print(own_recursion)\n")]
+    # a local that shares a public name is no read of it
     assert _unreached(sources, callers) == {"own_recursion": "a.py:4", "unread": "a.py:5"}
 
 

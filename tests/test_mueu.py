@@ -71,6 +71,14 @@ def test_star_compatibility_and_degree():
         assert degree(star(mueu(f), mueu(g))) == euler_char(t)
 
 
+def test_compose_cycle_middle_mismatch():
+    """Cycles whose middle factors differ do not compose."""
+    p12, _, _ = product(POINT, interval())
+    p23, _, _ = product(hollow_triangle(), POINT)
+    with pytest.raises(SheafError, match="middle factors"):
+        compose_cycle(mueu(constant(p12)), mueu(constant(p23)))
+
+
 def test_compose_cycle_matches_kernel_compose():
     rng = random.Random(47)
     for _ in range(10):

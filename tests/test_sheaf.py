@@ -309,14 +309,16 @@ def test_sections_match_the_reference_route():
                     "restriction block larger than 1x1", "negated 1x1"}
 
 
-def test_sections_calls_no_layout_and_no_graded_map(monkeypatch):
-    """sections writes its blocks straight into its matrices: no call of
-    layout or graded_map, under either name sheaf binds."""
+def test_sections_and_kernel_compose_call_no_layout_and_no_graded_map(monkeypatch):
+    """sections and kernel_compose write their blocks straight into their
+    matrices: no call of layout, which sheaf does not import, or of
+    graded_map, under either name sheaf binds."""
+    assert not hasattr(sheaf_mod, "layout")
     calls = []
-    for name, real in [("layout", ql.layout), ("graded_map", ql.graded_map)]:
-        for mod in (ql, sheaf_mod):
-            monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
+    real = {"layout": ql.layout, "graded_map": ql.graded_map}
+    for mod, name in [(ql, "layout"), (ql, "graded_map"), (sheaf_mod, "graded_map")]:
+        monkeypatch.setattr(mod, name, lambda *a, real=real[name], name=name:
+                            calls.append(name) or real(*a))
     rng = random.Random(31)
     g = random_cellular_map(rng, torus7())
     cx = g.source
@@ -327,10 +329,13 @@ def test_sections_calls_no_layout_and_no_graded_map(monkeypatch):
     for vc in (global_sections(f), sections(f, cx.star(vertex))[0],
                sections(f, fibre, g.target.dim(t) + 1)[0]):
         assert vc.diffs
+    composed = [kernel_compose(k12, k23) for k12, k23 in _random_kernel_pairs()]
+    assert sum(bool(v.diffs) for k in composed for v in k.stalks.values()) > 10
+    assert sum(len(k.restrictions) for k in composed) > 100
     assert calls == []
     # the counters see a call through either name
     sheaf_mod.graded_map(*[ql.layout([("a", 0, 1)])] * 2, [])
-    ql.graded_map(*[sheaf_mod.layout([("a", 0, 1)])] * 2, [])
+    ql.graded_map(*[ql.layout([("a", 0, 1)])] * 2, [])
     assert calls == ["layout", "graded_map"] * 2
 
 
@@ -671,6 +676,14 @@ def test_kernel_compose_skyscraper_column():
     k23 = external(sky, constant(POINT), right)
     k = kernel_compose(k12, k23)
     assert euler(k.stalk(("pt", "pt"))) == 1
+
+
+def test_kernel_compose_middle_mismatch():
+    """Kernels whose middle factors differ do not compose."""
+    p12, _, _ = product(POINT, interval())
+    p23, _, _ = product(hollow_triangle(), POINT)
+    with pytest.raises(SheafError, match="middle factors"):
+        kernel_compose(constant(p12), constant(p23))
 
 
 def _pulled_back_tensor(k12, k23):
