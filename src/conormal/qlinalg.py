@@ -503,9 +503,10 @@ def dual(v: VectComplex) -> VectComplex:
 
 
 # ---------------------------------------------------------------------------
-# graded direct sums: every totalization but sheaf.sections lists its
-# pieces and its arrows; sections writes its blocks itself, its larger ones
-# through _add_block
+# graded direct sums: tensor products, direct sums and total complexes
+# list their pieces and their arrows; sheaf.sections, kernel_compose and
+# the maps placed on a sections complex write their blocks themselves,
+# their larger ones through _place or _add_block
 
 def layout(pieces):
     """Place ordered pieces (label, degree, dim) in a graded direct sum.
@@ -529,13 +530,13 @@ def graded_map(src, tgt, arrows):
     (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
     identity I_n, so a plain matrix m is the arrow (s, t, m, 1, sign).
     Arrows into one place add, and entries that cancel are dropped.  Each
-    arrow is placed by _place, the rule that sheaf.kernel_compose shares:
-    a scalar block is one entry, and a call negates each distinct entry
-    once.  sections and kernel_compose write their blocks straight into
-    their matrices and call neither layout nor graded_map, while
-    pushforward, verdier_dual and the Lefschetz endomorphisms place blocks
-    on a sections index here.  Keyed by source degree, and degrees whose
-    matrix is zero are left out."""
+    arrow is placed by _place: a scalar block is one entry, and a call
+    negates each distinct entry once.  Its callers are the direct sums,
+    tensor products and total complexes; sections, kernel_compose,
+    pushforward, verdier_dual and the Lefschetz endomorphisms write their
+    blocks straight from their placements and call neither layout nor
+    graded_map.  Keyed by source degree, and degrees whose matrix is zero
+    are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
@@ -556,10 +557,11 @@ def graded_map(src, tgt, arrows):
 def _place(m, r0, c0, a, b, sign, negated):
     """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
     for sign +-1 and a factor given as an int n standing for I_n: the one
-    placement rule of graded_map and sheaf.kernel_compose.  A scalar
-    block, whose factors are both 1x1 (a 1x1 Matrix or the int 1), is the
-    one entry sign * x * y added into its target row, with no product by a
-    factor 1, and nothing when x or y is zero.  negated is the caller's
+    placement rule of graded_map, sheaf.pushforward and the Lefschetz
+    endomorphisms, and of the blocks of kernel_compose that are not
+    scalar.  A scalar block, whose factors are both 1x1 (a 1x1 Matrix or
+    the int 1), is the one entry sign * x * y added into its target row,
+    with no product by a factor 1, and nothing when x or y is zero.  negated is the caller's
     memo, one dict per call, id of an entry -> (the entry, its negative):
     it holds the entry, so each distinct entry is negated once.  Any other
     block, and a scalar one out of range, goes through _add_block, which
@@ -600,8 +602,9 @@ def _add_block(m, r0, c0, a, b, sign):
     row into the target rows with _add_row, which shifts the columns and
     applies the sign in the same pass.  When b is the int 1 and a is a
     Matrix the rows are a's own, read and never stored.  The rule for
-    non-scalar blocks of _place (so of graded_map and kernel_compose) and
-    of sections, which writes its own scalar entries.  Raises LinAlgError
+    non-scalar blocks of _place (so of graded_map, pushforward, the
+    Lefschetz endomorphisms and kernel_compose) and of sections; sections
+    and kernel_compose write their own scalar entries.  Raises LinAlgError
     when the block does not fit in m."""
     a_int, b_int = type(a) is int, type(b) is int
     nr = (a if a_int else a.rows) * (b if b_int else b.rows)

@@ -23,7 +23,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      shift_chain_map, graded_map, _add_block, _place)
+                      shift_chain_map, graded_map, _add_block, _place, _ONE)
 
 
 class SheafError(ValueError):
@@ -175,11 +175,14 @@ def sections(f: CellularSheaf, cells, shift=0):
     w(s) = dim s - shift.
 
     Differential: (-1)^shift * (incidence-weighted restrictions) plus
-    (-1)^{w(s)} * internal differentials.  Returns (VectComplex, index)
-    with index[(cell, p)] = (total degree, offset).  The cells are
+    (-1)^{w(s)} * internal differentials.  Returns (VectComplex, place)
+    with place[cell][p] = (total degree, offset) for each piece, the cells
+    in stacking order and each one's degrees ascending.  The cells are
     stacked by their positions in base.cell_order(), and each one's
     cofaces, pair keys and signs are read from base.coboundary(), both
-    built once per base.
+    built once per base.  The builders that place blocks on a sections
+    complex (pushforward, verdier_dual, the Lefschetz endomorphisms)
+    write them straight from two placements in the same way.
 
     The blocks are written straight into the matrices, with no arrow list
     and no graded_map.  Each block joins one source piece to one target
@@ -192,7 +195,6 @@ def sections(f: CellularSheaf, cells, shift=0):
     """
     stalks, restrictions, base = f.stalks, f.restrictions, f.base
     dims = {}
-    index = {}
     place = {}  # cell -> {stalk degree p: (total degree, offset)}
     for c in sorted((c for c in cells if c in stalks), key=cell_sort_key(base)):
         w = base.dim(c) - shift
@@ -200,7 +202,7 @@ def sections(f: CellularSheaf, cells, shift=0):
         for p, d in sorted(stalks[c].dims.items()):
             n = p + w
             off = dims.get(n, 0)
-            index[(c, p)] = at[p] = (n, off)
+            at[p] = (n, off)
             dims[n] = off + d
     mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
     coboundary = base.coboundary()
@@ -230,7 +232,7 @@ def sections(f: CellularSheaf, cells, shift=0):
                     m.data[r0][c0] = x
                 else:
                     _add_block(m, r0, c0, a, 1, sgn)
-    return VectComplex(dims, mats), index
+    return VectComplex(dims, mats), place
 
 
 def global_sections(f: CellularSheaf) -> VectComplex:
@@ -367,6 +369,12 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
     sections carry the shift by dim t.  Requires that no source
     codim-1 pair with a nonzero restriction maps to a dimension jump
     >= 2 in the target (raises PushforwardError otherwise).
+
+    A restriction t_lo < t_hi sends each piece (s_lo, p) of the lower
+    fiber into (s_hi, p) of the upper one by the sheaf's restriction
+    s_lo < s_hi.  Its blocks are written straight from the two fibers'
+    placements through qlinalg._place (a call negates each distinct entry
+    once), and a matrix whose entries all cancel is dropped.
     """
     if not f.source.same_as(sheaf.base):
         raise SheafError("pushforward source mismatch")
@@ -374,14 +382,14 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
     fibers = {}
     for c in src.cell_ids():
         fibers.setdefault(f(c), []).append(c)
-    stalks = {}
-    lays = {}
+    stalks, places = {}, {}
     for t, cells in fibers.items():
-        vc, idx = sections(sheaf, cells, tgt.dim(t))
+        vc, place = sections(sheaf, cells, tgt.dim(t))
         if not vc.is_zero():
             stalks[t] = vc
-            lays[t] = (vc.dims, idx)
-    arrows = {}  # (t_lo, t_hi) -> arrows between the fiber sections
+            places[t] = place
+    blocks = {}  # (t_lo, t_hi) -> {degree: Matrix}
+    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     for s_lo, s_hi in src.face_pairs():
         t_lo, t_hi = f(s_lo), f(s_hi)
         if t_lo == t_hi:
@@ -396,12 +404,20 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
             continue
         if not phi or t_lo not in stalks or t_hi not in stalks:
             continue
-        # the gap is 1, so both cells sit in the same degree
+        # the gap is 1, so both pieces of a block sit in the same degree
         sgn = tgt.incidence(t_hi, t_lo) * src.incidence(s_hi, s_lo)
-        arrows.setdefault((t_lo, t_hi), []).extend(
-            ((s_lo, p), (s_hi, p), m, 1, sgn) for p, m in phi.items())
-    restrictions = {(t_lo, t_hi): graded_map(lays[t_lo], lays[t_hi], arr)
-                    for (t_lo, t_hi), arr in arrows.items()}
+        at, to = places[t_lo][s_lo], places[t_hi][s_hi]
+        mats = blocks.get((t_lo, t_hi))
+        if mats is None:
+            mats = blocks[(t_lo, t_hi)] = {}
+        for p, a in phi.items():
+            n, c0 = at[p]
+            m = mats.get(n)
+            if m is None:
+                m = mats[n] = Matrix(stalks[t_hi].dims[n], stalks[t_lo].dims[n])
+            _place(m, to[p][1], c0, a, 1, sgn, negated)
+    restrictions = {pair: {n: m for n, m in mats.items() if any(m.data)}
+                    for pair, mats in blocks.items()}
     return CellularSheaf(tgt, stalks, restrictions)
 
 
@@ -423,36 +439,58 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
     """Verdier dual: cellwise dual of compactly supported star sections.
 
     star(t) is contained in star(s), and the restriction is the transpose
-    of the inclusion of star(t)'s pieces: on the dual layouts (degrees
-    negated) it sends each piece of star(t) identically onto itself."""
+    of the inclusion of star(t)'s pieces: on the dual complexes (degrees
+    negated) it sends each piece (c, p) of star(t) identically onto
+    itself.  Its matrices are written straight from the two stars'
+    placements: in degree -n, a piece in degree n of dim F(c)^p is an
+    identity block whose rows start at the piece's offset in star(t) and
+    whose columns start at its offset in star(s)."""
     base = f.base
-    stalks, lays = {}, {}
+    stalks, places = {}, {}
     for c in base.cell_ids():
-        vc, idx = sections(f, base.star(c))
+        vc, place = sections(f, base.star(c))
         if not vc.is_zero():
-            stalks[c] = dv = ql.dual(vc)
-            lays[c] = (dv.dims, {piece: (-n, off) for piece, (n, off) in idx.items()})
+            stalks[c] = ql.dual(vc)
+            places[c] = vc.dims, place
     restrictions = {}
     for pair in base.face_pairs():
         s, t = pair
-        if s in lays and t in lays:
-            restrictions[pair] = graded_map(lays[s], lays[t], [
-                ((c, p), (c, p), f.stalks[c].dims[p], 1, 1) for c, p in lays[t][1]])
+        if s in places and t in places:
+            (sdims, sat), (tdims, tat) = places[s], places[t]
+            phi = {}
+            for c, at in tat.items():
+                frm, dims = sat[c], f.stalks[c].dims
+                for p, (n, r0) in at.items():
+                    m = phi.get(-n)
+                    if m is None:
+                        m = phi[-n] = Matrix(tdims[n], sdims[n])
+                    c0 = frm[p][1]
+                    rows = m.data
+                    for i in range(dims[p]):
+                        rows[r0 + i][c0 + i] = _ONE
+            restrictions[pair] = phi
     return CellularSheaf(base, stalks, restrictions)
+
+
+def _entries(phi):
+    """(degree, block, its one entry) for each block of phi, the entry None
+    unless the block is 1x1 and nonzero: read once per factor."""
+    return [(n, m, m.data[0].get(0) if m.rows == m.cols == 1 else None)
+            for n, m in phi.items()]
 
 
 def _steps(restrictions, swap=False):
     """The restrictions of a sheaf on a product X x Y (on Y x X when swap),
     grouped by the cell x of X that they start from: (along, across) with
-    along[x][y] = {y2: phi} for each step (x, y) < (x, y2) and
-    across[x][x2] = {y: phi} for each step (x, y) < (x2, y)."""
+    along[x][y] = {y2: _entries(phi)} for each step (x, y) < (x, y2) and
+    across[x][x2] = {y: _entries(phi)} for each step (x, y) < (x2, y)."""
     along, across = {}, {}
     for (s, t), phi in restrictions.items():
         (x, y), (x2, y2) = (s[::-1], t[::-1]) if swap else (s, t)
         if x == x2:
-            along.setdefault(x, {}).setdefault(y, {})[y2] = phi
+            along.setdefault(x, {}).setdefault(y, {})[y2] = _entries(phi)
         else:
-            across.setdefault(x, {}).setdefault(x2, {})[y] = phi
+            across.setdefault(x, {}).setdefault(x2, {})[y] = _entries(phi)
     return along, across
 
 
@@ -468,12 +506,15 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     K12.res (x) 1 and a step in c by (-1)^dim b 1 (x) K23.res, on every b.
 
     The blocks are written straight into one Matrix per degree, with no
-    arrow list, layout or graded_map: each fiber's pieces are placed once,
-    and every block goes through qlinalg._place, graded_map's own rule
-    (a call negates each distinct entry once).  Each block joins one
-    source piece to one target piece, so no two blocks share an entry.
-    Each kernel's restrictions are grouped once (_steps), by the cell of
-    the outer factor, a or c, that they start from.
+    arrow list, layout or graded_map: each fiber's pieces are placed once.
+    Each block joins one source piece to one target piece, so no two
+    blocks share an entry.  A scalar block (1x1 (x) 1x1, 1x1 (x) I_1 or
+    I_1 (x) 1x1) is assigned as its one entry, as sections writes its
+    own: each factor's entry is read once (_entries) and negated through
+    a per-call memo, so each distinct entry is negated once.  Every other
+    block goes through qlinalg._place, graded_map's own rule.  Each
+    kernel's restrictions are grouped once (_steps), by the cell of the
+    outer factor, a or c, that they start from.
     """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
@@ -485,18 +526,28 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     order = {b: i for i, b in enumerate(sorted(m2.cell_ids(),
                                                key=lambda b: (m2.dim(b), repr(b))))}
     sign = {b: -1 if m2.dim(b) % 2 else 1 for b in order}
-    left = {}  # a -> [(b, K12(a, b), its (degree, dim) in order)] in fiber order
+    # a -> [(b, K12(a, b), its (degree, dim) in order, _entries of its
+    # differentials)] in fiber order
+    left = {}
     for (a, b), u in sorted(k12.stalks.items(), key=lambda item: order[item[0][1]]):
-        left.setdefault(a, []).append((b, u, sorted(u.dims.items())))
-    right = {}  # c -> {b: (K23(b, c), its (degree, dim) in order)}
+        left.setdefault(a, []).append((b, u, sorted(u.dims.items()), _entries(u.diffs)))
+    right = {}  # c -> {b: (K23(b, c), its (degree, dim) in order, _entries of its d)}
     for (b, c), v in k23.stalks.items():
-        right.setdefault(c, {})[b] = v, sorted(v.dims.items())
+        right.setdefault(c, {})[b] = v, sorted(v.dims.items()), _entries(v.diffs)
     in_b12, in_a12 = _steps(k12.restrictions)
     in_b23, in_c23 = _steps(k23.restrictions, swap=True)
     coboundary = m2.coboundary()
     empty = {}
     negated = {}  # id of an entry -> (the entry, its negative); holds the entry
-    # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)})}, dims)
+
+    def negate(x):
+        hit = negated.get(id(x))
+        if hit is None:
+            hit = negated[id(x)] = x, -x
+        return hit[1]
+
+    # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)},
+    # the _entries of both differentials)}, dims)
     fibers, stalks = {}, {}
     for ac in base.cell_ids():
         a, c = ac
@@ -504,11 +555,11 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
         if us is None or vs is None:
             continue
         fib, dims = {}, {}
-        for b, u, udims in us:
+        for b, u, udims, udiffs in us:
             hit = vs.get(b)
             if hit is None:
                 continue
-            v, vdims = hit
+            v, vdims, vdiffs = hit
             at, w = {}, m2.dim(b)
             for p, du in udims:
                 for q, dv in vdims:
@@ -516,23 +567,33 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     off = dims.get(n, 0)
                     at[(p, q)] = (n, off)
                     dims[n] = off + du * dv
-            fib[b] = u, v, at
+            fib[b] = u, v, at, udiffs, vdiffs
         if not fib:
             continue
         mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
         sc = -1 if m3.dim(c) % 2 else 1
         res12, res23 = in_b12.get(a, empty), in_b23.get(c, empty)
-        for b, (u, v, at) in fib.items():
+        for b, (u, v, at, udiffs, vdiffs) in fib.items():
             sb = sign[b]
-            for p, d in u.diffs.items():
+            for p, d, x in udiffs:
+                if x is not None and sb < 0:
+                    x = negate(x)
                 for q, e in v.dims.items():
                     n, c0 = at[(p, q)]
-                    _place(mats[n], at[(p + 1, q)][1], c0, d, e, sb, negated)
-            for q, d in v.diffs.items():
+                    if x is not None and e == 1:
+                        mats[n].data[at[(p + 1, q)][1]][c0] = x
+                    else:
+                        _place(mats[n], at[(p + 1, q)][1], c0, d, e, sb, negated)
+            for q, d, y in vdiffs:
+                if y is not None:
+                    yn = negate(y)
                 for p, e in u.dims.items():
                     n, c0 = at[(p, q)]
-                    _place(mats[n], at[(p, q + 1)][1], c0, e, d, -sb if p % 2 else sb,
-                           negated)
+                    sg = -sb if p % 2 else sb
+                    if y is not None and e == 1:
+                        mats[n].data[at[(p, q + 1)][1]][c0] = y if sg > 0 else yn
+                    else:
+                        _place(mats[n], at[(p, q + 1)][1], c0, e, d, sg, negated)
             phis, psis = res12.get(b), res23.get(b)
             if phis is None or psis is None:
                 continue
@@ -541,10 +602,16 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                 if phi is not None and psi is not None:
                     sgn = sc * inc
                     to = fib[b2][2]
-                    for p, fp in phi.items():
-                        for q, gq in psi.items():
+                    for p, fp, x in phi:
+                        if x is not None and sgn < 0:
+                            x = negate(x)
+                        for q, gq, y in psi:
                             n, c0 = at[(p, q)]
-                            _place(mats[n], to[(p, q)][1], c0, fp, gq, sgn, negated)
+                            if x is not None and y is not None:
+                                mats[n].data[to[(p, q)][1]][c0] = (
+                                    x if y is _ONE else y if x is _ONE else x * y)
+                            else:
+                                _place(mats[n], to[(p, q)][1], c0, fp, gq, sgn, negated)
         fibers[ac] = fib, dims
         stalks[ac] = VectComplex(dims, mats)
     restrictions = {}
@@ -564,28 +631,34 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                 for b, phi in steps12.get(a2, empty).items():
                     hit = fib.get(b)
                     if hit is not None:
-                        u, v, at = hit
-                        to = fib2[b][2]
-                        for p, fp in phi.items():
+                        v, at, to = hit[1], hit[2], fib2[b][2]
+                        for p, fp, x in phi:
                             for q, e in v.dims.items():
                                 n, c0 = at[(p, q)]
                                 m = mats.get(n)
                                 if m is None:
                                     m = mats[n] = Matrix(dims2[n], dims[n])
-                                _place(m, to[(p, q)][1], c0, fp, e, 1, negated)
+                                if x is not None and e == 1:
+                                    m.data[to[(p, q)][1]][c0] = x
+                                else:
+                                    _place(m, to[(p, q)][1], c0, fp, e, 1, negated)
             else:
                 for b, psi in steps23.get(c2, empty).items():
                     hit = fib.get(b)
                     if hit is not None:
-                        u, v, at = hit
-                        to, sb = fib2[b][2], sign[b]
-                        for q, gq in psi.items():
+                        u, at, to, sb = hit[0], hit[2], fib2[b][2], sign[b]
+                        for q, gq, y in psi:
+                            if y is not None and sb < 0:
+                                y = negate(y)
                             for p, e in u.dims.items():
                                 n, c0 = at[(p, q)]
                                 m = mats.get(n)
                                 if m is None:
                                     m = mats[n] = Matrix(dims2[n], dims[n])
-                                _place(m, to[(p, q)][1], c0, e, gq, sb, negated)
+                                if y is not None and e == 1:
+                                    m.data[to[(p, q)][1]][c0] = y
+                                else:
+                                    _place(m, to[(p, q)][1], c0, e, gq, sb, negated)
             phi = {n: m for n, m in mats.items() if any(m.data)}
             if phi:
                 restrictions[(ac, t)] = phi

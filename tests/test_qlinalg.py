@@ -18,7 +18,8 @@ from conormal.randgen import (random_vect_complex,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf, interval,
                               hollow_triangle, circle)
-from conormal.sheaf import global_sections, verdier_dual, tensor_sheaf, kernel_compose
+from conormal.sheaf import (global_sections, verdier_dual, tensor_sheaf, kernel_compose,
+                            constant)
 from generators import random_chain_endo
 
 
@@ -914,3 +915,23 @@ def test_homology_ranks_agree_with_rref_on_dual_sections():
             rk = {k: len(rref(m)[1]) for k, m in v.diffs.items()}
             want = {k: h for k in v.dims if (h := v.dim(k) - rk.get(k, 0) - rk.get(k - 1, 0))}
             assert homology_ranks(v) == want
+
+
+def test_fill_of_the_dual_of_the_constant_sheaf_is_bounded():
+    """Fill-in made observable without timing: _pivot_columns reduces its
+    rows in place and empties the ones it drops, so the entries left in
+    the rows after the call are those of the kept pivot rows, a
+    deterministic count.  On d^-1 of the sections of the Verdier dual of
+    the constant sheaf on circle(16)^2 (1,024 cells, so verdier_dual
+    writes its restrictions on a base far larger than the digests' inputs
+    reach) the left-looking rule, on the column order that sections
+    gives, keeps 52,276 entries from 4,096.  ROADMAP item 2 (a fill-aware
+    pivot rule or column order) tightens this bound."""
+    cx = product(circle(16), circle(16))[0]
+    v = global_sections(verdier_dual(constant(cx)))
+    assert v.dims == {-2: 1024, -1: 2048, 0: 1024}
+    assert homology_ranks(v) == {-2: 1, -1: 2, 0: 1}
+    rows = _int_rows(v.diffs[-1])[0]
+    assert sum(map(len, rows)) == 4096
+    assert len(_pivot_columns(rows)) == 1023
+    assert sum(len(r) for r in rows) <= 52276

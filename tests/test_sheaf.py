@@ -27,7 +27,7 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               SKY, ACYC)
 from conormal.tracekernel import tk, shift_twist, compose_tk
 from conormal.mueu import mueu
-from conormal import qlinalg as ql, sheaf as sheaf_mod
+from conormal import qlinalg as ql, sheaf as sheaf_mod, lefschetz as lefschetz_mod
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
 from generators import random_morphism, random_chain_endo
@@ -299,9 +299,11 @@ def test_sections_match_the_reference_route():
             want, want_index = _reference_sections(
                 f, cells, lambda c: src.dim(c) - shift, sign)
             for given in (list(cells), set(cells), (c for c in cells)):
-                got, index = sections(f, given, shift)
+                got, place = sections(f, given, shift)
                 assert got.dims == want.dims
                 assert got.diffs == want.diffs
+                # the placement, flattened in cell order, is the reference index
+                index = {(c, p): at for c, pieces in place.items() for p, at in pieces.items()}
                 assert index == want_index and list(index) == list(want_index)
             seen.add((sign, bool(want.diffs)))
             seen |= _blocks_hit(f, cells, shift)
@@ -309,11 +311,13 @@ def test_sections_match_the_reference_route():
                     "restriction block larger than 1x1", "negated 1x1"}
 
 
-def test_sections_and_kernel_compose_call_no_layout_and_no_graded_map(monkeypatch):
-    """sections and kernel_compose write their blocks straight into their
-    matrices: no call of layout, which sheaf does not import, or of
-    graded_map, under either name sheaf binds."""
+def test_builders_on_sections_call_no_layout_and_no_graded_map(monkeypatch):
+    """sections, verdier_dual, pushforward, the Lefschetz endomorphism and
+    kernel_compose write their blocks straight into their matrices: no
+    call of layout, which sheaf does not import, or of graded_map, under
+    either name sheaf binds (lefschetz binds neither)."""
     assert not hasattr(sheaf_mod, "layout")
+    assert not hasattr(lefschetz_mod, "layout") and not hasattr(lefschetz_mod, "graded_map")
     calls = []
     real = {"layout": ql.layout, "graded_map": ql.graded_map}
     for mod, name in [(ql, "layout"), (ql, "graded_map"), (sheaf_mod, "graded_map")]:
@@ -329,6 +333,13 @@ def test_sections_and_kernel_compose_call_no_layout_and_no_graded_map(monkeypatc
     for vc in (global_sections(f), sections(f, cx.star(vertex))[0],
                sections(f, fibre, g.target.dim(t) + 1)[0]):
         assert vc.diffs
+    assert len(verdier_dual(f).restrictions) > 20
+    pushed = [pushforward(h, random_sheaf(rng, h.source, max_pieces=2))
+              for h in (random_cellular_map(rng, random_complex(rng, max_dim=2, max_cells=20))
+                        for _ in range(10))]
+    assert sum(len(p.restrictions) for p in pushed) > 10
+    endos = [_induced_endo(random_lefschetz_instance(rng))[1] for _ in range(10)]
+    assert sum(map(len, endos)) > 10
     composed = [kernel_compose(k12, k23) for k12, k23 in _random_kernel_pairs()]
     assert sum(bool(v.diffs) for k in composed for v in k.stalks.values()) > 10
     assert sum(len(k.restrictions) for k in composed) > 100
@@ -403,17 +414,21 @@ def test_verdier_dual_restrictions_are_transposed_inclusions():
     """verdier_dual, stalk for stalk and restriction for restriction, against
     dualizing the compactly supported star sections and transposing the
     inclusion of star(t)'s pieces into star(s)'s, placed as identity blocks
-    by graded_map."""
+    by graded_map on the flattened placements."""
     nonzero_res = 0
     for f in _dual_inputs():
         base = f.base
         got = verdier_dual(f)
         star = {c: sections(f, base.star(c)) for c in base.cell_ids()}
         assert got.stalks == {c: dual(vc) for c, (vc, _) in star.items() if not vc.is_zero()}
+        index = {c: {(cell, p): at for cell, pieces in place.items()
+                     for p, at in pieces.items()}
+                 for c, (_, place) in star.items()}
         want = {}
         for t, s in base.incidence_pairs():
             if s in got.stalks and t in got.stalks:
-                (vc_s, idx_s), (vc_t, idx_t) = star[s], star[t]
+                (vc_s, _), (vc_t, _) = star[s], star[t]
+                idx_s, idx_t = index[s], index[t]
                 incl = graded_map((vc_t.dims, idx_t), (vc_s.dims, idx_s),
                                   [((c, p), (c, p), Matrix.identity(f.stalks[c].dim(p)), 1, 1)
                                    for c, p in idx_t])
