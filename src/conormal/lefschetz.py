@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cellcx import CellularMap
-from .qlinalg import Matrix, is_chain_map, _place, _trace_endo, _cohomology_trace
+from .qlinalg import Matrix, is_chain_map, _add_block, _trace_endo, _cohomology_trace
 from .sheaf import CellularSheaf, SheafError, SheafMorphism, pullback, sections
 
 
@@ -49,12 +49,12 @@ def _induced_endo(inst: LefschetzInstance):
     phi_c : F(f(c)) -> F(c), on the cells whose dimension f preserves,
     sends each piece (f(c), p) into (c, p) by f.sign(c) phi_c^p.  The
     blocks are written straight from the sections placement through
-    qlinalg._place (a call negates each distinct entry once), and a
-    matrix whose entries all cancel is dropped."""
+    qlinalg._add_block, and a matrix whose entries all cancel is
+    dropped."""
     sh, f = inst.sheaf, inst.f
     vc, place = sections(sh, sh.base.cell_ids())
     dim, dims = sh.base.dim, vc.dims
-    phi, negated = {}, {}
+    phi = {}
     for c, comp in inst.phi.items():
         # a cell with an empty component may have no stalk, so no placement
         if comp and dim(f(c)) == dim(c):
@@ -64,7 +64,7 @@ def _induced_endo(inst: LefschetzInstance):
                 out = phi.get(n)
                 if out is None:
                     out = phi[n] = Matrix(dims[n], dims[n])
-                _place(out, at[p][1], c0, m, 1, sign, negated)
+                _add_block(out, at[p][1], c0, m, 1, sign)
     phi = {n: m for n, m in phi.items() if any(m.data)}
     if not is_chain_map(vc, vc, phi):
         raise LefschetzError("phi family does not induce a chain endomorphism")

@@ -506,7 +506,7 @@ def dual(v: VectComplex) -> VectComplex:
 # graded direct sums: tensor products, direct sums and total complexes
 # list their pieces and their arrows; sheaf.sections, kernel_compose and
 # the maps placed on a sections complex write their blocks themselves,
-# their larger ones through _place or _add_block
+# through _add_block, the one block writer, or as inline scalar entries
 
 def layout(pieces):
     """Place ordered pieces (label, degree, dim) in a graded direct sum.
@@ -530,17 +530,15 @@ def graded_map(src, tgt, arrows):
     (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
     identity I_n, so a plain matrix m is the arrow (s, t, m, 1, sign).
     Arrows into one place add, and entries that cancel are dropped.  Each
-    arrow is placed by _place: a scalar block is one entry, and a call
-    negates each distinct entry once.  Its callers are the direct sums,
-    tensor products and total complexes; sections, kernel_compose,
-    pushforward, verdier_dual and the Lefschetz endomorphisms write their
-    blocks straight from their placements and call neither layout nor
-    graded_map.  Keyed by source degree, and degrees whose matrix is zero
-    are left out."""
+    arrow is placed by _add_block, so a scalar block is one entry.  Its
+    callers are the direct sums, tensor products and total complexes;
+    sections, kernel_compose, pushforward, verdier_dual and the Lefschetz
+    endomorphisms write their blocks straight from their placements and
+    call neither layout nor graded_map.  Keyed by source degree, and
+    degrees whose matrix is zero are left out."""
     sdims, sindex = src
     tdims, tindex = tgt
     out = {}  # source degree -> (target degree, matrix)
-    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     for s, t, a, b, sign in arrows:
         n, c0 = sindex[s]
         nt, r0 = tindex[t]
@@ -550,36 +548,33 @@ def graded_map(src, tgt, arrows):
         elif entry[0] != nt:
             raise LinAlgError("arrows from degree %d land in degrees %d and %d"
                               % (n, entry[0], nt))
-        _place(entry[1], r0, c0, a, b, sign, negated)
+        _add_block(entry[1], r0, c0, a, b, sign)
     return {n: m for n, (_, m) in out.items() if any(m.data)}
 
 
-def _place(m, r0, c0, a, b, sign, negated):
+def _add_block(m, r0, c0, a, b, sign):
     """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
     for sign +-1 and a factor given as an int n standing for I_n: the one
-    placement rule of graded_map, sheaf.pushforward and the Lefschetz
-    endomorphisms, and of the blocks of kernel_compose that are not
-    scalar.  A scalar block, whose factors are both 1x1 (a 1x1 Matrix or
-    the int 1), is the one entry sign * x * y added into its target row,
-    with no product by a factor 1, and nothing when x or y is zero.  negated is the caller's
-    memo, one dict per call, id of an entry -> (the entry, its negative):
-    it holds the entry, so each distinct entry is negated once.  Any other
-    block, and a scalar one out of range, goes through _add_block, which
-    raises on a block that does not fit."""
+    block writer.  Raises LinAlgError when the block does not fit in m,
+    negative offsets included.  A scalar block (both factors a 1x1 Matrix
+    or the int 1) is the one entry sign * x * y added into its target
+    row, with no product by a factor 1, and nothing when x or y is zero.
+    Any other block is added row by row with _add_row, which shifts the
+    columns and applies the sign in one pass; when b is the int 1 and a
+    is a Matrix the rows are a's own, read and never stored."""
     a_int, b_int = type(a) is int, type(b) is int
     ar, ac = (a, a) if a_int else (a.rows, a.cols)
     br, bc = (b, b) if b_int else (b.rows, b.cols)
-    if ar == ac == br == bc == 1 and r0 < m.rows and c0 < m.cols:
+    if r0 < 0 or c0 < 0 or r0 + ar * br > m.rows or c0 + ac * bc > m.cols:
+        raise LinAlgError("block out of range")
+    if ar == ac == br == bc == 1:
         x = _ONE if a_int else a.data[0].get(0)
         y = _ONE if b_int else b.data[0].get(0)
         if x is not None and y is not None:
             if x is _ONE:
                 x, y = y, x
             if sign < 0:
-                hit = negated.get(id(x))
-                if hit is None:
-                    hit = negated[id(x)] = x, -x
-                x = hit[1]
+                x = -x
             if y is not _ONE:
                 x *= y
             row = m.data[r0]
@@ -593,24 +588,6 @@ def _place(m, r0, c0, a, b, sign, negated):
                 else:
                     del row[c0]
         return
-    _add_block(m, r0, c0, a, b, sign)
-
-
-def _add_block(m, r0, c0, a, b, sign):
-    """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
-    for sign +-1 and a factor given as an int n standing for I_n: row by
-    row into the target rows with _add_row, which shifts the columns and
-    applies the sign in the same pass.  When b is the int 1 and a is a
-    Matrix the rows are a's own, read and never stored.  The rule for
-    non-scalar blocks of _place (so of graded_map, pushforward, the
-    Lefschetz endomorphisms and kernel_compose) and of sections; sections
-    and kernel_compose write their own scalar entries.  Raises LinAlgError
-    when the block does not fit in m."""
-    a_int, b_int = type(a) is int, type(b) is int
-    nr = (a if a_int else a.rows) * (b if b_int else b.rows)
-    nc = (a if a_int else a.cols) * (b if b_int else b.cols)
-    if r0 + nr > m.rows or c0 + nc > m.cols:
-        raise LinAlgError("block out of range")
     data = m.data
     rows = a.data if b_int and b == 1 and not a_int else _kron_rows(a, b)
     for r, row in enumerate(rows, r0):

@@ -23,7 +23,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      shift_chain_map, graded_map, _add_block, _place, _ONE)
+                      shift_chain_map, graded_map, _add_block, _ONE)
 
 
 class SheafError(ValueError):
@@ -187,11 +187,10 @@ def sections(f: CellularSheaf, cells, shift=0):
     The blocks are written straight into the matrices, with no arrow list
     and no graded_map.  Each block joins one source piece to one target
     piece, so no two blocks share an entry: a 1x1 block is its one entry,
-    stored in its target row (a call negates each distinct entry once, as
-    graded_map does), and a larger block goes through qlinalg._add_block,
-    graded_map's own rule for non-scalar blocks.  The sheaf's matrices
-    store no zero and its zero blocks are dropped, so every 1x1 block has
-    its entry and no zero is written.
+    written inline (a call negates each distinct entry once), and a larger
+    block goes through qlinalg._add_block, the one block writer.  The
+    sheaf's matrices store no zero and its zero blocks are dropped, so
+    every 1x1 block has its entry and no zero is written.
     """
     stalks, restrictions, base = f.stalks, f.restrictions, f.base
     dims = {}
@@ -373,8 +372,8 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
     A restriction t_lo < t_hi sends each piece (s_lo, p) of the lower
     fiber into (s_hi, p) of the upper one by the sheaf's restriction
     s_lo < s_hi.  Its blocks are written straight from the two fibers'
-    placements through qlinalg._place (a call negates each distinct entry
-    once), and a matrix whose entries all cancel is dropped.
+    placements through qlinalg._add_block, and a matrix whose entries all
+    cancel is dropped.
     """
     if not f.source.same_as(sheaf.base):
         raise SheafError("pushforward source mismatch")
@@ -389,7 +388,6 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
             stalks[t] = vc
             places[t] = place
     blocks = {}  # (t_lo, t_hi) -> {degree: Matrix}
-    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     for s_lo, s_hi in src.face_pairs():
         t_lo, t_hi = f(s_lo), f(s_hi)
         if t_lo == t_hi:
@@ -415,7 +413,7 @@ def pushforward(f: CellularMap, sheaf: CellularSheaf) -> CellularSheaf:
             m = mats.get(n)
             if m is None:
                 m = mats[n] = Matrix(stalks[t_hi].dims[n], stalks[t_lo].dims[n])
-            _place(m, to[p][1], c0, a, 1, sgn, negated)
+            _add_block(m, to[p][1], c0, a, 1, sgn)
     restrictions = {pair: {n: m for n, m in mats.items() if any(m.data)}
                     for pair, mats in blocks.items()}
     return CellularSheaf(tgt, stalks, restrictions)
@@ -444,7 +442,7 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
     itself.  Its matrices are written straight from the two stars'
     placements: in degree -n, a piece in degree n of dim F(c)^p is an
     identity block whose rows start at the piece's offset in star(t) and
-    whose columns start at its offset in star(s)."""
+    whose columns start at its offset in star(s), written inline."""
     base = f.base
     stalks, places = {}, {}
     for c in base.cell_ids():
@@ -512,7 +510,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     I_1 (x) 1x1) is assigned as its one entry, as sections writes its
     own: each factor's entry is read once (_entries) and negated through
     a per-call memo, so each distinct entry is negated once.  Every other
-    block goes through qlinalg._place, graded_map's own rule.  Each
+    block goes through qlinalg._add_block, the one block writer.  Each
     kernel's restrictions are grouped once (_steps), by the cell of the
     outer factor, a or c, that they start from.
     """
@@ -583,7 +581,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     if x is not None and e == 1:
                         mats[n].data[at[(p + 1, q)][1]][c0] = x
                     else:
-                        _place(mats[n], at[(p + 1, q)][1], c0, d, e, sb, negated)
+                        _add_block(mats[n], at[(p + 1, q)][1], c0, d, e, sb)
             for q, d, y in vdiffs:
                 if y is not None:
                     yn = negate(y)
@@ -593,7 +591,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     if y is not None and e == 1:
                         mats[n].data[at[(p, q + 1)][1]][c0] = y if sg > 0 else yn
                     else:
-                        _place(mats[n], at[(p, q + 1)][1], c0, e, d, sg, negated)
+                        _add_block(mats[n], at[(p, q + 1)][1], c0, e, d, sg)
             phis, psis = res12.get(b), res23.get(b)
             if phis is None or psis is None:
                 continue
@@ -611,7 +609,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                                 mats[n].data[to[(p, q)][1]][c0] = (
                                     x if y is _ONE else y if x is _ONE else x * y)
                             else:
-                                _place(mats[n], to[(p, q)][1], c0, fp, gq, sgn, negated)
+                                _add_block(mats[n], to[(p, q)][1], c0, fp, gq, sgn)
         fibers[ac] = fib, dims
         stalks[ac] = VectComplex(dims, mats)
     restrictions = {}
@@ -641,7 +639,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                                 if x is not None and e == 1:
                                     m.data[to[(p, q)][1]][c0] = x
                                 else:
-                                    _place(m, to[(p, q)][1], c0, fp, e, 1, negated)
+                                    _add_block(m, to[(p, q)][1], c0, fp, e, 1)
             else:
                 for b, psi in steps23.get(c2, empty).items():
                     hit = fib.get(b)
@@ -658,7 +656,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                                 if y is not None and e == 1:
                                     m.data[to[(p, q)][1]][c0] = y
                                 else:
-                                    _place(m, to[(p, q)][1], c0, e, gq, sb, negated)
+                                    _add_block(m, to[(p, q)][1], c0, e, gq, sb)
             phi = {n: m for n, m in mats.items() if any(m.data)}
             if phi:
                 restrictions[(ac, t)] = phi

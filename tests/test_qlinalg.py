@@ -12,7 +12,7 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               compose_chain_maps, identity_chain_map,
                               cohomology_trace, layout,
                               graded_map, tensor_layout, tensor_chain_maps,
-                              _pivot_columns, _int_rows, _trace_endo)
+                              _pivot_columns, _int_rows, _trace_endo, _add_block)
 from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex,
                               random_invertible, _rand_rational,
@@ -291,7 +291,7 @@ def _dense_component(chi, n, rows, cols):
     return _dense(m)
 
 
-def _place(ref, r0, c0, X, Y, yr, yc, sign=1):
+def _place_dense(ref, r0, c0, X, Y, yr, yc, sign=1):
     for i, row in enumerate(_kron_ref(X, Y, yr, yc)):
         for j, x in enumerate(row):
             ref[r0 + i][c0 + j] += sign * x
@@ -315,7 +315,7 @@ def test_tensor_placement_agrees_with_dense_reference(first, second):
     ref = {n: [[Fraction(0)] * d for _ in range(tdims.get(n, 0))] for n, d in sdims.items()}
     for (p, q), c0 in soff.items():
         if (p, q) in toff:
-            _place(ref[p + q], toff[(p, q)], c0,
+            _place_dense(ref[p + q], toff[(p, q)], c0,
                    _dense_component(phi, p, a2.dim(p), a.dim(p)),
                    _dense_component(psi, q, b2.dim(q), b.dim(q)), b2.dim(q), b.dim(q))
     out = tensor_chain_maps(phi, psi, tensor_layout(a, b), tensor_layout(a2, b2))
@@ -327,10 +327,10 @@ def test_tensor_placement_agrees_with_dense_reference(first, second):
     for (p, q), c0 in soff.items():
         da, db, n = a.diffs.get(p), b.diffs.get(q), p + q
         if da is not None and not da.is_zero():
-            _place(ref[n], soff[(p + 1, q)], c0, _dense(da),
+            _place_dense(ref[n], soff[(p + 1, q)], c0, _dense(da),
                    _dense(Matrix.identity(b.dim(q))), b.dim(q), b.dim(q))
         if db is not None and not db.is_zero():
-            _place(ref[n], soff[(p, q + 1)], c0, _dense(Matrix.identity(a.dim(p))),
+            _place_dense(ref[n], soff[(p, q + 1)], c0, _dense(Matrix.identity(a.dim(p))),
                    _dense(db), db.rows, db.cols, -1 if p % 2 else 1)
     t = tensor(a, b)
     assert t.dims == sdims
@@ -355,6 +355,28 @@ def test_assemble_rejects_blocks_out_of_range():
         Matrix.assemble(2, 2, [(1, 0, Matrix.identity(2))])
     with pytest.raises(LinAlgError, match="sign"):
         Matrix.assemble(2, 2, [(0, 0, Matrix.identity(2), 2)])
+
+
+def test_add_block_rejects_blocks_out_of_range():
+    """_add_block raises, and writes nothing, for a block that starts at a
+    negative offset or runs past the last row or column, on the scalar
+    path (1x1 (x) I_1, I_1 (x) I_1) and on the row path (1x2 (x) I_1,
+    I_1 (x) 2x1); a block that fits is added."""
+    scalar = [(M([[5]]), 1), (1, 1)]
+    rows = [(M([[1, 2]]), 1), (1, M([[1], [2]]))]
+    outside = [(-1, 0), (0, -1), (-1, -1), (3, 0), (0, 3)]
+    for (a, b), offsets in [(ab, outside) for ab in scalar] + [
+            (ab, outside + [(2, 2)]) for ab in rows]:
+        for sign in (1, -1):
+            for r0, c0 in offsets:
+                m = Matrix(3, 3)
+                with pytest.raises(LinAlgError, match="block out of range"):
+                    _add_block(m, r0, c0, a, b, sign)
+                assert m.is_zero()
+    m = Matrix(3, 3)
+    _add_block(m, 1, 1, M([[1, 2]]), 1, -1)
+    _add_block(m, 2, 2, M([[5]]), 1, -1)
+    assert m == M([[0, 0, 0], [0, -1, -2], [0, 0, -5]])
 
 
 def test_layout_and_graded_map_by_hand():
@@ -477,11 +499,11 @@ def test_graded_map_never_stores_a_factor_row():
         assert [f.data for f in factors] == before
 
 
-def test_graded_map_negates_each_shared_scalar_once():
+def test_graded_map_writes_shared_scalars_by_value():
     """Many arrows of sign -1 that read one shared 1x1 factor, as a or as
-    b, write equal entries that are one negated object; a positive arrow
-    writes the factor's own entry, a product of two 1x1 factors is still
-    computed, and the factors are left as they were."""
+    b, write its negative; a positive arrow writes the factor's own entry,
+    a product of two 1x1 factors is still computed, and the factors are
+    left as they were."""
     f, g = Matrix(1, 1, [[Fraction(3, 2)]]), Matrix(1, 1, [[-2]])
     pieces = [("s%d" % k, 0, 1) for k in range(6)] + [("t%d" % k, 1, 1) for k in range(6)]
     lay = layout(pieces)
@@ -491,7 +513,6 @@ def test_graded_map_negates_each_shared_scalar_once():
     d = graded_map(lay, lay, arrows)[0]
     negatives = [d.data[r][r] for r in range(4)]
     assert all(x == Fraction(-3, 2) for x in negatives)
-    assert all(x is negatives[0] for x in negatives)
     assert d.data[4][4] is f.data[0][0]
     assert d.data[5][5] == 3 and d.data[5][5] is not negatives[0]
     assert [[dict(row) for row in m.data] for m in (f, g)] == before
