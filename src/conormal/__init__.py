@@ -14,7 +14,7 @@ from .sheaf import (CellularSheaf, SheafMorphism, SheafError, PushforwardError,
                     extend_by_zero, verdier_dual, kernel_compose,
                     euler_rhom, shift_sheaf, direct_sum_sheaf)
 from .mueu import (LagCycle, mueu, degree, external_cycle, star, compose_cycle,
-                   pushforward_cycle, support_compose, set_negative_control)
+                   pushforward_cycle, set_negative_control)
 from .tracekernel import (TraceKernel, TraceKernelError, tk, eu_point,
                           external_tk, compose_tk, shift_twist)
 from .lefschetz import (LefschetzInstance, LefschetzError, global_trace,

@@ -3,10 +3,10 @@
 An instance is a cellular endomorphism f of a complex, a sheaf F on it,
 and a morphism phi : f^-1 F -> F, that is a family of chain maps
 phi_s : F(f(s)) -> F(s) compatible with the restrictions.  The global
-side is the alternating trace of the induced endomorphism of the
-sections complex (returned through the cohomology route and
-cross-checked against the matrix trace); the local side sums signed
-traces over setwise-fixed cells.
+side is the alternating trace of the induced endomorphism on the
+cohomology of the sections complex; the local side sums signed traces
+over setwise-fixed cells.  The two sides are compared once, by the
+lefschetz suite and by `conormal lefschetz` (see global_trace).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cellcx import CellularMap
-from .qlinalg import Matrix, is_chain_map, _add_block, _trace_endo, _cohomology_trace
+from .qlinalg import Matrix, is_chain_map, _add_block, _cohomology_trace
 from .sheaf import CellularSheaf, SheafError, SheafMorphism, pullback, sections
 
 
@@ -72,19 +72,13 @@ def _induced_endo(inst: LefschetzInstance):
 
 
 def global_trace(inst: LefschetzInstance) -> Fraction:
-    """Alternating trace of the induced map on hypercohomology.
-
-    Computed on cohomology and cross-checked against the cochain-level
-    matrix trace (the two must agree by the Hopf argument).  The induced
-    map is checked to be a chain map once, in _induced_endo.
-    """
+    """Alternating trace of the induced map on hypercohomology, computed
+    on cohomology.  The induced map is checked to be a chain map once, in
+    _induced_endo.  Its trace on cochains has the diagonal blocks
+    f.sign(c) phi_c^p of the fixed cells, in degree p + dim c, so it is
+    local_trace_sum(inst) term by term and is not computed here."""
     vc, phi = _induced_endo(inst)
-    on_cochains = _trace_endo(phi, vc)
-    on_cohomology = _cohomology_trace(phi, vc)
-    if on_cochains != on_cohomology:
-        raise LefschetzError("cochain and cohomology traces disagree "
-                             "(%s vs %s)" % (on_cochains, on_cohomology))
-    return on_cohomology
+    return _cohomology_trace(phi, vc)
 
 
 def local_trace_sum(inst: LefschetzInstance) -> Fraction:

@@ -134,15 +134,3 @@ def pushforward_cycle(f: CellularMap, lam: LagCycle) -> LagCycle:
         t = f(c)
         w[t] = w.get(t, 0) + wc
     return LagCycle(f.target, w)
-
-
-def support_compose(a, b):
-    """Set-level convolution of supports with middle-variable matching."""
-    by_mid = {}
-    for (s1, s2) in a:
-        by_mid.setdefault(s2, []).append(s1)
-    out = set()
-    for (s2, s3) in b:
-        for s1 in by_mid.get(s2, ()):
-            out.add((s1, s3))
-    return out

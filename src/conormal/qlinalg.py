@@ -682,9 +682,9 @@ def tensor_chain_maps(phi, psi, src, tgt):
 def cohomology_trace(phi, v: VectComplex) -> Fraction:
     """Alternating trace of the induced endomorphism of H^*(v).
 
-    Independent of _trace_endo: the trace on H^n is read off reduced bases
-    of the cycles and the boundaries in degree n (see _cohomology_trace).
-    Rejects non-commuting phi.
+    The trace on H^n is read off reduced bases of the cycles and the
+    boundaries in degree n (see _cohomology_trace), not off the trace of
+    phi on cochains.  Rejects non-commuting phi.
     """
     if not is_chain_map(v, v, phi):
         raise LinAlgError("endomorphism does not commute with the differential")
@@ -692,8 +692,8 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
 
 
 def _trace_endo(phi, v: VectComplex) -> Fraction:
-    """Alternating trace of phi, an endomorphism of v already known to be
-    a chain map."""
+    """Alternating trace of phi, an endomorphism of v, on cochains: the
+    tests' reference for the Hopf trace formula.  No package code calls it."""
     total = Fraction(0)
     for n, d in v.dims.items():
         m = phi.get(n)

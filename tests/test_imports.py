@@ -29,7 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "conormal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the private names one module still reads from another
-ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_trace_endo", "_cohomology_trace",
+ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_cohomology_trace",
                    "_ONE", "_add_multiple", "_int_rows", "_add_block"}
 # the benchmark's code that runs the package (bench/tracer.py only wraps names)
 BENCH_CALLERS = [ROOT / "bench" / "run.py", ROOT / "bench" / "workloads.py"]

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conormal import io, cli
+from conormal import io, cli, lefschetz
 from conormal.cellcx import POINT
 from conormal.qlinalg import euler
 from conormal.sheaf import CellularSheaf, euler_char, constant
@@ -373,6 +373,35 @@ def test_cli_lefschetz(tmp_path, capsys):
         assert ("local %s" % expected) in out
 
 
+def test_trace_mismatch_is_a_property_violation(tmp_path, capsys, monkeypatch):
+    """A global trace off by one is caught by the comparison of the two
+    sides of the Lefschetz formula, in `conormal lefschetz` (exit 2) and
+    in the lefschetz suite, not by a validation error."""
+    honest = lefschetz._cohomology_trace
+    monkeypatch.setattr(lefschetz, "_cohomology_trace",
+                        lambda phi, vc: honest(phi, vc) + 1)
+    assert cli.main(["lefschetz", write(tmp_path, TRI), "L_refl"]) == 2
+    assert capsys.readouterr().out == "global 3\nlocal 2\ntrace mismatch\n"
+    report = run_checks(seed=4, cases=25, suites=["lefschetz"])
+    details = [json.loads(d) for _, _, d in report.failures]
+    assert len(details) == 25
+    assert all(d["identity"] == "global_trace == local_trace_sum" for d in details)
+
+
+# the committed copy of TRI, and the stdout of two commands on it
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+CLI_GOLDENS = [(["lefschetz", "L_refl"], "lefschetz_triangle_L_refl.txt"),
+               (["expand", "T"], "expand_triangle_T.txt")]
+
+
+def test_cli_on_the_triangle_fixture_prints_the_goldens(capsys):
+    path = FIXTURES / "triangle.json"
+    assert json.loads(path.read_text()) == TRI
+    for (command, name), golden in CLI_GOLDENS:
+        assert cli.main([command, str(path), name]) == 0
+        assert capsys.readouterr().out == (FIXTURES / golden).read_text()
+
+
 def test_cli_dual_compose_expand(tmp_path, capsys):
     path = write(tmp_path, TRI)
     assert cli.main(["dual", path, "k"]) == 0
@@ -572,6 +601,11 @@ def test_run_checks_runs_a_repeated_suite_once():
         set_negative_control(False)
     assert once.failures  # the negative control breaks the point suite
     assert twice.lines() == once.lines()
+    # by the suite's own identity: tk does not re-check the index
+    for _, _, detail in once.failures:
+        detail = json.loads(detail)
+        assert detail["identity"] == "eu_point(tk(V)) == chi(V)"
+        assert "exception" not in detail
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):

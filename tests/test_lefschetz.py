@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conormal.cellcx import identity_map, simplicial_map, product, product_map
+from conormal.cellcx import (CellularMap, identity_map, simplicial_map, product,
+                             product_map)
 from conormal.qlinalg import Matrix
 from conormal.sheaf import constant
 from conormal.lefschetz import (LefschetzInstance, LefschetzError,
@@ -114,6 +115,20 @@ def test_global_trace_checks_the_chain_map_once(monkeypatch):
                        match="^phi family does not induce a chain endomorphism$"):
         global_trace(bad)
     assert len(calls) == 2
+
+
+def test_chain_map_check_rejects_what_validate_passes():
+    """The identity of a circle with orientation sign -1 on one edge: phi
+    is the identity on every stalk, so it is compatible with the
+    restrictions, but the induced map of sections is not a chain map."""
+    cx = hollow_triangle()
+    f = CellularMap(cx, cx, {c: c for c in cx.cell_ids()},
+                    {c: -1 if c == "0.1" else 1 for c in cx.cell_ids()})
+    inst = constant_phi(f, constant(cx))
+    assert inst.validate() == []
+    with pytest.raises(LefschetzError,
+                       match="^phi family does not induce a chain endomorphism$"):
+        global_trace(inst)
 
 
 def test_global_trace_builds_no_basis_and_solves_nothing(monkeypatch):

@@ -8,7 +8,7 @@ from conormal.sheaf import (CellularSheaf, SheafError, constant, external,
                             kernel_compose, euler_char, verdier_dual)
 from conormal.mueu import (LagCycle, mueu, degree, external_cycle,
                            star, compose_cycle, pushforward_cycle,
-                           support_compose, set_negative_control)
+                           set_negative_control)
 from conormal.randgen import (interval, hollow_triangle, tetra_boundary,
                               circle, random_complex, random_sheaf,
                               random_cellular_map)
@@ -90,8 +90,6 @@ def test_compose_cycle_matches_kernel_compose():
         lhs = mueu(kernel_compose(k12, k23))
         rhs = compose_cycle(mueu(k12), mueu(k23))
         assert lhs == rhs
-        assert lhs.support <= support_compose(mueu(k12).support,
-                                              mueu(k23).support)
 
 
 def test_pushforward_cycle_degree_and_compatibility():
@@ -104,12 +102,6 @@ def test_pushforward_cycle_degree_and_compatibility():
         pushed = pushforward_cycle(f, lam)
         assert degree(pushed) == degree(lam)
         assert mueu(pushforward(f, sh)) == pushed
-
-
-def test_support_compose():
-    a = {("x", "m"), ("y", "n")}
-    b = {("m", "u"), ("m", "v")}
-    assert support_compose(a, b) == {("x", "u"), ("x", "v")}
 
 
 def test_negative_control_flips_index():
