@@ -263,60 +263,71 @@ def rank(m: Matrix) -> int:
     return len(_pivot_columns(_int_rows(m)[0]))
 
 
-def _pivot_columns(rows) -> set:
-    """The pivot columns of left-looking fraction-free elimination of
-    rows, sparse int rows (column -> int); the rows are reduced in place.
+def _pivot_columns(rows) -> dict:
+    """The kept rows of fraction-free elimination of rows, sparse int rows
+    (column -> int), as {pivot column: row}; the rows are reduced in place.
 
     The rows are taken once each, shortest first, ties in the order
-    given, and zero rows are skipped.  At the top of each step the row is
-    divided by the gcd of its entries, which makes it primitive as it is
-    taken and after each update.  While some kept row has its pivot at
-    the lowest column j of a row, the row becomes a*row - b*pivot_row
-    with a / b = pivot / entry in lowest terms; that clears column j and
-    leaves the row zero to the left of it.  A row that reaches zero is
-    dropped, and any other is kept as the pivot row of its lowest
-    column.
+    given, and zero rows are skipped.  Each is made primitive (divided by
+    the gcd of its entries) as it is taken.  While some kept row has its
+    pivot at the highest column j of a row, _clear makes the row
+    a*row - b*pivot_row, primitive again; that clears column j and leaves
+    the row zero to the right of it.  A row that reaches zero is dropped,
+    and any other is kept as the pivot row of its highest column.
 
-    Each kept row is zero to the left of its pivot, so on the pivot
+    Each kept row is zero to the right of its pivot, so on the pivot
     columns the kept rows form a triangular matrix with a nonzero
     diagonal, and the matrix has full column rank there.  Every dropped
     row lies in the span of the kept rows, so the number of pivot columns
     is the rank.
     """
-    pivot_rows = {}
+    kept = {}
     for row in sorted(rows, key=len):
+        g = gcd(*row.values())  # 0 for a zero row, which is skipped
+        if g != 1:
+            for k in row:
+                row[k] //= g
         while row:
-            g = gcd(*row.values())
-            if g != 1:
-                for k in row:
-                    row[k] //= g
-            j = min(row)
-            prow = pivot_rows.get(j)
+            j = max(row)
+            prow = kept.get(j)
             if prow is None:
-                pivot_rows[j] = row
+                kept[j] = row
                 break
-            p, b = prow[j], row[j]
-            g = gcd(p, b)
-            a, b = p // g, b // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, x in prow.items():
-                y = row.get(k, 0) - b * x
-                if y:
-                    row[k] = y
-                elif k in row:
-                    del row[k]
-    return set(pivot_rows)
+            _clear(row, prow, j)
+    return kept
+
+
+def _clear(row, prow, j):
+    """row = a*row - b*prow divided by the gcd of its entries, for
+    a / b = prow[j] / row[j] in lowest terms and a > 0: the one integer
+    step of the elimination, which makes row zero at column j."""
+    p, b = prow[j], row[j]
+    g = gcd(p, b)
+    a, b = p // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, x in prow.items():
+        y = row.get(k, 0) - b * x
+        if y:
+            row[k] = y
+        elif k in row:
+            del row[k]
+    g = gcd(*row.values())  # 0 once row is zero
+    if g != 1:
+        for k in row:
+            row[k] //= g
 
 
 def rref(m: Matrix):
     """Reduced row echelon form by plain rational Gauss-Jordan.
 
-    Returns (R, pivot_columns).  Kept independent of the sparse rank
-    so the two can be tested against each other.
+    Returns (R, pivot_columns).  Kept independent of _pivot_columns, the
+    elimination behind ranks and traces, as the tests' reference for it;
+    kernel_basis and solve_unique call it, and nothing else in the
+    package does.
     """
     a = [dict(row) for row in m.data]
     pivots = []
@@ -691,29 +702,20 @@ def cohomology_trace(phi, v: VectComplex) -> Fraction:
     return _cohomology_trace(phi, v)
 
 
-def _trace_endo(phi, v: VectComplex) -> Fraction:
-    """Alternating trace of phi, an endomorphism of v, on cochains: the
-    tests' reference for the Hopf trace formula.  No package code calls it."""
-    total = Fraction(0)
-    for n, d in v.dims.items():
-        m = phi.get(n)
-        if m is not None:
-            total += (-1 if n % 2 else 1) * m.trace()
-    return total
-
-
 def _cohomology_trace(phi, v: VectComplex) -> Fraction:
     """cohomology_trace of a phi already known to be a chain map; d^2 = 0
     is still checked.
 
     phi keeps Z^n = ker d^n and B^n = im d^(n-1), so its trace on H^n is
-    Tr(phi|Z^n) - Tr(phi|B^n).  Each is read off a reduced basis whose
-    vectors are fixed by their entries at a set of columns:
-    - R = rref(d^n) with pivots p_i: each free column c gives the cycle
-      z_c = e_c - sum_i R[i, c] e_(p_i), which is 0 at every other free
-      column, so Tr(phi|Z^n) = sum_c (phi[c, c] - sum_i R[i, c] phi[c, p_i]);
-    - the rows r_i of rref((d^(n-1))^T) span B^n, each with a 1 at its own
-      pivot p_i and 0 at the others, so Tr(phi|B^n) = sum_i phi[p_i, :] . r_i.
+    Tr(phi|Z^n) - Tr(phi|B^n).  Each is read off a reduced basis from
+    _pivot_rows, whose rows are 1 at their own pivot and 0 at the others;
+    which pivots the elimination chose does not matter:
+    - the rows r_i of _pivot_rows(d^n), with pivots p_i, span the row
+      space of d^n, so each free column c gives the cycle
+      z_c = e_c - sum_i r_i[c] e_(p_i), which is 0 at every other free
+      column, and Tr(phi|Z^n) = sum_c (phi[c, c] - sum_i r_i[c] phi[c, p_i]);
+    - the rows r_i of _pivot_rows((d^(n-1))^T) span B^n, so
+      Tr(phi|B^n) = sum_i phi[p_i, :] . r_i.
     """
     v.check()
     total = Fraction(0)
@@ -722,23 +724,37 @@ def _cohomology_trace(phi, v: VectComplex) -> Fraction:
         cycles = _pivot_rows(v.diffs.get(n))
         image = v.diffs.get(n - 1)
         bounds = _pivot_rows(None if image is None else image.transpose())
-        pivots = {p for p, _ in cycles}
-        tr = sum((row.get(c, _ZERO) for c, row in enumerate(rows) if c not in pivots),
+        tr = sum((row.get(c, _ZERO) for c, row in enumerate(rows) if c not in cycles),
                  Fraction(0))
-        # in row i of R the only pivot column is p_i itself
-        tr -= sum(x * rows[c][p] for p, r in cycles for c, x in r.items()
+        # in row r_i the only pivot column is p_i itself
+        tr -= sum(x * rows[c][p] for p, r in cycles.items() for c, x in r.items()
                   if c != p and p in rows[c])
-        tr -= sum(rows[p][c] * x for p, r in bounds for c, x in r.items() if c in rows[p])
+        tr -= sum(rows[p][c] * x for p, r in bounds.items() for c, x in r.items()
+                  if c in rows[p])
         total += (-1 if n % 2 else 1) * tr
     return total
 
 
 def _pivot_rows(m):
-    """(pivot column, row) of each nonzero row of rref(m); none for None."""
+    """{pivot column: row} of a reduced basis of the row space of m, each
+    row 1 at its own pivot and 0 at the others; empty for None.
+
+    The rows are the kept rows of _pivot_columns on the int rows of m,
+    each zero to the right of its pivot.  Taken by ascending pivot, each
+    row clears the other pivot columns it has, all lower than its own, by
+    the elimination's integer step _clear against the rows already
+    reduced, which are zero at every pivot but their own, so no cleared
+    column comes back.  Each row is divided by its pivot entry only at
+    the end, the one Fraction arithmetic of the reduction."""
     if m is None:
-        return []
-    r, pivots = rref(m)
-    return list(zip(pivots, r.data))
+        return {}
+    kept = _pivot_columns(_int_rows(m)[0])
+    for p in sorted(kept):
+        row = kept[p]
+        for q in [q for q in row if q != p and q in kept]:
+            _clear(row, kept[q], q)
+    return {p: {c: Fraction(x, row[p]) for c, x in row.items()}
+            for p, row in kept.items()}
 
 
 def total_complex(columns, horizontal) -> VectComplex:

@@ -5,10 +5,11 @@ import pytest
 
 from conormal.cellcx import (CellularMap, identity_map, simplicial_map, product,
                              product_map)
-from conormal.qlinalg import Matrix
+from conormal.qlinalg import Matrix, rref
 from conormal.sheaf import constant
 from conormal.lefschetz import (LefschetzInstance, LefschetzError,
-                                global_trace, local_trace_sum, constant_phi)
+                                global_trace, local_trace_sum, constant_phi,
+                                _induced_endo)
 from conormal.randgen import (hollow_triangle, tetra_boundary, circle,
                               random_lefschetz_instance)
 
@@ -132,8 +133,9 @@ def test_chain_map_check_rejects_what_validate_passes():
 
 
 def test_global_trace_builds_no_basis_and_solves_nothing(monkeypatch):
-    """The cohomology route reads its traces off reduced bases: no kernel
-    basis, no linear solve and no assembled or sliced matrix."""
+    """The cohomology route reads its traces off reduced bases from the
+    fraction-free elimination: no kernel basis, no linear solve, no
+    Gauss-Jordan rref and no assembled or sliced matrix."""
     import conormal.qlinalg as ql
     calls = []
 
@@ -145,6 +147,7 @@ def test_global_trace_builds_no_basis_and_solves_nothing(monkeypatch):
 
     monkeypatch.setattr(ql, "solve_unique", counted("solve_unique", ql.solve_unique))
     monkeypatch.setattr(ql, "kernel_basis", counted("kernel_basis", ql.kernel_basis))
+    monkeypatch.setattr(ql, "rref", counted("rref", ql.rref))
     monkeypatch.setattr(Matrix, "assemble",
                         classmethod(counted("assemble", Matrix.assemble.__func__)))
     monkeypatch.setattr(Matrix, "submatrix", counted("submatrix", Matrix.submatrix))
@@ -163,4 +166,37 @@ def test_global_trace_builds_no_basis_and_solves_nothing(monkeypatch):
     one = Matrix.identity(1)
     ql.solve_unique(one, one)
     ql.kernel_basis(one)
-    assert calls == ["solve_unique", "assemble", "submatrix", "kernel_basis"]
+    assert calls == ["solve_unique", "assemble", "rref", "submatrix",
+                     "kernel_basis", "rref"]
+
+
+def _rref_pivot_rows(m):
+    """The Gauss-Jordan route to the trace's reduced bases: {pivot
+    column: row} of each nonzero row of rref(m); empty for None."""
+    if m is None:
+        return {}
+    r, pivots = rref(m)
+    return dict(zip(pivots, r.data))
+
+
+def test_cohomology_trace_agrees_with_the_rref_bases(monkeypatch):
+    """_cohomology_trace reads its bases off the kept rows of the
+    fraction-free elimination, which pivots at each row's highest column;
+    read off the bases of rref, which pivots at each column's first row,
+    it gives the same trace: the formula needs only rows that are 1 at
+    their own pivot and 0 at the others.  On the reflection of the torus
+    with a scalar phi and on 200 seeded instances."""
+    import conormal.qlinalg as ql
+    c = circle(4)
+    refl = simplicial_map(c, c, {v: (-v) % 4 for v in range(4)})
+    torus = product(c, c)[0]
+    insts = [constant_phi(product_map(refl, refl, source=torus, target=torus),
+                          constant(torus), 3)]
+    rng = random.Random(43)
+    insts += [random_lefschetz_instance(rng) for _ in range(200)]
+    cases = [_induced_endo(inst) for inst in insts]
+    assert sum(bool(vc.diffs) and bool(phi) for vc, phi in cases) > 150
+    got = [ql._cohomology_trace(phi, vc) for vc, phi in cases]
+    assert got[0] == 12
+    monkeypatch.setattr(ql, "_pivot_rows", _rref_pivot_rows)
+    assert [ql._cohomology_trace(phi, vc) for vc, phi in cases] == got

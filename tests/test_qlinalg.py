@@ -12,14 +12,15 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               compose_chain_maps, identity_chain_map,
                               cohomology_trace, layout,
                               graded_map, tensor_layout, tensor_chain_maps,
-                              _pivot_columns, _int_rows, _trace_endo, _add_block)
+                              _pivot_columns, _pivot_rows, _int_rows, _add_block)
 from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex,
                               random_invertible, _rand_rational,
                               random_complex, random_sheaf, interval,
-                              hollow_triangle, circle)
+                              hollow_triangle, circle, random_lefschetz_instance)
 from conormal.sheaf import (global_sections, verdier_dual, tensor_sheaf, kernel_compose,
                             constant)
+from conormal.lefschetz import _induced_endo
 from generators import random_chain_endo
 
 
@@ -146,10 +147,25 @@ def _matrices(draw, rows=None, cols=None):
     return Matrix(rows, cols, a)
 
 
+def _assert_reduced_basis(m):
+    """_pivot_rows(m) is a reduced basis of the row space of m: each row
+    is 1 at its own pivot and 0 at the others, and stacked with the rows
+    of rref(m), the independent Gauss-Jordan reference, the rank stays
+    the rank of m."""
+    rows = _pivot_rows(m)
+    for p, r in rows.items():
+        assert r[p] == 1 and r.keys() & rows.keys() == {p}
+    ref, pivots = rref(m)
+    both = Matrix(len(rows) + len(pivots), m.cols)
+    both.data = [dict(r) for r in rows.values()] + [dict(r) for r in ref.data[:len(pivots)]]
+    assert len(rows) == len(pivots) == len(rref(both)[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
 def test_rank_agrees_with_rref_property(m):
     assert rank(m) == len(rref(m)[1])
+    _assert_reduced_basis(m)
 
 
 def _dense(m):
@@ -615,6 +631,17 @@ def test_shift_is_involutive_on_squares():
     assert shift(shift(v, 1), -1).dims == v.dims
 
 
+def _trace_endo(phi, v):
+    """Alternating trace of phi, an endomorphism of v, on cochains: the
+    reference for the Hopf trace formula."""
+    total = Fraction(0)
+    for n in v.dims:
+        m = phi.get(n)
+        if m is not None:
+            total += (-1 if n % 2 else 1) * m.trace()
+    return total
+
+
 def test_homotopy_invariance_of_traces():
     """c*id + dh + hd has cochain trace c*chi and the same trace on
     cohomology; both routes must agree."""
@@ -939,20 +966,56 @@ def test_homology_ranks_agree_with_rref_on_dual_sections():
 
 
 def test_fill_of_the_dual_of_the_constant_sheaf_is_bounded():
-    """Fill-in made observable without timing: _pivot_columns reduces its
-    rows in place and empties the ones it drops, so the entries left in
-    the rows after the call are those of the kept pivot rows, a
-    deterministic count.  On d^-1 of the sections of the Verdier dual of
-    the constant sheaf on circle(16)^2 (1,024 cells, so verdier_dual
-    writes its restrictions on a base far larger than the digests' inputs
-    reach) the left-looking rule, on the column order that sections
-    gives, keeps 52,276 entries from 4,096.  ROADMAP item 2 (a fill-aware
-    pivot rule or column order) tightens this bound."""
+    """Fill-in made observable without timing: _pivot_columns returns its
+    kept rows, so the entries in them are a deterministic count.  On d^-1
+    of the sections of the Verdier dual of the constant sheaf on
+    circle(16)^2 (1,024 cells, so verdier_dual writes its restrictions on
+    a base far larger than the digests' inputs reach) the rule that
+    pivots at each row's highest column, on the column order that
+    sections gives, keeps 4,592 entries from 4,096 (the lowest-column
+    rule kept 52,276).  ROADMAP item 2 (a fill-aware column order)
+    tightens this bound."""
     cx = product(circle(16), circle(16))[0]
     v = global_sections(verdier_dual(constant(cx)))
     assert v.dims == {-2: 1024, -1: 2048, 0: 1024}
     assert homology_ranks(v) == {-2: 1, -1: 2, 0: 1}
     rows = _int_rows(v.diffs[-1])[0]
     assert sum(map(len, rows)) == 4096
-    assert len(_pivot_columns(rows)) == 1023
-    assert sum(len(r) for r in rows) <= 52276
+    kept = _pivot_columns(rows)
+    assert len(kept) == 1023
+    assert sum(map(len, kept.values())) <= 6000
+
+
+def test_kept_entries_of_the_largest_constant_torus_are_pinned(monkeypatch):
+    """The entries of the rows homology_ranks keeps, summed over every
+    elimination, on the sections of the constant sheaf on circle(10)^2,
+    the largest circle2 rung of the cohomology workload: an exact count,
+    so a change of pivot rule shows as a number, not as a timing.  The
+    highest-column rule keeps 612 (the lowest-column rule kept 2,018)."""
+    import conormal.qlinalg as ql
+    kept = []
+
+    def counted(rows):
+        out = _pivot_columns(rows)
+        kept.append(sum(map(len, out.values())))
+        return out
+    monkeypatch.setattr(ql, "_pivot_columns", counted)
+    cx = product(circle(10), circle(10))[0]
+    assert homology_ranks(global_sections(constant(cx))) == {0: 1, 1: 2, 2: 1}
+    assert len(kept) == 2 and sum(kept) == 612
+
+
+def test_pivot_rows_are_a_reduced_basis():
+    """_assert_reduced_basis (also run on the rational matrices of
+    test_rank_agrees_with_rref_property) on sparse rational matrices and
+    on the differentials, and their transposes, of the sections
+    complexes that 200 seeded Lefschetz instances induce: the matrices
+    whose reduced bases global_trace reads."""
+    for m in _sparse_matrices(13, 4):
+        _assert_reduced_basis(m)
+    rng = random.Random(41)
+    for _ in range(200):
+        vc, _ = _induced_endo(random_lefschetz_instance(rng))
+        for d in vc.diffs.values():
+            _assert_reduced_basis(d)
+            _assert_reduced_basis(d.transpose())
