@@ -514,54 +514,10 @@ def dual(v: VectComplex) -> VectComplex:
 
 
 # ---------------------------------------------------------------------------
-# graded direct sums: tensor products, direct sums and total complexes
-# list their pieces and their arrows; sheaf.sections, kernel_compose and
-# the maps placed on a sections complex write their blocks themselves,
-# through _add_block, the one block writer, or as inline scalar entries
-
-def layout(pieces):
-    """Place ordered pieces (label, degree, dim) in a graded direct sum.
-
-    Returns (dims, index): dims[degree] is the total dimension and
-    index[label] = (degree, offset); the pieces of one degree are stacked
-    in the order given.
-    """
-    dims = {}
-    index = {}
-    for label, n, d in pieces:
-        off = dims.get(n, 0)
-        index[label] = (n, off)
-        dims[n] = off + d
-    return dims, index
-
-
-def graded_map(src, tgt, arrows):
-    """Per-degree matrices of the map between two layouts (dims, index)
-    that sends piece s into piece t by sign * (a (x) b), for arrows
-    (s, t, a, b, sign) with sign +-1; a factor given as an int n is the
-    identity I_n, so a plain matrix m is the arrow (s, t, m, 1, sign).
-    Arrows into one place add, and entries that cancel are dropped.  Each
-    arrow is placed by _add_block, so a scalar block is one entry.  Its
-    callers are the direct sums, tensor products and total complexes;
-    sections, kernel_compose, pushforward, verdier_dual and the Lefschetz
-    endomorphisms write their blocks straight from their placements and
-    call neither layout nor graded_map.  Keyed by source degree, and
-    degrees whose matrix is zero are left out."""
-    sdims, sindex = src
-    tdims, tindex = tgt
-    out = {}  # source degree -> (target degree, matrix)
-    for s, t, a, b, sign in arrows:
-        n, c0 = sindex[s]
-        nt, r0 = tindex[t]
-        entry = out.get(n)
-        if entry is None:
-            entry = out[n] = (nt, Matrix(tdims[nt], sdims[n]))
-        elif entry[0] != nt:
-            raise LinAlgError("arrows from degree %d land in degrees %d and %d"
-                              % (n, entry[0], nt))
-        _add_block(entry[1], r0, c0, a, b, sign)
-    return {n: m for n, (_, m) in out.items() if any(m.data)}
-
+# graded direct sums, by one placement rule: each builder places its pieces
+# as {piece: (degree, offset)} and writes each block straight from that
+# placement through _add_block, the one block writer, or as an inline
+# scalar entry (sheaf.sections and kernel_compose)
 
 def _add_block(m, r0, c0, a, b, sign):
     """m += sign * (a (x) b) with the block's top left entry at (r0, c0),
@@ -572,7 +528,8 @@ def _add_block(m, r0, c0, a, b, sign):
     row, with no product by a factor 1, and nothing when x or y is zero.
     Any other block is added row by row with _add_row, which shifts the
     columns and applies the sign in one pass; when b is the int 1 and a
-    is a Matrix the rows are a's own, read and never stored."""
+    is a Matrix the rows are a's own, read and never stored.  Blocks
+    into one place add, and entries that cancel are dropped."""
     a_int, b_int = type(a) is int, type(b) is int
     ar, ac = (a, a) if a_int else (a.rows, a.cols)
     br, bc = (b, b) if b_int else (b.rows, b.cols)
@@ -605,40 +562,39 @@ def _add_block(m, r0, c0, a, b, sign):
         _add_row(data[r], row, c0, sign)
 
 
-def direct_sum_layout(*parts: VectComplex):
-    """Layout of parts[0] (+) parts[1] (+) ...: piece (k, n) is degree n of
-    parts[k], and the parts follow each other in every degree."""
-    return layout([((k, n), n, d) for k, v in enumerate(parts) for n, d in v.dims.items()])
-
-
 def direct_sum(a: VectComplex, b: VectComplex) -> VectComplex:
-    lay = direct_sum_layout(a, b)
-    arrows = [((k, n), (k, n + 1), m, 1, 1) for k, v in enumerate((a, b))
-              for n, m in v.diffs.items()]
-    return VectComplex(lay[0], graded_map(lay, lay, arrows))
+    """a (+) b: in every degree the pieces of b follow those of a."""
+    dims = {n: a.dim(n) + b.dim(n) for n in {**a.dims, **b.dims}}
+    mats = {n: Matrix(dims[n + 1], dims[n]) for n in {**a.diffs, **b.diffs}}
+    for v, before in ((a, ZERO_COMPLEX), (b, a)):
+        for n, m in v.diffs.items():
+            _add_block(mats[n], before.dim(n + 1), before.dim(n), m, 1, 1)
+    return VectComplex(dims, mats)
 
 
 def tensor_layout(a: VectComplex, b: VectComplex):
-    """Pieces (p, q) of (a (x) b)^{p+q}, p ascending within a degree."""
-    return layout([((p, q), p + q, a.dim(p) * b.dim(q))
-                   for p in sorted(a.dims) for q in sorted(b.dims)])
+    """The placement (dims, index) of a (x) b: index[(p, q)] =
+    (p + q, offset), p ascending within a degree."""
+    dims, index = {}, {}
+    for p, da in sorted(a.dims.items()):
+        for q, db in sorted(b.dims.items()):
+            off = dims.get(p + q, 0)
+            index[(p, q)] = (p + q, off)
+            dims[p + q] = off + da * db
+    return dims, index
 
 
 def tensor(a: VectComplex, b: VectComplex) -> VectComplex:
     """Tensor product with the Koszul differential d(x)1 + (-1)^p 1(x)d."""
-    return _tensor(a, b, tensor_layout(a, b))
-
-
-def _tensor(a: VectComplex, b: VectComplex, lay) -> VectComplex:
-    """tensor(a, b) on lay = tensor_layout(a, b), which a caller that also
-    places maps on it builds once."""
-    arrows = []
-    for p, q in lay[1]:
+    dims, at = tensor_layout(a, b)
+    mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
+    for (p, q), (n, c0) in at.items():
         if p in a.diffs:
-            arrows.append(((p, q), (p + 1, q), a.diffs[p], b.dims[q], 1))
+            _add_block(mats[n], at[(p + 1, q)][1], c0, a.diffs[p], b.dims[q], 1)
         if q in b.diffs:
-            arrows.append(((p, q), (p, q + 1), a.dims[p], b.diffs[q], -1 if p % 2 else 1))
-    return VectComplex(lay[0], graded_map(lay, lay, arrows))
+            _add_block(mats[n], at[(p, q + 1)][1], c0, a.dims[p], b.diffs[q],
+                       -1 if p % 2 else 1)
+    return VectComplex(dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +635,23 @@ def tensor_chain_maps(phi, psi, src, tgt):
     phi : a -> a' and psi : b -> b'.
 
     src is tensor_layout(a, b) and tgt is tensor_layout(a', b'), so a
-    caller that places many maps on the same complexes builds each layout
-    once.  The map is one graded_map, with the Kronecker arrow
-    (p, q) -> (p, q) by phi^p (x) psi^q for every pair of components.  A
-    component may be an int n standing for the identity I_n, so the dims
-    of a complex stand for its identity chain map; a Matrix component is
-    always multiplied out, identity or not.
+    caller that places many maps on the same complexes builds each
+    placement once.  Each pair of components is one block, from piece
+    (p, q) to piece (p, q) by phi^p (x) psi^q.  A component may be an int
+    n standing for the identity I_n, so the dims of a complex stand for
+    its identity chain map; a Matrix component is always multiplied out,
+    identity or not.
     """
-    return graded_map(src, tgt, [((p, q), (p, q), fp, gq, 1)
-                                 for p, fp in phi.items() for q, gq in psi.items()])
+    (sdims, sat), (tdims, tat) = src, tgt
+    out = {}
+    for p, fp in phi.items():
+        for q, gq in psi.items():
+            n, c0 = sat[(p, q)]
+            m = out.get(n)
+            if m is None:
+                m = out[n] = Matrix(tdims[n], sdims[n])
+            _add_block(m, tat[(p, q)][1], c0, fp, gq, 1)
+    return {n: m for n, m in out.items() if any(m.data)}
 
 
 def cohomology_trace(phi, v: VectComplex) -> Fraction:
@@ -791,10 +755,19 @@ def total_complex(columns, horizontal) -> VectComplex:
                 raise LinAlgError("grid does not commute at bidegree (%d, %d)" % (i, n))
 
     # bidegree (i, n) sits in total degree i + n, ordered by i
-    lay = layout([((i, n), i + n, c.dim(n))
-                  for i, c in sorted(cols.items()) for n in sorted(c.dims)])
-    arrows = [((i, n), (i + 1, n), h, 1, 1)
-              for (i, n), h in horizontal.items() if not h.is_zero()]
-    arrows += [((i, n), (i, n + 1), dv, 1, -1 if i % 2 else 1)
-               for i, c in cols.items() for n, dv in c.diffs.items()]
-    return VectComplex(lay[0], graded_map(lay, lay, arrows)).check()
+    dims, at = {}, {}
+    for i, c in sorted(cols.items()):
+        for n, d in sorted(c.dims.items()):
+            off = dims.get(i + n, 0)
+            at[(i, n)] = (i + n, off)
+            dims[i + n] = off + d
+    mats = {k: Matrix(dims[k + 1], d) for k, d in dims.items() if k + 1 in dims}
+    for (i, n), h in horizontal.items():
+        if not h.is_zero():
+            k, c0 = at[(i, n)]
+            _add_block(mats[k], at[(i + 1, n)][1], c0, h, 1, 1)
+    for i, c in cols.items():
+        for n, dv in c.diffs.items():
+            k, c0 = at[(i, n)]
+            _add_block(mats[k], at[(i, n + 1)][1], c0, dv, 1, -1 if i % 2 else 1)
+    return VectComplex(dims, mats).check()

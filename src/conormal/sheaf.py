@@ -23,7 +23,7 @@ from . import qlinalg as ql
 from .qlinalg import (Matrix, VectComplex, ZERO_COMPLEX, euler,
                       tensor_layout, is_chain_map,
                       compose_chain_maps, tensor_chain_maps, identity_chain_map,
-                      shift_chain_map, graded_map, _add_block, _ONE)
+                      shift_chain_map, _add_block, _ONE)
 
 
 class SheafError(ValueError):
@@ -184,8 +184,8 @@ def sections(f: CellularSheaf, cells, shift=0):
     complex (pushforward, verdier_dual, the Lefschetz endomorphisms)
     write them straight from two placements in the same way.
 
-    The blocks are written straight into the matrices, with no arrow list
-    and no graded_map.  Each block joins one source piece to one target
+    The blocks are written straight from the placement, the package's one
+    placement rule.  Each block joins one source piece to one target
     piece, so no two blocks share an entry: a 1x1 block is its one entry,
     written inline (a call negates each distinct entry once), and a larger
     block goes through qlinalg._add_block, the one block writer.  The
@@ -272,15 +272,17 @@ def direct_sum_sheaf(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     # dicts, not sets, of cells and pairs: the result comes in the same
     # order under every hash seed
     cells = {**f.stalks, **g.stalks}
-    lays = {c: ql.direct_sum_layout(f.stalk(c), g.stalk(c)) for c in cells}
     stalks = {c: ql.direct_sum(f.stalk(c), g.stalk(c)) for c in cells}
-    # piece (0, n) of a stalk is degree n of f, (1, n) degree n of g, and
-    # each restriction acts on its own pieces
-    restrictions = {(s, t): graded_map(lays[s], lays[t],
-                                       [((k, n), (k, n), m, 1, 1)
-                                        for k, h in enumerate((f, g))
-                                        for n, m in h.res(s, t).items()])
-                    for (s, t) in {**f.restrictions, **g.restrictions}}
+    # in every degree of a stalk g's pieces follow f's, and each
+    # restriction acts on its own pieces
+    restrictions = {}
+    for s, t in {**f.restrictions, **g.restrictions}:
+        mats = restrictions[(s, t)] = {}
+        for h, up, left in ((f, ZERO_COMPLEX, ZERO_COMPLEX), (g, f.stalk(t), f.stalk(s))):
+            for n, m in h.res(s, t).items():
+                if n not in mats:
+                    mats[n] = Matrix(stalks[t].dim(n), stalks[s].dim(n))
+                _add_block(mats[n], up.dim(n), left.dim(n), m, 1, 1)
     return CellularSheaf(f.base, stalks, restrictions)
 
 
@@ -304,16 +306,16 @@ def _pulled_tensor(base, f, g, left, right):
     to one cell or to a codim-1 pair.
 
     The stalk at x is f(left x) (x) g(right x), and a restriction is
-    f.res (x) g.res.  A factor whose cell stays put contributes the
-    identity, passed as its stalk's dims; the map depends on that stalk
-    only through them, so it is built once per (restriction, dims) and
-    shared."""
-    cells = {}  # x -> (left x, right x, tensor layout of the stalk at x)
+    f.res (x) g.res, placed on the stalks' tensor_layout.  A factor whose
+    cell stays put contributes the identity, passed as its stalk's dims;
+    the map depends on that stalk only through them, so it is built once
+    per (restriction, dims) and shared."""
+    cells = {}  # x -> (left x, right x, placement of the stalk at x)
     for x in base.cell_ids():
         a, b = left(x), right(x)
         if a in f.stalks and b in g.stalks:
             cells[x] = (a, b, tensor_layout(f.stalks[a], g.stalks[b]))
-    stalks = {x: ql._tensor(f.stalks[a], g.stalks[b], lay) for x, (a, b, lay) in cells.items()}
+    stalks = {x: ql.tensor(f.stalks[a], g.stalks[b]) for x, (a, b, _) in cells.items()}
     # the identity of each stalk, as its dims, with the key it is shared
     # under (a 1-tuple, so it never equals the key (a, a2) of a restriction)
     fid, gid = ({a: (v.dims, (tuple(sorted(v.dims.items())),)) for a, v in h.stalks.items()}
@@ -503,8 +505,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     (-1)^dim c [b':b] K12.res (x) K23.res.  A step in a restricts by
     K12.res (x) 1 and a step in c by (-1)^dim b 1 (x) K23.res, on every b.
 
-    The blocks are written straight into one Matrix per degree, with no
-    arrow list, layout or graded_map: each fiber's pieces are placed once.
+    The blocks are written straight from each fiber's placement, made
+    once, into one Matrix per degree, the package's one placement rule.
     Each block joins one source piece to one target piece, so no two
     blocks share an entry.  A scalar block (1x1 (x) 1x1, 1x1 (x) I_1 or
     I_1 (x) 1x1) is assigned as its one entry, as sections writes its

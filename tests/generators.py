@@ -1,5 +1,7 @@
 """Random generators that only the tests use: morphisms between piece
-sheaves and chain endomorphisms homotopic to a multiple of the identity.
+sheaves and chain endomorphisms homotopic to a multiple of the identity;
+and the arrow-list placement (layout, graded_map) that the tests compare
+the package's straight writers against.
 
 Their random rationals come from conormal.randgen._rand_rational, so the
 digests that pin seeded streams through them hold.
@@ -75,3 +77,40 @@ def random_chain_endo(rng: random.Random, v: VectComplex):
     dh = compose_chain_maps(shift_chain_map(v.diffs, -1), h)  # d^{n-1} h^n
     hd = compose_chain_maps(shift_chain_map(h, 1), v.diffs)  # h^{n+1} d^n
     return add_chain_maps(phi, add_chain_maps(dh, hd)), c
+
+
+def layout(pieces):
+    """Place ordered pieces (label, degree, dim) in a graded direct sum.
+
+    Returns (dims, index): dims[degree] is the total dimension and
+    index[label] = (degree, offset); the pieces of one degree are stacked
+    in the order given.
+    """
+    dims = {}
+    index = {}
+    for label, n, d in pieces:
+        off = dims.get(n, 0)
+        index[label] = (n, off)
+        dims[n] = off + d
+    return dims, index
+
+
+def graded_map(src, tgt, arrows):
+    """Per-degree matrices, keyed by source degree, of the map between two
+    layouts (dims, index) that sends piece s into piece t by
+    sign * (a (x) b), for arrows (s, t, a, b, sign) with sign +-1; a factor
+    given as an int n is the identity I_n.  Arrows into one place add, and
+    degrees whose matrix is zero are left out.
+
+    The blocks are Matrix.kron products placed by Matrix.assemble, so this
+    reference shares no code with qlinalg._add_block, the package's block
+    writer.
+    """
+    blocks = {}  # source degree -> (target degree, [(r0, c0, block, sign)])
+    for s, t, a, b, sign in arrows:
+        n, c0 = src[1][s]
+        nt, r0 = tgt[1][t]
+        a, b = (Matrix.identity(x) if isinstance(x, int) else x for x in (a, b))
+        blocks.setdefault(n, (nt, []))[1].append((r0, c0, a.kron(b), sign))
+    out = {n: Matrix.assemble(tgt[0][nt], src[0][n], bl) for n, (nt, bl) in blocks.items()}
+    return {n: m for n, m in out.items() if not m.is_zero()}

@@ -29,16 +29,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "conormal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the private names one module still reads from another
-ALLOWED_PRIVATE = {"_product_complex", "_tensor", "_cohomology_trace",
+ALLOWED_PRIVATE = {"_product_complex", "_cohomology_trace",
                    "_ONE", "_add_multiple", "_int_rows", "_add_block"}
 # the benchmark's code that runs the package (bench/tracer.py only wraps names)
 BENCH_CALLERS = [ROOT / "bench" / "run.py", ROOT / "bench" / "workloads.py"]
 # public names ('Class.method' for a method) that no package code and no
 # benchmark caller reads, and why each stays
 _TRACED = "bench/tracer.py TARGETS wraps it; it goes after TARGETS drops it"
-_GATE = "the rank-level RHom suites of ROADMAP item 6 will read it"
+_GATE = "the rank-level RHom suites of ROADMAP item 8 will read it"
 AWAITING = {"rank": _TRACED, "kernel_basis": _TRACED, "solve_unique": _TRACED,
-            "tensor": _TRACED, "cohomology_trace": _TRACED, "total_complex": _TRACED,
+            "cohomology_trace": _TRACED, "total_complex": _TRACED,
             "Matrix.kron": _TRACED,
             "direct_sum_sheaf": _GATE, "euler_rhom": _GATE}
 

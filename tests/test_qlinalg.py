@@ -10,8 +10,7 @@ from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, rank, rref,
                               homology_ranks, shift, dual, direct_sum, tensor,
                               single, total_complex, is_chain_map,
                               compose_chain_maps, identity_chain_map,
-                              cohomology_trace, layout,
-                              graded_map, tensor_layout, tensor_chain_maps,
+                              cohomology_trace, tensor_layout, tensor_chain_maps,
                               _pivot_columns, _pivot_rows, _int_rows, _add_block)
 from conormal.cellcx import product
 from conormal.randgen import (random_vect_complex,
@@ -21,7 +20,7 @@ from conormal.randgen import (random_vect_complex,
 from conormal.sheaf import (global_sections, verdier_dual, tensor_sheaf, kernel_compose,
                             constant)
 from conormal.lefschetz import _induced_endo
-from generators import random_chain_endo
+from generators import random_chain_endo, layout, graded_map
 
 
 def M(rows):
@@ -395,16 +394,20 @@ def test_add_block_rejects_blocks_out_of_range():
     assert m == M([[0, 0, 0], [0, -1, -2], [0, 0, -5]])
 
 
-def test_layout_and_graded_map_by_hand():
+def test_add_block_by_hand():
     # degree 0 holds a (dim 1) and then b (dim 2); degree 1 holds c (dim 1)
-    lay = layout([("a", 0, 1), ("b", 0, 2), ("c", 1, 1)])
+    dims, index = lay = layout([("a", 0, 1), ("b", 0, 2), ("c", 1, 1)])
     assert lay == ({0: 3, 1: 1}, {"a": (0, 0), "b": (0, 1), "c": (1, 0)})
-    d = graded_map(lay, lay, [("a", "c", M([[2]]), 1, 1), ("b", "c", M([[1, 3]]), 1, -1)])
-    assert d == {0: M([[2, -1, -3]])}
-    # arrows into one place add; a degree whose matrix cancels is left out
-    assert graded_map(lay, lay, [("a", "c", M([[2]]), 1, 1), ("a", "c", M([[2]]), 1, -1)]) == {}
-    with pytest.raises(LinAlgError, match="land in degrees"):
-        graded_map(lay, lay, [("a", "c", M([[1]]), 1, 1), ("b", "a", M([[1, 1]]), 1, 1)])
+
+    def d0(blocks):
+        m = Matrix(dims[1], dims[0])
+        for s, t, a, sign in blocks:
+            _add_block(m, index[t][1], index[s][1], a, 1, sign)
+        return m
+
+    assert d0([("a", "c", M([[2]]), 1), ("b", "c", M([[1, 3]]), -1)]) == M([[2, -1, -3]])
+    # blocks into one place add, and entries that cancel are dropped
+    assert d0([("a", "c", M([[2]]), 1), ("a", "c", M([[2]]), -1)]).is_zero()
 
 
 def _kron_factor(rng, rows, cols):
@@ -417,13 +420,13 @@ def _kron_factor(rng, rows, cols):
 
 
 def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
-    """graded_map, with its one-entry scalar blocks, against Matrix.kron
-    blocks placed by Matrix.assemble, entry for entry.  Some arrows join
-    the same two pieces twice, on the scalar path and on the row path:
-    with a second random block, whose entries add, or with the opposite
-    sign, so that the two blocks cancel."""
+    """_add_block, with its one-entry scalar blocks, against Matrix.kron
+    blocks placed by Matrix.assemble (the tests' graded_map), entry for
+    entry.  Some blocks join the same two pieces twice, on the scalar path
+    and on the row path: with a second random block, whose entries add, or
+    with the opposite sign, so that the two blocks cancel."""
     rng = random.Random(41)
-    again = random.Random(42)  # the second arrows, drawn apart from the rest
+    again = random.Random(42)  # the second blocks, drawn apart from the rest
 
     def dims():
         # most pieces have dim 1, so most blocks are 1x1
@@ -463,70 +466,70 @@ def test_kron_map_agrees_with_kron_blocks_placed_by_assemble():
                     arrows.append((s, t, _kron_factor(again, ar, ac),
                                    _kron_factor(again, dt // ar, ds // ac), again.choice([1, -1])))
                     added[path] += 1
-        blocks = {}
+        got = {n: Matrix(tgt[0][n + 1], d) for n, d in src[0].items()}
         for s, t, a, b, sign in arrows:
             n, c0 = src[1][s]
-            nt, r0 = tgt[1][t]
-            a, b = (Matrix.identity(x) if isinstance(x, int) else x for x in (a, b))
-            blocks.setdefault(n, (nt, []))[1].append((r0, c0, a.kron(b), sign))
-        want = {n: Matrix.assemble(tgt[0][nt], src[0][n], bl) for n, (nt, bl) in blocks.items()}
-        assert graded_map(src, tgt, arrows) == {n: m for n, m in want.items() if not m.is_zero()}
+            _add_block(got[n], tgt[1][t][1], c0, a, b, sign)
+        assert {n: m for n, m in got.items() if not m.is_zero()} == graded_map(src, tgt, arrows)
     assert scalar > 500 and zero > 100 and wide > 100
     assert min(added.values()) > 100 and min(cancelled.values()) > 100, (added, cancelled)
 
 
 def test_kron_map_checks_scalar_blocks_and_degrees():
-    lay = layout([("a", 0, 1), ("b", 1, 1), ("c", 2, 1)])
+    """Scalar blocks in successive degrees: a 1x1 factor times I_1 with
+    sign -1, I_1 (x) I_1, a zero factor that writes nothing, and a block
+    into a degree of dimension 0 that does not fit."""
     one = M([[3]])
-    assert graded_map(lay, lay, [("a", "b", one, 1, -1), ("b", "c", 1, 1, 1)]) == {
-        0: M([[-3]]), 1: M([[1]])}
-    assert graded_map(lay, lay, [("a", "b", one, M([[0]]), 1)]) == {}
-    short = layout([("a", 0, 1), ("b", 1, 0)])
+    d0, d1 = Matrix(1, 1), Matrix(1, 1)
+    _add_block(d0, 0, 0, one, 1, -1)
+    _add_block(d1, 0, 0, 1, 1, 1)
+    assert (d0, d1) == (M([[-3]]), M([[1]]))
+    m = Matrix(1, 1)
+    _add_block(m, 0, 0, one, M([[0]]), 1)
+    assert m.is_zero()
     with pytest.raises(LinAlgError, match="block out of range"):
-        graded_map(short, short, [("a", "b", 1, 1, 1)])
-    with pytest.raises(LinAlgError, match="land in degrees"):
-        graded_map(lay, lay, [("a", "b", 1, 1, 1), ("a", "c", 1, 1, 1)])
+        _add_block(Matrix(0, 1), 0, 0, 1, 1, 1)
 
 
-def test_graded_map_never_stores_a_factor_row():
+def test_add_block_never_stores_a_factor_row():
     """A block whose b is the int 1 is added from a's own rows, so the
     output must hold copies: into empty rows and into rows another block
     already wrote, with either sign, no output row is a row of a factor,
     and clearing every output row leaves each factor as it was."""
     rng = random.Random(14)
-    lay = layout([("a", 0, 3), ("b", 0, 2), ("c", 1, 2), ("d", 1, 4)])
+    # columns: a (dim 3) then b (dim 2); rows: c (dim 2) then d (dim 4)
     for _ in range(100):
         def factor(rows, cols):
             return Matrix(rows, cols, [[rng.choice([0, 1, -1, 2, Fraction(1, 3)])
                                         for _ in range(cols)] for _ in range(rows)])
         # a -> c and a -> d land in empty rows; b -> c adds into a -> c's rows
-        arrows = [("a", "c", factor(2, 3), 1, rng.choice([1, -1])),
-                  ("b", "c", factor(2, 2), 1, rng.choice([1, -1])),
-                  ("a", "d", factor(4, 3), 1, rng.choice([1, -1])),
-                  ("b", "d", factor(2, 1), 2, rng.choice([1, -1]))]
-        factors = [x for arrow in arrows for x in arrow[2:4] if isinstance(x, Matrix)]
+        blocks = [(0, 0, factor(2, 3), 1, rng.choice([1, -1])),
+                  (0, 3, factor(2, 2), 1, rng.choice([1, -1])),
+                  (2, 0, factor(4, 3), 1, rng.choice([1, -1])),
+                  (2, 3, factor(2, 1), 2, rng.choice([1, -1]))]
+        factors = [x for block in blocks for x in block[2:4] if isinstance(x, Matrix)]
         before = [[dict(row) for row in f.data] for f in factors]
-        out = graded_map(lay, lay, arrows)
+        out = Matrix(6, 5)
+        for r0, c0, a, b, sign in blocks:
+            _add_block(out, r0, c0, a, b, sign)
         factor_rows = [row for f in factors for row in f.data]
-        for m in out.values():
-            for row in m.data:
-                assert not any(row is r for r in factor_rows)
-                row.clear()
+        for row in out.data:
+            assert not any(row is r for r in factor_rows)
+            row.clear()
         assert [f.data for f in factors] == before
 
 
-def test_graded_map_writes_shared_scalars_by_value():
-    """Many arrows of sign -1 that read one shared 1x1 factor, as a or as
-    b, write its negative; a positive arrow writes the factor's own entry,
+def test_add_block_writes_shared_scalars_by_value():
+    """Many blocks of sign -1 that read one shared 1x1 factor, as a or as
+    b, write its negative; a positive block writes the factor's own entry,
     a product of two 1x1 factors is still computed, and the factors are
     left as they were."""
     f, g = Matrix(1, 1, [[Fraction(3, 2)]]), Matrix(1, 1, [[-2]])
-    pieces = [("s%d" % k, 0, 1) for k in range(6)] + [("t%d" % k, 1, 1) for k in range(6)]
-    lay = layout(pieces)
-    arrows = [("s0", "t0", f, 1, -1), ("s1", "t1", 1, f, -1), ("s2", "t2", f, 1, -1),
-              ("s3", "t3", 1, f, -1), ("s4", "t4", f, 1, 1), ("s5", "t5", f, g, -1)]
+    blocks = [(f, 1, -1), (1, f, -1), (f, 1, -1), (1, f, -1), (f, 1, 1), (f, g, -1)]
     before = [[dict(row) for row in m.data] for m in (f, g)]
-    d = graded_map(lay, lay, arrows)[0]
+    d = Matrix(6, 6)
+    for k, (a, b, sign) in enumerate(blocks):
+        _add_block(d, k, k, a, b, sign)
     negatives = [d.data[r][r] for r in range(4)]
     assert all(x == Fraction(-3, 2) for x in negatives)
     assert d.data[4][4] is f.data[0][0]

@@ -10,7 +10,7 @@ from conormal.cellcx import (POINT, product, identity_map, collapse_to_point, Ce
                              simplicial_map)
 from conormal.qlinalg import (Matrix, VectComplex, LinAlgError, euler,
                               homology_ranks, single, compose_chain_maps,
-                              dual, graded_map, layout, total_complex)
+                              dual, direct_sum, total_complex)
 from conormal.sheaf import (CellularSheaf, SheafError, PushforwardError,
                             constant, global_sections, euler_char, shift_sheaf,
                             direct_sum_sheaf, tensor_sheaf, external, pullback,
@@ -27,10 +27,10 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               SKY, ACYC)
 from conormal.tracekernel import tk, shift_twist, compose_tk
 from conormal.mueu import mueu
-from conormal import qlinalg as ql, sheaf as sheaf_mod, lefschetz as lefschetz_mod
+from conormal import sheaf as sheaf_mod
 from conormal.io import describe_sheaf, describe_vect_complex, fmt_matrix
 from conormal.lefschetz import _induced_endo
-from generators import random_morphism, random_chain_endo
+from generators import random_morphism, random_chain_endo, layout, graded_map
 
 
 def test_constant_sheaf_cohomology():
@@ -153,6 +153,64 @@ def test_shift_and_direct_sum():
     g = direct_sum_sheaf(f, shift_sheaf(f, 2))
     assert g.validate() == []
     assert euler_char(g) == 0
+
+
+def _block_diagonal(phi, psi, src, tgt, step=0):
+    """The reference phi (+) psi : a (+) b -> a' (+) b', for src = (a, b),
+    tgt = (a', b') and graded maps phi : a -> a', psi : b -> b' that raise
+    the degree by step: Matrix.assemble with phi's block at (0, 0) and
+    psi's at the dims of a' and a."""
+    (a, b), (a2, b2) = src, tgt
+    out = {}
+    for n in {**phi, **psi}:
+        r0, c0 = a2.dim(n + step), a.dim(n)
+        blocks = [(0, 0, phi[n])] if n in phi else []
+        blocks += [(r0, c0, psi[n])] if n in psi else []
+        out[n] = Matrix.assemble(r0 + b2.dim(n + step), c0 + b.dim(n), blocks)
+    return out
+
+
+def test_direct_sums_are_block_diagonal():
+    """direct_sum and direct_sum_sheaf, entry for entry, against
+    block-diagonal references built by Matrix.assemble: in every degree the
+    second summand's pieces follow the first's, and each differential and
+    each restriction is the first summand's block at (0, 0) plus the
+    second's after the first's dims.  Homology ranks add, of the stalks,
+    of the sections complexes and of the sheaves' global sections."""
+    rng = random.Random(53)
+    seen = {"shifted differential": 0, "shifted restriction": 0}
+
+    def ranks_add(s, a, b):
+        ha, hb = homology_ranks(a), homology_ranks(b)
+        assert homology_ranks(s) == {n: ha.get(n, 0) + hb.get(n, 0) for n in {**ha, **hb}}
+
+    def check_sum(s, a, b):
+        assert s.dims == {n: a.dim(n) + b.dim(n) for n in {**a.dims, **b.dims}}
+        assert s.diffs == _block_diagonal(a.diffs, b.diffs, (a, b), (a, b), 1)
+        seen["shifted differential"] += sum(1 for n in b.diffs if a.dim(n) or a.dim(n + 1))
+        ranks_add(s, a, b)
+
+    for _ in range(40):
+        cx = random_complex(rng, max_dim=2, max_cells=20)
+        f, g = (_with_constant(rng, cx) if rng.random() < 0.5 else random_sheaf(
+            rng, cx, max_pieces=3, degree_range=(-1, 1)) for _ in range(2))
+        a, b = global_sections(f), global_sections(g)
+        for u, v in [(a, b), (b, a), (a, random_vect_complex(rng))]:
+            check_sum(direct_sum(u, v), u, v)
+        h = direct_sum_sheaf(f, g)
+        assert list(h.stalks) == list({**f.stalks, **g.stalks})
+        for c, v in h.stalks.items():
+            check_sum(v, f.stalk(c), g.stalk(c))
+        want = {}
+        for s, t in {**f.restrictions, **g.restrictions}:
+            src, tgt = (f.stalk(s), g.stalk(s)), (f.stalk(t), g.stalk(t))
+            want[(s, t)] = _block_diagonal(f.res(s, t), g.res(s, t), src, tgt)
+            seen["shifted restriction"] += sum(1 for n in g.res(s, t)
+                                               if f.stalk(s).dim(n) or f.stalk(t).dim(n))
+        assert h.restrictions == want
+        assert h.validate() == []
+        ranks_add(global_sections(h), a, b)
+    assert min(seen.values()) > 50, seen
 
 
 def test_tensor_and_external_chi():
@@ -311,45 +369,6 @@ def test_sections_match_the_reference_route():
                     "restriction block larger than 1x1", "negated 1x1"}
 
 
-def test_builders_on_sections_call_no_layout_and_no_graded_map(monkeypatch):
-    """sections, verdier_dual, pushforward, the Lefschetz endomorphism and
-    kernel_compose write their blocks straight into their matrices: no
-    call of layout, which sheaf does not import, or of graded_map, under
-    either name sheaf binds (lefschetz binds neither)."""
-    assert not hasattr(sheaf_mod, "layout")
-    assert not hasattr(lefschetz_mod, "layout") and not hasattr(lefschetz_mod, "graded_map")
-    calls = []
-    real = {"layout": ql.layout, "graded_map": ql.graded_map}
-    for mod, name in [(ql, "layout"), (ql, "graded_map"), (sheaf_mod, "graded_map")]:
-        monkeypatch.setattr(mod, name, lambda *a, real=real[name], name=name:
-                            calls.append(name) or real(*a))
-    rng = random.Random(31)
-    g = random_cellular_map(rng, torus7())
-    cx = g.source
-    f = random_piece_sheaf(rng, cx, max_pieces=3).sheaf
-    vertex = cx.cells_of_dim(0)[0]
-    t = g.target.cell_ids()[-1]
-    fibre = [c for c in cx.cell_ids() if g(c) == t]
-    for vc in (global_sections(f), sections(f, cx.star(vertex))[0],
-               sections(f, fibre, g.target.dim(t) + 1)[0]):
-        assert vc.diffs
-    assert len(verdier_dual(f).restrictions) > 20
-    pushed = [pushforward(h, random_sheaf(rng, h.source, max_pieces=2))
-              for h in (random_cellular_map(rng, random_complex(rng, max_dim=2, max_cells=20))
-                        for _ in range(10))]
-    assert sum(len(p.restrictions) for p in pushed) > 10
-    endos = [_induced_endo(random_lefschetz_instance(rng))[1] for _ in range(10)]
-    assert sum(map(len, endos)) > 10
-    composed = [kernel_compose(k12, k23) for k12, k23 in _random_kernel_pairs()]
-    assert sum(bool(v.diffs) for k in composed for v in k.stalks.values()) > 10
-    assert sum(len(k.restrictions) for k in composed) > 100
-    assert calls == []
-    # the counters see a call through either name
-    sheaf_mod.graded_map(*[ql.layout([("a", 0, 1)])] * 2, [])
-    ql.graded_map(*[ql.layout([("a", 0, 1)])] * 2, [])
-    assert calls == ["layout", "graded_map"] * 2
-
-
 def test_sections_guards_its_blocks():
     """A restriction block that does not fit raises LinAlgError; and no
     sections differential of the seeded sheaves here stores a zero
@@ -414,7 +433,7 @@ def test_verdier_dual_restrictions_are_transposed_inclusions():
     """verdier_dual, stalk for stalk and restriction for restriction, against
     dualizing the compactly supported star sections and transposing the
     inclusion of star(t)'s pieces into star(s)'s, placed as identity blocks
-    by graded_map on the flattened placements."""
+    by the tests' graded_map on the flattened placements."""
     nonzero_res = 0
     for f in _dual_inputs():
         base = f.base
