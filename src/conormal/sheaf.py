@@ -45,7 +45,9 @@ class CellularSheaf:
     {0: [[1]]} for every restriction; a random piece sheaf has one 1x1
     Matrix per value, one restriction dict per tuple of (degree, value)
     1x1 entries, and one stalk per pattern of sky pieces; pullback hands
-    over the dicts of g.res and one identity per image cell), so no
+    over the dicts of g.res and one identity per image cell;
+    kernel_compose has one dict per step of a kernel and stalk objects of
+    the other kernel along the middle factor), so no
     operation writes to the matrices, restriction dicts or stalks of the
     sheaves it is given.
     A restriction dict is kept as its builder gave it unless one of its
@@ -515,6 +517,20 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     block goes through qlinalg._add_block, the one block writer.  Each
     kernel's restrictions are grouped once (_steps), by the cell of the
     outer factor, a or c, that they start from.
+
+    Work is shared per stalk shape.  The signature of a is its stalk
+    objects K12(a, b) along M2, that of c its K23(b, c), each interned to
+    a small int once per call.  A fiber's placement (its pieces, offsets
+    and dims) depends only on (sig a, sig c): it is built once per such
+    pair and shared read-only, while each fiber gets its own matrices.  A
+    step a < a2 restricts by K12.res (x) 1, so it depends on c only
+    through sig c, and a step c < c2 on a only through sig a: one
+    restriction dict is built per (kind of step, step, the other side's
+    signature), the kind keeping the two steps apart when M1 = M3, and
+    every pair with that key holds that one dict (a dict whose entries
+    all cancel is built once too and stored for none).  The memos live
+    for one call, while the kernels hold the stalks whose ids they
+    compare.
     """
     m1, m2 = factors_of(k12.base)
     m2b, m3 = factors_of(k23.base)
@@ -531,9 +547,20 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     left = {}
     for (a, b), u in sorted(k12.stalks.items(), key=lambda item: order[item[0][1]]):
         left.setdefault(a, []).append((b, u, sorted(u.dims.items()), _entries(u.diffs)))
-    right = {}  # c -> {b: (K23(b, c), its (degree, dim) in order, _entries of its d)}
-    for (b, c), v in k23.stalks.items():
+    # c -> {b: (K23(b, c), its (degree, dim) in order, _entries of its d)}
+    # in fiber order
+    right = {}
+    for (b, c), v in sorted(k23.stalks.items(), key=lambda item: order[item[0][0]]):
         right.setdefault(c, {})[b] = v, sorted(v.dims.items()), _entries(v.diffs)
+    # signatures, interned so that no memo key holds a tuple as long as M2;
+    # the kernels hold the stalks, so no id is reused during the call
+    interned = {}
+    sig12 = {a: interned.setdefault(tuple((b, id(u)) for b, u, _, _ in us), len(interned))
+             for a, us in left.items()}
+    sig23 = {c: interned.setdefault(tuple((b, id(v[0])) for b, v in vs.items()),
+                                    len(interned))
+             for c, vs in right.items()}
+    del interned  # frees the tuples: only their ints are used below
     in_b12, in_a12 = _steps(k12.restrictions)
     in_b23, in_c23 = _steps(k23.restrictions, swap=True)
     coboundary = m2.coboundary()
@@ -547,27 +574,33 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
         return hit[1]
 
     # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)},
-    # the _entries of both differentials)}, dims)
-    fibers, stalks = {}, {}
+    # the _entries of both differentials)}, dims), one placement per
+    # (sig a, sig c), shared read-only
+    fibers, stalks, placed = {}, {}, {}
     for ac in base.cell_ids():
         a, c = ac
-        us, vs = left.get(a), right.get(c)
-        if us is None or vs is None:
+        s12, s23 = sig12.get(a), sig23.get(c)
+        if s12 is None or s23 is None:
             continue
-        fib, dims = {}, {}
-        for b, u, udims, udiffs in us:
-            hit = vs.get(b)
-            if hit is None:
-                continue
-            v, vdims, vdiffs = hit
-            at, w = {}, m2.dim(b)
-            for p, du in udims:
-                for q, dv in vdims:
-                    n = p + q + w
-                    off = dims.get(n, 0)
-                    at[(p, q)] = (n, off)
-                    dims[n] = off + du * dv
-            fib[b] = u, v, at, udiffs, vdiffs
+        place = placed.get((s12, s23))
+        if place is None:
+            fib, dims = {}, {}
+            vs = right[c]
+            for b, u, udims, udiffs in left[a]:
+                hit = vs.get(b)
+                if hit is None:
+                    continue
+                v, vdims, vdiffs = hit
+                at, w = {}, m2.dim(b)
+                for p, du in udims:
+                    for q, dv in vdims:
+                        n = p + q + w
+                        off = dims.get(n, 0)
+                        at[(p, q)] = (n, off)
+                        dims[n] = off + du * dv
+                fib[b] = u, v, at, udiffs, vdiffs
+            place = placed[(s12, s23)] = fib, dims
+        fib, dims = place
         if not fib:
             continue
         mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
@@ -612,11 +645,12 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                                     x if y is _ONE else y if x is _ONE else x * y)
                             else:
                                 _add_block(mats[n], to[(p, q)][1], c0, fp, gq, sgn)
-        fibers[ac] = fib, dims
+        fibers[ac] = place
         stalks[ac] = VectComplex(dims, mats)
-    restrictions = {}
+    restrictions, built = {}, {}  # built: (kind, step, other side's sig) -> dict
     for ac, (fib, dims) in fibers.items():
         a, c = ac
+        s12, s23 = sig12[a], sig23[c]
         steps12, steps23 = in_a12.get(a, empty), in_c23.get(c, empty)
         for t in base.cofaces(ac):
             # a restriction of K12 or K23 joins nonzero stalks, so when t has
@@ -626,40 +660,48 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                 continue
             fib2, dims2 = target
             a2, c2 = t
-            mats = {}
             if c2 == c:
-                for b, phi in steps12.get(a2, empty).items():
-                    hit = fib.get(b)
-                    if hit is not None:
-                        v, at, to = hit[1], hit[2], fib2[b][2]
-                        for p, fp, x in phi:
-                            for q, e in v.dims.items():
-                                n, c0 = at[(p, q)]
-                                m = mats.get(n)
-                                if m is None:
-                                    m = mats[n] = Matrix(dims2[n], dims[n])
-                                if x is not None and e == 1:
-                                    m.data[to[(p, q)][1]][c0] = x
-                                else:
-                                    _add_block(m, to[(p, q)][1], c0, fp, e, 1)
+                steps, key = steps12.get(a2), (0, a, a2, s23)
             else:
-                for b, psi in steps23.get(c2, empty).items():
-                    hit = fib.get(b)
-                    if hit is not None:
-                        u, at, to, sb = hit[0], hit[2], fib2[b][2], sign[b]
-                        for q, gq, y in psi:
-                            if y is not None and sb < 0:
-                                y = negate(y)
-                            for p, e in u.dims.items():
-                                n, c0 = at[(p, q)]
-                                m = mats.get(n)
-                                if m is None:
-                                    m = mats[n] = Matrix(dims2[n], dims[n])
-                                if y is not None and e == 1:
-                                    m.data[to[(p, q)][1]][c0] = y
-                                else:
-                                    _add_block(m, to[(p, q)][1], c0, e, gq, sb)
-            phi = {n: m for n, m in mats.items() if any(m.data)}
+                steps, key = steps23.get(c2), (1, c, c2, s12)
+            if steps is None:
+                continue
+            phi = built.get(key)
+            if phi is None:
+                mats = {}
+                if c2 == c:
+                    for b, phi in steps.items():
+                        hit = fib.get(b)
+                        if hit is not None:
+                            v, at, to = hit[1], hit[2], fib2[b][2]
+                            for p, fp, x in phi:
+                                for q, e in v.dims.items():
+                                    n, c0 = at[(p, q)]
+                                    m = mats.get(n)
+                                    if m is None:
+                                        m = mats[n] = Matrix(dims2[n], dims[n])
+                                    if x is not None and e == 1:
+                                        m.data[to[(p, q)][1]][c0] = x
+                                    else:
+                                        _add_block(m, to[(p, q)][1], c0, fp, e, 1)
+                else:
+                    for b, psi in steps.items():
+                        hit = fib.get(b)
+                        if hit is not None:
+                            u, at, to, sb = hit[0], hit[2], fib2[b][2], sign[b]
+                            for q, gq, y in psi:
+                                if y is not None and sb < 0:
+                                    y = negate(y)
+                                for p, e in u.dims.items():
+                                    n, c0 = at[(p, q)]
+                                    m = mats.get(n)
+                                    if m is None:
+                                        m = mats[n] = Matrix(dims2[n], dims[n])
+                                    if y is not None and e == 1:
+                                        m.data[to[(p, q)][1]][c0] = y
+                                    else:
+                                        _add_block(m, to[(p, q)][1], c0, e, gq, sb)
+                phi = built[key] = {n: m for n, m in mats.items() if any(m.data)}
             if phi:
                 restrictions[(ac, t)] = phi
     return CellularSheaf(base, stalks, restrictions)

@@ -24,6 +24,7 @@ from conormal.randgen import (interval, hollow_triangle, full_simplex,
                               random_vertex_collapse,
                               random_vect_complex,
                               random_lefschetz_instance, random_invertible, PieceSheaf,
+                              random_upset,
                               SKY, ACYC)
 from conormal.tracekernel import tk, shift_twist, compose_tk
 from conormal.mueu import mueu
@@ -806,6 +807,72 @@ def test_kernel_compose_keeps_cohomology_ranks():
         assert got == homology_ranks(global_sections(_pulled_back_tensor(k12, k23)[1]))
         nonzero += bool(got)
     assert nonzero >= 6
+
+
+def _whole_and_star_sky(rng, cx):
+    """A sky piece on every cell plus one on the open star of a random
+    vertex, each slot conjugated: one stalk object per pattern of pieces."""
+    ids = cx.cell_ids()
+    pieces = [(SKY, frozenset(up), rng.randint(-1, 1),
+               {c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+                for c in ids})
+              for up in (ids, cx.star(rng.choice(cx.cells_of_dim(0))))]
+    probe = PieceSheaf(cx, pieces, {})
+    conj = {(c, n): random_invertible(rng, d)
+            for c, v in probe.sheaf.stalks.items() for n, d in v.dims.items()}
+    return PieceSheaf(cx, pieces, conj).sheaf
+
+
+def test_kernel_compose_shares_one_restriction_per_step_and_stalks():
+    """A step in a depends on c only through the stalks K23(b, c) along M2,
+    and a step in c on a only through the stalks K12(a, b): the pairs with
+    one (kind, step, the other side's stalk objects) share one dict, and
+    no two such keys share one."""
+    rng = random.Random(42)
+    mid = circle(8)
+    k12 = _whole_and_star_sky(rng, product(hollow_triangle(), mid)[0])
+    k23 = _whole_and_star_sky(rng, product(mid, hollow_triangle())[0])
+    along12, along23 = {}, {}
+    for (a, b), u in k12.stalks.items():
+        along12.setdefault(a, set()).add((b, id(u)))
+    for (b, c), v in k23.stalks.items():
+        along23.setdefault(c, set()).add((b, id(v)))
+    got = kernel_compose(k12, k23)
+    by_key = {}
+    for ((a, c), (a2, c2)), phi in got.restrictions.items():
+        key = (("a", a, a2, frozenset(along23[c])) if c == c2
+               else ("c", c, c2, frozenset(along12[a])))
+        by_key.setdefault(key, set()).add(id(phi))
+    assert all(len(ids) == 1 for ids in by_key.values())
+    assert len({id(phi) for phi in got.restrictions.values()}) == len(by_key)
+    assert {key[0] for key in by_key} == {"a", "c"}
+    assert len(by_key) < 0.7 * len(got.restrictions)
+    q13, on_t = _pulled_back_tensor(k12, k23)
+    want = pushforward(q13, on_t)
+    assert got.stalks == want.stalks
+    assert got.restrictions == want.restrictions
+
+
+def test_kernel_compose_of_a_kernel_with_itself():
+    """K o K on M x M, where both kernels hold the same stalk objects, so a
+    step in a and a step in c meet equal cells and equal stalks: the
+    composition is still the pushforward of the tensor of the pullbacks,
+    restriction for restriction."""
+    rng = random.Random(43)
+    kernels = 0
+    for m in (interval(), hollow_triangle(), circle(4)):
+        mm = product(m, m)[0]
+        sky = PieceSheaf(mm, [(SKY, random_upset(rng, mm), rng.randint(-1, 1),
+                               {c: Fraction(rng.choice([1, -2, 3])) for c in mm.cell_ids()})
+                              for _ in range(2)], {}).sheaf
+        for k in (constant(mm), sky):
+            got = kernel_compose(k, k)
+            q13, on_t = _pulled_back_tensor(k, k)
+            want = pushforward(q13, on_t)
+            assert got.stalks == want.stalks
+            assert got.restrictions == want.restrictions
+            kernels += bool(got.restrictions)
+    assert kernels == 6
 
 
 def test_euler_rhom():
