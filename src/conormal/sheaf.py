@@ -15,6 +15,7 @@ flavor.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import itemgetter
 
 from .cellcx import (CellComplex, CellularMap, _product_complex, cell_sort_key,
@@ -187,12 +188,14 @@ def sections(f: CellularSheaf, cells, shift=0):
     write them straight from two placements in the same way.
 
     The blocks are written straight from the placement, the package's one
-    placement rule.  Each block joins one source piece to one target
-    piece, so no two blocks share an entry: a 1x1 block is its one entry,
-    written inline (a call negates each distinct entry once), and a larger
-    block goes through qlinalg._add_block, the one block writer.  The
-    sheaf's matrices store no zero and its zero blocks are dropped, so
-    every 1x1 block has its entry and no zero is written.
+    placement rule, cell by cell in two plain loops: one over the cell's
+    stalk differential, one over its cofaces.  Each block joins one
+    source piece to one target piece, so no two blocks share an entry.
+    A 1x1 restriction block is its one entry, written inline (a call
+    negates each distinct entry once); every other block, the stalk
+    differentials included, goes through qlinalg._add_block, the one
+    block writer.  The sheaf's matrices store no zero and its zero blocks
+    are dropped, so every 1x1 block has its entry and no zero is written.
     """
     stalks, restrictions, base = f.stalks, f.restrictions, f.base
     dims = {}
@@ -210,19 +213,22 @@ def sections(f: CellularSheaf, cells, shift=0):
     flip = -1 if shift % 2 else 1
     negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     for c, at in place.items():
-        # (target placement, step in stalk degree, blocks by degree, sign);
+        sgn = -1 if (base.dim(c) - shift) % 2 else 1
+        for p, a in stalks[c].diffs.items():
+            n, c0 = at[p]
+            _add_block(mats[n], at[p + 1][1], c0, a, 1, sgn)
         # pair is the base's own face_pairs tuple, the key that most
         # builders store, so the lookup finds it without comparing cells
-        moves = [(at, 1, stalks[c].diffs, -1 if (base.dim(c) - shift) % 2 else 1)]
         for cf, pair, sign in coboundary[c]:
             phi = restrictions.get(pair)
-            if phi is not None and cf in place:
-                moves.append((place[cf], 0, phi, sign * flip))
-        for tat, step, blocks, sgn in moves:
-            for p, a in blocks.items():
+            if phi is None:
+                continue
+            to = place.get(cf)
+            if to is None:
+                continue
+            sgn = sign * flip
+            for p, a in phi.items():
                 n, c0 = at[p]
-                r0 = tat[p + step][1]
-                m = mats[n]
                 if a.rows == a.cols == 1:
                     x = a.data[0][0]
                     if sgn < 0:
@@ -230,9 +236,9 @@ def sections(f: CellularSheaf, cells, shift=0):
                         if hit is None:
                             hit = negated[id(x)] = x, -x
                         x = hit[1]
-                    m.data[r0][c0] = x
+                    mats[n].data[to[p][1]][c0] = x
                 else:
-                    _add_block(m, r0, c0, a, 1, sgn)
+                    _add_block(mats[n], to[p][1], c0, a, 1, sgn)
     return VectComplex(dims, mats), place
 
 
@@ -513,10 +519,15 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     blocks share an entry.  A scalar block (1x1 (x) 1x1, 1x1 (x) I_1 or
     I_1 (x) 1x1) is assigned as its one entry, as sections writes its
     own: each factor's entry is read once (_entries) and negated through
-    a per-call memo, so each distinct entry is negated once.  Every other
-    block goes through qlinalg._add_block, the one block writer.  Each
-    kernel's restrictions are grouped once (_steps), by the cell of the
-    outer factor, a or c, that they start from.
+    a per-call memo, so each distinct entry is negated once.  A step
+    +-x (x) y of the middle factor is the one Fraction(+-xn yn, xd yd),
+    built from integers: the numerator and denominator of each distinct
+    entry are read once per call, through a memo keyed and held as the
+    negation memo is; when x or y is 1 the other factor, or its memoised
+    negative, is stored itself.  Every other block goes through
+    qlinalg._add_block, the one block writer.  Each kernel's restrictions
+    are grouped once (_steps), by the cell of the outer factor, a or c,
+    that they start from.
 
     Work is shared per stalk shape.  The signature of a is its stalk
     objects K12(a, b) along M2, that of c its K23(b, c), each interned to
@@ -566,12 +577,19 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     coboundary = m2.coboundary()
     empty = {}
     negated = {}  # id of an entry -> (the entry, its negative); holds the entry
+    split = {}  # id of an entry -> (the entry, numerator, denominator); holds it
 
     def negate(x):
         hit = negated.get(id(x))
         if hit is None:
             hit = negated[id(x)] = x, -x
         return hit[1]
+
+    def parts(x):
+        hit = split.get(id(x))
+        if hit is None:
+            hit = split[id(x)] = x, x.numerator, x.denominator
+        return hit
 
     # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)},
     # the _entries of both differentials)}, dims), one placement per
@@ -636,15 +654,21 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     sgn = sc * inc
                     to = fib[b2][2]
                     for p, fp, x in phi:
-                        if x is not None and sgn < 0:
-                            x = negate(x)
+                        if x is not None:
+                            xs = x if sgn > 0 else negate(x)
+                            _, xn, xd = parts(x)
+                            xn *= sgn
                         for q, gq, y in psi:
                             n, c0 = at[(p, q)]
-                            if x is not None and y is not None:
-                                mats[n].data[to[(p, q)][1]][c0] = (
-                                    x if y is _ONE else y if x is _ONE else x * y)
-                            else:
+                            if x is None or y is None:
                                 _add_block(mats[n], to[(p, q)][1], c0, fp, gq, sgn)
+                            elif y is _ONE:
+                                mats[n].data[to[(p, q)][1]][c0] = xs
+                            elif x is _ONE:
+                                mats[n].data[to[(p, q)][1]][c0] = y if sgn > 0 else negate(y)
+                            else:
+                                _, yn, yd = parts(y)
+                                mats[n].data[to[(p, q)][1]][c0] = Fraction(xn * yn, xd * yd)
         fibers[ac] = place
         stalks[ac] = VectComplex(dims, mats)
     restrictions, built = {}, {}  # built: (kind, step, other side's sig) -> dict

@@ -308,8 +308,8 @@ def _reference_sections(f, cells, weight, delta_sign=1):
 
 def _blocks_hit(f, cells, shift):
     """Kinds of block that sections(f, cells, shift) writes: a stalk
-    differential, a restriction block that is not 1x1, and a 1x1 entry
-    written negated."""
+    differential, a restriction block that is not 1x1, and a 1x1 stalk
+    differential and a 1x1 restriction, each written negated."""
     cells = {c for c in cells if c in f.stalks}
     hit = set()
     for c in cells:
@@ -317,7 +317,7 @@ def _blocks_hit(f, cells, shift):
         for d in f.stalks[c].diffs.values():
             hit.add("stalk differential")
             if w % 2 and (d.rows, d.cols) == (1, 1):
-                hit.add("negated 1x1")
+                hit.add("negated 1x1 stalk differential")
         for cf in f.base.cofaces(c):
             if cf in cells:
                 sign = f.base.incidence(cf, c) * (-1 if shift % 2 else 1)
@@ -325,7 +325,7 @@ def _blocks_hit(f, cells, shift):
                     if (m.rows, m.cols) != (1, 1):
                         hit.add("restriction block larger than 1x1")
                     elif sign < 0:
-                        hit.add("negated 1x1")
+                        hit.add("negated 1x1 restriction")
     return hit
 
 
@@ -367,7 +367,8 @@ def test_sections_match_the_reference_route():
             seen.add((sign, bool(want.diffs)))
             seen |= _blocks_hit(f, cells, shift)
     assert seen == {(1, True), (1, False), (-1, True), (-1, False), "stalk differential",
-                    "restriction block larger than 1x1", "negated 1x1"}
+                    "restriction block larger than 1x1", "negated 1x1 stalk differential",
+                    "negated 1x1 restriction"}
 
 
 def test_sections_guards_its_blocks():
@@ -873,6 +874,22 @@ def test_kernel_compose_of_a_kernel_with_itself():
             assert got.restrictions == want.restrictions
             kernels += bool(got.restrictions)
     assert kernels == 6
+
+
+def test_kernel_compose_of_constant_kernels_stores_one_and_minus_one():
+    """Every step of the middle factor and every restriction of two constant
+    kernels is +-1 (x) 1: the composition stores the entry 1 of the kernels
+    and one negation of it, never a product made afresh per block."""
+    mid = circle(6)
+    k12 = constant(product(hollow_triangle(), mid)[0])
+    k23 = constant(product(mid, interval())[0])
+    got = kernel_compose(k12, k23)
+    mats = [m for v in got.stalks.values() for m in v.diffs.values()]
+    mats += [m for phi in got.restrictions.values() for m in phi.values()]
+    entries = [x for m in mats for row in m.data for x in row.values()]
+    assert len(entries) > 500
+    assert len({id(x) for x in entries}) == 2
+    assert set(entries) == {1, -1}
 
 
 def test_euler_rhom():
