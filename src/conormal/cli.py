@@ -19,8 +19,7 @@ from .qlinalg import euler
 from .sheaf import (euler_char, pushforward, PushforwardError, verdier_dual,
                     kernel_compose, constant, external, SheafError)
 from .mueu import mueu, degree, compose_cycle, pushforward_cycle
-from .tracekernel import TraceKernelError
-from .lefschetz import global_trace, local_trace_sum, LefschetzError
+from .lefschetz import global_trace, local_trace_sum
 from . import io, checks
 
 OK, VALIDATION_FAILURE, PROPERTY_VIOLATION, PARSE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
@@ -35,8 +34,7 @@ def _print_cycle(cycle):
 
 def _named(table, name, what):
     if name not in table:
-        print("no %s named %r in this file" % (what, name), file=sys.stderr)
-        raise io.ParseError("unknown %s %r" % (what, name))
+        raise io.ParseError("no %s named %r in this file" % (what, name))
     return table[name]
 
 
@@ -281,7 +279,7 @@ def main(argv=None):
     except io.ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return PARSE_ERROR
-    except (CellComplexError, SheafError, TraceKernelError, LefschetzError) as e:
+    except (CellComplexError, SheafError) as e:
         print("validation failure: %s" % e, file=sys.stderr)
         return VALIDATION_FAILURE
     except Exception as e:

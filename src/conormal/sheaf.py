@@ -487,19 +487,30 @@ def _entries(phi):
             for n, m in phi.items()]
 
 
-def _steps(restrictions, swap=False):
-    """The restrictions of a sheaf on a product X x Y (on Y x X when swap),
-    grouped by the cell x of X that they start from: (along, across) with
-    along[x][y] = {y2: _entries(phi)} for each step (x, y) < (x, y2) and
-    across[x][x2] = {y: _entries(phi)} for each step (x, y) < (x2, y)."""
-    along, across = {}, {}
-    for (s, t), phi in restrictions.items():
-        (x, y), (x2, y2) = (s[::-1], t[::-1]) if swap else (s, t)
+def _by_outer(k, order, swap=False):
+    """The stalks and restrictions of a kernel on X x M2 (on M2 x X when
+    swap), grouped by the cell x of the outer factor X that they start
+    from: x -> (stalks, along, across), with stalks[b] = (K(x, b), its
+    (degree, dim) in order, _entries of its d) in fiber order (the order
+    of b), along[b][b2] = _entries of the step (x, b) < (x, b2) and
+    across[x2][b] = _entries of the step (x, b) < (x2, b)."""
+    table = {}
+    i = 0 if swap else 1  # the position of b in the kernel's pairs
+    for key, u in sorted(k.stalks.items(), key=lambda item: order[item[0][i]]):
+        x, b = key[::-1] if swap else key
+        entry = table.get(x)
+        if entry is None:
+            entry = table[x] = {}, {}, {}
+        entry[0][b] = u, sorted(u.dims.items()), _entries(u.diffs)
+    # a restriction joins nonzero stalks, so x has its entry already
+    for (s, t), phi in k.restrictions.items():
+        (x, b), (x2, b2) = (s[::-1], t[::-1]) if swap else (s, t)
+        _, along, across = table[x]
         if x == x2:
-            along.setdefault(x, {}).setdefault(y, {})[y2] = _entries(phi)
+            along.setdefault(b, {})[b2] = _entries(phi)
         else:
-            across.setdefault(x, {}).setdefault(x2, {})[y] = _entries(phi)
-    return along, across
+            across.setdefault(x2, {})[b] = _entries(phi)
+    return table
 
 
 def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
@@ -525,9 +536,14 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     entry are read once per call, through a memo keyed and held as the
     negation memo is; when x or y is 1 the other factor, or its memoised
     negative, is stored itself.  Every other block goes through
-    qlinalg._add_block, the one block writer.  Each kernel's restrictions
-    are grouped once (_steps), by the cell of the outer factor, a or c,
-    that they start from.
+    qlinalg._add_block, the one block writer.  Each kernel is read once
+    into one table (_by_outer), K12 by a and K23, swapped, by c: per outer
+    cell its stalks along M2 in fiber order, its steps along M2 and its
+    steps across the outer factor.  The three fiber-differential families
+    (d (x) 1, 1 (x) d and the middle-factor steps) keep their own loops.
+    The restrictions are built in one loop over both outer steps: a step
+    in a writes K12.res (x) 1 over the dims of K23(b, c) with sign +1, a
+    step in c writes (-1)^dim b 1 (x) K23.res over those of K12(a, b).
 
     Work is shared per stalk shape.  The signature of a is its stalk
     objects K12(a, b) along M2, that of c its K23(b, c), each interned to
@@ -553,29 +569,15 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     order = {b: i for i, b in enumerate(sorted(m2.cell_ids(),
                                                key=lambda b: (m2.dim(b), repr(b))))}
     sign = {b: -1 if m2.dim(b) % 2 else 1 for b in order}
-    # a -> [(b, K12(a, b), its (degree, dim) in order, _entries of its
-    # differentials)] in fiber order
-    left = {}
-    for (a, b), u in sorted(k12.stalks.items(), key=lambda item: order[item[0][1]]):
-        left.setdefault(a, []).append((b, u, sorted(u.dims.items()), _entries(u.diffs)))
-    # c -> {b: (K23(b, c), its (degree, dim) in order, _entries of its d)}
-    # in fiber order
-    right = {}
-    for (b, c), v in sorted(k23.stalks.items(), key=lambda item: order[item[0][0]]):
-        right.setdefault(c, {})[b] = v, sorted(v.dims.items()), _entries(v.diffs)
+    t12, t23 = _by_outer(k12, order), _by_outer(k23, order, swap=True)
     # signatures, interned so that no memo key holds a tuple as long as M2;
     # the kernels hold the stalks, so no id is reused during the call
     interned = {}
-    sig12 = {a: interned.setdefault(tuple((b, id(u)) for b, u, _, _ in us), len(interned))
-             for a, us in left.items()}
-    sig23 = {c: interned.setdefault(tuple((b, id(v[0])) for b, v in vs.items()),
-                                    len(interned))
-             for c, vs in right.items()}
+    sig12, sig23 = ({x: interned.setdefault(tuple((b, id(v[0])) for b, v in stalks.items()),
+                                            len(interned))
+                     for x, (stalks, _, _) in table.items()} for table in (t12, t23))
     del interned  # frees the tuples: only their ints are used below
-    in_b12, in_a12 = _steps(k12.restrictions)
-    in_b23, in_c23 = _steps(k23.restrictions, swap=True)
     coboundary = m2.coboundary()
-    empty = {}
     negated = {}  # id of an entry -> (the entry, its negative); holds the entry
     split = {}  # id of an entry -> (the entry, numerator, denominator); holds it
 
@@ -603,8 +605,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
         place = placed.get((s12, s23))
         if place is None:
             fib, dims = {}, {}
-            vs = right[c]
-            for b, u, udims, udiffs in left[a]:
+            vs = t23[c][0]
+            for b, (u, udims, udiffs) in t12[a][0].items():
                 hit = vs.get(b)
                 if hit is None:
                     continue
@@ -623,7 +625,7 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
             continue
         mats = {n: Matrix(dims[n + 1], d) for n, d in dims.items() if n + 1 in dims}
         sc = -1 if m3.dim(c) % 2 else 1
-        res12, res23 = in_b12.get(a, empty), in_b23.get(c, empty)
+        res12, res23 = t12[a][1], t23[c][1]
         for b, (u, v, at, udiffs, vdiffs) in fib.items():
             sb = sign[b]
             for p, d, x in udiffs:
@@ -674,8 +676,6 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     restrictions, built = {}, {}  # built: (kind, step, other side's sig) -> dict
     for ac, (fib, dims) in fibers.items():
         a, c = ac
-        s12, s23 = sig12[a], sig23[c]
-        steps12, steps23 = in_a12.get(a, empty), in_c23.get(c, empty)
         for t in base.cofaces(ac):
             # a restriction of K12 or K23 joins nonzero stalks, so when t has
             # no fiber no block lands there
@@ -684,47 +684,39 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                 continue
             fib2, dims2 = target
             a2, c2 = t
+            # a step in a writes K12.res (x) 1 over the dims of K23(b, c), a
+            # fiber entry's stalk j = 1; a step in c writes
+            # (-1)^dim b 1 (x) K23.res over those of K12(a, b), stalk j = 0;
+            # j is the kind of step in the key
             if c2 == c:
-                steps, key = steps12.get(a2), (0, a, a2, s23)
+                j, steps, key = 1, t12[a][2].get(a2), (1, a, a2, sig23[c])
             else:
-                steps, key = steps23.get(c2), (1, c, c2, s12)
+                j, steps, key = 0, t23[c][2].get(c2), (0, c, c2, sig12[a])
             if steps is None:
                 continue
             phi = built.get(key)
             if phi is None:
                 mats = {}
-                if c2 == c:
-                    for b, phi in steps.items():
-                        hit = fib.get(b)
-                        if hit is not None:
-                            v, at, to = hit[1], hit[2], fib2[b][2]
-                            for p, fp, x in phi:
-                                for q, e in v.dims.items():
-                                    n, c0 = at[(p, q)]
-                                    m = mats.get(n)
-                                    if m is None:
-                                        m = mats[n] = Matrix(dims2[n], dims[n])
-                                    if x is not None and e == 1:
-                                        m.data[to[(p, q)][1]][c0] = x
-                                    else:
-                                        _add_block(m, to[(p, q)][1], c0, fp, e, 1)
-                else:
-                    for b, psi in steps.items():
-                        hit = fib.get(b)
-                        if hit is not None:
-                            u, at, to, sb = hit[0], hit[2], fib2[b][2], sign[b]
-                            for q, gq, y in psi:
-                                if y is not None and sb < 0:
-                                    y = negate(y)
-                                for p, e in u.dims.items():
-                                    n, c0 = at[(p, q)]
-                                    m = mats.get(n)
-                                    if m is None:
-                                        m = mats[n] = Matrix(dims2[n], dims[n])
-                                    if y is not None and e == 1:
-                                        m.data[to[(p, q)][1]][c0] = y
-                                    else:
-                                        _add_block(m, to[(p, q)][1], c0, e, gq, sb)
+                for b, blocks in steps.items():
+                    hit = fib.get(b)
+                    if hit is None:
+                        continue
+                    at, to, sb = hit[2], fib2[b][2], 1 if j else sign[b]
+                    for r, g, x in blocks:
+                        if x is not None and sb < 0:
+                            x = negate(x)
+                        for s, e in hit[j].dims.items():
+                            pq = (r, s) if j else (s, r)
+                            n, c0 = at[pq]
+                            m = mats.get(n)
+                            if m is None:
+                                m = mats[n] = Matrix(dims2[n], dims[n])
+                            if x is not None and e == 1:
+                                m.data[to[pq][1]][c0] = x
+                            elif j:
+                                _add_block(m, to[pq][1], c0, g, e, 1)
+                            else:
+                                _add_block(m, to[pq][1], c0, e, g, sb)
                 phi = built[key] = {n: m for n, m in mats.items() if any(m.data)}
             if phi:
                 restrictions[(ac, t)] = phi

@@ -486,9 +486,13 @@ def test_cli_pushforward(tmp_path, capsys):
     assert "pushforward ok, degree 0" in out
 
 
-def test_cli_unknown_sheaf(tmp_path):
+def test_cli_unknown_sheaf(tmp_path, capsys):
+    """An unknown name is one parse error, reported once on stderr."""
     path = write(tmp_path, TRI)
     assert cli.main(["chi", path, "nope"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: no sheaf named 'nope' in this file\n"
 
 
 def test_cli_check_deterministic(tmp_path, capsys):

@@ -693,6 +693,25 @@ def test_kernel_compose_point_flanked():
     assert euler(k.stalk(("pt", "pt"))) == 0
 
 
+def test_global_sections_are_the_stalk_of_a_point_flanked_composition():
+    """Two routes to the sections complex: global_sections(F) is, entry for
+    entry, the (pt, pt) stalk of F on pt x M composed with the constant
+    kernel on M x pt, both stacked by (dim, name) with the same signs."""
+    rng = random.Random(47)
+    nonzero = 0
+    for i in range(120):
+        cx = [lambda: random_complex(rng, max_dim=3, max_cells=40), torus7,
+              lambda: circle(5), hollow_triangle][i % 4]()
+        f = random_sheaf(rng, cx)
+        k = kernel_compose(external(constant(POINT), f),
+                           external(constant(cx), constant(POINT)))
+        got, want = k.stalk(("pt", "pt")), global_sections(f)
+        assert got.dims == want.dims
+        assert got.diffs == want.diffs
+        nonzero += bool(want.diffs)
+    assert nonzero >= 100
+
+
 def test_kernel_compose_with_zero():
     s1 = circle(4)
     left, _, _ = product(POINT, s1)
@@ -781,12 +800,42 @@ def _fiber_order_kernel_pairs():
                random_sheaf(rng, p23, max_pieces=2, degree_range=(0, 1)))
 
 
+def _outer_steps_hit(k12, k23):
+    """Kinds of block that kernel_compose(k12, k23) writes in its outer-step
+    loop: a step in a (K12.res (x) 1) and a step in c ((-1)^dim b
+    1 (x) K23.res), the latter written negated when dim b is odd, each as a
+    scalar entry or as a block larger than 1x1."""
+    m2 = factors_of(k12.base)[1]
+    along12, along23 = {}, {}
+    for (a, b), u in k12.stalks.items():
+        along12.setdefault(b, []).append(u)
+    for (b, c), v in k23.stalks.items():
+        along23.setdefault(b, []).append(v)
+    hit = set()
+    # i: the position of the outer cell in the kernel's pairs
+    for kernel, along, i in ((k12, along23, 0), (k23, along12, 1)):
+        for (s, t), phi in kernel.restrictions.items():
+            if s[i] == t[i]:
+                continue  # a step along M2
+            b = s[1 - i]
+            kind = "a" if i == 0 else "c negated" if m2.dim(b) % 2 else "c"
+            for m in phi.values():
+                for other in along.get(b, []):
+                    for e in other.dims.values():
+                        scalar = (m.rows, m.cols) == (1, 1) and e == 1
+                        hit.add((kind, "scalar" if scalar else "larger than 1x1"))
+    return hit
+
+
 def test_kernel_compose_equals_pullback_tensor_pushforward():
     """The one-pass composition is the same sheaf, restriction for
-    restriction, as pushing forward the tensor of the pullbacks."""
+    restriction, as pushing forward the tensor of the pullbacks.  The inputs
+    reach every branch of the outer-step loop (_outer_steps_hit)."""
     nonzero_res = 0
+    seen = set()
     for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs(),
                      *_fiber_order_kernel_pairs()]:
+        seen |= _outer_steps_hit(k12, k23)
         got = kernel_compose(k12, k23)
         q13, on_t = _pulled_back_tensor(k12, k23)
         want = pushforward(q13, on_t)
@@ -796,6 +845,8 @@ def test_kernel_compose_equals_pullback_tensor_pushforward():
         assert got.restrictions == want.restrictions
         nonzero_res += len(got.restrictions)
     assert nonzero_res > 100
+    assert seen == {(kind, block) for kind in ("a", "c", "c negated")
+                    for block in ("scalar", "larger than 1x1")}
 
 
 def test_kernel_compose_keeps_cohomology_ranks():
