@@ -346,11 +346,6 @@ class PieceSheaf:
                                                                  type(a).__name__))
         self.sheaf = self._build(keys)
 
-    def inverse(self, key):
-        """A^-1 for the conjugation A at (cell, degree) key, or None."""
-        a = self.conj.get(key)
-        return None if a is None else a.inverse
-
     def _factors(self, keys):
         """Per cell, per degree, (g, gd, h, hd): G = A W = g / gd and
         H = W^-1 A^-1 = h / hd for the slot's conjugation A (1 if none) and

@@ -480,20 +480,37 @@ def verdier_dual(f: CellularSheaf) -> CellularSheaf:
     return CellularSheaf(base, stalks, restrictions)
 
 
-def _entries(phi):
-    """(degree, block, its one entry) for each block of phi, the entry None
-    unless the block is 1x1 and nonzero: read once per factor."""
-    return [(n, m, m.data[0].get(0) if m.rows == m.cols == 1 else None)
-            for n, m in phi.items()]
+def _entries(phi, read):
+    """(degree, block, (x, -x, x.numerator, x.denominator)) for each block
+    of phi, the tuple None unless the block is 1x1 with entry x (a sheaf
+    stores no zero block, so every 1x1 block has its entry).  read is the
+    calling kernel_compose's one table, keyed by id: each dict read, with
+    its list, and each 1x1 entry, with its tuple, so a shared dict is read
+    once and each distinct entry negated and split once.  It holds every
+    object it keys, so no id is reused while it lives."""
+    hit = read.get(id(phi))
+    if hit is None:
+        blocks = []
+        for n, m in phi.items():
+            t = None
+            if m.rows == m.cols == 1:
+                x = m.data[0][0]
+                t = read.get(id(x))
+                if t is None:
+                    t = read[id(x)] = x, -x, x.numerator, x.denominator
+            blocks.append((n, m, t))
+        hit = read[id(phi)] = phi, blocks
+    return hit[1]
 
 
-def _by_outer(k, order, swap=False):
+def _by_outer(k, order, read, swap=False):
     """The stalks and restrictions of a kernel on X x M2 (on M2 x X when
     swap), grouped by the cell x of the outer factor X that they start
     from: x -> (stalks, along, across), with stalks[b] = (K(x, b), its
     (degree, dim) in order, _entries of its d) in fiber order (the order
     of b), along[b][b2] = _entries of the step (x, b) < (x, b2) and
-    across[x2][b] = _entries of the step (x, b) < (x2, b)."""
+    across[x2][b] = _entries of the step (x, b) < (x2, b), all read
+    through the one table read."""
     table = {}
     i = 0 if swap else 1  # the position of b in the kernel's pairs
     for key, u in sorted(k.stalks.items(), key=lambda item: order[item[0][i]]):
@@ -501,15 +518,15 @@ def _by_outer(k, order, swap=False):
         entry = table.get(x)
         if entry is None:
             entry = table[x] = {}, {}, {}
-        entry[0][b] = u, sorted(u.dims.items()), _entries(u.diffs)
+        entry[0][b] = u, sorted(u.dims.items()), _entries(u.diffs, read)
     # a restriction joins nonzero stalks, so x has its entry already
     for (s, t), phi in k.restrictions.items():
         (x, b), (x2, b2) = (s[::-1], t[::-1]) if swap else (s, t)
         _, along, across = table[x]
         if x == x2:
-            along.setdefault(b, {})[b2] = _entries(phi)
+            along.setdefault(b, {})[b2] = _entries(phi, read)
         else:
-            across.setdefault(x2, {})[b] = _entries(phi)
+            across.setdefault(x2, {})[b] = _entries(phi, read)
     return table
 
 
@@ -529,13 +546,13 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     Each block joins one source piece to one target piece, so no two
     blocks share an entry.  A scalar block (1x1 (x) 1x1, 1x1 (x) I_1 or
     I_1 (x) 1x1) is assigned as its one entry, as sections writes its
-    own: each factor's entry is read once (_entries) and negated through
-    a per-call memo, so each distinct entry is negated once.  A step
-    +-x (x) y of the middle factor is the one Fraction(+-xn yn, xd yd),
-    built from integers: the numerator and denominator of each distinct
-    entry are read once per call, through a memo keyed and held as the
-    negation memo is; when x or y is 1 the other factor, or its memoised
-    negative, is stored itself.  Every other block goes through
+    own.  Every entry is read through one table local to the call
+    (_entries): it holds each distinct dict of either kernel with its list
+    of blocks, so a dict shared by many pairs is read once, and each
+    distinct 1x1 entry x as (x, -x, xn, xd), so each is negated and split
+    once.  A write of +-x (x) 1 or +-1 (x) x stores x or -x from there, and
+    a step +-x (x) y of the middle factor is the one Fraction(+-xn yn,
+    xd yd), built from integers.  Every other block goes through
     qlinalg._add_block, the one block writer.  Each kernel is read once
     into one table (_by_outer), K12 by a and K23, swapped, by c: per outer
     cell its stalks along M2 in fiber order, its steps along M2 and its
@@ -569,7 +586,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
     order = {b: i for i, b in enumerate(sorted(m2.cell_ids(),
                                                key=lambda b: (m2.dim(b), repr(b))))}
     sign = {b: -1 if m2.dim(b) % 2 else 1 for b in order}
-    t12, t23 = _by_outer(k12, order), _by_outer(k23, order, swap=True)
+    read = {}  # the one table of _entries, for this call only
+    t12, t23 = _by_outer(k12, order, read), _by_outer(k23, order, read, swap=True)
     # signatures, interned so that no memo key holds a tuple as long as M2;
     # the kernels hold the stalks, so no id is reused during the call
     interned = {}
@@ -578,21 +596,6 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                      for x, (stalks, _, _) in table.items()} for table in (t12, t23))
     del interned  # frees the tuples: only their ints are used below
     coboundary = m2.coboundary()
-    negated = {}  # id of an entry -> (the entry, its negative); holds the entry
-    split = {}  # id of an entry -> (the entry, numerator, denominator); holds it
-
-    def negate(x):
-        hit = negated.get(id(x))
-        if hit is None:
-            hit = negated[id(x)] = x, -x
-        return hit[1]
-
-    def parts(x):
-        hit = split.get(id(x))
-        if hit is None:
-            hit = split[id(x)] = x, x.numerator, x.denominator
-        return hit
-
     # (a, c) -> ({b: (K12(a, b), K23(b, c), {(p, q): (degree, offset)},
     # the _entries of both differentials)}, dims), one placement per
     # (sig a, sig c), shared read-only
@@ -629,8 +632,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
         for b, (u, v, at, udiffs, vdiffs) in fib.items():
             sb = sign[b]
             for p, d, x in udiffs:
-                if x is not None and sb < 0:
-                    x = negate(x)
+                if x is not None:
+                    x = x[0] if sb > 0 else x[1]
                 for q, e in v.dims.items():
                     n, c0 = at[(p, q)]
                     if x is not None and e == 1:
@@ -638,13 +641,11 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     else:
                         _add_block(mats[n], at[(p + 1, q)][1], c0, d, e, sb)
             for q, d, y in vdiffs:
-                if y is not None:
-                    yn = negate(y)
                 for p, e in u.dims.items():
                     n, c0 = at[(p, q)]
                     sg = -sb if p % 2 else sb
                     if y is not None and e == 1:
-                        mats[n].data[at[(p, q + 1)][1]][c0] = y if sg > 0 else yn
+                        mats[n].data[at[(p, q + 1)][1]][c0] = y[0] if sg > 0 else y[1]
                     else:
                         _add_block(mats[n], at[(p, q + 1)][1], c0, e, d, sg)
             phis, psis = res12.get(b), res23.get(b)
@@ -657,20 +658,13 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                     to = fib[b2][2]
                     for p, fp, x in phi:
                         if x is not None:
-                            xs = x if sgn > 0 else negate(x)
-                            _, xn, xd = parts(x)
-                            xn *= sgn
+                            xn, xd = sgn * x[2], x[3]
                         for q, gq, y in psi:
                             n, c0 = at[(p, q)]
                             if x is None or y is None:
                                 _add_block(mats[n], to[(p, q)][1], c0, fp, gq, sgn)
-                            elif y is _ONE:
-                                mats[n].data[to[(p, q)][1]][c0] = xs
-                            elif x is _ONE:
-                                mats[n].data[to[(p, q)][1]][c0] = y if sgn > 0 else negate(y)
                             else:
-                                _, yn, yd = parts(y)
-                                mats[n].data[to[(p, q)][1]][c0] = Fraction(xn * yn, xd * yd)
+                                mats[n].data[to[(p, q)][1]][c0] = Fraction(xn * y[2], xd * y[3])
         fibers[ac] = place
         stalks[ac] = VectComplex(dims, mats)
     restrictions, built = {}, {}  # built: (kind, step, other side's sig) -> dict
@@ -703,8 +697,8 @@ def kernel_compose(k12: CellularSheaf, k23: CellularSheaf) -> CellularSheaf:
                         continue
                     at, to, sb = hit[2], fib2[b][2], 1 if j else sign[b]
                     for r, g, x in blocks:
-                        if x is not None and sb < 0:
-                            x = negate(x)
+                        if x is not None:
+                            x = x[0] if sb > 0 else x[1]
                         for s, e in hit[j].dims.items():
                             pq = (r, s) if j else (s, r)
                             n, c0 = at[pq]

@@ -51,12 +51,11 @@ def random_morphism(rng: random.Random, src: PieceSheaf, tgt: PieceSheaf) -> She
                         m[tpos[(j, leg)], k] = scalars[(i, j)] * wj[c] / wi[c]
                         hit = True
             if hit:
-                a_t = tgt.conj.get((c, n))
-                inv_s = src.inverse((c, n))
+                a_t, a_s = tgt.conj.get((c, n)), src.conj.get((c, n))
                 if a_t is not None:
                     m = a_t * m
-                if inv_s is not None:
-                    m = m * inv_s
+                if a_s is not None:
+                    m = m * a_s.inverse
                 phi[n] = m
         if phi:
             components[c] = phi

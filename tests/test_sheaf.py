@@ -827,15 +827,41 @@ def _outer_steps_hit(k12, k23):
     return hit
 
 
+def _middle_steps_hit(k12, k23):
+    """Kinds of block that kernel_compose(k12, k23) writes for a step b < b2
+    of the middle factor, (-1)^dim c [b2:b] K12.res (x) K23.res: each sign,
+    each as a scalar entry or as a block larger than 1x1."""
+    m2, m3 = factors_of(k23.base)
+    along12, along23 = {}, {}
+    for ((a, b), (a2, b2)), phi in k12.restrictions.items():
+        if a == a2:
+            along12.setdefault((b, b2), []).append(phi)
+    for ((b, c), (b2, c2)), psi in k23.restrictions.items():
+        if c == c2:
+            along23.setdefault((b, b2), []).append((c, psi))
+    hit = set()
+    for (b, b2), phis in along12.items():
+        for c, psi in along23.get((b, b2), []):
+            sgn = (-1 if m3.dim(c) % 2 else 1) * m2.incidence(b2, b)
+            for phi in phis:
+                for f in phi.values():
+                    for g in psi.values():
+                        scalar = (f.rows, f.cols, g.rows, g.cols) == (1, 1, 1, 1)
+                        hit.add((sgn, "scalar" if scalar else "larger than 1x1"))
+    return hit
+
+
 def test_kernel_compose_equals_pullback_tensor_pushforward():
     """The one-pass composition is the same sheaf, restriction for
     restriction, as pushing forward the tensor of the pullbacks.  The inputs
-    reach every branch of the outer-step loop (_outer_steps_hit)."""
+    reach every branch of the outer-step loop (_outer_steps_hit) and every
+    kind of middle-factor step (_middle_steps_hit)."""
     nonzero_res = 0
-    seen = set()
+    seen, middle = set(), set()
     for k12, k23 in [*_random_kernel_pairs(), *_flanked_kernel_pairs(),
                      *_fiber_order_kernel_pairs()]:
         seen |= _outer_steps_hit(k12, k23)
+        middle |= _middle_steps_hit(k12, k23)
         got = kernel_compose(k12, k23)
         q13, on_t = _pulled_back_tensor(k12, k23)
         want = pushforward(q13, on_t)
@@ -847,6 +873,8 @@ def test_kernel_compose_equals_pullback_tensor_pushforward():
     assert nonzero_res > 100
     assert seen == {(kind, block) for kind in ("a", "c", "c negated")
                     for block in ("scalar", "larger than 1x1")}
+    assert middle == {(sgn, block) for sgn in (1, -1)
+                      for block in ("scalar", "larger than 1x1")}
 
 
 def test_kernel_compose_keeps_cohomology_ranks():
@@ -927,10 +955,9 @@ def test_kernel_compose_of_a_kernel_with_itself():
     assert kernels == 6
 
 
-def test_kernel_compose_of_constant_kernels_stores_one_and_minus_one():
+def test_kernel_compose_of_constant_kernels_has_entries_one_and_minus_one():
     """Every step of the middle factor and every restriction of two constant
-    kernels is +-1 (x) 1: the composition stores the entry 1 of the kernels
-    and one negation of it, never a product made afresh per block."""
+    kernels is +-1 (x) 1: every entry of the composition is 1 or -1."""
     mid = circle(6)
     k12 = constant(product(hollow_triangle(), mid)[0])
     k23 = constant(product(mid, interval())[0])
@@ -939,8 +966,49 @@ def test_kernel_compose_of_constant_kernels_stores_one_and_minus_one():
     mats += [m for phi in got.restrictions.values() for m in phi.values()]
     entries = [x for m in mats for row in m.data for x in row.values()]
     assert len(entries) > 500
-    assert len({id(x) for x in entries}) == 2
     assert set(entries) == {1, -1}
+
+
+def _distinct_matrices(*sheaves):
+    """The distinct Matrix objects of the stalk differentials and
+    restrictions of the sheaves."""
+    mats = [m for f in sheaves for v in f.stalks.values() for m in v.diffs.values()]
+    mats += [m for f in sheaves for phi in f.restrictions.values() for m in phi.values()]
+    return list({id(m): m for m in mats}.values())
+
+
+def test_kernel_compose_negates_each_distinct_entry_once(monkeypatch):
+    """kernel_compose reads every entry of its kernels through one table per
+    call, so one call negates each distinct entry object at most once, however
+    many blocks it writes from it.  One-piece kernels have only 1x1 blocks,
+    so every write is a scalar one."""
+    rng = random.Random(11)
+    pairs = []
+    for mid in (interval(), circle(4), circle(6)):
+        for _ in range(4):
+            m1, m3 = (rng.choice([interval(), hollow_triangle()]) for _ in range(2))
+            pairs.append((random_piece_sheaf(rng, product(m1, mid)[0], max_pieces=1).sheaf,
+                          random_piece_sheaf(rng, product(mid, m3)[0], max_pieces=1).sheaf))
+    negations = []
+    neg = Fraction.__neg__
+
+    def counted(x):
+        negations.append(x)
+        return neg(x)
+
+    monkeypatch.setattr(Fraction, "__neg__", counted)
+    more_writes = 0
+    for k12, k23 in pairs:
+        mats = _distinct_matrices(k12, k23)
+        assert all(m.rows == m.cols == 1 for m in mats)
+        distinct = len({id(m.data[0][0]) for m in mats})
+        del negations[:]
+        got = kernel_compose(k12, k23)
+        assert len(negations) <= distinct
+        written = sum(len(row) for m in _distinct_matrices(got) for row in m.data)
+        more_writes += written > distinct
+    # so negating once per entry written would not pass
+    assert more_writes >= 9
 
 
 def test_euler_rhom():
